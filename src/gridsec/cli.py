@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import data, train
-from .errors import GridSecError
+from .errors import ExperimentError, GridSecError
 from .model import apply_outage, load_case
 from .powerflow import trace_pv_curve
 from .security import OperatingLimits, parse_contingency_list, screen_configurations
@@ -135,9 +135,14 @@ def cmd_report(args):
     for run in runs:
         by_alg.setdefault(run.algorithm, []).append(run)
     # infer checkpoint epochs from the logs themselves
-    init_max = max(r.epoch for run in runs for r in run.rows if r.phase == train.PHASE_INIT)
-    upd_max = max(r.epoch for run in runs for r in run.rows if r.phase == train.PHASE_UPDATE)
-    cfg = train.ExperimentConfig("", "", init_epochs=init_max, update_epochs=upd_max)
+    last = {}
+    for phase in (train.PHASE_INIT, train.PHASE_UPDATE):
+        epochs = [r.epoch for run in runs for r in run.rows if r.phase == phase]
+        if not epochs:
+            raise ExperimentError(f"{args.log_dir}: no {phase} rows in the training logs")
+        last[phase] = max(epochs)
+    cfg = train.ExperimentConfig("", "", init_epochs=last[train.PHASE_INIT],
+                                 update_epochs=last[train.PHASE_UPDATE])
     for split in ("train", "test"):
         header, rows = train.summarize(by_alg, cfg, split)
         path = os.path.join(args.log_dir if not args.out else args.out, f"summary_{split}.csv")

@@ -265,7 +265,14 @@ def load_dataset(path) -> Dataset:
             cols = line.rstrip("\n").split(",")
             if len(cols) != len(header):
                 raise DatasetError(f"{path}:{line_no}: expected {len(header)} columns")
-            features = np.array([float(c) for c in cols[:-1]])
+            try:
+                features = np.array([float(c) for c in cols[:-1]])
+            except ValueError:
+                raise DatasetError(f"{path}:{line_no}: non-numeric feature") from None
+            if not np.all(np.isfinite(features)):
+                raise DatasetError(f"{path}:{line_no}: non-finite feature")
+            if cols[-1] not in ("0", "1"):
+                raise DatasetError(f"{path}:{line_no}: label {cols[-1]!r} is not 0 or 1")
             label = Label.SECURE if cols[-1] == "1" else Label.INSECURE
             samples.append(LabeledSample(features, label, SampleMeta((), None, ())))
     return Dataset(samples=samples, feature_names=names)

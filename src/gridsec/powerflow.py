@@ -1,13 +1,18 @@
 """Newton-Raphson AC power flow and a stepwise load-scaling PV-curve tracer.
 
 The solver works in polar coordinates on the full complex bus-admittance
-matrix. Non-convergence is an outcome, not an exception: downstream
-screening treats a diverged post-contingency solve as an Insecure label.
+matrix. The pi-branch model lives in one branch table, which feeds both the
+admittance matrix and the branch flows. Reactive-limit switching is one-way:
+a PV bus whose generators would exceed their Q capability is pinned there as
+a PQ bus and never switches back to PV within the solve. Non-convergence
+is an outcome, not an exception: downstream screening treats a diverged
+post-contingency solve as an Insecure label.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,53 +59,86 @@ class PvCurve:
     monitored_bus: int
 
 
-def build_ybus(case: NetworkCase) -> np.ndarray:
-    """Dense complex bus-admittance matrix; standard pi model with the
-    off-nominal tap on the from side."""
-    n = len(case.buses)
+class _BranchTable(NamedTuple):
+    """In-service branches: positions in ``case.branches``, end-bus positions
+    and pi-model stamps with the off-nominal tap on the from side."""
+
+    pos: np.ndarray
+    f: np.ndarray
+    t: np.ndarray
+    yff: np.ndarray
+    yft: np.ndarray  # also y_tf: the tap is real
+    ytt: np.ndarray
+
+
+def _branch_table(case: NetworkCase) -> _BranchTable:
     idx = case.bus_index()
-    y = np.zeros((n, n), dtype=complex)
-    for br in case.branches:
-        if not br.in_service:
-            continue
-        f, t = idx[br.from_bus], idx[br.to_bus]
+    live = [(k, br) for k, br in enumerate(case.branches) if br.in_service]
+    ends = np.array([(k, idx[br.from_bus], idx[br.to_bus]) for k, br in live], dtype=int)
+    stamps = np.zeros((len(live), 3), dtype=complex)
+    for row, (_, br) in zip(stamps, live):
         ys = 1.0 / complex(br.r, br.x)
         bc = 1j * br.b_shunt / 2.0
-        tap = br.tap
-        y[f, f] += (ys + bc) / (tap * tap)
-        y[t, t] += ys + bc
-        y[f, t] += -ys / tap
-        y[t, f] += -ys / tap
+        row[:] = (ys + bc) / (br.tap * br.tap), -ys / br.tap, ys + bc
+    return _BranchTable(*ends.reshape(-1, 3).T, *stamps.T)
+
+
+def build_ybus(case: NetworkCase, table: _BranchTable | None = None) -> np.ndarray:
+    """Dense complex bus-admittance matrix; standard pi model with the
+    off-nominal tap on the from side. ``table`` reuses the case's branch
+    table when the caller already holds it."""
+    tb = _branch_table(case) if table is None else table
+    y = np.zeros((len(case.buses),) * 2, dtype=complex)
+    # Stamps go in per branch as ff, tt, ft, tf; np.add.at sums repeated cells
+    # in index order, so each entry adds up its branches in case order.
+    rows = np.stack([tb.f, tb.t, tb.f, tb.t], axis=1).ravel()
+    cols = np.stack([tb.f, tb.t, tb.t, tb.f], axis=1).ravel()
+    np.add.at(y, (rows, cols), np.stack([tb.yff, tb.ytt, tb.yft, tb.yft], axis=1).ravel())
     return y
 
 
-def _bus_arrays(case: NetworkCase):
-    """Per-bus spec: complex injection (pu), kinds, setpoints, Q-gen bounds."""
+class _BusSpec(NamedTuple):
+    """Per-bus spec in per-unit; a Q-limit pin rewrites ``s_spec`` and ``kinds``."""
+
+    s_spec: np.ndarray  # complex net injection
+    kinds: np.ndarray  # BusKind per bus
+    vset: np.ndarray  # voltage setpoint, 1.0 where none
+    qg_min: np.ndarray  # summed in-service generator Q bounds
+    qg_max: np.ndarray
+    q_load: np.ndarray
+    has_gen: np.ndarray
+
+
+def _bus_spec(case: NetworkCase) -> _BusSpec:
     n = len(case.buses)
     idx = case.bus_index()
-    p = np.zeros(n)
-    q = np.zeros(n)
-    qmin = np.zeros(n)
-    qmax = np.zeros(n)
+    gens = [g for g in case.generators if g.in_service]
+    gen_bus = np.array([idx[g.bus] for g in gens], dtype=int)
+    load_bus = np.array([idx[l.bus] for l in case.loads], dtype=int)
+    p, qmin, qmax, p_load, q_load = np.zeros((5, n))
+    np.add.at(p, gen_bus, [g.p_mw for g in gens])
+    np.add.at(qmin, gen_bus, [g.q_min for g in gens])
+    np.add.at(qmax, gen_bus, [g.q_max for g in gens])
+    np.add.at(p_load, load_bus, [l.p_mw for l in case.loads])
+    np.add.at(q_load, load_bus, [l.q_mvar for l in case.loads])
     has_gen = np.zeros(n, dtype=bool)
-    for g in case.generators:
-        if not g.in_service:
-            continue
-        i = idx[g.bus]
-        p[i] += g.p_mw
-        qmin[i] += g.q_min
-        qmax[i] += g.q_max
-        has_gen[i] = True
-    p_load = np.zeros(n)
-    q_load = np.zeros(n)
-    for l in case.loads:
-        i = idx[l.bus]
-        p_load[i] += l.p_mw
-        q_load[i] += l.q_mvar
+    has_gen[gen_bus] = True
     s_spec = ((p - p_load) + 1j * (0.0 - q_load)) / case.base_mva
     kinds = np.array([b.kind for b in case.buses], dtype=object)
     vset = np.array([b.v_setpoint if b.v_setpoint is not None else 1.0 for b in case.buses])
-    return s_spec, kinds, vset, qmin / case.base_mva, qmax / case.base_mva, q_load / case.base_mva, has_gen
+    return _BusSpec(s_spec, kinds, vset, qmin / case.base_mva, qmax / case.base_mva,
+                    q_load / case.base_mva, has_gen)
+
+
+def _index_sets(kinds):
+    """(pvpq, pq): the buses whose angle, and whose magnitude, NR solves for."""
+    return np.flatnonzero(kinds != BusKind.SLACK), np.flatnonzero(kinds == BusKind.PQ)
+
+
+def _pin_q(spec: _BusSpec, i, q_gen):
+    """Turn bus ``i`` into a PQ bus whose generators supply ``q_gen`` (pu)."""
+    spec.kinds[i] = BusKind.PQ
+    spec.s_spec[i] = spec.s_spec[i].real + 1j * (q_gen - spec.q_load[i])
 
 
 def calc_injections(ybus, v):
@@ -129,48 +167,18 @@ def jacobian(ybus, v, pvpq, pq):
     return np.block([[j11, j12], [j21, j22]])
 
 
-def _branch_flows(case, v):
-    nb = len(case.branches)
-    idx = case.bus_index()
-    p_f = np.zeros(nb)
-    q_f = np.zeros(nb)
-    p_t = np.zeros(nb)
-    q_t = np.zeros(nb)
-    i_f = np.zeros(nb)
-    i_t = np.zeros(nb)
-    for k, br in enumerate(case.branches):
-        if not br.in_service:
-            continue
-        f, t = idx[br.from_bus], idx[br.to_bus]
-        ys = 1.0 / complex(br.r, br.x)
-        bc = 1j * br.b_shunt / 2.0
-        tap = br.tap
-        i_from = (ys + bc) / (tap * tap) * v[f] - ys / tap * v[t]
-        i_to = (ys + bc) * v[t] - ys / tap * v[f]
-        s_from = v[f] * np.conj(i_from) * case.base_mva
-        s_to = v[t] * np.conj(i_to) * case.base_mva
-        p_f[k], q_f[k] = s_from.real, s_from.imag
-        p_t[k], q_t[k] = s_to.real, s_to.imag
-        i_f[k] = abs(i_from)
-        i_t[k] = abs(i_to)
-    return p_f, q_f, p_t, q_t, i_f, i_t
-
-
-def _finish(case, ybus, v, converged, iterations, max_mismatch, q_limited, diagnostic=""):
-    s = calc_injections(ybus, v) * case.base_mva
-    p_f, q_f, p_t, q_t, i_f, i_t = _branch_flows(case, v)
-    return PowerFlowSolution(
-        v_mag=np.abs(v),
-        v_ang=np.angle(v),
-        p_from=p_f, q_from=q_f, p_to=p_t, q_to=q_t,
-        i_from=i_f, i_to=i_t,
-        p_inj=s.real, q_inj=s.imag,
-        converged=converged,
-        iterations=iterations,
-        max_mismatch=float(max_mismatch),
-        q_limited=tuple(q_limited),
-        diagnostic=diagnostic,
-    )
+def _branch_flows(case, table, v):
+    """Rows p_from, q_from, p_to, q_to (MW, MVar) and i_from, i_to (pu) by
+    branch position; zero for out-of-service branches."""
+    v_f, v_t = v[table.f], v[table.t]
+    i_from = table.yff * v_f + table.yft * v_t
+    i_to = table.ytt * v_t + table.yft * v_f
+    s_from = v_f * np.conj(i_from) * case.base_mva
+    s_to = v_t * np.conj(i_to) * case.base_mva
+    flows = np.zeros((6, len(case.branches)))
+    flows[:, table.pos] = (s_from.real, s_from.imag, s_to.real, s_to.imag,
+                           np.abs(i_from), np.abs(i_to))
+    return flows
 
 
 def solve_powerflow(case: NetworkCase, options: SolveOptions | None = None) -> PowerFlowSolution:
@@ -182,23 +190,22 @@ def solve_powerflow(case: NetworkCase, options: SolveOptions | None = None) -> P
     opts = options or SolveOptions()
     if opts.tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    ybus = build_ybus(case)
-    s_spec, kinds, vset, qg_min, qg_max, q_load, has_gen = _bus_arrays(case)
+    table = _branch_table(case)
+    ybus = build_ybus(case, table)
+    spec = _bus_spec(case)
     n = len(case.buses)
 
-    kinds = kinds.copy()
-    s_spec = s_spec.copy()
     if opts.start is not None:
-        vm = np.array(opts.start[0], dtype=float).copy()
-        va = np.array(opts.start[1], dtype=float).copy()
+        vm = np.array(opts.start[0], dtype=float)
+        va = np.array(opts.start[1], dtype=float)
     else:
         vm = np.ones(n)
         va = np.zeros(n)
-    pv_or_slack = [i for i in range(n) if kinds[i] is not BusKind.PQ]
-    vm[pv_or_slack] = vset[pv_or_slack]
-    slack = next(i for i in range(n) if kinds[i] is BusKind.SLACK)
-    va = va - va[slack]
+    regulated = spec.kinds != BusKind.PQ
+    vm[regulated] = spec.vset[regulated]
+    va = va - va[spec.kinds == BusKind.SLACK][0]
 
+    pvpq, pq = _index_sets(spec.kinds)
     q_limited = []
     trace_rows = []
     iterations = 0
@@ -206,33 +213,23 @@ def solve_powerflow(case: NetworkCase, options: SolveOptions | None = None) -> P
     diagnostic = ""
     for iteration in range(opts.max_iter + 1):
         v = vm * np.exp(1j * va)
-        pvpq = [i for i in range(n) if kinds[i] is not BusKind.SLACK]
-        pq = [i for i in range(n) if kinds[i] is BusKind.PQ]
 
         if opts.enforce_q_limits and iteration >= 1:
             # One switch check per iteration: pin any PV bus whose generators
-            # would have to exceed their reactive capability.
-            s_calc = calc_injections(ybus, v)
-            switched = False
-            for i in range(n):
-                if kinds[i] is not BusKind.PV or not has_gen[i]:
-                    continue
-                q_gen = s_calc[i].imag + q_load[i]
-                if q_gen > qg_max[i] + 1e-9:
-                    pinned = qg_max[i]
-                elif q_gen < qg_min[i] - 1e-9:
-                    pinned = qg_min[i]
-                else:
-                    continue
-                kinds[i] = BusKind.PQ
-                s_spec[i] = s_spec[i].real + 1j * (pinned - q_load[i])
-                q_limited.append((i, pinned))
-                switched = True
-            if switched:
-                pvpq = [i for i in range(n) if kinds[i] is not BusKind.SLACK]
-                pq = [i for i in range(n) if kinds[i] is BusKind.PQ]
+            # would have to exceed their reactive capability. A pinned bus
+            # stays PQ for the rest of the solve.
+            q_gen = calc_injections(ybus, v).imag + spec.q_load
+            over = q_gen > spec.qg_max + 1e-9
+            under = q_gen < spec.qg_min - 1e-9
+            hits = np.flatnonzero((spec.kinds == BusKind.PV) & spec.has_gen & (over | under))
+            for i in hits:
+                pinned = spec.qg_max[i] if over[i] else spec.qg_min[i]
+                _pin_q(spec, i, pinned)
+                q_limited.append((int(i), pinned))
+            if hits.size:
+                pvpq, pq = _index_sets(spec.kinds)
 
-        f = mismatch_vector(ybus, v, s_spec, pvpq, pq)
+        f = mismatch_vector(ybus, v, spec.s_spec, pvpq, pq)
         max_mis = float(np.max(np.abs(f))) if f.size else 0.0
         trace_rows.append((iteration, max_mis))
         if not np.isfinite(max_mis):
@@ -265,28 +262,33 @@ def solve_powerflow(case: NetworkCase, options: SolveOptions | None = None) -> P
                 fh.write(f"{it},{mis:.16e}\n")
 
     v = vm * np.exp(1j * va)
-    last_mis = trace_rows[-1][1] if trace_rows else np.inf
-    return _finish(case, ybus, v, converged, iterations, last_mis, q_limited, diagnostic)
+    s = calc_injections(ybus, v) * case.base_mva
+    p_f, q_f, p_t, q_t, i_f, i_t = _branch_flows(case, table, v)
+    return PowerFlowSolution(
+        v_mag=np.abs(v),
+        v_ang=np.angle(v),
+        p_from=p_f, q_from=q_f, p_to=p_t, q_to=q_t,
+        i_from=i_f, i_to=i_t,
+        p_inj=s.real, q_inj=s.imag,
+        converged=converged,
+        iterations=iterations,
+        max_mismatch=trace_rows[-1][1] if trace_rows else np.inf,
+        q_limited=tuple(q_limited),
+        diagnostic=diagnostic,
+    )
 
 
 def recompute_max_mismatch(case: NetworkCase, solution: PowerFlowSolution) -> float:
     """Independent mismatch recomputation from the returned voltages.
 
-    Uses the solution's recorded effective bus types (Q-limited PV buses are
-    PQ with the pinned reactive output).
+    Replays the solution's Q-limit pins: those PV buses are PQ with the
+    pinned reactive output.
     """
-    ybus = build_ybus(case)
-    s_spec, kinds, _, _, _, q_load, _ = _bus_arrays(case)
-    kinds = kinds.copy()
-    s_spec = s_spec.copy()
+    spec = _bus_spec(case)
     for i, pinned in solution.q_limited:
-        kinds[i] = BusKind.PQ
-        s_spec[i] = s_spec[i].real + 1j * (pinned - q_load[i])
-    n = len(case.buses)
-    pvpq = [i for i in range(n) if kinds[i] is not BusKind.SLACK]
-    pq = [i for i in range(n) if kinds[i] is BusKind.PQ]
+        _pin_q(spec, i, pinned)
     v = solution.v_mag * np.exp(1j * solution.v_ang)
-    f = mismatch_vector(ybus, v, s_spec, pvpq, pq)
+    f = mismatch_vector(build_ybus(case), v, spec.s_spec, *_index_sets(spec.kinds))
     return float(np.max(np.abs(f))) if f.size else 0.0
 
 
@@ -319,13 +321,7 @@ def trace_pv_curve(
     while scale <= max_scale + 1e-12:
         scaled = scale_loads(case, scale)
         scaled = reschedule_generation(scaled, (scale - 1.0) * base_p, strict=False)
-        step_opts = SolveOptions(
-            tolerance=opts.tolerance,
-            max_iter=opts.max_iter,
-            enforce_q_limits=opts.enforce_q_limits,
-            start=warm,
-        )
-        sol = solve_powerflow(scaled, step_opts)
+        sol = solve_powerflow(scaled, replace(opts, start=warm, trace_file=None))
         if not sol.converged:
             break
         points.append((scale, float(sol.v_mag[pos])))

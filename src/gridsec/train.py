@@ -80,11 +80,12 @@ def run_phase(theta, arch, optimizer, train_xy, test_xy, plan: PhasePlan,
         checksum_ok = optimizer.checksum() == expected_checksum
 
     grad_fn = lambda t: mlp.loss_and_gradient(t, arch, x_train, y_train)[1]
+    logged = _eval_every_hits(plan.epochs, plan.eval_every)
     rows = []
     start = time.perf_counter()
     for epoch in range(1, plan.epochs + 1):
         theta, _ = optimizer.step(theta, grad_fn)
-        should_log = epoch == 1 or epoch == plan.epochs or epoch % plan.eval_every == 0
+        should_log = epoch in logged
         if not np.all(np.isfinite(theta)):
             rows.append(LogRow(plan.name, epoch, float("nan"), float("nan"),
                                float("nan"), (time.perf_counter() - start) * 1e3,
@@ -161,7 +162,7 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
             for key, value in parser[section].items()
             if key in key_types
         }
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         init_dataset=exp["init_dataset"],
         update_dataset=exp["update_dataset"],
         init_epochs=exp.getint("init_epochs", 2000),
@@ -174,6 +175,17 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         algorithms=algorithms,
         overrides=overrides,
     )
+    if cfg.eval_every < 1:
+        raise ExperimentError("eval_every must be >= 1")
+    phases = zip(("init", "update"), (cfg.init_epochs, cfg.update_epochs), cfg.checkpoints())
+    for phase, epochs, checkpoints in phases:
+        unlogged = sorted(set(checkpoints) - _eval_every_hits(epochs, cfg.eval_every))
+        if unlogged:
+            raise ExperimentError(
+                f"eval_every = {cfg.eval_every} leaves {phase} checkpoint epochs "
+                f"{unlogged} unlogged"
+            )
+    return cfg
 
 
 def _standardized_splits(init_ds: Dataset, update_ds: Dataset, fraction, seed):
@@ -234,6 +246,8 @@ def run_experiment(cfg: ExperimentConfig):
 
 
 def _eval_every_hits(epochs, eval_every):
+    """Epochs a phase logs when it does not diverge: the first, the last and
+    every multiple of ``eval_every``."""
     hits = {1, epochs}
     hits.update(range(eval_every, epochs + 1, eval_every))
     return hits

@@ -4,6 +4,7 @@ import pytest
 
 from gridsec.cli import build_parser, main
 from gridsec.model import bundled_case_path
+from gridsec.train import PHASE_INIT, PHASE_UPDATE, LogRow, RunResult, write_log
 
 from tests.conftest import CSC_LINES_9BUS
 
@@ -205,6 +206,16 @@ def test_report_empty_dir_exit_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "report", "--log-dir", str(tmp_path))
     assert code == 1
     assert "no .log.csv" in err
+
+
+@pytest.mark.parametrize("logged, missing",
+                         [(PHASE_INIT, PHASE_UPDATE), (PHASE_UPDATE, PHASE_INIT)])
+def test_report_missing_phase_exit_1(tmp_path, capsys, logged, missing):
+    run = RunResult("sgd", 0, [LogRow(logged, 1, 0.5, 0.9, 0.8)])
+    write_log(tmp_path / "sgd_seed0.log.csv", run)
+    code, _, err = run_cli(capsys, "report", "--log-dir", str(tmp_path))
+    assert code == 1
+    assert f"no {missing} rows" in err
 
 
 def test_parser_prog_name():

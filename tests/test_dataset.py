@@ -198,3 +198,18 @@ def test_load_rejects_non_dataset(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(DatasetError, match="label"):
         load_dataset(path)
+
+
+def test_load_rejects_bad_label(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text("a,b,label\n1.0,2.0,1\n1.0,2.0,7\n")
+    with pytest.raises(DatasetError, match=r"ds\.csv:3: label '7' is not 0 or 1"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
+def test_load_rejects_bad_feature(tmp_path, value):
+    path = tmp_path / "ds.csv"
+    path.write_text(f"a,b,label\n1.0,2.0,0\n1.0,{value},0\n")
+    with pytest.raises(DatasetError, match=r"ds\.csv:3: non-(finite|numeric) feature"):
+        load_dataset(path)

@@ -131,7 +131,7 @@ def test_jacobian_matches_finite_differences(case9):
         assert np.abs(jac - fd).max() / scale <= 1e-6
 
 
-def test_q_limit_switching():
+def test_q_limit_switching(case9):
     # a PV bus with a tiny Q ceiling must be pinned at it
     case = parse_case("""\
 format_version: 1
@@ -156,10 +156,28 @@ format_version: 1
     pos, pinned = limited.q_limited[0]
     assert pos == 1 and pinned == pytest.approx(0.05)
     assert limited.v_mag[1] < 1.05  # no longer holding setpoint
+    # the mismatch replay must pin the same bus at the recorded output
+    assert abs(recompute_max_mismatch(case, limited) - limited.max_mismatch) <= 1e-12
+    repinned = dataclasses.replace(limited, q_limited=((1, 0.0),))
+    assert recompute_max_mismatch(case, repinned) == pytest.approx(0.05, abs=1e-6)
 
     free = solve_powerflow(case, SolveOptions(enforce_q_limits=False))
     assert free.converged
     assert free.v_mag[1] == pytest.approx(1.05)
+
+    # a meshed network: bus 2 (6.7 MVar unlimited) hits a 2 MVar ceiling and
+    # bus 3 (-10.9 MVar unlimited) a -5 MVar floor
+    gens = (case9.generators[0],
+            dataclasses.replace(case9.generators[1], q_max=2.0),
+            dataclasses.replace(case9.generators[2], q_min=-5.0))
+    tight = dataclasses.replace(case9, generators=gens)
+    meshed = solve_powerflow(tight)
+    assert meshed.converged
+    assert dict(meshed.q_limited) == {1: pytest.approx(0.02), 2: pytest.approx(-0.05)}
+    assert meshed.q_inj[1] == pytest.approx(2.0, abs=1e-6)
+    assert meshed.q_inj[2] == pytest.approx(-5.0, abs=1e-6)
+    assert meshed.v_mag[1] < 1.025 < meshed.v_mag[2]
+    assert abs(recompute_max_mismatch(tight, meshed) - meshed.max_mismatch) <= 1e-12
 
 
 def test_trace_pv_curve_nose_two_bus(case2):

@@ -245,3 +245,11 @@ def test_parse_experiment_config_errors():
         parse_experiment_config(
             "[experiment]\ninit_dataset = a\nupdate_dataset = b\n"
             "[rmsprop]\nlearning_rate = 0.1\n")
+    # init checkpoints are epochs 20 and 40; only 1, 30 and 40 are logged
+    with pytest.raises(ExperimentError, match=r"leaves init checkpoint epochs \[20\] unlogged"):
+        parse_experiment_config(
+            "[experiment]\ninit_dataset = a\nupdate_dataset = b\n"
+            "init_epochs = 40\nupdate_epochs = 40\neval_every = 30\n")
+    with pytest.raises(ExperimentError, match="eval_every must be >= 1"):
+        parse_experiment_config(
+            "[experiment]\ninit_dataset = a\nupdate_dataset = b\neval_every = 0\n")
