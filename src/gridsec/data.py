@@ -3,7 +3,9 @@
 An operating condition (OC) is a load-scaled, optionally topology-changed
 copy of the base case together with its converged power-flow solution. Each
 OC becomes one classifier sample: a fixed-layout measurement vector plus the
-Secure/Insecure outcome of screening it against the CSC list.
+Secure/Insecure outcome of screening it against the CSC list. The screen's
+post-contingency solves warm-start from the OC's solution, which needs fewer
+Newton-Raphson iterations than a flat start and reaches the same labels.
 """
 
 from __future__ import annotations
@@ -205,7 +207,8 @@ def _build_dataset_once(
             options=options, max_rejects=config.max_rejects,
         )
         rejections += rejects
-        screen = run_contingency_screen(oc, config.csc_list, limits, options)
+        warm = replace(options or SolveOptions(), start=(solution.v_mag, solution.v_ang))
+        screen = run_contingency_screen(oc, config.csc_list, limits, warm)
         samples.append(LabeledSample(extract_features(solution, case), screen.label, meta))
     return Dataset(
         samples=samples,

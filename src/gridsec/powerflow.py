@@ -47,10 +47,6 @@ class PowerFlowSolution:
     q_limited: tuple = ()  # (bus position, pinned Q_gen pu) pairs
     diagnostic: str = ""
 
-    def bus_voltage(self, case, bus_id):
-        pos = case.bus_index()[bus_id]
-        return self.v_mag[pos], self.v_ang[pos]
-
 
 @dataclass
 class PvCurve:
@@ -153,18 +149,30 @@ def mismatch_vector(ybus, v, s_spec, pvpq, pq):
 
 
 def jacobian(ybus, v, pvpq, pq):
-    """Analytic polar Jacobian of the mismatch vector."""
-    ibus = ybus @ v
-    diag_v = np.diag(v)
-    diag_i = np.diag(ibus)
-    diag_vn = np.diag(v / np.abs(v))
-    ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
-    ds_dvm = diag_v @ np.conj(ybus @ diag_vn) + np.conj(diag_i) @ diag_vn
-    j11 = ds_dva[np.ix_(pvpq, pvpq)].real
-    j12 = ds_dvm[np.ix_(pvpq, pq)].real
-    j21 = ds_dva[np.ix_(pq, pvpq)].imag
-    j22 = ds_dvm[np.ix_(pq, pq)].imag
-    return np.block([[j11, j12], [j21, j22]])
+    """Analytic polar Jacobian of the mismatch vector.
+
+    MATPOWER's ``dSbus_dV`` by broadcasting: with T = diag(V) conj(Y diag(V)),
+    dS/dVa = j(diag(V conj(I)) - T) and dS/dVm = T diag(1/|V|) + diag(conj(I) V/|V|).
+    """
+    n = len(v)
+    inv_vm = 1.0 / np.abs(v)
+    t = v[:, None] * np.conj(ybus * v)
+    s_bus = v * np.conj(ybus @ v)
+    full = np.empty((2 * n, 2 * n))
+    # [[dP/dVa, dP/dVm], [dQ/dVa, dQ/dVm]] over every bus
+    full[:n, :n] = t.imag
+    full[n:, :n] = -t.real
+    t *= inv_vm
+    full[:n, n:] = t.real
+    full[n:, n:] = t.imag
+    diag = np.arange(n)
+    full[diag, diag] -= s_bus.imag
+    full[diag + n, diag] += s_bus.real
+    full[diag, diag + n] += s_bus.real * inv_vm
+    full[diag + n, diag + n] += s_bus.imag * inv_vm
+    rows = np.concatenate([np.asarray(pvpq, dtype=int), n + np.asarray(pq, dtype=int)])
+    # two 1-D selections run faster than one np.ix_ selection
+    return full[rows][:, rows]
 
 
 def _branch_flows(case, table, v):

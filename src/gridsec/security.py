@@ -5,7 +5,8 @@ performance index stays at or below 0.1 are negligible; above that they are
 split by flow impact: under 200 MW of worst-branch active-flow change they
 are topology changes (TCs, folded into the operating condition itself), at
 200 MW or more they are critical system contingencies (CSCs) that decide the
-Secure/Insecure label.
+Secure/Insecure label. Dataset labelling warm-starts each contingency solve
+from the operating condition's own converged voltages.
 """
 
 from __future__ import annotations
@@ -153,27 +154,30 @@ def check_limits(
     case: NetworkCase,
     limits: OperatingLimits | None = None,
 ) -> list:
-    """All bus-voltage and branch-loading violations; empty means secure."""
+    """All bus-voltage and branch-loading violations; empty means secure.
+
+    Buses come first, then in-service branches, each in case order.
+    """
     limits = limits or OperatingLimits()
     if not solution.converged:
         raise GridSecError("limit check needs a converged solution")
+    vm = solution.v_mag
+    low = vm < limits.v_min
+    high = vm > limits.v_max
     violations = []
-    for pos, bus in enumerate(case.buses):
-        vm = float(solution.v_mag[pos])
-        if vm < limits.v_min:
-            violations.append(Violation("low-voltage", f"bus {bus.id}", vm, limits.v_min))
-        elif vm > limits.v_max:
-            violations.append(Violation("high-voltage", f"bus {bus.id}", vm, limits.v_max))
-    for k, br in enumerate(case.branches):
-        if not br.in_service:
-            continue
-        s_from = float(np.hypot(solution.p_from[k], solution.q_from[k]))
-        s_to = float(np.hypot(solution.p_to[k], solution.q_to[k]))
-        loading = max(s_from, s_to) / br.mva_rating
-        if loading > limits.loading_limit:
-            violations.append(
-                Violation("overload", f"branch {br.label()}", loading, limits.loading_limit)
-            )
+    for pos in np.flatnonzero(low | high):
+        kind, limit = ("low-voltage", limits.v_min) if low[pos] else ("high-voltage", limits.v_max)
+        violations.append(Violation(kind, f"bus {case.buses[pos].id}", float(vm[pos]), limit))
+    live = np.array(case.in_service_branches(), dtype=int)
+    ratings = np.array([case.branches[k].mva_rating for k in live])
+    s_from = np.hypot(solution.p_from[live], solution.q_from[live])
+    s_to = np.hypot(solution.p_to[live], solution.q_to[live])
+    loading = np.maximum(s_from, s_to) / ratings
+    violations += [
+        Violation("overload", f"branch {case.branches[live[j]].label()}",
+                  float(loading[j]), limits.loading_limit)
+        for j in np.flatnonzero(loading > limits.loading_limit)
+    ]
     return violations
 
 
@@ -188,6 +192,8 @@ def run_contingency_screen(
     Secure iff every contingency converges with no limit violations.
     Islanding outages are Insecure without a solve attempt. A listed branch
     that is already out of service in this OC's topology is skipped.
+    ``options.start``, when set, is the pre-contingency point: every
+    post-contingency solve starts from it instead of a flat start.
     """
     csc_list = list(csc_list)
     if not csc_list:

@@ -175,6 +175,13 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         algorithms=algorithms,
         overrides=overrides,
     )
+    _check_checkpoints(cfg)
+    return cfg
+
+
+def _check_checkpoints(cfg: ExperimentConfig):
+    """Reject an ``eval_every`` that leaves a checkpoint epoch unlogged:
+    ``summarize`` would report those cells as diverged."""
     if cfg.eval_every < 1:
         raise ExperimentError("eval_every must be >= 1")
     phases = zip(("init", "update"), (cfg.init_epochs, cfg.update_epochs), cfg.checkpoints())
@@ -185,7 +192,6 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
                 f"eval_every = {cfg.eval_every} leaves {phase} checkpoint epochs "
                 f"{unlogged} unlogged"
             )
-    return cfg
 
 
 def _standardized_splits(init_ds: Dataset, update_ds: Dataset, fraction, seed):
@@ -231,6 +237,7 @@ def run_single(cfg: ExperimentConfig, algorithm, seed, init_ds, update_ds) -> Ru
 def run_experiment(cfg: ExperimentConfig):
     """All configured algorithms x seeds; identical init and data order per
     seed across algorithms. Returns {algorithm: [RunResult per seed]}."""
+    _check_checkpoints(cfg)
     try:
         init_ds = load_dataset(cfg.init_dataset)
         update_ds = load_dataset(cfg.update_dataset)

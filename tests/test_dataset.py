@@ -15,7 +15,7 @@ from gridsec.data import (
     split_dataset,
 )
 from gridsec.errors import DatasetError
-from gridsec.model import apply_outage, scale_loads
+from gridsec.model import apply_outage, reschedule_generation, scale_loads
 from gridsec.powerflow import solve_powerflow
 from gridsec.security import Label, OperatingLimits, run_contingency_screen
 
@@ -104,21 +104,37 @@ def test_build_dataset_tc_count_exact(case68):
     assert set(tcs) <= set(TC_LINES)
 
 
+def rebuild_oc(case, meta):
+    """The operating condition a sample was drawn from, rebuilt from its meta."""
+    oc = scale_loads(case, np.array(meta.scale_factors))
+    base_p, _ = case.total_load()
+    new_p, _ = oc.total_load()
+    oc = reschedule_generation(oc, new_p - base_p, strict=False)
+    if meta.tc:
+        oc = apply_outage(oc, oc.find_branch(meta.tc))
+    return oc
+
+
 def test_build_dataset_label_oracle(case68):
     """Re-derive one sample's label from its recorded meta."""
     cfg = GenerationConfig(n_samples=4, csc_list=CSC_LINES, seed=9)
     ds = build_dataset(case68, cfg)
     s = ds.samples[2]
-    oc = scale_loads(case68, np.array(s.meta.scale_factors))
-    from gridsec.model import reschedule_generation
-
-    base_p, _ = case68.total_load()
-    new_p, _ = oc.total_load()
-    oc = reschedule_generation(oc, new_p - base_p, strict=False)
-    if s.meta.tc:
-        oc = apply_outage(oc, oc.find_branch(s.meta.tc))
-    screen = run_contingency_screen(oc, CSC_LINES, OperatingLimits())
+    screen = run_contingency_screen(rebuild_oc(case68, s.meta), CSC_LINES, OperatingLimits())
     assert screen.label is s.label
+
+
+def test_build_dataset_warm_start_keeps_flat_start_labels(case68):
+    """Labelling warm-starts each contingency solve from the OC's solution;
+    a flat-start screen of the same OC must give the same label."""
+    cfg = GenerationConfig(n_samples=20, tc_mix=0.3, tc_list=TC_LINES,
+                           csc_list=CSC_LINES, seed=3)
+    ds = build_dataset(case68, cfg)
+    assert sum(s.meta.tc is not None for s in ds.samples) == 6
+    assert {s.label for s in ds.samples} == {Label.SECURE, Label.INSECURE}
+    for s in ds.samples:
+        flat = run_contingency_screen(rebuild_oc(case68, s.meta), CSC_LINES)
+        assert flat.label is s.label, s.meta
 
 
 def test_build_dataset_requires_csc_list(case68):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gridsec.errors import IslandingError
-from gridsec.model import apply_outage, parse_case, scale_loads
+from gridsec.model import BusKind, apply_outage, parse_case, scale_loads
 from gridsec.powerflow import (
     SolveOptions,
     build_ybus,
@@ -129,6 +129,45 @@ def test_jacobian_matches_finite_differences(case9):
             fd[:, j] = (f(e) - f(-e)) / (2 * h)
         scale = np.abs(jac).max()
         assert np.abs(jac - fd).max() / scale <= 1e-6
+
+
+def dense_jacobian(ybus, v, pvpq, pq):
+    """Reference polar Jacobian from dense diagonal-matrix products."""
+    ibus = ybus @ v
+    diag_v = np.diag(v)
+    diag_i = np.diag(ibus)
+    diag_vn = np.diag(v / np.abs(v))
+    ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
+    ds_dvm = diag_v @ np.conj(ybus @ diag_vn) + np.conj(diag_i) @ diag_vn
+    j11 = ds_dva[np.ix_(pvpq, pvpq)].real
+    j12 = ds_dvm[np.ix_(pvpq, pq)].real
+    j21 = ds_dva[np.ix_(pq, pvpq)].imag
+    j22 = ds_dvm[np.ix_(pq, pq)].imag
+    return np.block([[j11, j12], [j21, j22]])
+
+
+def test_jacobian_matches_dense_oracle(case68):
+    ybus = build_ybus(case68)
+    sol = solve_powerflow(case68)
+    assert sol.converged
+    kinds = [b.kind for b in case68.buses]
+    pvpq = [i for i, k in enumerate(kinds) if k is not BusKind.SLACK]
+    pq = [i for i, k in enumerate(kinds) if k is BusKind.PQ]
+    pv = [i for i, k in enumerate(kinds) if k is BusKind.PV]
+    pinned = sorted(pq + pv[:2])  # two PV buses switched to PQ at a Q limit
+    rng = np.random.default_rng(11)
+    n = len(case68.buses)
+    solved = sol.v_mag * np.exp(1j * sol.v_ang)
+    perturbed = ((sol.v_mag + rng.uniform(-0.05, 0.05, n))
+                 * np.exp(1j * (sol.v_ang + rng.uniform(-0.1, 0.1, n))))
+    for v in (solved, perturbed):
+        for q_set in (pq, pinned):
+            want = dense_jacobian(ybus, v, pvpq, q_set)
+            scale = np.abs(want).max()
+            for index in (list, np.array):
+                got = jacobian(ybus, v, index(pvpq), index(q_set))
+                assert got.shape == want.shape == (len(pvpq) + len(q_set),) * 2
+                assert np.abs(got - want).max() <= 1e-12 * scale
 
 
 def test_q_limit_switching(case9):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from gridsec.security import (
     Label,
     OperatingLimits,
     PivConfig,
+    Violation,
     categorize,
     check_limits,
     classify_configuration,
@@ -120,6 +123,44 @@ def test_check_limits_flags_loading(case9):
     tight = OperatingLimits(loading_limit=0.2)
     violations = check_limits(sol, case9, tight)
     assert any(v.kind == "overload" for v in violations)
+
+
+def loop_violations(solution, case, limits):
+    """Reference check_limits: one Python pass over buses, then branches."""
+    violations = []
+    for pos, bus in enumerate(case.buses):
+        vm = float(solution.v_mag[pos])
+        if vm < limits.v_min:
+            violations.append(Violation("low-voltage", f"bus {bus.id}", vm, limits.v_min))
+        elif vm > limits.v_max:
+            violations.append(Violation("high-voltage", f"bus {bus.id}", vm, limits.v_max))
+    for k, br in enumerate(case.branches):
+        if not br.in_service:
+            continue
+        s_from = float(np.hypot(solution.p_from[k], solution.q_from[k]))
+        s_to = float(np.hypot(solution.p_to[k], solution.q_to[k]))
+        loading = max(s_from, s_to) / br.mva_rating
+        if loading > limits.loading_limit:
+            violations.append(
+                Violation("overload", f"branch {br.label()}", loading, limits.loading_limit))
+    return violations
+
+
+def test_check_limits_matches_loop_reference(case9):
+    k = case9.find_branch("6-9")
+    outaged = apply_outage(case9, k)
+    sol = solve_powerflow(outaged)
+    # a flow left on the switched-out branch must not count as an overload
+    p_from = sol.p_from.copy()
+    p_from[k] = 1e4
+    sol = dataclasses.replace(sol, p_from=p_from)
+    limits = OperatingLimits(v_min=1.0, v_max=1.02, loading_limit=0.3)
+    got = check_limits(sol, outaged, limits)
+    assert got == loop_violations(sol, outaged, limits)
+    # buses by position, high and low interleaved, then branches by position
+    assert [v.kind for v in got] == (["high-voltage"] * 3 + ["low-voltage"] * 2
+                                     + ["high-voltage"] + ["overload"] * 5)
+    assert "branch 6-9" not in {v.element for v in got}
 
 
 def test_screen_islanding_is_insecure(case2):

@@ -15,6 +15,7 @@ from gridsec.train import (
     load_train_checkpoint,
     parse_experiment_config,
     read_log,
+    run_experiment,
     run_phase,
     run_single,
     save_train_checkpoint,
@@ -253,3 +254,16 @@ def test_parse_experiment_config_errors():
     with pytest.raises(ExperimentError, match="eval_every must be >= 1"):
         parse_experiment_config(
             "[experiment]\ninit_dataset = a\nupdate_dataset = b\neval_every = 0\n")
+
+
+def test_run_experiment_checks_code_built_config(tmp_path):
+    _, _, ip, up = _save_datasets(tmp_path)
+    # init checkpoints are epochs 20 and 40; only 1, 30 and 40 are logged
+    cfg = small_config(ip, up, init_epochs=40, update_epochs=40, eval_every=30)
+    with pytest.raises(ExperimentError, match=r"leaves init checkpoint epochs \[20\] unlogged"):
+        run_experiment(cfg)
+    with pytest.raises(ExperimentError, match="eval_every must be >= 1"):
+        run_experiment(small_config(ip, up, eval_every=0))
+    results = run_experiment(small_config(ip, up, algorithms=("sgd",)))
+    _, rows = summarize(results, small_config(ip, up))
+    assert "div" not in rows[0]
