@@ -186,6 +186,8 @@ def _build_dataset_once(
 ) -> Dataset:
     if config.n_samples < 1:
         raise DatasetError("n_samples must be >= 1")
+    if not 0.0 <= config.tc_mix <= 1.0:
+        raise DatasetError(f"tc_mix must lie in [0, 1], not {config.tc_mix}")
     if config.tc_mix > 0 and not config.tc_list:
         raise DatasetError("tc_mix > 0 needs a non-empty tc_list")
     if not config.csc_list:

@@ -31,6 +31,10 @@ class RescheduleError(GridSecError):
     """Generation rescheduling requested beyond available capacity."""
 
 
+class SettingError(GridSecError, ValueError):
+    """A solver, PV-curve or security-limit setting is out of range."""
+
+
 class InfeasibleError(GridSecError):
     """A power-flow-based procedure cannot start from its base point."""
 

@@ -6,7 +6,6 @@ Class index 0 is Secure, 1 is Insecure; argmax ties resolve to index 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +26,8 @@ class MlpArchitecture:
 
     @property
     def n_params(self):
-        return sum(
-            (fan_in + 1) * fan_out
-            for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:])
-        )
+        offset, fan_in, fan_out = param_layout(self)[-1]
+        return offset + (fan_in + 1) * fan_out
 
 
 def param_layout(arch: MlpArchitecture):
@@ -108,23 +105,29 @@ def forward(theta: np.ndarray, arch: MlpArchitecture, x) -> np.ndarray:
     return probs[0] if np.asarray(x).ndim == 1 else probs
 
 
+def _cross_entropy(probs, y):
+    """Mean cross-entropy of integer labels ``y`` under ``probs``."""
+    if y.size == 0:
+        raise ValueError("empty batch")
+    eps = np.finfo(float).tiny  # guards log(0) under a saturated softmax
+    return float(-np.mean(np.log(probs[np.arange(probs.shape[0]), y] + eps)))
+
+
 def loss_and_gradient(theta: np.ndarray, arch: MlpArchitecture, x, y):
     """Mean cross-entropy over the batch and its exact gradient in theta."""
     y = np.asarray(y, dtype=int)
-    if y.size == 0:
-        raise ValueError("empty batch")
     probs, zs, activations = _forward_pass(theta, arch, x)
-    n = probs.shape[0]
-    eps = np.finfo(float).tiny  # guards log(0) under a saturated softmax
-    loss = float(-np.mean(np.log(probs[np.arange(n), y] + eps)))
+    loss = _cross_entropy(probs, y)
 
+    n = probs.shape[0]
     grad = np.zeros_like(theta)
     pairs = unpack(theta, arch)
+    layout = param_layout(arch)
     delta = probs.copy()
     delta[np.arange(n), y] -= 1.0
     delta /= n
     for li in range(len(pairs) - 1, -1, -1):
-        offset, fan_in, fan_out = param_layout(arch)[li]
+        offset, fan_in, fan_out = layout[li]
         grad_w = activations[li].T @ delta
         grad_b = delta.sum(axis=0)
         grad[offset:offset + fan_in * fan_out] = grad_w.ravel()
@@ -136,15 +139,16 @@ def loss_and_gradient(theta: np.ndarray, arch: MlpArchitecture, x, y):
 
 def predict(theta, arch, x):
     """Class indices; exact probability ties go to class 0 (Secure)."""
-    probs = np.atleast_2d(forward(theta, arch, x))
+    probs, _, _ = _forward_pass(theta, arch, x)
     return np.argmax(probs, axis=1)
 
 
 def evaluate(theta, arch, x, y):
-    """{'accuracy', 'loss'} on a labeled set."""
+    """{'accuracy', 'loss'} on a labeled set, from one forward pass."""
     y = np.asarray(y, dtype=int)
-    loss, _ = loss_and_gradient(theta, arch, x, y)
-    accuracy = float(np.mean(predict(theta, arch, x) == y))
+    probs, _, _ = _forward_pass(theta, arch, x)
+    loss = _cross_entropy(probs, y)
+    accuracy = float(np.mean(np.argmax(probs, axis=1) == y))
     return {"accuracy": accuracy, "loss": loss}
 
 
@@ -163,39 +167,3 @@ def fit_standardization(x) -> StandardizationStats:
     std = x.std(axis=0)
     std = np.where(std > 0.0, std, 1.0)
     return StandardizationStats(mean=mean, std=std)
-
-
-CHECKPOINT_VERSION = 1
-
-
-def save_checkpoint(path, theta, arch, stats, epoch=0, extra_arrays=None):
-    """Versioned npz container: arch/epoch as JSON, arrays as-is."""
-    header = json.dumps({
-        "version": CHECKPOINT_VERSION,
-        "layer_sizes": list(arch.layer_sizes),
-        "activation": arch.activation,
-        "epoch": int(epoch),
-    })
-    arrays = {
-        "header": np.frombuffer(header.encode(), dtype=np.uint8),
-        "theta": theta,
-        "mean": stats.mean,
-        "std": stats.std,
-    }
-    for key, value in (extra_arrays or {}).items():
-        arrays["x_" + key] = value
-    np.savez(path, **arrays)
-
-
-def load_checkpoint(path):
-    """Returns (theta, arch, stats, epoch, extra_arrays)."""
-    with np.load(path) as blob:
-        header = json.loads(bytes(blob["header"]).decode())
-        if header["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header['version']}")
-        arch = MlpArchitecture(tuple(header["layer_sizes"]), header["activation"])
-        stats = StandardizationStats(blob["mean"].copy(), blob["std"].copy())
-        extra = {
-            key[2:]: blob[key].copy() for key in blob.files if key.startswith("x_")
-        }
-        return blob["theta"].copy(), arch, stats, header["epoch"], extra

@@ -10,7 +10,6 @@ gradient value.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +35,13 @@ class OptimizerConfig:
             raise OptimizerError(
                 f"unknown algorithm {self.algorithm!r}; valid: {', '.join(ALGORITHMS)}"
             )
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise OptimizerError("learning rate must be positive")
         if not 0.0 <= self.momentum <= 1.0:
             raise OptimizerError("momentum must lie in [0, 1]")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise OptimizerError("beta1 and beta2 must lie in [0, 1)")
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise OptimizerError("eps must be non-negative")
 
 
@@ -117,29 +116,3 @@ class Optimizer:
 
         self.prev_delta = delta
         return theta + delta, delta
-
-    # --- state persistence -------------------------------------------------
-
-    def state_arrays(self):
-        return {
-            "k": np.array([self.k]),
-            "prev_delta": self.prev_delta,
-            "accum": self.accum,
-            "m": self.m,
-            "v": self.v,
-        }
-
-    def load_state_arrays(self, arrays):
-        self.k = int(arrays["k"][0])
-        self.prev_delta = arrays["prev_delta"].copy()
-        self.accum = arrays["accum"].copy()
-        self.m = arrays["m"].copy()
-        self.v = arrays["v"].copy()
-
-    def checksum(self) -> str:
-        """Digest of the full optimizer state, for phase-continuity checks."""
-        h = hashlib.sha256()
-        h.update(str(self.k).encode())
-        for key in ("prev_delta", "accum", "m", "v"):
-            h.update(np.ascontiguousarray(getattr(self, key)).tobytes())
-        return h.hexdigest()

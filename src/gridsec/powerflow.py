@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import CaseValidationError, InfeasibleError, SettingError
 from .model import BusKind, NetworkCase, reschedule_generation, scale_loads
 
 
@@ -197,7 +197,7 @@ def solve_powerflow(case: NetworkCase, options: SolveOptions | None = None) -> P
     """
     opts = options or SolveOptions()
     if opts.tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+        raise SettingError("tolerance must be positive")
     table = _branch_table(case)
     ybus = build_ybus(case, table)
     spec = _bus_spec(case)
@@ -319,9 +319,11 @@ def trace_pv_curve(
     non-converged solve; that previous multiplier is the nose.
     """
     if step <= 0:
-        raise ValueError("step must be positive")
+        raise SettingError("step must be positive")
     opts = options or SolveOptions()
-    pos = case.bus_index()[monitored_bus]
+    pos = case.bus_index().get(monitored_bus)
+    if pos is None:
+        raise CaseValidationError(f"no bus {monitored_bus} in case")
     base_p, _ = case.total_load()
     points = []
     warm = None

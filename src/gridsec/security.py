@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridSecError, IslandingError
+from .errors import GridSecError, IslandingError, SettingError
 from .model import NetworkCase, apply_outage
 from .powerflow import PowerFlowSolution, SolveOptions, solve_powerflow
 
@@ -43,11 +43,11 @@ class PivConfig:
 
     def __post_init__(self):
         if self.exponent < 1:
-            raise ValueError("exponent must be >= 1")
+            raise SettingError("exponent must be >= 1")
         if np.any(np.asarray(self.weights) < 0):
-            raise ValueError("weights must be non-negative")
+            raise SettingError("weights must be non-negative")
         if np.any(np.asarray(self.dv_limit) <= 0):
-            raise ValueError("dv_limit must be positive")
+            raise SettingError("dv_limit must be positive")
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class OperatingLimits:
 
     def __post_init__(self):
         if not self.v_min < self.v_max:
-            raise ValueError("v_min must be below v_max")
+            raise SettingError("v_min must be below v_max")
 
 
 @dataclass(frozen=True)

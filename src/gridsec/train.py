@@ -2,7 +2,9 @@
 
 A run trains a fresh model on the initialization dataset, then resumes the
 same parameters *and optimizer state* on the update dataset: moments,
-momentum, and the step counter all carry across the phase boundary.
+momentum, and the step counter all carry across the phase boundary, because
+``run_single`` hands the one ``Optimizer`` object from the first phase to the
+second.
 Standardization statistics come from the initialization training split and
 stay frozen through the update phase.
 """
@@ -11,14 +13,13 @@ from __future__ import annotations
 
 import configparser
 import statistics
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import mlp
 from .data import Dataset, load_dataset, split_dataset
-from .errors import ExperimentError
+from .errors import ExperimentError, OptimizerError
 from .mlp import MlpArchitecture
 from .optim import ALGORITHMS, Optimizer, OptimizerConfig, default_config
 
@@ -46,7 +47,6 @@ class LogRow:
     loss: float
     train_accuracy: float
     test_accuracy: float
-    wall_ms: float = 0.0
     diverged: bool = False
 
 
@@ -55,7 +55,6 @@ class RunResult:
     algorithm: str
     seed: int
     rows: list
-    boundary_checksum_ok: bool = True
 
     def accuracy_at(self, phase, epoch, split="train"):
         for row in self.rows:
@@ -64,44 +63,34 @@ class RunResult:
         return float("nan")
 
 
-def run_phase(theta, arch, optimizer, train_xy, test_xy, plan: PhasePlan,
-              expected_checksum=None):
+def run_phase(theta, arch, optimizer, train_xy, test_xy, plan: PhasePlan):
     """Execute exactly plan.epochs optimizer steps on the full batch.
 
     Logs every eval_every epochs plus the first and last. A non-finite loss
     marks the remaining epochs as divergent instead of raising. Returns
-    (theta, rows, checksum_ok) where checksum_ok reports whether the
-    incoming optimizer state matched ``expected_checksum``.
+    (theta, rows).
     """
     x_train, y_train = train_xy
     x_test, y_test = test_xy
-    checksum_ok = True
-    if expected_checksum is not None:
-        checksum_ok = optimizer.checksum() == expected_checksum
-
     grad_fn = lambda t: mlp.loss_and_gradient(t, arch, x_train, y_train)[1]
     logged = _eval_every_hits(plan.epochs, plan.eval_every)
     rows = []
-    start = time.perf_counter()
     for epoch in range(1, plan.epochs + 1):
         theta, _ = optimizer.step(theta, grad_fn)
-        should_log = epoch in logged
         if not np.all(np.isfinite(theta)):
             rows.append(LogRow(plan.name, epoch, float("nan"), float("nan"),
-                               float("nan"), (time.perf_counter() - start) * 1e3,
-                               diverged=True))
+                               float("nan"), diverged=True))
             break
-        if should_log:
+        if epoch in logged:
             train_eval = mlp.evaluate(theta, arch, x_train, y_train)
             test_eval = mlp.evaluate(theta, arch, x_test, y_test)
-            wall_ms = (time.perf_counter() - start) * 1e3
             diverged = not np.isfinite(train_eval["loss"])
             rows.append(LogRow(plan.name, epoch, train_eval["loss"],
                                train_eval["accuracy"], test_eval["accuracy"],
-                               wall_ms, diverged))
+                               diverged))
             if diverged:
                 break
-    return theta, rows, checksum_ok
+    return theta, rows
 
 
 @dataclass
@@ -118,6 +107,22 @@ class ExperimentConfig:
     algorithms: tuple = ALGORITHMS
     overrides: dict = field(default_factory=dict)  # per-algorithm hyperparameters
 
+    def __post_init__(self):
+        """Reject a network shape, activation or optimizer setting before any
+        dataset loads."""
+        try:
+            # width 1 stands in for the feature count, which the datasets fix
+            MlpArchitecture((1, *self.hidden, 2), self.activation)
+        except ValueError as exc:
+            hidden = " ".join(map(str, self.hidden))
+            raise ExperimentError(
+                f"hidden = {hidden}, activation = {self.activation}: {exc}") from None
+        for algorithm in self.algorithms:
+            try:
+                self.optimizer_config(algorithm)
+            except OptimizerError as exc:
+                raise ExperimentError(f"[{algorithm}] {exc}") from None
+
     def optimizer_config(self, algorithm) -> OptimizerConfig:
         return default_config(algorithm, **self.overrides.get(algorithm, {}))
 
@@ -127,6 +132,26 @@ class ExperimentConfig:
         init = (self.init_epochs // 2, self.init_epochs)
         update = tuple(self.update_epochs * i // 4 for i in range(1, 5))
         return init, update
+
+
+def _ints(text):
+    return tuple(int(v) for v in text.split())
+
+
+# [experiment] keys with a default in ExperimentConfig, and their readers
+_EXPERIMENT_KEYS = {"init_epochs": int, "update_epochs": int, "eval_every": int,
+                    "seeds": _ints, "train_fraction": float, "hidden": _ints,
+                    "activation": str}
+_OPTIMIZER_KEYS = ("learning_rate", "momentum", "beta1", "beta2", "eps")
+
+
+def _read(section, key, convert):
+    """``convert(section[key])``; a value it rejects is an error naming the key."""
+    try:
+        return convert(section[key])
+    except ValueError:
+        raise ExperimentError(
+            f"[{section.name}] {key}: bad value {section[key]!r}") from None
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:
@@ -144,36 +169,24 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         if key not in exp:
             raise ExperimentError(f"missing {key} in [experiment]")
     algorithms = tuple(exp.get("algorithms", " ".join(ALGORITHMS)).split())
-    for alg in algorithms:
-        if alg not in ALGORITHMS:
-            raise ExperimentError(
-                f"unknown algorithm {alg!r}; valid: {', '.join(ALGORITHMS)}"
-            )
     overrides = {}
-    key_types = {"learning_rate": float, "momentum": float, "beta1": float,
-                 "beta2": float, "eps": float}
     for section in parser.sections():
         if section == "experiment":
             continue
         if section not in ALGORITHMS:
             raise ExperimentError(f"unknown config section [{section}]")
         overrides[section] = {
-            key: key_types[key](value)
-            for key, value in parser[section].items()
-            if key in key_types
+            key: _read(parser[section], key, float)
+            for key in parser[section]
+            if key in _OPTIMIZER_KEYS
         }
     cfg = ExperimentConfig(
         init_dataset=exp["init_dataset"],
         update_dataset=exp["update_dataset"],
-        init_epochs=exp.getint("init_epochs", 2000),
-        update_epochs=exp.getint("update_epochs", 4000),
-        eval_every=exp.getint("eval_every", 100),
-        seeds=tuple(int(s) for s in exp.get("seeds", "0").split()),
-        train_fraction=exp.getfloat("train_fraction", 0.6),
-        hidden=tuple(int(h) for h in exp.get("hidden", "64 32").split()),
-        activation=exp.get("activation", "relu"),
         algorithms=algorithms,
         overrides=overrides,
+        **{key: _read(exp, key, convert)
+           for key, convert in _EXPERIMENT_KEYS.items() if key in exp},
     )
     _check_checkpoints(cfg)
     return cfg
@@ -196,23 +209,19 @@ def _check_checkpoints(cfg: ExperimentConfig):
 
 def _standardized_splits(init_ds: Dataset, update_ds: Dataset, fraction, seed):
     """Split both datasets and standardize everything with the
-    initialization-phase training statistics."""
-    init_train, init_test = split_dataset(init_ds, fraction, seed)
-    upd_train, upd_test = split_dataset(update_ds, fraction, seed)
-    x0, y0 = init_train.matrix()
-    stats = mlp.fit_standardization(x0)
-    as_xy = lambda ds: (stats.apply(ds.matrix()[0]), ds.matrix()[1])
-    return (
-        (stats.apply(x0), y0), as_xy(init_test),
-        as_xy(upd_train), as_xy(upd_test),
-        stats,
-    )
+    initialization-phase training statistics. Returns (x, y) for the
+    initialization train and test splits, then the update ones."""
+    splits = (*split_dataset(init_ds, fraction, seed),
+              *split_dataset(update_ds, fraction, seed))
+    xys = [ds.matrix() for ds in splits]
+    stats = mlp.fit_standardization(xys[0][0])
+    return tuple((stats.apply(x), y) for x, y in xys)
 
 
 def run_single(cfg: ExperimentConfig, algorithm, seed, init_ds, update_ds) -> RunResult:
     """One algorithm, one seed: initialization phase then update phase with
     continued optimizer state."""
-    init_train, init_test, upd_train, upd_test, _ = _standardized_splits(
+    init_train, init_test, upd_train, upd_test = _standardized_splits(
         init_ds, update_ds, cfg.train_fraction, seed
     )
     arch = MlpArchitecture(
@@ -221,17 +230,15 @@ def run_single(cfg: ExperimentConfig, algorithm, seed, init_ds, update_ds) -> Ru
     theta = mlp.init_params(arch, seed)
     optimizer = Optimizer(cfg.optimizer_config(algorithm), arch.n_params)
 
-    theta, init_rows, _ = run_phase(
+    theta, init_rows = run_phase(
         theta, arch, optimizer, init_train, init_test,
         PhasePlan(PHASE_INIT, cfg.init_epochs, cfg.eval_every),
     )
-    boundary = optimizer.checksum()
-    theta, upd_rows, checksum_ok = run_phase(
+    theta, upd_rows = run_phase(
         theta, arch, optimizer, upd_train, upd_test,
         PhasePlan(PHASE_UPDATE, cfg.update_epochs, cfg.eval_every),
-        expected_checksum=boundary,
     )
-    return RunResult(algorithm, seed, init_rows + upd_rows, checksum_ok)
+    return RunResult(algorithm, seed, init_rows + upd_rows)
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -243,21 +250,17 @@ def run_experiment(cfg: ExperimentConfig):
         update_ds = load_dataset(cfg.update_dataset)
     except OSError as exc:
         raise ExperimentError(f"cannot read dataset: {exc}") from None
-    results = {}
-    for algorithm in cfg.algorithms:
-        results[algorithm] = [
-            run_single(cfg, algorithm, seed, init_ds, update_ds)
-            for seed in cfg.seeds
-        ]
-    return results
+    return {
+        algorithm: [run_single(cfg, algorithm, seed, init_ds, update_ds)
+                    for seed in cfg.seeds]
+        for algorithm in cfg.algorithms
+    }
 
 
 def _eval_every_hits(epochs, eval_every):
     """Epochs a phase logs when it does not diverge: the first, the last and
     every multiple of ``eval_every``."""
-    hits = {1, epochs}
-    hits.update(range(eval_every, epochs + 1, eval_every))
-    return hits
+    return {1, epochs, *range(eval_every, epochs + 1, eval_every)}
 
 
 def summarize(results, cfg: ExperimentConfig, split="train"):
@@ -283,14 +286,13 @@ def summarize(results, cfg: ExperimentConfig, split="train"):
     return header, rows
 
 
-# --- log and checkpoint files ----------------------------------------------
+# --- log files --------------------------------------------------------------
 
 LOG_HEADER = "algorithm,seed,phase,epoch,loss,train_accuracy,test_accuracy,diverged"
 
 
 def write_log(path, run: RunResult):
-    """Delimited text, one row per logged epoch. Wall-clock time is kept out
-    of the file so identical runs produce identical bytes."""
+    """Delimited text, one row per logged epoch; identical runs give identical bytes."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(LOG_HEADER + "\n")
         for r in run.rows:
@@ -307,22 +309,13 @@ def read_log(path) -> RunResult:
             raise ExperimentError(f"{path}: not a training log")
         rows = []
         algorithm, seed = "", 0
-        for line in fh:
-            cols = line.strip().split(",")
-            algorithm, seed = cols[0], int(cols[1])
-            rows.append(LogRow(cols[2], int(cols[3]), float(cols[4]),
-                               float(cols[5]), float(cols[6]),
-                               diverged=bool(int(cols[7]))))
+        for line_no, line in enumerate(fh, start=2):
+            try:  # a wrong column count fails the unpacking
+                (algorithm, seed, phase, epoch, loss, train_acc, test_acc,
+                 diverged) = line.strip().split(",")
+                seed = int(seed)
+                rows.append(LogRow(phase, int(epoch), float(loss), float(train_acc),
+                                   float(test_acc), diverged=bool(int(diverged))))
+            except ValueError:
+                raise ExperimentError(f"{path}:{line_no}: bad log row {line.strip()!r}") from None
     return RunResult(algorithm, seed, rows)
-
-
-def save_train_checkpoint(path, theta, arch, stats, optimizer, epoch):
-    mlp.save_checkpoint(path, theta, arch, stats, epoch,
-                        extra_arrays=optimizer.state_arrays())
-
-
-def load_train_checkpoint(path, cfg_for_optimizer: OptimizerConfig):
-    theta, arch, stats, epoch, extra = mlp.load_checkpoint(path)
-    optimizer = Optimizer(cfg_for_optimizer, theta.shape[0])
-    optimizer.load_state_arrays(extra)
-    return theta, arch, stats, epoch, optimizer

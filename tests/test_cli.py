@@ -164,10 +164,9 @@ seeds = 0
 hidden = 8
 algorithms = sgd adam
 """)
-    code, stdout, _ = run_cli(capsys, "train", "--config", str(ini),
-                              "--out-dir", str(out_dir))
+    code, _, _ = run_cli(capsys, "train", "--config", str(ini),
+                         "--out-dir", str(out_dir))
     assert code == 0
-    assert "phase continuity ok" in stdout
     return out_dir
 
 
@@ -216,6 +215,46 @@ def test_report_missing_phase_exit_1(tmp_path, capsys, logged, missing):
     code, _, err = run_cli(capsys, "report", "--log-dir", str(tmp_path))
     assert code == 1
     assert f"no {missing} rows" in err
+
+
+@pytest.mark.parametrize("row", [
+    "sgd,0,Update,5,0.5,0.9,0.8",  # a column short
+    "sgd,0,Update,5,0.5,0.9,0.8,0,extra",  # a column over
+    "sgd,zero,Update,5,0.5,0.9,0.8,0",
+    "sgd,0,Update,five,0.5,0.9,0.8,0",
+    "sgd,0,Update,5,0.5,high,0.8,0",
+    "sgd,0,Update,5,0.5,0.9,0.8,no",
+])
+def test_report_bad_log_row_exit_1(tmp_path, capsys, row):
+    run = RunResult("sgd", 0, [LogRow(PHASE_INIT, 1, 0.5, 0.9, 0.8)])
+    path = tmp_path / "sgd_seed0.log.csv"
+    write_log(path, run)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    code, _, err = run_cli(capsys, "report", "--log-dir", str(tmp_path))
+    assert code == 1
+    assert f"sgd_seed0.log.csv:3: bad log row {row!r}" in err
+
+
+@pytest.mark.parametrize("command, message", [
+    (["gen-dataset", "--v-min", "1.2", "--v-max", "1.0"], "v_min must be below v_max"),
+    (["gen-dataset", "--tc-mix", "1.5"], "tc_mix must lie in [0, 1]"),
+    (["gen-dataset", "--tc-mix", "-0.5"], "tc_mix must lie in [0, 1]"),
+    (["pv-curve", "--bus", "999"], "no bus 999 in case"),
+    (["pv-curve", "--bus", "5", "--step", "0"], "step must be positive"),
+])
+def test_bad_study_input_exit_1(tmp_path, capsys, command, message):
+    """A bad value is one error line and exit 1, not a traceback."""
+    csc = tmp_path / "csc.txt"
+    _write_csc_list(csc)
+    tc = tmp_path / "tc.txt"
+    tc.write_text("4-5\n")
+    args = {"gen-dataset": ["--n", "4", "--csc-list", str(csc), "--tc-list", str(tc)],
+            "pv-curve": []}[command[0]]
+    code, _, err = run_cli(capsys, *command, "--case", CASE9, *args,
+                           "--out", str(tmp_path / "out.csv"))
+    assert code == 1
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_parser_prog_name():

@@ -5,16 +5,13 @@ import pytest
 
 from gridsec.mlp import (
     MlpArchitecture,
-    StandardizationStats,
     evaluate,
     fit_standardization,
     forward,
     init_params,
-    load_checkpoint,
     loss_and_gradient,
     param_layout,
     predict,
-    save_checkpoint,
     unpack,
 )
 
@@ -137,6 +134,20 @@ def test_predict_and_evaluate_zero_params():
     assert stats["loss"] == pytest.approx(math.log(2.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_evaluate_matches_loss_and_predict(activation):
+    """One forward pass gives the training loss and the predicted classes."""
+    arch = small_arch(activation)
+    rng = np.random.default_rng(8)
+    theta = init_params(arch, seed=4)
+    x = rng.normal(size=(40, 4))
+    y = rng.integers(0, 2, size=40)
+    stats = evaluate(theta, arch, x, y)
+    assert stats["loss"] == loss_and_gradient(theta, arch, x, y)[0]
+    assert stats["accuracy"] == np.mean(predict(theta, arch, x) == y)
+    assert 0.0 < stats["accuracy"] < 1.0
+
+
 def test_standardization_round_trip():
     rng = np.random.default_rng(6)
     x = rng.normal(3.0, 2.0, size=(200, 7))
@@ -148,20 +159,3 @@ def test_standardization_round_trip():
     assert np.allclose(z[:, live].std(axis=0), 1.0, atol=1e-9)
     assert np.allclose(z[:, 3], 0.0, atol=1e-12)
     assert stats.std[3] == 1.0  # zero-variance columns are pinned
-
-
-def test_checkpoint_round_trip(tmp_path):
-    arch = small_arch("relu")
-    theta = init_params(arch, seed=9)
-    stats = StandardizationStats(mean=np.arange(4.0), std=np.full(4, 2.0))
-    path = tmp_path / "model.npz"
-    extra = {"m": np.ones(3), "v": np.zeros(3)}
-    save_checkpoint(path, theta, arch, stats, epoch=120, extra_arrays=extra)
-    theta2, arch2, stats2, epoch, extra2 = load_checkpoint(path)
-    assert np.array_equal(theta, theta2)
-    assert arch2 == arch
-    assert np.array_equal(stats.mean, stats2.mean)
-    assert np.array_equal(stats.std, stats2.std)
-    assert epoch == 120
-    assert set(extra2) == {"m", "v"}
-    assert np.array_equal(extra2["m"], np.ones(3))

@@ -149,26 +149,6 @@ def test_state_isolation():
     assert np.array_equal(theta_solo, theta_inter)
 
 
-def test_state_round_trip():
-    opt = Optimizer(default_config("nadam"), 3)
-    theta = np.array([1.0, 2.0, 3.0])
-    for _ in range(5):
-        theta, _ = opt.step(theta, lambda t: t)
-    clone = Optimizer(default_config("nadam"), 3)
-    clone.load_state_arrays(opt.state_arrays())
-    assert clone.checksum() == opt.checksum()
-    a, _ = opt.step(theta, lambda t: t)
-    b, _ = clone.step(theta, lambda t: t)
-    assert np.array_equal(a, b)
-
-
-def test_checksum_changes_with_state():
-    opt = Optimizer(default_config("adam"), 2)
-    before = opt.checksum()
-    opt.step(np.zeros(2), lambda t: np.ones(2))
-    assert opt.checksum() != before
-
-
 def test_non_finite_gradient_rejected():
     opt = Optimizer(default_config("sgd"), 2)
     with pytest.raises(OptimizerError, match="non-finite gradient at coordinate 1"):

@@ -12,13 +12,11 @@ from gridsec.train import (
     PHASE_UPDATE,
     ExperimentConfig,
     PhasePlan,
-    load_train_checkpoint,
     parse_experiment_config,
     read_log,
     run_experiment,
     run_phase,
     run_single,
-    save_train_checkpoint,
     summarize,
     write_log,
 )
@@ -48,9 +46,8 @@ def test_single_sgd_step_contract():
     theta0 = mlp.init_params(arch, seed=1)
     _, g = mlp.loss_and_gradient(theta0, arch, x, y)
     opt = Optimizer(OptimizerConfig("sgd", learning_rate=0.05), arch.n_params)
-    theta1, rows, ok = run_phase(theta0.copy(), arch, opt, (x, y), (x, y),
-                                 PhasePlan("Initialization", 1))
-    assert ok
+    theta1, rows = run_phase(theta0.copy(), arch, opt, (x, y), (x, y),
+                             PhasePlan("Initialization", 1))
     assert np.allclose(theta1, theta0 - 0.05 * g, atol=1e-15)
     assert len(rows) == 1 and rows[0].epoch == 1
 
@@ -61,8 +58,8 @@ def test_run_phase_log_cadence():
     arch = MlpArchitecture((3, 4, 2), "tanh")
     theta = mlp.init_params(arch, seed=0)
     opt = Optimizer(default_config("sgd"), arch.n_params)
-    _, rows, _ = run_phase(theta, arch, opt, (x, y), (x, y),
-                           PhasePlan("Initialization", 25, eval_every=10))
+    _, rows = run_phase(theta, arch, opt, (x, y), (x, y),
+                        PhasePlan("Initialization", 25, eval_every=10))
     assert [r.epoch for r in rows] == [1, 10, 20, 25]
 
 
@@ -74,8 +71,8 @@ def test_run_phase_detects_divergence():
     # absurd learning rate overflows the very first update
     opt = Optimizer(OptimizerConfig("sgd", learning_rate=1e305), arch.n_params)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, rows, _ = run_phase(theta, arch, opt, (x, y), (x, y),
-                               PhasePlan("Initialization", 50, eval_every=10))
+        _, rows = run_phase(theta, arch, opt, (x, y), (x, y),
+                            PhasePlan("Initialization", 50, eval_every=10))
     assert rows[-1].diverged
     assert rows[-1].epoch < 50
 
@@ -109,7 +106,6 @@ def test_run_single_deterministic(tmp_path):
     b = run_single(cfg, "adam", 0, init, update)
     assert [(r.phase, r.epoch, r.loss) for r in a.rows] == \
            [(r.phase, r.epoch, r.loss) for r in b.rows]
-    assert a.boundary_checksum_ok and b.boundary_checksum_ok
 
 
 def test_run_single_covers_both_phases(tmp_path):
@@ -118,56 +114,34 @@ def test_run_single_covers_both_phases(tmp_path):
     result = run_single(cfg, "sgd", 0, init, update)
     phases = {r.phase for r in result.rows}
     assert phases == {PHASE_INIT, PHASE_UPDATE}
-    assert result.boundary_checksum_ok
     # accuracy lookup hits logged rows
     assert np.isfinite(result.accuracy_at(PHASE_INIT, 40))
     assert np.isfinite(result.accuracy_at(PHASE_UPDATE, 40, split="test"))
 
 
-def test_optimizer_state_continuity_matters(tmp_path):
-    """Resetting the optimizer at the boundary changes the trajectory."""
+@pytest.mark.parametrize("algorithm", ["sgd-m", "nag", "nag-m", "adagrad", "adam", "nadam"])
+def test_optimizer_state_continuity_matters(tmp_path, algorithm):
+    """The update phase continues the initialization phase's optimizer: its
+    rows equal a replay that passes the same Optimizer on, bit for bit, and
+    differ from a replay that restarts with a fresh one."""
     init, update, ip, up = _save_datasets(tmp_path)
-    cfg = small_config(ip, up, algorithms=("adam",))
-    continued = run_single(cfg, "adam", 0, init, update)
+    cfg = small_config(ip, up, algorithms=(algorithm,))
+    continued = [r for r in run_single(cfg, algorithm, 0, init, update).rows
+                 if r.phase == PHASE_UPDATE]
 
-    # replay manually with a fresh optimizer for the update phase
     from gridsec.train import _standardized_splits
 
-    it, ite, ut, ute, _ = _standardized_splits(init, update, 0.6, 0)
+    it, ite, ut, ute = _standardized_splits(init, update, 0.6, 0)
     arch = MlpArchitecture((3, 6, 2), "tanh")
-    theta = mlp.init_params(arch, 0)
-    opt = Optimizer(cfg.optimizer_config("adam"), arch.n_params)
-    theta, _, _ = run_phase(theta, arch, opt, it, ite, PhasePlan(PHASE_INIT, 40, 10))
-    fresh = Optimizer(cfg.optimizer_config("adam"), arch.n_params)
-    theta_fresh, rows_fresh, _ = run_phase(
-        theta, arch, fresh, ut, ute, PhasePlan(PHASE_UPDATE, 40, 10))
-    cont_final = [r for r in continued.rows if r.phase == PHASE_UPDATE][-1]
-    assert rows_fresh[-1].loss != pytest.approx(cont_final.loss, abs=1e-15)
-
-
-def test_checkpoint_resume_bitwise(tmp_path):
-    """Saving at the phase boundary and resuming reproduces the run."""
-    init, update, ip, up = _save_datasets(tmp_path)
-    cfg = small_config(ip, up)
-    from gridsec.train import _standardized_splits
-
-    it, ite, ut, ute, stats = _standardized_splits(init, update, 0.6, 0)
-    arch = MlpArchitecture((3, 6, 2), "tanh")
-    theta = mlp.init_params(arch, 0)
-    opt = Optimizer(cfg.optimizer_config("adam"), arch.n_params)
-    theta, _, _ = run_phase(theta, arch, opt, it, ite, PhasePlan(PHASE_INIT, 40, 10))
-
-    path = tmp_path / "boundary.npz"
-    save_train_checkpoint(path, theta, arch, stats, opt, epoch=40)
-    theta2, arch2, stats2, epoch, opt2 = load_train_checkpoint(
-        path, cfg.optimizer_config("adam"))
-    assert epoch == 40
-    assert opt2.checksum() == opt.checksum()
-
-    a, rows_a, _ = run_phase(theta, arch, opt, ut, ute, PhasePlan(PHASE_UPDATE, 40, 10))
-    b, rows_b, _ = run_phase(theta2, arch2, opt2, ut, ute, PhasePlan(PHASE_UPDATE, 40, 10))
-    assert np.array_equal(a, b)
-    assert [r.loss for r in rows_a] == [r.loss for r in rows_b]
+    opt = Optimizer(cfg.optimizer_config(algorithm), arch.n_params)
+    theta, _ = run_phase(mlp.init_params(arch, 0), arch, opt, it, ite,
+                         PhasePlan(PHASE_INIT, 40, 10))
+    update_plan = PhasePlan(PHASE_UPDATE, 40, 10)
+    fresh = Optimizer(cfg.optimizer_config(algorithm), arch.n_params)
+    _, rows_fresh = run_phase(theta.copy(), arch, fresh, ut, ute, update_plan)
+    _, rows_same = run_phase(theta, arch, opt, ut, ute, update_plan)
+    assert continued == rows_same  # LogRow equality: every field, bit for bit
+    assert continued != rows_fresh
 
 
 def test_log_round_trip(tmp_path):
@@ -233,6 +207,26 @@ beta2 = 0.99
     assert cfg.checkpoints() == ((250, 500), (250, 500, 750, 1000))
 
 
+# [experiment] lines or algorithm sections, and the error each must raise
+BAD_VALUES = [
+    ("init_epochs = ten", r"\[experiment\] init_epochs: bad value 'ten'"),
+    ("update_epochs = 1.5", r"\[experiment\] update_epochs: bad value '1.5'"),
+    ("eval_every = x", r"\[experiment\] eval_every: bad value 'x'"),
+    ("seeds = 0 one", r"\[experiment\] seeds: bad value '0 one'"),
+    ("hidden = 64 x", r"\[experiment\] hidden: bad value '64 x'"),
+    ("train_fraction = half", r"\[experiment\] train_fraction: bad value 'half'"),
+    ("[adam]\nlearning_rate = abc", r"\[adam\] learning_rate: bad value 'abc'"),
+    ("hidden = 0", r"hidden = 0, activation = relu: all layer sizes must be >= 1"),
+    ("hidden =", r"need at least one hidden layer"),
+    ("activation = sigmoid", r"activation = sigmoid: unknown activation 'sigmoid'"),
+    ("[adam]\nlearning_rate = -1", r"\[adam\] learning rate must be positive"),
+    ("[adam]\nlearning_rate = nan", r"\[adam\] learning rate must be positive"),
+    ("[adagrad]\neps = nan", r"\[adagrad\] eps must be non-negative"),
+    ("[sgd-m]\nmomentum = 2", r"\[sgd-m\] momentum must lie in \[0, 1\]"),
+]
+
+
+
 def test_parse_experiment_config_errors():
     with pytest.raises(ExperimentError, match="missing \\[experiment\\]"):
         parse_experiment_config("[other]\nx = 1\n")
@@ -255,6 +249,14 @@ def test_parse_experiment_config_errors():
         parse_experiment_config(
             "[experiment]\ninit_dataset = a\nupdate_dataset = b\neval_every = 0\n")
 
+    # bad values fail at parse time, before any dataset loads or any
+    # algorithm trains, with an error naming the key
+    for lines, message in BAD_VALUES:
+        with pytest.raises(ExperimentError, match=message):
+            parse_experiment_config(
+                "[experiment]\ninit_dataset = a\nupdate_dataset = b\n"
+                "algorithms = sgd sgd-m adagrad adam\n" + lines + "\n")
+
 
 def test_run_experiment_checks_code_built_config(tmp_path):
     _, _, ip, up = _save_datasets(tmp_path)
@@ -264,6 +266,11 @@ def test_run_experiment_checks_code_built_config(tmp_path):
         run_experiment(cfg)
     with pytest.raises(ExperimentError, match="eval_every must be >= 1"):
         run_experiment(small_config(ip, up, eval_every=0))
+    # a bad network or optimizer setting fails when the config is built
+    with pytest.raises(ExperimentError, match="unknown activation"):
+        small_config(ip, up, activation="sigmoid")
+    with pytest.raises(ExperimentError, match=r"\[adam\] learning rate must be positive"):
+        small_config(ip, up, overrides={"adam": {"learning_rate": -1.0}})
     results = run_experiment(small_config(ip, up, algorithms=("sgd",)))
     _, rows = summarize(results, small_config(ip, up))
     assert "div" not in rows[0]
