@@ -2,7 +2,8 @@
 
 The solver works in polar coordinates on the full complex bus-admittance
 matrix. The pi-branch model lives in one branch table, which feeds both the
-admittance matrix and the branch flows. Reactive-limit switching is one-way:
+admittance matrix and the branch flows; an N-1 screen solves each outage on
+its operating condition's table minus the outaged row. Reactive-limit switching is one-way:
 a PV bus whose generators would exceed their Q capability is pinned there as
 a PQ bus and never switches back to PV within the solve. Non-convergence
 is an outcome, not an exception: downstream screening treats a diverged
@@ -142,10 +143,15 @@ def calc_injections(ybus, v):
     return v * np.conj(ybus @ v)
 
 
+def _mismatch(s_bus, s_spec, pvpq, pq):
+    """Stacked [dP at PV+PQ; dQ at PQ] from the bus injections ``s_bus``."""
+    ds = s_bus - s_spec
+    return np.concatenate([ds[pvpq].real, ds[pq].imag])
+
+
 def mismatch_vector(ybus, v, s_spec, pvpq, pq):
     """Stacked [dP at PV+PQ; dQ at PQ] for the current complex voltages."""
-    ds = calc_injections(ybus, v) - s_spec
-    return np.concatenate([ds[pvpq].real, ds[pq].imag])
+    return _mismatch(calc_injections(ybus, v), s_spec, pvpq, pq)
 
 
 def jacobian(ybus, v, pvpq, pq):
@@ -195,12 +201,36 @@ def solve_powerflow(case: NetworkCase, options: SolveOptions | None = None) -> P
     Returns a solution object in all cases; check ``converged``. The slack
     bus keeps angle 0 and its setpoint magnitude throughout.
     """
+    return _newton(case, _branch_table(case), _bus_spec(case), options)
+
+
+def _outage_solver(case: NetworkCase, options: SolveOptions | None = None):
+    """``solve(outaged, index)`` for ``outaged`` = ``case`` with branch
+    ``index`` switched out, on ``case``'s own branch table and bus spec.
+
+    Dropping the branch's row keeps every other stamp in its place and
+    order, so the admittance matrix is bit-identical to that of
+    ``build_ybus(outaged)``; an outage changes no bus, generator or load, so
+    the bus spec is the same.
+    """
+    table, spec = _branch_table(case), _bus_spec(case)
+
+    def solve(outaged: NetworkCase, index: int) -> PowerFlowSolution:
+        keep = table.pos != index
+        return _newton(outaged, _BranchTable(*(col[keep] for col in table)), spec, options)
+
+    return solve
+
+
+def _newton(case, table, spec, options):
+    """The Newton-Raphson loop on ``case``'s branch table and bus spec. The
+    spec is copied first, because a Q-limit pin rewrites ``kinds`` and
+    ``s_spec``."""
     opts = options or SolveOptions()
     if opts.tolerance <= 0:
         raise SettingError("tolerance must be positive")
-    table = _branch_table(case)
     ybus = build_ybus(case, table)
-    spec = _bus_spec(case)
+    spec = spec._replace(s_spec=spec.s_spec.copy(), kinds=spec.kinds.copy())
     n = len(case.buses)
 
     if opts.start is not None:
@@ -221,12 +251,13 @@ def solve_powerflow(case: NetworkCase, options: SolveOptions | None = None) -> P
     diagnostic = ""
     for iteration in range(opts.max_iter + 1):
         v = vm * np.exp(1j * va)
+        s_bus = calc_injections(ybus, v)
 
         if opts.enforce_q_limits and iteration >= 1:
             # One switch check per iteration: pin any PV bus whose generators
             # would have to exceed their reactive capability. A pinned bus
             # stays PQ for the rest of the solve.
-            q_gen = calc_injections(ybus, v).imag + spec.q_load
+            q_gen = s_bus.imag + spec.q_load
             over = q_gen > spec.qg_max + 1e-9
             under = q_gen < spec.qg_min - 1e-9
             hits = np.flatnonzero((spec.kinds == BusKind.PV) & spec.has_gen & (over | under))
@@ -237,7 +268,7 @@ def solve_powerflow(case: NetworkCase, options: SolveOptions | None = None) -> P
             if hits.size:
                 pvpq, pq = _index_sets(spec.kinds)
 
-        f = mismatch_vector(ybus, v, spec.s_spec, pvpq, pq)
+        f = _mismatch(s_bus, spec.s_spec, pvpq, pq)
         max_mis = float(np.max(np.abs(f))) if f.size else 0.0
         trace_rows.append((iteration, max_mis))
         if not np.isfinite(max_mis):

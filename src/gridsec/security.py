@@ -5,8 +5,11 @@ performance index stays at or below 0.1 are negligible; above that they are
 split by flow impact: under 200 MW of worst-branch active-flow change they
 are topology changes (TCs, folded into the operating condition itself), at
 200 MW or more they are critical system contingencies (CSCs) that decide the
-Secure/Insecure label. Dataset labelling warm-starts each contingency solve
-from the operating condition's own converged voltages.
+Secure/Insecure label. The N-1 screen stops at the first contingency that
+fails, since that one decides the Insecure label, and solves each outage on
+the operating condition's own branch table minus the outaged row. Dataset
+labelling warm-starts each contingency solve from the operating condition's
+own converged voltages.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .errors import GridSecError, IslandingError, SettingError
 from .model import NetworkCase, apply_outage
-from .powerflow import PowerFlowSolution, SolveOptions, solve_powerflow
+from .powerflow import PowerFlowSolution, SolveOptions, _outage_solver, solve_powerflow
 
 PIV_THRESHOLD = 0.1
 TC_FLOW_DELTA_MW = 200.0
@@ -89,7 +92,9 @@ class ContingencyResult:
 @dataclass
 class ScreenResult:
     label: Label
-    details: list  # ContingencyResult per contingency, in list order
+    # ContingencyResult per contingency screened, in list order; the screen
+    # stops at the first failure, so an Insecure result ends with it
+    details: list
     first_failure: str | None = None
 
 
@@ -189,18 +194,20 @@ def run_contingency_screen(
 ) -> ScreenResult:
     """Label one operating condition against a list of branch outages.
 
-    Secure iff every contingency converges with no limit violations.
-    Islanding outages are Insecure without a solve attempt. A listed branch
-    that is already out of service in this OC's topology is skipped.
-    ``options.start``, when set, is the pre-contingency point: every
-    post-contingency solve starts from it instead of a flat start.
+    Secure iff every contingency converges with no limit violations. The
+    screen stops at the first contingency that fails: it decides the
+    Insecure label and is ``first_failure``. Islanding outages are Insecure
+    without a solve attempt. A listed branch that is already out of service
+    in this OC's topology is skipped. ``options.start``, when set, is the
+    pre-contingency point: every post-contingency solve starts from it
+    instead of a flat start.
     """
     csc_list = list(csc_list)
     if not csc_list:
         raise GridSecError("no contingencies configured")
     limits = limits or OperatingLimits()
+    solve_outage = _outage_solver(case, options)
     details = []
-    first_failure = None
     for spec in csc_list:
         name = spec if isinstance(spec, str) else case.branches[spec].label()
         index = case.find_branch(spec) if isinstance(spec, str) else spec
@@ -209,21 +216,18 @@ def run_contingency_screen(
         try:
             outaged = apply_outage(case, index)
         except IslandingError:
-            details.append(ContingencyResult(name, False, True, (), False))
-            first_failure = first_failure or name
-            continue
-        sol = solve_powerflow(outaged, options)
-        if not sol.converged:
-            details.append(ContingencyResult(name, False, False, (), False))
-            first_failure = first_failure or name
-            continue
-        violations = tuple(check_limits(sol, outaged, limits))
-        ok = not violations
-        details.append(ContingencyResult(name, True, False, violations, ok))
-        if not ok:
-            first_failure = first_failure or name
-    label = Label.INSECURE if first_failure else Label.SECURE
-    return ScreenResult(label=label, details=details, first_failure=first_failure)
+            result = ContingencyResult(name, False, True, (), False)
+        else:
+            sol = solve_outage(outaged, index)
+            if sol.converged:
+                violations = tuple(check_limits(sol, outaged, limits))
+                result = ContingencyResult(name, True, False, violations, not violations)
+            else:
+                result = ContingencyResult(name, False, False, (), False)
+        details.append(result)
+        if not result.secure:
+            return ScreenResult(label=Label.INSECURE, details=details, first_failure=name)
+    return ScreenResult(label=Label.SECURE, details=details)
 
 
 def parse_contingency_list(text: str) -> list:

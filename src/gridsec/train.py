@@ -108,8 +108,20 @@ class ExperimentConfig:
     overrides: dict = field(default_factory=dict)  # per-algorithm hyperparameters
 
     def __post_init__(self):
-        """Reject a network shape, activation or optimizer setting before any
-        dataset loads."""
+        """Reject a phase length, split, seed list, algorithm list, network
+        shape, activation or optimizer setting before any dataset loads."""
+        for key in ("init_epochs", "update_epochs", "eval_every"):
+            if getattr(self, key) < 1:
+                raise ExperimentError(f"{key} must be >= 1")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ExperimentError("train_fraction must lie in (0, 1)")
+        if not self.seeds:
+            raise ExperimentError("seeds must not be empty")
+        if not self.algorithms:
+            raise ExperimentError("algorithms must not be empty")
+        repeated = sorted({a for a in self.algorithms if self.algorithms.count(a) > 1})
+        if repeated:
+            raise ExperimentError(f"algorithms lists {', '.join(repeated)} more than once")
         try:
             # width 1 stands in for the feature count, which the datasets fix
             MlpArchitecture((1, *self.hidden, 2), self.activation)
@@ -145,6 +157,13 @@ _EXPERIMENT_KEYS = {"init_epochs": int, "update_epochs": int, "eval_every": int,
 _OPTIMIZER_KEYS = ("learning_rate", "momentum", "beta1", "beta2", "eps")
 
 
+def _check_keys(section, known):
+    """An unknown key is an error naming it, not a silently dropped line."""
+    for key in section:
+        if key not in known:
+            raise ExperimentError(f"[{section.name}] {key}: unknown key")
+
+
 def _read(section, key, convert):
     """``convert(section[key])``; a value it rejects is an error naming the key."""
     try:
@@ -165,6 +184,7 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
     if "experiment" not in parser:
         raise ExperimentError("missing [experiment] section")
     exp = parser["experiment"]
+    _check_keys(exp, {"init_dataset", "update_dataset", "algorithms", *_EXPERIMENT_KEYS})
     for key in ("init_dataset", "update_dataset"):
         if key not in exp:
             raise ExperimentError(f"missing {key} in [experiment]")
@@ -175,10 +195,9 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
             continue
         if section not in ALGORITHMS:
             raise ExperimentError(f"unknown config section [{section}]")
+        _check_keys(parser[section], _OPTIMIZER_KEYS)
         overrides[section] = {
-            key: _read(parser[section], key, float)
-            for key in parser[section]
-            if key in _OPTIMIZER_KEYS
+            key: _read(parser[section], key, float) for key in parser[section]
         }
     cfg = ExperimentConfig(
         init_dataset=exp["init_dataset"],
@@ -195,8 +214,6 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
 def _check_checkpoints(cfg: ExperimentConfig):
     """Reject an ``eval_every`` that leaves a checkpoint epoch unlogged:
     ``summarize`` would report those cells as diverged."""
-    if cfg.eval_every < 1:
-        raise ExperimentError("eval_every must be >= 1")
     phases = zip(("init", "update"), (cfg.init_epochs, cfg.update_epochs), cfg.checkpoints())
     for phase, epochs, checkpoints in phases:
         unlogged = sorted(set(checkpoints) - _eval_every_hits(epochs, cfg.eval_every))

@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gridsec.errors import GridSecError
+from gridsec.data import generate_oc
+from gridsec.errors import GridSecError, IslandingError
 from gridsec.model import apply_outage, scale_loads
-from gridsec.powerflow import solve_powerflow
+from gridsec.powerflow import SolveOptions, solve_powerflow
 from gridsec.security import (
     Category,
     Label,
@@ -203,6 +204,55 @@ def test_screen_stressed_68_bus(case68):
     result = run_contingency_screen(stressed, csc, OperatingLimits())
     assert result.label in (Label.SECURE, Label.INSECURE)
     assert len(result.details) >= 1
+
+
+def exhaustive_screen(case, csc_list, limits, options):
+    """Reference label and first failure: every in-service CSC through
+    apply_outage, solve_powerflow and check_limits, with no early stop."""
+    failures = []
+    for name in csc_list:
+        index = case.find_branch(name)
+        if not case.branches[index].in_service:
+            continue
+        try:
+            outaged = apply_outage(case, index)
+        except IslandingError:
+            failures.append(name)
+            continue
+        sol = solve_powerflow(outaged, options)
+        if not sol.converged or check_limits(sol, outaged, limits):
+            failures.append(name)
+    return (Label.INSECURE if failures else Label.SECURE), (failures[0] if failures else None)
+
+
+def test_screen_stops_at_first_failure_and_matches_exhaustive(case68):
+    from tests.conftest import CSC_LINES
+
+    limits = OperatingLimits()
+    # (draw, TC): Secure and Insecure OCs with and without a TC; the
+    # Insecure ones fail first at CSC positions 0, 3 and 4
+    draws = [(0, None), (2, None), (1, "18-42"), (3, "38-46"), (39, "54-55")]
+    seen = set()
+    for draw, tc in draws:
+        oc, sol, _, _ = generate_oc(case68, (7, draw), tc=tc)
+        ocs = [(oc, tc)]
+        if draw == 0:  # a CSC already out in the OC's topology is skipped
+            ocs.append((apply_outage(oc, oc.find_branch("21-22")), "21-22"))
+        for case, tc_used in ocs:
+            warm = SolveOptions(start=(sol.v_mag, sol.v_ang))
+            result = run_contingency_screen(case, CSC_LINES, limits, warm)
+            expected = exhaustive_screen(case, CSC_LINES, limits, warm)
+            assert (result.label, result.first_failure) == expected
+            live = [c for c in CSC_LINES if case.branches[case.find_branch(c)].in_service]
+            names = [d.contingency for d in result.details]
+            assert names == live[:len(names)]
+            assert all(d.secure for d in result.details[:-1])
+            if result.label is Label.INSECURE:
+                assert names[-1] == result.first_failure and not result.details[-1].secure
+            else:
+                assert names == live
+            seen.add((tc_used is not None, result.label))
+    assert seen == {(t, label) for t in (False, True) for label in Label}
 
 
 def test_parse_contingency_list():

@@ -223,6 +223,15 @@ BAD_VALUES = [
     ("[adam]\nlearning_rate = nan", r"\[adam\] learning rate must be positive"),
     ("[adagrad]\neps = nan", r"\[adagrad\] eps must be non-negative"),
     ("[sgd-m]\nmomentum = 2", r"\[sgd-m\] momentum must lie in \[0, 1\]"),
+    ("epochs = 10", r"\[experiment\] epochs: unknown key"),
+    ("[adam]\nlearning-rate = 5", r"\[adam\] learning-rate: unknown key"),
+    ("init_epochs = 0", r"init_epochs must be >= 1"),
+    ("update_epochs = -4", r"update_epochs must be >= 1"),
+    ("train_fraction = 1.5", r"train_fraction must lie in \(0, 1\)"),
+    ("train_fraction = 0", r"train_fraction must lie in \(0, 1\)"),
+    ("seeds =", r"seeds must not be empty"),
+    ("algorithms =", r"algorithms must not be empty"),
+    ("algorithms = sgd adam sgd", r"algorithms lists sgd more than once"),
 ]
 
 
@@ -254,8 +263,7 @@ def test_parse_experiment_config_errors():
     for lines, message in BAD_VALUES:
         with pytest.raises(ExperimentError, match=message):
             parse_experiment_config(
-                "[experiment]\ninit_dataset = a\nupdate_dataset = b\n"
-                "algorithms = sgd sgd-m adagrad adam\n" + lines + "\n")
+                "[experiment]\ninit_dataset = a\nupdate_dataset = b\n" + lines + "\n")
 
 
 def test_run_experiment_checks_code_built_config(tmp_path):
@@ -271,6 +279,8 @@ def test_run_experiment_checks_code_built_config(tmp_path):
         small_config(ip, up, activation="sigmoid")
     with pytest.raises(ExperimentError, match=r"\[adam\] learning rate must be positive"):
         small_config(ip, up, overrides={"adam": {"learning_rate": -1.0}})
+    with pytest.raises(ExperimentError, match="algorithms lists adam more than once"):
+        small_config(ip, up, algorithms=("adam", "sgd", "adam"))
     results = run_experiment(small_config(ip, up, algorithms=("sgd",)))
     _, rows = summarize(results, small_config(ip, up))
     assert "div" not in rows[0]
