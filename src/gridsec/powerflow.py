@@ -2,8 +2,7 @@
 
 The solver works in polar coordinates on the full complex bus-admittance
 matrix. The pi-branch model lives in one branch table, which feeds both the
-admittance matrix and the branch flows; an N-1 screen solves each outage on
-its operating condition's table minus the outaged row. Reactive-limit switching is one-way:
+admittance matrix and the branch flows. Reactive-limit switching is one-way:
 a PV bus whose generators would exceed their Q capability is pinned there as
 a PQ bus and never switches back to PV within the solve. Non-convergence
 is an outcome, not an exception: downstream screening treats a diverged
@@ -201,36 +200,12 @@ def solve_powerflow(case: NetworkCase, options: SolveOptions | None = None) -> P
     Returns a solution object in all cases; check ``converged``. The slack
     bus keeps angle 0 and its setpoint magnitude throughout.
     """
-    return _newton(case, _branch_table(case), _bus_spec(case), options)
-
-
-def _outage_solver(case: NetworkCase, options: SolveOptions | None = None):
-    """``solve(outaged, index)`` for ``outaged`` = ``case`` with branch
-    ``index`` switched out, on ``case``'s own branch table and bus spec.
-
-    Dropping the branch's row keeps every other stamp in its place and
-    order, so the admittance matrix is bit-identical to that of
-    ``build_ybus(outaged)``; an outage changes no bus, generator or load, so
-    the bus spec is the same.
-    """
-    table, spec = _branch_table(case), _bus_spec(case)
-
-    def solve(outaged: NetworkCase, index: int) -> PowerFlowSolution:
-        keep = table.pos != index
-        return _newton(outaged, _BranchTable(*(col[keep] for col in table)), spec, options)
-
-    return solve
-
-
-def _newton(case, table, spec, options):
-    """The Newton-Raphson loop on ``case``'s branch table and bus spec. The
-    spec is copied first, because a Q-limit pin rewrites ``kinds`` and
-    ``s_spec``."""
     opts = options or SolveOptions()
     if opts.tolerance <= 0:
         raise SettingError("tolerance must be positive")
+    table = _branch_table(case)
     ybus = build_ybus(case, table)
-    spec = spec._replace(s_spec=spec.s_spec.copy(), kinds=spec.kinds.copy())
+    spec = _bus_spec(case)
     n = len(case.buses)
 
     if opts.start is not None:

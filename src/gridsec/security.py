@@ -6,10 +6,9 @@ split by flow impact: under 200 MW of worst-branch active-flow change they
 are topology changes (TCs, folded into the operating condition itself), at
 200 MW or more they are critical system contingencies (CSCs) that decide the
 Secure/Insecure label. The N-1 screen stops at the first contingency that
-fails, since that one decides the Insecure label, and solves each outage on
-the operating condition's own branch table minus the outaged row. Dataset
-labelling warm-starts each contingency solve from the operating condition's
-own converged voltages.
+fails, since that one decides the Insecure label. Dataset labelling
+warm-starts each contingency solve from the operating condition's own
+converged voltages.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import GridSecError, IslandingError, SettingError
 from .model import NetworkCase, apply_outage
-from .powerflow import PowerFlowSolution, SolveOptions, _outage_solver, solve_powerflow
+from .powerflow import PowerFlowSolution, SolveOptions, solve_powerflow
 
 PIV_THRESHOLD = 0.1
 TC_FLOW_DELTA_MW = 200.0
@@ -206,7 +205,6 @@ def run_contingency_screen(
     if not csc_list:
         raise GridSecError("no contingencies configured")
     limits = limits or OperatingLimits()
-    solve_outage = _outage_solver(case, options)
     details = []
     for spec in csc_list:
         name = spec if isinstance(spec, str) else case.branches[spec].label()
@@ -218,7 +216,7 @@ def run_contingency_screen(
         except IslandingError:
             result = ContingencyResult(name, False, True, (), False)
         else:
-            sol = solve_outage(outaged, index)
+            sol = solve_powerflow(outaged, options)
             if sol.converged:
                 violations = tuple(check_limits(sol, outaged, limits))
                 result = ContingencyResult(name, True, False, violations, not violations)

@@ -8,7 +8,6 @@ from gridsec.errors import IslandingError
 from gridsec.model import BusKind, apply_outage, parse_case, scale_loads
 from gridsec.powerflow import (
     SolveOptions,
-    _outage_solver,
     build_ybus,
     jacobian,
     mismatch_vector,
@@ -218,37 +217,6 @@ format_version: 1
     assert meshed.q_inj[2] == pytest.approx(-5.0, abs=1e-6)
     assert meshed.v_mag[1] < 1.025 < meshed.v_mag[2]
     assert abs(recompute_max_mismatch(tight, meshed) - meshed.max_mismatch) <= 1e-12
-
-
-@pytest.mark.parametrize("warm", [False, True])
-def test_outage_solves_match_fresh_solves(case9, warm):
-    """The screen solves each outage on the operating condition's branch
-    table minus one row and on its bus spec; every field must equal a fresh
-    solve of the outaged case bit for bit. The Q limits make some outages pin
-    buses and others not, so a bus spec shared without a copy would carry a
-    pin from one outage into the next."""
-    gens = (case9.generators[0],
-            dataclasses.replace(case9.generators[1], q_max=30.0),
-            dataclasses.replace(case9.generators[2], q_min=-20.0))
-    tight = dataclasses.replace(case9, generators=gens)
-    opts = SolveOptions()
-    if warm:
-        base = solve_powerflow(tight)
-        opts = SolveOptions(start=(base.v_mag, base.v_ang))
-    solve = _outage_solver(tight, opts)
-    pinned = []
-    for k in range(len(tight.branches)):
-        try:
-            outaged = apply_outage(tight, k)
-        except IslandingError:
-            continue
-        got, want = solve(outaged, k), solve_powerflow(outaged, opts)
-        for field in dataclasses.fields(want):
-            np.testing.assert_array_equal(
-                getattr(got, field.name), getattr(want, field.name),
-                err_msg=f"{tight.branches[k].label()}: {field.name}")
-        pinned.append(bool(want.q_limited))
-    assert any(pinned) and not all(pinned)
 
 
 def test_trace_pv_curve_nose_two_bus(case2):
