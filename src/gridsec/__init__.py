@@ -15,7 +15,7 @@ from .model import (
     parse_case,
     render_case,
 )
-from .powerflow import SolveOptions, build_ybus, solve_powerflow, trace_pv_curve
+from .powerflow import build_ybus, solve_powerflow, trace_pv_curve
 from .security import (
     Category,
     Label,
@@ -32,7 +32,7 @@ __all__ = [
     "Branch", "Bus", "BusKind", "Generator", "Load", "NetworkCase",
     "apply_outage", "load_bundled_case", "load_case", "parse_case",
     "render_case",
-    "SolveOptions", "build_ybus", "solve_powerflow", "trace_pv_curve",
+    "build_ybus", "solve_powerflow", "trace_pv_curve",
     "Category", "Label", "OperatingLimits", "PivConfig", "check_limits",
     "classify_configuration", "compute_piv", "run_contingency_screen",
 ]

@@ -17,14 +17,13 @@ import numpy as np
 
 from .errors import DatasetError
 from .model import NetworkCase, apply_outage, reschedule_generation, scale_loads
-from .powerflow import PowerFlowSolution, SolveOptions, solve_powerflow
+from .powerflow import PowerFlowSolution, solve_powerflow
 from .security import Label, OperatingLimits, run_contingency_screen
 
-# re-exported here because generation owns the dispatch policy
 __all__ = [
-    "GenerationConfig", "LabeledSample", "Dataset", "reschedule_generation",
-    "generate_oc", "extract_features", "feature_names", "build_dataset",
-    "split_dataset", "save_dataset", "load_dataset",
+    "GenerationConfig", "LabeledSample", "Dataset", "generate_oc",
+    "extract_features", "feature_names", "build_dataset", "split_dataset",
+    "save_dataset", "load_dataset",
 ]
 
 
@@ -118,7 +117,6 @@ def generate_oc(
     rng_seed,
     scale_range=(0.8, 1.05),
     tc: str | None = None,
-    options: SolveOptions | None = None,
     max_rejects: int = 50,
 ):
     """Draw one converged operating condition.
@@ -141,7 +139,7 @@ def generate_oc(
         oc = reschedule_generation(oc, new_p - base_p, strict=False)
         if tc is not None:
             oc = apply_outage(oc, oc.find_branch(tc))
-        solution = solve_powerflow(oc, options)
+        solution = solve_powerflow(oc)
         if solution.converged:
             meta = SampleMeta(tuple(factors), tc, (tuple(np.atleast_1d(rng_seed).tolist()), attempt))
             return oc, solution, meta, attempt
@@ -154,25 +152,22 @@ def build_dataset(
     case: NetworkCase,
     config: GenerationConfig,
     limits: OperatingLimits | None = None,
-    options: SolveOptions | None = None,
-    widen_attempts: int = 3,
 ) -> Dataset:
     """Generate, label, and assemble a dataset; bit-reproducible from seed.
 
     Guard against degenerate single-class data: if every sample gets the
-    same label, the upper scale bound is widened by +0.05 (up to
-    ``widen_attempts`` times) and generation reruns; the returned dataset
-    reports the widened bound.
+    same label, the upper scale bound is widened by +0.05 (up to 3 times)
+    and generation reruns; the returned dataset reports the widened bound.
     """
-    ds = _build_dataset_once(case, config, limits, options)
+    ds = _build_dataset_once(case, config, limits)
     labels = {s.label for s in ds.samples}
     hi = config.scale_range[1]
     attempts = 0
-    while len(labels) < 2 and len(ds.samples) > 1 and attempts < widen_attempts:
+    while len(labels) < 2 and len(ds.samples) > 1 and attempts < 3:
         attempts += 1
         hi = round(hi + 0.05, 10)
         widened = replace(config, scale_range=(config.scale_range[0], hi))
-        ds = _build_dataset_once(case, widened, limits, options)
+        ds = _build_dataset_once(case, widened, limits)
         ds.widened_scale_hi = hi
         labels = {s.label for s in ds.samples}
     return ds
@@ -182,7 +177,6 @@ def _build_dataset_once(
     case: NetworkCase,
     config: GenerationConfig,
     limits: OperatingLimits | None = None,
-    options: SolveOptions | None = None,
 ) -> Dataset:
     if config.n_samples < 1:
         raise DatasetError("n_samples must be >= 1")
@@ -206,11 +200,11 @@ def _build_dataset_once(
             tc = config.tc_list[int(tc_rng.integers(len(config.tc_list)))]
         oc, solution, meta, rejects = generate_oc(
             case, (config.seed, i), config.scale_range, tc=tc,
-            options=options, max_rejects=config.max_rejects,
+            max_rejects=config.max_rejects,
         )
         rejections += rejects
-        warm = replace(options or SolveOptions(), start=(solution.v_mag, solution.v_ang))
-        screen = run_contingency_screen(oc, config.csc_list, limits, warm)
+        screen = run_contingency_screen(oc, config.csc_list, limits,
+                                        start=(solution.v_mag, solution.v_ang))
         samples.append(LabeledSample(extract_features(solution, case), screen.label, meta))
     return Dataset(
         samples=samples,

@@ -99,12 +99,6 @@ def _forward_pass(theta, arch, x):
     return activations[-1], zs, activations
 
 
-def forward(theta: np.ndarray, arch: MlpArchitecture, x) -> np.ndarray:
-    """Class probabilities [p_secure, p_insecure]; batched if x is 2-D."""
-    probs, _, _ = _forward_pass(theta, arch, x)
-    return probs[0] if np.asarray(x).ndim == 1 else probs
-
-
 def _cross_entropy(probs, y):
     """Mean cross-entropy of integer labels ``y`` under ``probs``."""
     if y.size == 0:
@@ -135,12 +129,6 @@ def loss_and_gradient(theta: np.ndarray, arch: MlpArchitecture, x, y):
         if li > 0:
             delta = (delta @ pairs[li][0].T) * _activate_grad(zs[li - 1], arch.activation)
     return loss, grad
-
-
-def predict(theta, arch, x):
-    """Class indices; exact probability ties go to class 0 (Secure)."""
-    probs, _, _ = _forward_pass(theta, arch, x)
-    return np.argmax(probs, axis=1)
 
 
 def evaluate(theta, arch, x, y):

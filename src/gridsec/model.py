@@ -8,6 +8,7 @@ values: every edit returns a new ``NetworkCase``.
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -90,21 +91,14 @@ class NetworkCase:
         """(P_MW, Q_MVar) summed over all loads."""
         return (sum(l.p_mw for l in self.loads), sum(l.q_mvar for l in self.loads))
 
-    def load_pu(self, load: Load):
-        """Per-unit (p, q) of one load on the system base."""
-        return (load.p_mw / self.base_mva, load.q_mvar / self.base_mva)
-
     def find_branch(self, spec):
         """Resolve a ``from-to[:circuit]`` label to a branch index.
 
         The label is orientation-insensitive.
         """
-        text = spec.strip()
-        circuit = 1
-        if ":" in text:
-            text, circ_text = text.split(":", 1)
-            circuit = int(circ_text)
+        text, colon, circ_text = spec.strip().partition(":")
         try:
+            circuit = int(circ_text) if colon else 1
             a_text, b_text = text.split("-", 1)
             a, b = int(a_text), int(b_text)
         except ValueError:
@@ -115,10 +109,9 @@ class NetworkCase:
         raise CaseValidationError(f"no branch {spec!r} in case")
 
 
-def connected_buses(case: NetworkCase, start_id=None):
+def connected_buses(case: NetworkCase):
     """Bus ids reachable from the slack over in-service branches (BFS)."""
-    if start_id is None:
-        start_id = case.slack_bus().id
+    start_id = case.slack_bus().id
     adj = {b.id: [] for b in case.buses}
     for br in case.branches:
         if br.in_service:
@@ -293,9 +286,12 @@ _SECTIONS = ("BASE", "BUS", "BRANCH", "GEN", "LOAD")
 
 def _parse_float(token, what, line_no):
     try:
-        return float(token)
+        value = float(token)
+        if math.isfinite(value):
+            return value
     except ValueError:
-        raise CaseFormatError(f"bad {what} {token!r}", line_no) from None
+        pass
+    raise CaseFormatError(f"bad {what} {token!r}", line_no)
 
 
 def _parse_int(token, what, line_no):

@@ -88,31 +88,25 @@ class Optimizer:
 
         self.k += 1
         k = self.k
-        if alg == "sgd":
+        if alg in ("sgd", "nag"):
+            # nag takes its gradient at the lookahead point; its update itself
+            # has no momentum term
             delta = -cfg.learning_rate * g
         elif alg in ("sgd-m", "nag-m"):
             delta = cfg.momentum * self.prev_delta - cfg.learning_rate * g
-        elif alg == "nag":
-            # Lookahead gradient only; no momentum term in the update itself.
-            delta = -cfg.learning_rate * g
         elif alg == "adagrad":
             self.accum += g * g
             delta = -cfg.learning_rate / (np.sqrt(self.accum) + cfg.eps) * g
-        elif alg == "adam":
+        else:  # adam and nadam share the bias-corrected moments
             self.m = cfg.beta1 * self.m + (1.0 - cfg.beta1) * g
             self.v = cfg.beta2 * self.v + (1.0 - cfg.beta2) * g * g
             m_hat = self.m / (1.0 - cfg.beta1 ** k)
             v_hat = self.v / (1.0 - cfg.beta2 ** k)
-            delta = -cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
-        elif alg == "nadam":
-            self.m = cfg.beta1 * self.m + (1.0 - cfg.beta1) * g
-            self.v = cfg.beta2 * self.v + (1.0 - cfg.beta2) * g * g
-            m_hat = self.m / (1.0 - cfg.beta1 ** k)
-            v_hat = self.v / (1.0 - cfg.beta2 ** k)
-            nesterov_m = cfg.beta1 * m_hat + (1.0 - cfg.beta1) / (1.0 - cfg.beta1 ** k) * g
-            delta = -cfg.learning_rate / (np.sqrt(v_hat) + cfg.eps) * nesterov_m
-        else:  # unreachable; config validates the name
-            raise OptimizerError(f"unknown algorithm {alg!r}")
+            if alg == "adam":
+                delta = -cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            else:
+                nesterov_m = cfg.beta1 * m_hat + (1.0 - cfg.beta1) / (1.0 - cfg.beta1 ** k) * g
+                delta = -cfg.learning_rate / (np.sqrt(v_hat) + cfg.eps) * nesterov_m
 
         self.prev_delta = delta
         return theta + delta, delta

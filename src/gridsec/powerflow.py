@@ -11,7 +11,7 @@ post-contingency solve as an Insecure label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -20,13 +20,8 @@ from .errors import CaseValidationError, InfeasibleError, SettingError
 from .model import BusKind, NetworkCase, reschedule_generation, scale_loads
 
 
-@dataclass
-class SolveOptions:
-    tolerance: float = 1e-8  # per-unit power mismatch
-    max_iter: int = 20
-    enforce_q_limits: bool = True
-    start: tuple | None = None  # optional (v_mag, v_ang) warm start
-    trace_file: str | None = None  # per-iteration mismatch log
+TOLERANCE = 1e-8  # per-unit power mismatch
+MAX_ITER = 20
 
 
 @dataclass
@@ -38,7 +33,6 @@ class PowerFlowSolution:
     p_to: np.ndarray
     q_to: np.ndarray
     i_from: np.ndarray  # per-unit current magnitude at the from end
-    i_to: np.ndarray
     p_inj: np.ndarray  # MW net injection per bus (gen - load)
     q_inj: np.ndarray
     converged: bool
@@ -52,7 +46,6 @@ class PowerFlowSolution:
 class PvCurve:
     points: list  # (load_scale, v_mag at the monitored bus), converged only
     nose_scale: float  # last converged multiplier
-    monitored_bus: int
 
 
 class _BranchTable(NamedTuple):
@@ -181,36 +174,37 @@ def jacobian(ybus, v, pvpq, pq):
 
 
 def _branch_flows(case, table, v):
-    """Rows p_from, q_from, p_to, q_to (MW, MVar) and i_from, i_to (pu) by
-    branch position; zero for out-of-service branches."""
+    """Rows p_from, q_from, p_to, q_to (MW, MVar) and i_from (pu) by branch
+    position; zero for out-of-service branches."""
     v_f, v_t = v[table.f], v[table.t]
     i_from = table.yff * v_f + table.yft * v_t
     i_to = table.ytt * v_t + table.yft * v_f
     s_from = v_f * np.conj(i_from) * case.base_mva
     s_to = v_t * np.conj(i_to) * case.base_mva
-    flows = np.zeros((6, len(case.branches)))
-    flows[:, table.pos] = (s_from.real, s_from.imag, s_to.real, s_to.imag,
-                           np.abs(i_from), np.abs(i_to))
+    flows = np.zeros((5, len(case.branches)))
+    flows[:, table.pos] = (s_from.real, s_from.imag, s_to.real, s_to.imag, np.abs(i_from))
     return flows
 
 
-def solve_powerflow(case: NetworkCase, options: SolveOptions | None = None) -> PowerFlowSolution:
-    """Newton-Raphson solve with optional PV->PQ reactive-limit switching.
+def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE) -> PowerFlowSolution:
+    """Newton-Raphson solve with PV->PQ reactive-limit switching.
 
-    Returns a solution object in all cases; check ``converged``. The slack
-    bus keeps angle 0 and its setpoint magnitude throughout.
+    ``start``, when given, is a ``(v_mag, v_ang)`` warm start; otherwise the
+    solve starts flat. It stops when the largest per-unit mismatch is at or
+    below ``tolerance``, or after ``MAX_ITER`` iterations. Returns a solution
+    object in all cases; check ``converged``. The slack bus keeps angle 0 and
+    its setpoint magnitude throughout.
     """
-    opts = options or SolveOptions()
-    if opts.tolerance <= 0:
+    if tolerance <= 0:
         raise SettingError("tolerance must be positive")
     table = _branch_table(case)
     ybus = build_ybus(case, table)
     spec = _bus_spec(case)
     n = len(case.buses)
 
-    if opts.start is not None:
-        vm = np.array(opts.start[0], dtype=float)
-        va = np.array(opts.start[1], dtype=float)
+    if start is not None:
+        vm = np.array(start[0], dtype=float)
+        va = np.array(start[1], dtype=float)
     else:
         vm = np.ones(n)
         va = np.zeros(n)
@@ -220,15 +214,14 @@ def solve_powerflow(case: NetworkCase, options: SolveOptions | None = None) -> P
 
     pvpq, pq = _index_sets(spec.kinds)
     q_limited = []
-    trace_rows = []
     iterations = 0
     converged = False
     diagnostic = ""
-    for iteration in range(opts.max_iter + 1):
+    for iteration in range(MAX_ITER + 1):
         v = vm * np.exp(1j * va)
         s_bus = calc_injections(ybus, v)
 
-        if opts.enforce_q_limits and iteration >= 1:
+        if iteration >= 1:
             # One switch check per iteration: pin any PV bus whose generators
             # would have to exceed their reactive capability. A pinned bus
             # stays PQ for the rest of the solve.
@@ -245,16 +238,15 @@ def solve_powerflow(case: NetworkCase, options: SolveOptions | None = None) -> P
 
         f = _mismatch(s_bus, spec.s_spec, pvpq, pq)
         max_mis = float(np.max(np.abs(f))) if f.size else 0.0
-        trace_rows.append((iteration, max_mis))
         if not np.isfinite(max_mis):
             diagnostic = "non-finite mismatch"
             break
-        if max_mis <= opts.tolerance:
+        if max_mis <= tolerance:
             converged = True
             iterations = iteration
             break
-        if iteration == opts.max_iter:
-            diagnostic = f"mismatch {max_mis:.3e} after {opts.max_iter} iterations"
+        if iteration == MAX_ITER:
+            diagnostic = f"mismatch {max_mis:.3e} after {MAX_ITER} iterations"
             iterations = iteration
             break
         jac = jacobian(ybus, v, pvpq, pq)
@@ -269,24 +261,18 @@ def solve_powerflow(case: NetworkCase, options: SolveOptions | None = None) -> P
         vm[pq] += dx[npvpq:]
         iterations = iteration + 1
 
-    if opts.trace_file:
-        with open(opts.trace_file, "w", encoding="utf-8") as fh:
-            fh.write("iteration,max_mismatch\n")
-            for it, mis in trace_rows:
-                fh.write(f"{it},{mis:.16e}\n")
-
     v = vm * np.exp(1j * va)
     s = calc_injections(ybus, v) * case.base_mva
-    p_f, q_f, p_t, q_t, i_f, i_t = _branch_flows(case, table, v)
+    p_f, q_f, p_t, q_t, i_f = _branch_flows(case, table, v)
     return PowerFlowSolution(
         v_mag=np.abs(v),
         v_ang=np.angle(v),
         p_from=p_f, q_from=q_f, p_to=p_t, q_to=q_t,
-        i_from=i_f, i_to=i_t,
+        i_from=i_f,
         p_inj=s.real, q_inj=s.imag,
         converged=converged,
         iterations=iterations,
-        max_mismatch=trace_rows[-1][1] if trace_rows else np.inf,
+        max_mismatch=max_mis,
         q_limited=tuple(q_limited),
         diagnostic=diagnostic,
     )
@@ -306,27 +292,17 @@ def recompute_max_mismatch(case: NetworkCase, solution: PowerFlowSolution) -> fl
     return float(np.max(np.abs(f))) if f.size else 0.0
 
 
-def total_losses_mw(solution: PowerFlowSolution) -> float:
-    return float(np.sum(solution.p_from + solution.p_to))
-
-
-def trace_pv_curve(
-    case: NetworkCase,
-    monitored_bus: int,
-    step: float,
-    options: SolveOptions | None = None,
-    max_scale: float = 50.0,
-) -> PvCurve:
+def trace_pv_curve(case: NetworkCase, monitored_bus: int, step: float) -> PvCurve:
     """Stepwise load-scaling PV curve at one bus.
 
     Loads are scaled uniformly by 1.0, 1.0+step, ...; the extra demand is
     rescheduled across non-slack generators capacity-proportionally (slack
-    absorbs anything beyond their limits). Tracing stops at the first
-    non-converged solve; that previous multiplier is the nose.
+    absorbs anything beyond their limits). Each solve warm-starts from the
+    previous point. Tracing stops at the first non-converged solve, or past a
+    multiplier of 50; the last converged multiplier is the nose.
     """
     if step <= 0:
         raise SettingError("step must be positive")
-    opts = options or SolveOptions()
     pos = case.bus_index().get(monitored_bus)
     if pos is None:
         raise CaseValidationError(f"no bus {monitored_bus} in case")
@@ -334,10 +310,10 @@ def trace_pv_curve(
     points = []
     warm = None
     scale = 1.0
-    while scale <= max_scale + 1e-12:
+    while scale <= 50.0 + 1e-12:
         scaled = scale_loads(case, scale)
         scaled = reschedule_generation(scaled, (scale - 1.0) * base_p, strict=False)
-        sol = solve_powerflow(scaled, replace(opts, start=warm, trace_file=None))
+        sol = solve_powerflow(scaled, warm)
         if not sol.converged:
             break
         points.append((scale, float(sol.v_mag[pos])))
@@ -345,4 +321,4 @@ def trace_pv_curve(
         scale = round(scale + step, 12)
     if not points:
         raise InfeasibleError("base case infeasible")
-    return PvCurve(points=points, nose_scale=points[-1][0], monitored_bus=monitored_bus)
+    return PvCurve(points=points, nose_scale=points[-1][0])

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GridSecError, IslandingError, SettingError
 from .model import NetworkCase, apply_outage
-from .powerflow import PowerFlowSolution, SolveOptions, solve_powerflow
+from .powerflow import PowerFlowSolution, solve_powerflow
 
 PIV_THRESHOLD = 0.1
 TC_FLOW_DELTA_MW = 200.0
@@ -189,7 +189,7 @@ def run_contingency_screen(
     case: NetworkCase,
     csc_list,
     limits: OperatingLimits | None = None,
-    options: SolveOptions | None = None,
+    start=None,
 ) -> ScreenResult:
     """Label one operating condition against a list of branch outages.
 
@@ -197,9 +197,9 @@ def run_contingency_screen(
     screen stops at the first contingency that fails: it decides the
     Insecure label and is ``first_failure``. Islanding outages are Insecure
     without a solve attempt. A listed branch that is already out of service
-    in this OC's topology is skipped. ``options.start``, when set, is the
-    pre-contingency point: every post-contingency solve starts from it
-    instead of a flat start.
+    in this OC's topology is skipped. ``start``, when set, is the
+    pre-contingency ``(v_mag, v_ang)``: every post-contingency solve starts
+    from it instead of a flat start.
     """
     csc_list = list(csc_list)
     if not csc_list:
@@ -216,7 +216,7 @@ def run_contingency_screen(
         except IslandingError:
             result = ContingencyResult(name, False, True, (), False)
         else:
-            sol = solve_powerflow(outaged, options)
+            sol = solve_powerflow(outaged, start)
             if sol.converged:
                 violations = tuple(check_limits(sol, outaged, limits))
                 result = ContingencyResult(name, True, False, violations, not violations)
@@ -242,11 +242,11 @@ def screen_configurations(
     case: NetworkCase,
     config_specs,
     cfg: PivConfig | None = None,
-    options: SolveOptions | None = None,
 ) -> list:
     """Assess and categorize a list of candidate branch outages at the base
-    operating point; results sorted by descending PI_V."""
-    base = solve_powerflow(case, options)
+    operating point; results sorted by descending PI_V. Every solve starts
+    flat."""
+    base = solve_powerflow(case)
     if not base.converged:
         raise GridSecError("base case did not converge")
     assessments = []
@@ -259,7 +259,7 @@ def screen_configurations(
                 ConfigurationAssessment(spec, float("inf"), float("inf"), Category.CSC)
             )
             continue
-        post = solve_powerflow(outaged, options)
+        post = solve_powerflow(outaged)
         if not post.converged:
             assessments.append(
                 ConfigurationAssessment(spec, float("inf"), float("inf"), Category.CSC)

@@ -21,12 +21,7 @@ from gridsec.data import GenerationConfig, build_dataset, split_dataset
 from gridsec.mlp import MlpArchitecture
 from gridsec.model import apply_outage, bundled_case_path, scale_loads
 from gridsec.optim import ALGORITHMS, Optimizer, OptimizerConfig
-from gridsec.powerflow import (
-    SolveOptions,
-    recompute_max_mismatch,
-    solve_powerflow,
-    trace_pv_curve,
-)
+from gridsec.powerflow import recompute_max_mismatch, solve_powerflow, trace_pv_curve
 from gridsec.security import Category, PivConfig, categorize, compute_piv
 from gridsec.train import (
     PHASE_INIT,
@@ -133,7 +128,7 @@ def test_criterion_2_gradient_check():
 def test_criterion_3_power_flow_oracle(case2):
     start = time.perf_counter()
     half = scale_loads(case2, 0.5)  # 0.5 pu load on x = 0.1: PX = 0.05
-    sol = solve_powerflow(half, SolveOptions(tolerance=1e-13))
+    sol = solve_powerflow(half, tolerance=1e-13)
     u = (1.0 + math.sqrt(1.0 - 4 * 0.05 ** 2)) / 2.0
     v2 = math.sqrt(u)
     delta_deg = math.degrees(-math.asin(0.05 / v2))

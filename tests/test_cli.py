@@ -242,6 +242,7 @@ def test_report_bad_log_row_exit_1(tmp_path, capsys, row):
     (["gen-dataset", "--tc-mix", "-0.5"], "tc_mix must lie in [0, 1]"),
     (["pv-curve", "--bus", "999"], "no bus 999 in case"),
     (["pv-curve", "--bus", "5", "--step", "0"], "step must be positive"),
+    (["pv-curve", "--bus", "5", "--outage", "7-8:x"], "bad branch label '7-8:x'"),
 ])
 def test_bad_study_input_exit_1(tmp_path, capsys, command, message):
     """A bad value is one error line and exit 1, not a traceback."""
@@ -259,3 +260,16 @@ def test_bad_study_input_exit_1(tmp_path, capsys, command, message):
 
 def test_parser_prog_name():
     assert build_parser().prog == "gridsec"
+
+
+@pytest.mark.parametrize("bad_file", ["case", "csc"])
+def test_non_utf8_input_exit_1(tmp_path, capsys, bad_file):
+    """A case or contingency list that is not UTF-8 text is one error line."""
+    files = {"case": CASE9, "csc": tmp_path / "csc.txt"}
+    _write_csc_list(files["csc"])
+    files[bad_file] = tmp_path / "latin1.txt"
+    files[bad_file].write_bytes(b"# caf\xe9\n")
+    code, _, err = run_cli(capsys, "gen-dataset", "--case", str(files["case"]), "--n", "2",
+                           "--csc-list", str(files["csc"]), "--out", str(tmp_path / "ds.csv"))
+    assert code == 1
+    assert err.startswith("error: 'utf-8' codec can't decode") and err.count("\n") == 1

@@ -5,19 +5,26 @@ import pytest
 
 from gridsec.mlp import (
     MlpArchitecture,
+    _forward_pass,
     evaluate,
     fit_standardization,
-    forward,
     init_params,
     loss_and_gradient,
     param_layout,
-    predict,
     unpack,
 )
 
 
 def small_arch(activation="tanh"):
     return MlpArchitecture(layer_sizes=(4, 6, 3, 2), activation=activation)
+
+
+def probabilities(theta, arch, x):
+    return _forward_pass(theta, arch, x)[0]
+
+
+def predicted_classes(theta, arch, x):
+    return np.argmax(probabilities(theta, arch, x), axis=1)
 
 
 def test_n_params():
@@ -50,7 +57,7 @@ def test_init_deterministic_and_bounded():
 def test_forward_zero_params_uniform():
     arch = small_arch()
     theta = np.zeros(arch.n_params)
-    p = forward(theta, arch, np.ones(4))
+    p = probabilities(theta, arch, np.ones(4))[0]
     assert np.allclose(p, [0.5, 0.5], atol=1e-12)
 
 
@@ -58,7 +65,7 @@ def test_forward_rows_sum_to_one():
     arch = small_arch("relu")
     theta = init_params(arch, seed=0)
     x = np.random.default_rng(1).normal(size=(9, 4))
-    p = forward(theta, arch, x)
+    p = probabilities(theta, arch, x)
     assert p.shape == (9, 2)
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(p >= 0)
@@ -70,11 +77,11 @@ def test_softmax_translation_invariance():
     arch = small_arch()
     theta = init_params(arch, seed=4)
     x = np.random.default_rng(2).normal(size=(5, 4))
-    p0 = forward(theta, arch, x)
+    p0 = probabilities(theta, arch, x)
     shifted = theta.copy()
     offset, fan_in, fan_out = param_layout(arch)[-1]
     shifted[offset + fan_in * fan_out:offset + (fan_in + 1) * fan_out] += 7.3
-    p1 = forward(shifted, arch, x)
+    p1 = probabilities(shifted, arch, x)
     assert np.allclose(p0, p1, atol=1e-12)
 
 
@@ -128,7 +135,7 @@ def test_predict_and_evaluate_zero_params():
     x = np.random.default_rng(5).normal(size=(10, 4))
     y = np.zeros(10, dtype=int)
     # uniform output ties break toward class 0
-    assert np.all(predict(theta, arch, x) == 0)
+    assert np.all(predicted_classes(theta, arch, x) == 0)
     stats = evaluate(theta, arch, x, y)
     assert stats["accuracy"] == 1.0
     assert stats["loss"] == pytest.approx(math.log(2.0), abs=1e-12)
@@ -144,7 +151,7 @@ def test_evaluate_matches_loss_and_predict(activation):
     y = rng.integers(0, 2, size=40)
     stats = evaluate(theta, arch, x, y)
     assert stats["loss"] == loss_and_gradient(theta, arch, x, y)[0]
-    assert stats["accuracy"] == np.mean(predict(theta, arch, x) == y)
+    assert stats["accuracy"] == np.mean(predicted_classes(theta, arch, x) == y)
     assert 0.0 < stats["accuracy"] < 1.0
 
 

@@ -7,13 +7,11 @@ import pytest
 from gridsec.errors import IslandingError
 from gridsec.model import BusKind, apply_outage, parse_case, scale_loads
 from gridsec.powerflow import (
-    SolveOptions,
     build_ybus,
     jacobian,
     mismatch_vector,
     recompute_max_mismatch,
     solve_powerflow,
-    total_losses_mw,
     trace_pv_curve,
 )
 
@@ -95,7 +93,8 @@ def test_mismatch_oracle(case9):
 def test_power_balance(case9):
     sol = solve_powerflow(case9)
     generation = float(sol.p_inj.sum()) + sum(l.p_mw for l in case9.loads)
-    imbalance = generation - sum(l.p_mw for l in case9.loads) - total_losses_mw(sol)
+    losses = float(np.sum(sol.p_from + sol.p_to))
+    imbalance = generation - sum(l.p_mw for l in case9.loads) - losses
     assert abs(imbalance) / case9.base_mva <= 10 * 1e-8
 
 
@@ -200,10 +199,6 @@ format_version: 1
     repinned = dataclasses.replace(limited, q_limited=((1, 0.0),))
     assert recompute_max_mismatch(case, repinned) == pytest.approx(0.05, abs=1e-6)
 
-    free = solve_powerflow(case, SolveOptions(enforce_q_limits=False))
-    assert free.converged
-    assert free.v_mag[1] == pytest.approx(1.05)
-
     # a meshed network: bus 2 (6.7 MVar unlimited) hits a 2 MVar ceiling and
     # bus 3 (-10.9 MVar unlimited) a -5 MVar floor
     gens = (case9.generators[0],
@@ -253,12 +248,3 @@ def test_outage_noses_never_exceed_base(case9):
             continue
         nose = trace_pv_curve(outaged, 5, 0.05).nose_scale
         assert nose <= base + 1e-9, f"outage {br.label()} raised the nose"
-
-
-def test_solver_trace_file(case9, tmp_path):
-    path = tmp_path / "trace.csv"
-    sol = solve_powerflow(case9, SolveOptions(trace_file=str(path)))
-    assert sol.converged
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,max_mismatch"
-    assert len(lines) == sol.iterations + 2  # header + iterations 0..n

@@ -4,12 +4,10 @@ import dataclasses
 
 import pytest
 
-from gridsec.powerflow import SolveOptions, recompute_max_mismatch, solve_powerflow
+from gridsec.powerflow import TOLERANCE, recompute_max_mismatch, solve_powerflow
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
-
-TOLERANCE = SolveOptions().tolerance
 
 # Unlimited, case9's PV generators supply 6.7 and -10.9 MVar; bounds drawn
 # from [-20, 20] MVar pin them at a ceiling, at a floor, or not at all.
@@ -27,7 +25,7 @@ def test_q_limit_pins_hold_their_bound(case9, limits, warm):
     if warm:
         base = solve_powerflow(case9)
         start = (base.v_mag, base.v_ang)
-    sol = solve_powerflow(tight, SolveOptions(start=start))
+    sol = solve_powerflow(tight, start)
     if not sol.converged:
         return
     assert recompute_max_mismatch(tight, sol) <= 10 * TOLERANCE

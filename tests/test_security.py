@@ -6,7 +6,7 @@ import pytest
 from gridsec.data import generate_oc
 from gridsec.errors import GridSecError, IslandingError
 from gridsec.model import apply_outage, scale_loads
-from gridsec.powerflow import SolveOptions, solve_powerflow
+from gridsec.powerflow import solve_powerflow
 from gridsec.security import (
     Category,
     Label,
@@ -206,7 +206,7 @@ def test_screen_stressed_68_bus(case68):
     assert len(result.details) >= 1
 
 
-def exhaustive_screen(case, csc_list, limits, options):
+def exhaustive_screen(case, csc_list, limits, start):
     """Reference label and first failure: every in-service CSC through
     apply_outage, solve_powerflow and check_limits, with no early stop."""
     failures = []
@@ -219,7 +219,7 @@ def exhaustive_screen(case, csc_list, limits, options):
         except IslandingError:
             failures.append(name)
             continue
-        sol = solve_powerflow(outaged, options)
+        sol = solve_powerflow(outaged, start)
         if not sol.converged or check_limits(sol, outaged, limits):
             failures.append(name)
     return (Label.INSECURE if failures else Label.SECURE), (failures[0] if failures else None)
@@ -239,8 +239,8 @@ def test_screen_stops_at_first_failure_and_matches_exhaustive(case68):
         if draw == 0:  # a CSC already out in the OC's topology is skipped
             ocs.append((apply_outage(oc, oc.find_branch("21-22")), "21-22"))
         for case, tc_used in ocs:
-            warm = SolveOptions(start=(sol.v_mag, sol.v_ang))
-            result = run_contingency_screen(case, CSC_LINES, limits, warm)
+            warm = (sol.v_mag, sol.v_ang)
+            result = run_contingency_screen(case, CSC_LINES, limits, start=warm)
             expected = exhaustive_screen(case, CSC_LINES, limits, warm)
             assert (result.label, result.first_failure) == expected
             live = [c for c in CSC_LINES if case.branches[case.find_branch(c)].in_service]
