@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import data, train
-from .errors import ExperimentError, GridSecError
+from .errors import ExperimentError, GridSecError, open_text
 from .model import apply_outage, load_case
 from .powerflow import trace_pv_curve
 from .security import OperatingLimits, parse_contingency_list, screen_configurations
@@ -57,7 +57,7 @@ def cmd_pv_curve(args):
 
 def cmd_screen(args):
     case = load_case(_resolve(args.case))
-    with open(_resolve(args.configs), encoding="utf-8") as fh:
+    with open_text(_resolve(args.configs)) as fh:
         specs = parse_contingency_list(fh.read())
     if not specs:
         print("empty configuration list", file=sys.stderr)
@@ -77,7 +77,7 @@ def cmd_screen(args):
 def _read_list(path):
     if not path:
         return ()
-    with open(_resolve(path), encoding="utf-8") as fh:
+    with open_text(_resolve(path)) as fh:
         return tuple(parse_contingency_list(fh.read()))
 
 
@@ -115,7 +115,7 @@ def _write_summaries(results, cfg, out_dir):
 
 
 def cmd_train(args):
-    with open(_resolve(args.config), encoding="utf-8") as fh:
+    with open_text(_resolve(args.config)) as fh:
         cfg = train.parse_experiment_config(fh.read())
     os.makedirs(args.out_dir, exist_ok=True)
     results = train.run_experiment(cfg)
@@ -211,7 +211,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GridSecError, OSError, UnicodeDecodeError) as exc:
+    except (GridSecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DatasetError
+from .errors import DatasetError, open_text
 from .model import NetworkCase, apply_outage, reschedule_generation, scale_loads
 from .powerflow import PowerFlowSolution, solve_powerflow
 from .security import Label, OperatingLimits, run_contingency_screen
@@ -254,7 +254,7 @@ def save_dataset(ds: Dataset, path, config: GenerationConfig | None = None):
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
         if not header or header[-1] != "label":
             raise DatasetError(f"{path}: not a dataset file (missing label column)")

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one way its
+input files are opened."""
+
+import contextlib
 
 
 class GridSecError(Exception):
@@ -49,3 +52,18 @@ class DatasetError(GridSecError):
 
 class ExperimentError(GridSecError):
     """Bad experiment configuration or missing experiment inputs."""
+
+
+class InputEncodingError(GridSecError):
+    """An input file is not UTF-8 text."""
+
+
+@contextlib.contextmanager
+def open_text(path):
+    """``open(path, encoding="utf-8")`` for reading, where undecodable bytes
+    raise ``InputEncodingError`` naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise InputEncodingError(f"{path}: not UTF-8 text ({exc})") from None

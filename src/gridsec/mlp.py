@@ -87,7 +87,8 @@ def _forward_pass(theta, arch, x):
     pairs = unpack(theta, arch)
     zs, activations = [], [a]
     for li, (w, b) in enumerate(pairs):
-        z = activations[-1] @ w + b
+        z = activations[-1] @ w
+        z += b
         zs.append(z)
         if li < len(pairs) - 1:
             a = _activate(z, arch.activation)
@@ -114,20 +115,20 @@ def loss_and_gradient(theta: np.ndarray, arch: MlpArchitecture, x, y):
     loss = _cross_entropy(probs, y)
 
     n = probs.shape[0]
-    grad = np.zeros_like(theta)
-    pairs = unpack(theta, arch)
+    grad = np.empty_like(theta)
     layout = param_layout(arch)
-    delta = probs.copy()
+    delta = probs  # the output error overwrites the probabilities, now unused
     delta[np.arange(n), y] -= 1.0
     delta /= n
-    for li in range(len(pairs) - 1, -1, -1):
+    for li in range(len(layout) - 1, -1, -1):
         offset, fan_in, fan_out = layout[li]
-        grad_w = activations[li].T @ delta
-        grad_b = delta.sum(axis=0)
-        grad[offset:offset + fan_in * fan_out] = grad_w.ravel()
-        grad[offset + fan_in * fan_out:offset + (fan_in + 1) * fan_out] = grad_b
+        w_end = offset + fan_in * fan_out
+        np.matmul(activations[li].T, delta, out=grad[offset:w_end].reshape(fan_in, fan_out))
+        np.sum(delta, axis=0, out=grad[w_end:w_end + fan_out])
         if li > 0:
-            delta = (delta @ pairs[li][0].T) * _activate_grad(zs[li - 1], arch.activation)
+            w = theta[offset:w_end].reshape(fan_in, fan_out)
+            delta = delta @ w.T
+            delta *= _activate_grad(zs[li - 1], arch.activation)
     return loss, grad
 
 

@@ -12,7 +12,13 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 
-from .errors import CaseFormatError, CaseValidationError, IslandingError, RescheduleError
+from .errors import (
+    CaseFormatError,
+    CaseValidationError,
+    IslandingError,
+    RescheduleError,
+    open_text,
+)
 
 
 class BusKind(enum.Enum):
@@ -161,6 +167,8 @@ def validate_case(case: NetworkCase):
                 raise CaseValidationError(f"branch {br.label()}: unknown bus {end}")
         if br.mva_rating <= 0:
             raise CaseValidationError(f"branch {br.label()}: rating must be positive")
+        if br.tap <= 0:
+            raise CaseValidationError(f"branch {br.label()}: tap must be positive")
     for g in case.generators:
         if g.bus not in id_set:
             raise CaseValidationError(f"generator at unknown bus {g.bus}")
@@ -301,6 +309,14 @@ def _parse_int(token, what, line_no):
         raise CaseFormatError(f"bad {what} {token!r}", line_no) from None
 
 
+def _parse_flag(token, line_no):
+    """An in_service column: 1 is in service, 0 is out, anything else an error."""
+    flag = _parse_int(token, "in_service flag", line_no)
+    if flag not in (0, 1):
+        raise CaseFormatError(f"bad in_service flag {token!r}", line_no)
+    return flag == 1
+
+
 def parse_case(text: str) -> NetworkCase:
     """Parse case-file text into a validated ``NetworkCase``."""
     base_mva = None
@@ -363,7 +379,7 @@ def parse_case(text: str) -> NetworkCase:
                 b_shunt=_parse_float(cols[4], "b_shunt", line_no),
                 tap=_parse_float(cols[5], "tap", line_no),
                 mva_rating=_parse_float(cols[6], "mva_rating", line_no),
-                in_service=bool(_parse_int(cols[7], "in_service flag", line_no)),
+                in_service=_parse_flag(cols[7], line_no),
                 circuit=_parse_int(cols[8], "circuit", line_no) if len(cols) == 9 else 1,
             ))
         elif section == "GEN":
@@ -375,7 +391,7 @@ def parse_case(text: str) -> NetworkCase:
                 q_min=_parse_float(cols[2], "q_min", line_no),
                 q_max=_parse_float(cols[3], "q_max", line_no),
                 p_max=_parse_float(cols[4], "p_max", line_no),
-                in_service=bool(_parse_int(cols[5], "in_service flag", line_no)),
+                in_service=_parse_flag(cols[5], line_no),
             ))
         elif section == "LOAD":
             if len(cols) != 3:
@@ -427,7 +443,7 @@ def render_case(case: NetworkCase) -> str:
 
 
 def load_case(path) -> NetworkCase:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return parse_case(fh.read())
 
 

@@ -64,6 +64,9 @@ class Optimizer:
         self.accum = np.zeros(n_params)  # sum of squared gradients (adagrad)
         self.m = np.zeros(n_params)  # first raw moment (adam/nadam)
         self.v = np.zeros(n_params)  # second raw moment
+        # scratch for the update arithmetic, so a step allocates only its result
+        self._a = np.empty(n_params)
+        self._b = np.empty(n_params)
 
     def _check_gradient(self, g, theta):
         g = np.asarray(g, dtype=float)
@@ -77,12 +80,21 @@ class Optimizer:
         return g
 
     def step(self, theta: np.ndarray, grad_fn):
-        """One update; returns (theta_next, delta)."""
+        """One update; returns (theta_next, delta).
+
+        The arithmetic runs in place on the optimizer's state and scratch
+        vectors, each operation in the order of its textbook expression
+        (noted beside it), so the results equal that expression's bit for
+        bit. ``delta`` is a copy the next step does not touch.
+        """
         cfg = self.cfg
         alg = cfg.algorithm
+        a, b, delta = self._a, self._b, self.prev_delta
         if alg in ("nag", "nag-m"):
-            lookahead = theta + cfg.momentum * self.prev_delta
-            g = self._check_gradient(grad_fn(lookahead), theta)
+            # lookahead = theta + momentum * prev_delta
+            np.multiply(cfg.momentum, delta, out=b)
+            np.add(theta, b, out=b)
+            g = self._check_gradient(grad_fn(b), theta)
         else:
             g = self._check_gradient(grad_fn(theta), theta)
 
@@ -90,23 +102,45 @@ class Optimizer:
         k = self.k
         if alg in ("sgd", "nag"):
             # nag takes its gradient at the lookahead point; its update itself
-            # has no momentum term
-            delta = -cfg.learning_rate * g
+            # has no momentum term: delta = -lr * g
+            np.multiply(-cfg.learning_rate, g, out=delta)
         elif alg in ("sgd-m", "nag-m"):
-            delta = cfg.momentum * self.prev_delta - cfg.learning_rate * g
+            # delta = momentum * prev_delta - lr * g
+            np.multiply(cfg.learning_rate, g, out=a)
+            delta *= cfg.momentum
+            delta -= a
         elif alg == "adagrad":
-            self.accum += g * g
-            delta = -cfg.learning_rate / (np.sqrt(self.accum) + cfg.eps) * g
+            # accum += g * g; delta = -lr / (sqrt(accum) + eps) * g
+            np.multiply(g, g, out=a)
+            self.accum += a
+            np.sqrt(self.accum, out=a)
+            a += cfg.eps
+            np.divide(-cfg.learning_rate, a, out=a)
+            np.multiply(a, g, out=delta)
         else:  # adam and nadam share the bias-corrected moments
-            self.m = cfg.beta1 * self.m + (1.0 - cfg.beta1) * g
-            self.v = cfg.beta2 * self.v + (1.0 - cfg.beta2) * g * g
-            m_hat = self.m / (1.0 - cfg.beta1 ** k)
-            v_hat = self.v / (1.0 - cfg.beta2 ** k)
+            # m = beta1 * m + (1 - beta1) * g; v = beta2 * v + (1 - beta2) * g * g
+            self.m *= cfg.beta1
+            np.multiply(1.0 - cfg.beta1, g, out=a)
+            self.m += a
+            self.v *= cfg.beta2
+            np.multiply(1.0 - cfg.beta2, g, out=a)
+            a *= g
+            self.v += a
+            # m_hat = m / (1 - beta1^k) in a; v_hat = v / (1 - beta2^k) in b
+            np.divide(self.m, 1.0 - cfg.beta1 ** k, out=a)
+            np.divide(self.v, 1.0 - cfg.beta2 ** k, out=b)
+            np.sqrt(b, out=b)
+            b += cfg.eps
             if alg == "adam":
-                delta = -cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+                # delta = -lr * m_hat / (sqrt(v_hat) + eps)
+                a *= -cfg.learning_rate
+                np.divide(a, b, out=delta)
             else:
-                nesterov_m = cfg.beta1 * m_hat + (1.0 - cfg.beta1) / (1.0 - cfg.beta1 ** k) * g
-                delta = -cfg.learning_rate / (np.sqrt(v_hat) + cfg.eps) * nesterov_m
-
-        self.prev_delta = delta
-        return theta + delta, delta
+                # delta = -lr / (sqrt(v_hat) + eps) * nesterov_m, with
+                # nesterov_m = beta1 * m_hat + (1 - beta1) / (1 - beta1^k) * g
+                np.divide(-cfg.learning_rate, b, out=b)
+                a *= cfg.beta1
+                np.multiply((1.0 - cfg.beta1) / (1.0 - cfg.beta1 ** k), g, out=delta)
+                np.add(a, delta, out=delta)
+                delta *= b
+        return theta + delta, delta.copy()

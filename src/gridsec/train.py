@@ -19,7 +19,7 @@ import numpy as np
 
 from . import mlp
 from .data import Dataset, load_dataset, split_dataset
-from .errors import ExperimentError, OptimizerError
+from .errors import ExperimentError, OptimizerError, open_text
 from .mlp import MlpArchitecture
 from .optim import ALGORITHMS, Optimizer, OptimizerConfig, default_config
 
@@ -224,7 +224,7 @@ def _check_checkpoints(cfg: ExperimentConfig):
             )
 
 
-def _standardized_splits(init_ds: Dataset, update_ds: Dataset, fraction, seed):
+def standardized_splits(init_ds: Dataset, update_ds: Dataset, fraction, seed):
     """Split both datasets and standardize everything with the
     initialization-phase training statistics. Returns (x, y) for the
     initialization train and test splits, then the update ones."""
@@ -235,12 +235,10 @@ def _standardized_splits(init_ds: Dataset, update_ds: Dataset, fraction, seed):
     return tuple((stats.apply(x), y) for x, y in xys)
 
 
-def run_single(cfg: ExperimentConfig, algorithm, seed, init_ds, update_ds) -> RunResult:
+def run_single(cfg: ExperimentConfig, algorithm, seed, splits) -> RunResult:
     """One algorithm, one seed: initialization phase then update phase with
-    continued optimizer state."""
-    init_train, init_test, upd_train, upd_test = _standardized_splits(
-        init_ds, update_ds, cfg.train_fraction, seed
-    )
+    continued optimizer state, on the seed's ``standardized_splits``."""
+    init_train, init_test, upd_train, upd_test = splits
     arch = MlpArchitecture(
         (init_train[0].shape[1], *cfg.hidden, 2), cfg.activation
     )
@@ -260,18 +258,20 @@ def run_single(cfg: ExperimentConfig, algorithm, seed, init_ds, update_ds) -> Ru
 
 def run_experiment(cfg: ExperimentConfig):
     """All configured algorithms x seeds; identical init and data order per
-    seed across algorithms. Returns {algorithm: [RunResult per seed]}."""
+    seed across algorithms, with the splits made once per seed. Returns
+    {algorithm: [RunResult per seed]}, in config order."""
     _check_checkpoints(cfg)
     try:
         init_ds = load_dataset(cfg.init_dataset)
         update_ds = load_dataset(cfg.update_dataset)
     except OSError as exc:
         raise ExperimentError(f"cannot read dataset: {exc}") from None
-    return {
-        algorithm: [run_single(cfg, algorithm, seed, init_ds, update_ds)
-                    for seed in cfg.seeds]
-        for algorithm in cfg.algorithms
-    }
+    results = {algorithm: [] for algorithm in cfg.algorithms}
+    for seed in cfg.seeds:
+        splits = standardized_splits(init_ds, update_ds, cfg.train_fraction, seed)
+        for algorithm in cfg.algorithms:
+            results[algorithm].append(run_single(cfg, algorithm, seed, splits))
+    return results
 
 
 def _eval_every_hits(epochs, eval_every):
@@ -320,7 +320,7 @@ def write_log(path, run: RunResult):
 
 
 def read_log(path) -> RunResult:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().strip()
         if header != LOG_HEADER:
             raise ExperimentError(f"{path}: not a training log")

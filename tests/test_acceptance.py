@@ -28,6 +28,7 @@ from gridsec.train import (
     PHASE_UPDATE,
     ExperimentConfig,
     run_single,
+    standardized_splits,
 )
 
 from tests.conftest import CSC_LINES, CSC_LINES_9BUS, TC_LINES
@@ -218,9 +219,10 @@ def experiment_results(case68):
         init_epochs=500, update_epochs=1000, eval_every=250,
         seeds=(0, 1, 2), hidden=(64, 32), activation="relu",
     )
+    splits = {seed: standardized_splits(init_ds, update_ds, cfg.train_fraction, seed)
+              for seed in cfg.seeds}
     results = {
-        alg: [run_single(cfg, alg, seed, init_ds, update_ds)
-              for seed in cfg.seeds]
+        alg: [run_single(cfg, alg, seed, splits[seed]) for seed in cfg.seeds]
         for alg in ALGORITHMS
     }
     return cfg, results, time.perf_counter() - start

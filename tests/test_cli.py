@@ -262,14 +262,44 @@ def test_parser_prog_name():
     assert build_parser().prog == "gridsec"
 
 
-@pytest.mark.parametrize("bad_file", ["case", "csc"])
+@pytest.mark.parametrize("bad_file", ["case", "csc", "tc", "configs", "config", "dataset", "log"])
 def test_non_utf8_input_exit_1(tmp_path, capsys, bad_file):
-    """A case or contingency list that is not UTF-8 text is one error line."""
-    files = {"case": CASE9, "csc": tmp_path / "csc.txt"}
-    _write_csc_list(files["csc"])
-    files[bad_file] = tmp_path / "latin1.txt"
-    files[bad_file].write_bytes(b"# caf\xe9\n")
-    code, _, err = run_cli(capsys, "gen-dataset", "--case", str(files["case"]), "--n", "2",
-                           "--csc-list", str(files["csc"]), "--out", str(tmp_path / "ds.csv"))
+    """An input file that is not UTF-8 text is one error line naming it."""
+    csc = tmp_path / "csc.txt"
+    _write_csc_list(csc)
+    ds = tmp_path / "ds.csv"
+    assert run_cli(capsys, "gen-dataset", "--case", CASE9, "--n", "4", "--seed", "0",
+                   "--csc-list", str(csc), "--out", str(ds))[0] == 0
+    (tmp_path / "logs").mkdir()
+    bad = tmp_path / ("logs/sgd_seed0.log.csv" if bad_file == "log" else "latin1.txt")
+    bad.write_bytes(b"# caf\xe9\n")
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[experiment]\ninit_dataset = {ds}\nupdate_dataset = {bad}\n")
+    gen = ["gen-dataset", "--n", "2", "--out", tmp_path / "out.csv"]
+    argv = {
+        "case": gen + ["--case", bad, "--csc-list", csc],
+        "csc": gen + ["--case", CASE9, "--csc-list", bad],
+        "tc": gen + ["--case", CASE9, "--csc-list", csc, "--tc-list", bad],
+        "configs": ["screen", "--case", CASE9, "--configs", bad, "--out", tmp_path / "out.csv"],
+        "config": ["train", "--config", bad, "--out-dir", tmp_path / "train"],
+        "dataset": ["train", "--config", ini, "--out-dir", tmp_path / "train"],
+        "log": ["report", "--log-dir", bad.parent],
+    }[bad_file]
+    code, _, err = run_cli(capsys, *map(str, argv))
     assert code == 1
-    assert err.startswith("error: 'utf-8' codec can't decode") and err.count("\n") == 1
+    assert err.startswith(f"error: {bad}: not UTF-8 text ('utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1 2 0.0 0.1 0.0 0.0 600.0 1", "branch 1-2: tap must be positive"),
+    ("1 2 0.0 0.1 0.0 1.0 600.0 7", "line 11: bad in_service flag '7'"),
+], ids=["tap-0", "flag-7"])
+def test_bad_case_value_exit_1(tmp_path, capsys, row, message):
+    """A zero tap or an in_service flag other than 0 or 1 is one error line."""
+    case = tmp_path / "bad.case"
+    case.write_text(open(CASE2, encoding="utf-8").read().replace(
+        "1 2 0.0 0.1 0.0 1.0 600.0 1", row))
+    code, _, err = run_cli(capsys, "case-validate", "--case", str(case))
+    assert code == 1
+    assert err == f"error: {message}\n"

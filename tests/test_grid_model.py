@@ -77,6 +77,23 @@ def test_non_finite_number_rejected(token):
         parse_case(bad)
 
 
+@pytest.mark.parametrize("tap", ["0.0", "-1.0"])
+def test_non_positive_tap_rejected(tap):
+    bad = MINIMAL.replace("1 2 0.0 0.1 0.0 1.0 600.0 1", f"1 2 0.0 0.1 0.0 {tap} 600.0 1")
+    with pytest.raises(CaseValidationError, match="branch 1-2: tap must be positive"):
+        parse_case(bad)
+
+
+@pytest.mark.parametrize("section, line, flag", [
+    ("BRANCH", 8, "7"), ("BRANCH", 8, "-1"), ("GEN", 10, "7"), ("GEN", 10, "-1"),
+])
+def test_in_service_flag_must_be_0_or_1(section, line, flag):
+    rows = {"BRANCH": "1 2 0.0 0.1 0.0 1.0 600.0 1", "GEN": "1 0.0 -500.0 500.0 600.0 1"}
+    bad = MINIMAL.replace(rows[section], rows[section][:-1] + flag)
+    with pytest.raises(CaseFormatError, match=f"line {line}: bad in_service flag '{flag}'"):
+        parse_case(bad)
+
+
 def test_missing_version_header():
     with pytest.raises(CaseFormatError, match="format_version"):
         parse_case(MINIMAL.replace("format_version: 1\n", ""))

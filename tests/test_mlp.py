@@ -166,3 +166,55 @@ def test_standardization_round_trip():
     assert np.allclose(z[:, live].std(axis=0), 1.0, atol=1e-9)
     assert np.allclose(z[:, 3], 0.0, atol=1e-12)
     assert stats.std[3] == 1.0  # zero-variance columns are pinned
+
+
+def _expression_loss_and_gradient(theta, arch, x, y):
+    """Forward pass and backpropagation as whole-array expressions, one
+    fresh array per operation: the oracle for ``loss_and_gradient``."""
+    pairs = unpack(theta, arch)
+    zs, activations = [], [x]
+    for li, (w, b) in enumerate(pairs):
+        z = activations[-1] @ w + b
+        zs.append(z)
+        if li < len(pairs) - 1:
+            a = np.maximum(z, 0.0) if arch.activation == "relu" else np.tanh(z)
+        else:
+            shifted = z - z.max(axis=1, keepdims=True)
+            expz = np.exp(shifted)
+            a = expz / expz.sum(axis=1, keepdims=True)
+        activations.append(a)
+    probs = activations[-1]
+    n = probs.shape[0]
+    loss = float(-np.mean(np.log(probs[np.arange(n), y] + np.finfo(float).tiny)))
+
+    grad = np.zeros_like(theta)
+    layout = param_layout(arch)
+    delta = probs.copy()
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    for li in range(len(pairs) - 1, -1, -1):
+        offset, fan_in, fan_out = layout[li]
+        grad_w = activations[li].T @ delta
+        grad_b = delta.sum(axis=0)
+        grad[offset:offset + fan_in * fan_out] = grad_w.ravel()
+        grad[offset + fan_in * fan_out:offset + (fan_in + 1) * fan_out] = grad_b
+        if li > 0:
+            z = zs[li - 1]
+            act_grad = (z > 0.0).astype(float) if arch.activation == "relu" \
+                else 1.0 - np.tanh(z) ** 2
+            delta = (delta @ pairs[li][0].T) * act_grad
+    return loss, grad
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("sizes, rows", [((4, 6, 3, 2), 16), ((353, 64, 32, 2), 60)])
+def test_loss_and_gradient_equals_expression_oracle(activation, sizes, rows):
+    arch = MlpArchitecture(sizes, activation)
+    rng = np.random.default_rng(rows)
+    theta = init_params(arch, seed=rows) + rng.normal(scale=0.1, size=arch.n_params)
+    x = rng.normal(size=(rows, sizes[0]))
+    y = rng.integers(0, 2, size=rows)
+    loss, grad = loss_and_gradient(theta, arch, x, y)
+    loss_ref, grad_ref = _expression_loss_and_gradient(theta, arch, x, y)
+    assert loss == loss_ref
+    assert np.array_equal(grad, grad_ref)

@@ -184,3 +184,70 @@ def test_default_learning_rates():
     assert default_config("adam").learning_rate == 0.001
     assert default_config("nadam").learning_rate == 0.001
     assert default_config("adagrad").learning_rate == 0.01
+
+
+class ExpressionOptimizer(Optimizer):
+    """The update as whole-array expressions, one fresh array per operation:
+    the oracle for the in-place arithmetic of ``Optimizer.step``."""
+
+    def step(self, theta, grad_fn):
+        cfg = self.cfg
+        alg = cfg.algorithm
+        if alg in ("nag", "nag-m"):
+            lookahead = theta + cfg.momentum * self.prev_delta
+            g = self._check_gradient(grad_fn(lookahead), theta)
+        else:
+            g = self._check_gradient(grad_fn(theta), theta)
+
+        self.k += 1
+        k = self.k
+        if alg in ("sgd", "nag"):
+            # nag takes its gradient at the lookahead point; its update itself
+            # has no momentum term
+            delta = -cfg.learning_rate * g
+        elif alg in ("sgd-m", "nag-m"):
+            delta = cfg.momentum * self.prev_delta - cfg.learning_rate * g
+        elif alg == "adagrad":
+            self.accum += g * g
+            delta = -cfg.learning_rate / (np.sqrt(self.accum) + cfg.eps) * g
+        else:  # adam and nadam share the bias-corrected moments
+            self.m = cfg.beta1 * self.m + (1.0 - cfg.beta1) * g
+            self.v = cfg.beta2 * self.v + (1.0 - cfg.beta2) * g * g
+            m_hat = self.m / (1.0 - cfg.beta1 ** k)
+            v_hat = self.v / (1.0 - cfg.beta2 ** k)
+            if alg == "adam":
+                delta = -cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            else:
+                nesterov_m = cfg.beta1 * m_hat + (1.0 - cfg.beta1) / (1.0 - cfg.beta1 ** k) * g
+                delta = -cfg.learning_rate / (np.sqrt(v_hat) + cfg.eps) * nesterov_m
+
+        self.prev_delta = delta
+        return theta + delta, delta
+
+
+GRADIENTS = {
+    # a new array that varies with the point and the step
+    "varying": lambda t: np.sin(3.0 * t) + 0.5 * t + 0.01 * np.cos(t.sum()),
+    # the point itself: for nag and nag-m, the lookahead the step passes in
+    "identity": lambda t: t,
+}
+
+
+@pytest.mark.parametrize("gradient", sorted(GRADIENTS))
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_step_equals_expression_oracle(algorithm, gradient):
+    """50 steps equal the expression form bit for bit, and a returned delta
+    stays as it was through the next step."""
+    grad = GRADIENTS[gradient]
+    cfg = default_config(algorithm)
+    opt, oracle = Optimizer(cfg, 257), ExpressionOptimizer(cfg, 257)
+    theta = theta_ref = np.random.default_rng(4).normal(size=257)
+    previous = None
+    for _ in range(50):
+        theta, delta = opt.step(theta, grad)
+        theta_ref, delta_ref = oracle.step(theta_ref, grad)
+        assert np.array_equal(theta, theta_ref)
+        assert np.array_equal(delta, delta_ref)
+        if previous is not None:
+            assert np.array_equal(previous[0], previous[1])
+        previous = (delta, delta.copy())

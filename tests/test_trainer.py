@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gridsec
 from gridsec import mlp
 from gridsec.data import Dataset, LabeledSample, SampleMeta
 from gridsec.errors import ExperimentError
 from gridsec.mlp import MlpArchitecture
-from gridsec.optim import Optimizer, OptimizerConfig, default_config
+from gridsec.optim import ALGORITHMS, Optimizer, OptimizerConfig, default_config
 from gridsec.security import Label
 from gridsec.train import (
     PHASE_INIT,
@@ -17,6 +23,7 @@ from gridsec.train import (
     run_experiment,
     run_phase,
     run_single,
+    standardized_splits,
     summarize,
     write_log,
 )
@@ -102,8 +109,8 @@ def small_config(init_path, update_path, **kw):
 def test_run_single_deterministic(tmp_path):
     init, update, ip, up = _save_datasets(tmp_path)
     cfg = small_config(ip, up)
-    a = run_single(cfg, "adam", 0, init, update)
-    b = run_single(cfg, "adam", 0, init, update)
+    a = run_single(cfg, "adam", 0, standardized_splits(init, update, 0.6, 0))
+    b = run_single(cfg, "adam", 0, standardized_splits(init, update, 0.6, 0))
     assert [(r.phase, r.epoch, r.loss) for r in a.rows] == \
            [(r.phase, r.epoch, r.loss) for r in b.rows]
 
@@ -111,7 +118,7 @@ def test_run_single_deterministic(tmp_path):
 def test_run_single_covers_both_phases(tmp_path):
     init, update, ip, up = _save_datasets(tmp_path)
     cfg = small_config(ip, up)
-    result = run_single(cfg, "sgd", 0, init, update)
+    result = run_single(cfg, "sgd", 0, standardized_splits(init, update, 0.6, 0))
     phases = {r.phase for r in result.rows}
     assert phases == {PHASE_INIT, PHASE_UPDATE}
     # accuracy lookup hits logged rows
@@ -126,12 +133,11 @@ def test_optimizer_state_continuity_matters(tmp_path, algorithm):
     differ from a replay that restarts with a fresh one."""
     init, update, ip, up = _save_datasets(tmp_path)
     cfg = small_config(ip, up, algorithms=(algorithm,))
-    continued = [r for r in run_single(cfg, algorithm, 0, init, update).rows
+    splits = standardized_splits(init, update, 0.6, 0)
+    continued = [r for r in run_single(cfg, algorithm, 0, splits).rows
                  if r.phase == PHASE_UPDATE]
 
-    from gridsec.train import _standardized_splits
-
-    it, ite, ut, ute = _standardized_splits(init, update, 0.6, 0)
+    it, ite, ut, ute = splits
     arch = MlpArchitecture((3, 6, 2), "tanh")
     opt = Optimizer(cfg.optimizer_config(algorithm), arch.n_params)
     theta, _ = run_phase(mlp.init_params(arch, 0), arch, opt, it, ite,
@@ -147,7 +153,7 @@ def test_optimizer_state_continuity_matters(tmp_path, algorithm):
 def test_log_round_trip(tmp_path):
     init, update, ip, up = _save_datasets(tmp_path)
     cfg = small_config(ip, up)
-    run = run_single(cfg, "sgd", 3, init, update)
+    run = run_single(cfg, "sgd", 3, standardized_splits(init, update, 0.6, 3))
     path = tmp_path / "run.log.csv"
     write_log(path, run)
     again = read_log(path)
@@ -170,7 +176,8 @@ def test_read_log_rejects_other_files(tmp_path):
 def test_summarize_shape(tmp_path):
     init, update, ip, up = _save_datasets(tmp_path)
     cfg = small_config(ip, up, init_epochs=20, update_epochs=40, eval_every=10)
-    results = {alg: [run_single(cfg, alg, s, init, update) for s in (0, 1)]
+    splits = {s: standardized_splits(init, update, 0.6, s) for s in (0, 1)}
+    results = {alg: [run_single(cfg, alg, s, splits[s]) for s in (0, 1)]
                for alg in cfg.algorithms}
     header, rows = summarize(results, cfg)
     assert header == ["algorithm", "init_10", "init_20",
@@ -284,3 +291,43 @@ def test_run_experiment_checks_code_built_config(tmp_path):
     results = run_experiment(small_config(ip, up, algorithms=("sgd",)))
     _, rows = summarize(results, small_config(ip, up))
     assert "div" not in rows[0]
+
+
+GOLDEN_LOG = Path(__file__).parent / "data" / "golden_train_log.csv"
+
+
+def _golden_run_log(tmp_path):
+    """The ``write_log`` bytes of every run of a 7-algorithm, 2-seed
+    ``gridsec train`` on the blob datasets, in config order. The run is a
+    subprocess at one BLAS thread, the condition of the determinism promise."""
+    _, _, ip, up = _save_datasets(tmp_path)
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"""\
+[experiment]
+init_dataset = {ip}
+update_dataset = {up}
+init_epochs = 40
+update_epochs = 40
+eval_every = 5
+seeds = 0 1
+hidden = 8 4
+""")
+    out_dir = tmp_path / "train"
+    src = str(Path(gridsec.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridsec.cli", "train", "--config", str(ini),
+         "--out-dir", str(out_dir)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return b"".join((out_dir / f"{algorithm}_seed{seed}.log.csv").read_bytes()
+                    for algorithm in ALGORITHMS for seed in (0, 1))
+
+
+def test_golden_training_log(tmp_path):
+    """Every logged loss and accuracy of all 7 algorithms equals the stored
+    log byte for byte: a change to the training step that moves any
+    parameter moves the ``loss`` column's 10 significant digits."""
+    assert _golden_run_log(tmp_path) == GOLDEN_LOG.read_bytes()
