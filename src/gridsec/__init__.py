@@ -13,14 +13,12 @@ from .model import (
     load_bundled_case,
     load_case,
     parse_case,
-    render_case,
 )
 from .powerflow import build_ybus, solve_powerflow, trace_pv_curve
 from .security import (
     Category,
     Label,
     OperatingLimits,
-    PivConfig,
     check_limits,
     classify_configuration,
     compute_piv,
@@ -31,9 +29,8 @@ __all__ = [
     "GridSecError",
     "Branch", "Bus", "BusKind", "Generator", "Load", "NetworkCase",
     "apply_outage", "load_bundled_case", "load_case", "parse_case",
-    "render_case",
     "build_ybus", "solve_powerflow", "trace_pv_curve",
-    "Category", "Label", "OperatingLimits", "PivConfig", "check_limits",
+    "Category", "Label", "OperatingLimits", "check_limits",
     "classify_configuration", "compute_piv", "run_contingency_screen",
 ]
 

@@ -122,13 +122,13 @@ def generate_oc(
     """Draw one converged operating condition.
 
     Every load's P and Q scale by an independent uniform factor in the
-    range; aggregate load change is rescheduled across non-slack generators.
-    Non-convergent draws are rejected and redrawn with the next seed in the
-    (rng_seed, attempt) stream. Returns (scaled case, solution, meta,
-    rejections).
+    range, whose bounds must be non-negative and finite; aggregate load
+    change is rescheduled across non-slack generators. Non-convergent draws
+    are rejected and redrawn with the next seed in the (rng_seed, attempt)
+    stream. Returns (scaled case, solution, meta, rejections).
     """
     lo, hi = scale_range
-    if lo > hi:
+    if not 0.0 <= lo <= hi < np.inf:
         raise DatasetError(f"bad scale range [{lo}, {hi}]")
     base_p, _ = case.total_load()
     for attempt in range(max_rejects + 1):
@@ -136,7 +136,7 @@ def generate_oc(
         factors = rng.uniform(lo, hi, size=len(case.loads))
         oc = scale_loads(case, factors)
         new_p, _ = oc.total_load()
-        oc = reschedule_generation(oc, new_p - base_p, strict=False)
+        oc = reschedule_generation(oc, new_p - base_p)
         if tc is not None:
             oc = apply_outage(oc, oc.find_branch(tc))
         solution = solve_powerflow(oc)

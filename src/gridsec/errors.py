@@ -30,10 +30,6 @@ class IslandingError(GridSecError):
         self.buses = frozenset(buses)
 
 
-class RescheduleError(GridSecError):
-    """Generation rescheduling requested beyond available capacity."""
-
-
 class SettingError(GridSecError, ValueError):
     """A solver, PV-curve or security-limit setting is out of range."""
 

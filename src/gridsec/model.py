@@ -1,4 +1,4 @@
-"""In-memory network model, case-file parsing/serialization, and topology edits.
+"""In-memory network model, case-file parsing, and topology edits.
 
 All quantities are carried in physical units (MW, MVar, kV) except branch
 impedances, which are per-unit on the system MVA base. Cases are immutable
@@ -16,7 +16,6 @@ from .errors import (
     CaseFormatError,
     CaseValidationError,
     IslandingError,
-    RescheduleError,
     open_text,
 )
 
@@ -230,14 +229,13 @@ def scale_loads(case: NetworkCase, factors) -> NetworkCase:
     return replace(case, loads=loads)
 
 
-def reschedule_generation(case: NetworkCase, delta_p: float, strict=True) -> NetworkCase:
+def reschedule_generation(case: NetworkCase, delta_p: float) -> NetworkCase:
     """Spread a load change over non-slack generators, capacity-proportional.
 
     Each in-service generator off the slack bus moves by
     ``delta_p * p_max_g / sum(p_max)``; units pinned at a bound have their
-    residual redistributed over the rest. With ``strict`` the residual that
-    no unit can absorb raises ``RescheduleError``; otherwise the slack picks
-    it up implicitly (used by the PV-curve tracer past generation limits).
+    residual redistributed over the rest. The slack picks up whatever no
+    unit can absorb, inside the power flow.
     """
     if delta_p == 0.0:
         return case
@@ -269,11 +267,6 @@ def reschedule_generation(case: NetworkCase, delta_p: float, strict=True) -> Net
         active -= pinned
         if not pinned and abs(remaining) > 1e-12:
             break  # nothing pinned but residual left: numerical dead end
-    if abs(remaining) > 1e-9 and strict:
-        raise RescheduleError(
-            f"rescheduling {delta_p:.1f} MW exceeds aggregate capacity "
-            f"(residual {remaining:.3f} MW)"
-        )
     new_gens = tuple(
         replace(g, p_mw=outputs[i]) if i in outputs else g
         for i, g in enumerate(gens)
@@ -412,34 +405,6 @@ def parse_case(text: str) -> NetworkCase:
     )
     validate_case(case)
     return case
-
-
-def render_case(case: NetworkCase) -> str:
-    """Serialize a case to the version-1 text format, round-trip exact."""
-    out = [f"format_version: {FORMAT_VERSION}", "[BASE]", repr(case.base_mva)]
-    out.append("[BUS]")
-    out.append("# id kind base_kv v_setpoint v_min v_max")
-    for b in case.buses:
-        v_set = "-" if b.v_setpoint is None else repr(b.v_setpoint)
-        out.append(f"{b.id} {b.kind.value} {b.base_kv!r} {v_set} {b.v_min!r} {b.v_max!r}")
-    out.append("[BRANCH]")
-    out.append("# from to r x b_shunt tap mva_rating in_service circuit")
-    for br in case.branches:
-        out.append(
-            f"{br.from_bus} {br.to_bus} {br.r!r} {br.x!r} {br.b_shunt!r} "
-            f"{br.tap!r} {br.mva_rating!r} {int(br.in_service)} {br.circuit}"
-        )
-    out.append("[GEN]")
-    out.append("# bus p_mw q_min q_max p_max in_service")
-    for g in case.generators:
-        out.append(
-            f"{g.bus} {g.p_mw!r} {g.q_min!r} {g.q_max!r} {g.p_max!r} {int(g.in_service)}"
-        )
-    out.append("[LOAD]")
-    out.append("# bus p_mw q_mvar")
-    for l in case.loads:
-        out.append(f"{l.bus} {l.p_mw!r} {l.q_mvar!r}")
-    return "\n".join(out) + "\n"
 
 
 def load_case(path) -> NetworkCase:

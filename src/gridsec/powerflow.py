@@ -301,8 +301,8 @@ def trace_pv_curve(case: NetworkCase, monitored_bus: int, step: float) -> PvCurv
     previous point. Tracing stops at the first non-converged solve, or past a
     multiplier of 50; the last converged multiplier is the nose.
     """
-    if step <= 0:
-        raise SettingError("step must be positive")
+    if not 0.0 < step < np.inf:
+        raise SettingError("step must be positive and finite")
     pos = case.bus_index().get(monitored_bus)
     if pos is None:
         raise CaseValidationError(f"no bus {monitored_bus} in case")
@@ -312,7 +312,7 @@ def trace_pv_curve(case: NetworkCase, monitored_bus: int, step: float) -> PvCurv
     scale = 1.0
     while scale <= 50.0 + 1e-12:
         scaled = scale_loads(case, scale)
-        scaled = reschedule_generation(scaled, (scale - 1.0) * base_p, strict=False)
+        scaled = reschedule_generation(scaled, (scale - 1.0) * base_p)
         sol = solve_powerflow(scaled, warm)
         if not sol.converged:
             break

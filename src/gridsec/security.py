@@ -23,6 +23,7 @@ from .model import NetworkCase, apply_outage
 from .powerflow import PowerFlowSolution, solve_powerflow
 
 PIV_THRESHOLD = 0.1
+PIV_DV_LIMIT = 0.05  # acceptable per-bus voltage deviation, per-unit
 TC_FLOW_DELTA_MW = 200.0
 
 
@@ -35,21 +36,6 @@ class Category(enum.Enum):
 class Label(enum.Enum):
     SECURE = "Secure"
     INSECURE = "Insecure"
-
-
-@dataclass(frozen=True)
-class PivConfig:
-    weights: float | tuple = 1.0  # scalar or per-bus
-    exponent: int = 1  # n; the index uses power 2n
-    dv_limit: float | tuple = 0.05  # acceptable per-bus deviation, per-unit
-
-    def __post_init__(self):
-        if self.exponent < 1:
-            raise SettingError("exponent must be >= 1")
-        if np.any(np.asarray(self.weights) < 0):
-            raise SettingError("weights must be non-negative")
-        if np.any(np.asarray(self.dv_limit) <= 0):
-            raise SettingError("dv_limit must be positive")
 
 
 @dataclass(frozen=True)
@@ -104,18 +90,13 @@ def _check_solutions(pre, post):
         raise GridSecError("pre and post solutions have different bus counts")
 
 
-def compute_piv(pre: PowerFlowSolution, post: PowerFlowSolution, cfg: PivConfig | None = None) -> float:
-    """Weighted even-power sum of post-vs-pre voltage deviations.
+def compute_piv(pre: PowerFlowSolution, post: PowerFlowSolution) -> float:
+    """Sum of squared post-vs-pre voltage deviations: PI_V with w = 1, n = 1.
 
-    Each bus contributes (w/2n) * (dV / dV_lim)^(2n).
+    Each bus contributes 0.5 * (dV / PIV_DV_LIMIT)^2.
     """
-    cfg = cfg or PivConfig()
     _check_solutions(pre, post)
-    n_bus = pre.v_mag.shape[0]
-    w = np.broadcast_to(np.asarray(cfg.weights, dtype=float), (n_bus,))
-    dv_lim = np.broadcast_to(np.asarray(cfg.dv_limit, dtype=float), (n_bus,))
-    ratio = (post.v_mag - pre.v_mag) / dv_lim
-    return float(np.sum(w / (2 * cfg.exponent) * ratio ** (2 * cfg.exponent)))
+    return float(np.sum(0.5 * ((post.v_mag - pre.v_mag) / PIV_DV_LIMIT) ** 2))
 
 
 def max_flow_delta_mw(pre: PowerFlowSolution, post: PowerFlowSolution, post_case: NetworkCase) -> float:
@@ -141,9 +122,8 @@ def classify_configuration(
     post: PowerFlowSolution,
     post_case: NetworkCase,
     configuration: str,
-    cfg: PivConfig | None = None,
 ) -> ConfigurationAssessment:
-    pi_v = compute_piv(pre, post, cfg)
+    pi_v = compute_piv(pre, post)
     delta = max_flow_delta_mw(pre, post, post_case)
     return ConfigurationAssessment(
         configuration=configuration,
@@ -191,7 +171,7 @@ def run_contingency_screen(
     limits: OperatingLimits | None = None,
     start=None,
 ) -> ScreenResult:
-    """Label one operating condition against a list of branch outages.
+    """Label one operating condition against a list of branch outage labels.
 
     Secure iff every contingency converges with no limit violations. The
     screen stops at the first contingency that fails: it decides the
@@ -206,9 +186,8 @@ def run_contingency_screen(
         raise GridSecError("no contingencies configured")
     limits = limits or OperatingLimits()
     details = []
-    for spec in csc_list:
-        name = spec if isinstance(spec, str) else case.branches[spec].label()
-        index = case.find_branch(spec) if isinstance(spec, str) else spec
+    for name in csc_list:
+        index = case.find_branch(name)
         if not case.branches[index].in_service:
             continue  # outage already part of the OC topology
         try:
@@ -238,11 +217,7 @@ def parse_contingency_list(text: str) -> list:
     return specs
 
 
-def screen_configurations(
-    case: NetworkCase,
-    config_specs,
-    cfg: PivConfig | None = None,
-) -> list:
+def screen_configurations(case: NetworkCase, config_specs) -> list:
     """Assess and categorize a list of candidate branch outages at the base
     operating point; results sorted by descending PI_V. Every solve starts
     flat."""
@@ -265,5 +240,5 @@ def screen_configurations(
                 ConfigurationAssessment(spec, float("inf"), float("inf"), Category.CSC)
             )
             continue
-        assessments.append(classify_configuration(base, post, outaged, spec, cfg))
+        assessments.append(classify_configuration(base, post, outaged, spec))
     return sorted(assessments, key=lambda a: -a.pi_v)

@@ -27,19 +27,6 @@ PHASE_INIT = "Initialization"
 PHASE_UPDATE = "Update"
 
 
-@dataclass(frozen=True)
-class PhasePlan:
-    name: str
-    epochs: int
-    eval_every: int = 100
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ExperimentError("epochs must be >= 1")
-        if self.eval_every < 1:
-            raise ExperimentError("eval_every must be >= 1")
-
-
 @dataclass
 class LogRow:
     phase: str
@@ -63,29 +50,30 @@ class RunResult:
         return float("nan")
 
 
-def run_phase(theta, arch, optimizer, train_xy, test_xy, plan: PhasePlan):
-    """Execute exactly plan.epochs optimizer steps on the full batch.
+def run_phase(theta, arch, optimizer, train_xy, test_xy, phase, epochs, eval_every):
+    """Execute exactly ``epochs`` optimizer steps on the full batch, logging
+    rows named ``phase``.
 
-    Logs every eval_every epochs plus the first and last. A non-finite loss
+    Logs every ``eval_every`` epochs plus the first and last. A non-finite loss
     marks the remaining epochs as divergent instead of raising. Returns
     (theta, rows).
     """
     x_train, y_train = train_xy
     x_test, y_test = test_xy
     grad_fn = lambda t: mlp.loss_and_gradient(t, arch, x_train, y_train)[1]
-    logged = _eval_every_hits(plan.epochs, plan.eval_every)
+    logged = _eval_every_hits(epochs, eval_every)
     rows = []
-    for epoch in range(1, plan.epochs + 1):
+    for epoch in range(1, epochs + 1):
         theta, _ = optimizer.step(theta, grad_fn)
         if not np.all(np.isfinite(theta)):
-            rows.append(LogRow(plan.name, epoch, float("nan"), float("nan"),
+            rows.append(LogRow(phase, epoch, float("nan"), float("nan"),
                                float("nan"), diverged=True))
             break
         if epoch in logged:
             train_eval = mlp.evaluate(theta, arch, x_train, y_train)
             test_eval = mlp.evaluate(theta, arch, x_test, y_test)
             diverged = not np.isfinite(train_eval["loss"])
-            rows.append(LogRow(plan.name, epoch, train_eval["loss"],
+            rows.append(LogRow(phase, epoch, train_eval["loss"],
                                train_eval["accuracy"], test_eval["accuracy"],
                                diverged))
             if diverged:
@@ -245,14 +233,10 @@ def run_single(cfg: ExperimentConfig, algorithm, seed, splits) -> RunResult:
     theta = mlp.init_params(arch, seed)
     optimizer = Optimizer(cfg.optimizer_config(algorithm), arch.n_params)
 
-    theta, init_rows = run_phase(
-        theta, arch, optimizer, init_train, init_test,
-        PhasePlan(PHASE_INIT, cfg.init_epochs, cfg.eval_every),
-    )
-    theta, upd_rows = run_phase(
-        theta, arch, optimizer, upd_train, upd_test,
-        PhasePlan(PHASE_UPDATE, cfg.update_epochs, cfg.eval_every),
-    )
+    theta, init_rows = run_phase(theta, arch, optimizer, init_train, init_test,
+                                 PHASE_INIT, cfg.init_epochs, cfg.eval_every)
+    theta, upd_rows = run_phase(theta, arch, optimizer, upd_train, upd_test,
+                                PHASE_UPDATE, cfg.update_epochs, cfg.eval_every)
     return RunResult(algorithm, seed, init_rows + upd_rows)
 
 
@@ -325,7 +309,6 @@ def read_log(path) -> RunResult:
         if header != LOG_HEADER:
             raise ExperimentError(f"{path}: not a training log")
         rows = []
-        algorithm, seed = "", 0
         for line_no, line in enumerate(fh, start=2):
             try:  # a wrong column count fails the unpacking
                 (algorithm, seed, phase, epoch, loss, train_acc, test_acc,
@@ -335,4 +318,6 @@ def read_log(path) -> RunResult:
                                    float(test_acc), diverged=bool(int(diverged))))
             except ValueError:
                 raise ExperimentError(f"{path}:{line_no}: bad log row {line.strip()!r}") from None
+    if not rows:
+        raise ExperimentError(f"{path}: no log rows")
     return RunResult(algorithm, seed, rows)

@@ -22,7 +22,7 @@ from gridsec.mlp import MlpArchitecture
 from gridsec.model import apply_outage, bundled_case_path, scale_loads
 from gridsec.optim import ALGORITHMS, Optimizer, OptimizerConfig
 from gridsec.powerflow import recompute_max_mismatch, solve_powerflow, trace_pv_curve
-from gridsec.security import Category, PivConfig, categorize, compute_piv
+from gridsec.security import Category, categorize, compute_piv
 from gridsec.train import (
     PHASE_INIT,
     PHASE_UPDATE,
@@ -156,10 +156,9 @@ def test_criterion_4_piv_and_decision_table():
         def __init__(self, vm):
             self.v_mag = np.asarray(vm, dtype=float)
 
-    cfg = PivConfig()
-    ok = abs(compute_piv(Sol([1.0, 0.98]), Sol([1.0, 0.98]), cfg)) <= 1e-12
-    ok &= abs(compute_piv(Sol([1.0, 1.0]), Sol([1.0, 0.95]), cfg) - 0.5) <= 1e-12
-    ok &= abs(compute_piv(Sol([1.0, 1.0]), Sol([0.95, 1.10]), cfg) - 2.5) <= 1e-12
+    ok = abs(compute_piv(Sol([1.0, 0.98]), Sol([1.0, 0.98]))) <= 1e-12
+    ok &= abs(compute_piv(Sol([1.0, 1.0]), Sol([1.0, 0.95])) - 0.5) <= 1e-12
+    ok &= abs(compute_piv(Sol([1.0, 1.0]), Sol([0.95, 1.10])) - 2.5) <= 1e-12
 
     table = [
         (0.0, 0.0, Category.NEGLIGIBLE),

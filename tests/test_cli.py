@@ -236,6 +236,16 @@ def test_report_bad_log_row_exit_1(tmp_path, capsys, row):
     assert f"sgd_seed0.log.csv:3: bad log row {row!r}" in err
 
 
+def test_report_header_only_log_exit_1(tmp_path, capsys):
+    good = RunResult("sgd", 0, [LogRow(PHASE_INIT, 1, 0.5, 0.9, 0.8),
+                                LogRow(PHASE_UPDATE, 1, 0.4, 0.9, 0.8)])
+    write_log(tmp_path / "sgd_seed0.log.csv", good)
+    write_log(tmp_path / "adam_seed0.log.csv", RunResult("adam", 0, []))
+    code, _, err = run_cli(capsys, "report", "--log-dir", str(tmp_path))
+    assert code == 1
+    assert "adam_seed0.log.csv: no log rows" in err
+
+
 @pytest.mark.parametrize("command, message", [
     (["gen-dataset", "--v-min", "1.2", "--v-max", "1.0"], "v_min must be below v_max"),
     (["gen-dataset", "--tc-mix", "1.5"], "tc_mix must lie in [0, 1]"),
@@ -243,6 +253,9 @@ def test_report_bad_log_row_exit_1(tmp_path, capsys, row):
     (["pv-curve", "--bus", "999"], "no bus 999 in case"),
     (["pv-curve", "--bus", "5", "--step", "0"], "step must be positive"),
     (["pv-curve", "--bus", "5", "--outage", "7-8:x"], "bad branch label '7-8:x'"),
+    (["pv-curve", "--bus", "5", "--step", "nan"], "step must be positive and finite"),
+    (["pv-curve", "--bus", "5", "--step", "inf"], "step must be positive and finite"),
+    (["gen-dataset", "--scale-lo", "-2", "--scale-hi", "-1"], "bad scale range [-2.0, -1.0]"),
 ])
 def test_bad_study_input_exit_1(tmp_path, capsys, command, message):
     """A bad value is one error line and exit 1, not a traceback."""

@@ -78,9 +78,12 @@ def test_generate_oc_applies_tc(case68):
     assert meta.tc == "54-55"
 
 
-def test_generate_oc_bad_range(case68):
+@pytest.mark.parametrize("scale_range", [
+    (1.1, 0.9), (-2.0, -1.0), (float("nan"), 1.0), (0.8, float("inf")),
+], ids=["reversed", "negative", "nan", "inf"])
+def test_generate_oc_bad_range(case68, scale_range):
     with pytest.raises(DatasetError, match="bad scale range"):
-        generate_oc(case68, (0, 0), scale_range=(1.1, 0.9))
+        generate_oc(case68, (0, 0), scale_range=scale_range)
 
 
 def test_build_dataset_deterministic(case68):
@@ -109,7 +112,7 @@ def rebuild_oc(case, meta):
     oc = scale_loads(case, np.array(meta.scale_factors))
     base_p, _ = case.total_load()
     new_p, _ = oc.total_load()
-    oc = reschedule_generation(oc, new_p - base_p, strict=False)
+    oc = reschedule_generation(oc, new_p - base_p)
     if meta.tc:
         oc = apply_outage(oc, oc.find_branch(meta.tc))
     return oc

@@ -3,12 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gridsec.errors import CaseFormatError, CaseValidationError, IslandingError, RescheduleError
+from gridsec.errors import CaseFormatError, CaseValidationError, IslandingError
 from gridsec.model import (
     BusKind,
     apply_outage,
     parse_case,
-    render_case,
     reschedule_generation,
     scale_loads,
 )
@@ -99,12 +98,6 @@ def test_missing_version_header():
         parse_case(MINIMAL.replace("format_version: 1\n", ""))
 
 
-@pytest.mark.parametrize("name", ["case2", "case9", "case68"])
-def test_render_parse_round_trip(name, request):
-    case = request.getfixturevalue(name)
-    assert parse_case(render_case(case)) == case
-
-
 def test_outage_islanding_two_bus(case2):
     with pytest.raises(IslandingError, match="outage disconnects bus set"):
         apply_outage(case2, 0)
@@ -170,8 +163,10 @@ format_version: 1
     total_delta = (big.generators[1].p_mw - 50.0) + (big.generators[2].p_mw - 50.0)
     assert total_delta == pytest.approx(260.0)
 
-    with pytest.raises(RescheduleError):
-        reschedule_generation(case, 500.0)
+    # beyond aggregate capacity: both units pin at p_max, the slack takes the rest
+    over = reschedule_generation(case, 500.0)
+    assert over.generators[1].p_mw == 100.0
+    assert over.generators[2].p_mw == 300.0
 
 
 def test_reschedule_waterfilling_oracle():

@@ -11,7 +11,6 @@ from gridsec.security import (
     Category,
     Label,
     OperatingLimits,
-    PivConfig,
     Violation,
     categorize,
     check_limits,
@@ -33,21 +32,21 @@ class FakeSolution:
 
 def test_piv_zero_when_voltages_unchanged():
     pre = FakeSolution([1.0, 0.97, 1.02])
-    assert compute_piv(pre, pre, PivConfig()) == pytest.approx(0.0, abs=1e-12)
+    assert compute_piv(pre, pre) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_piv_unit_deviation_closed_form():
     # one bus moved by exactly dv_limit: contribution w/(2n) * 1 = 0.5
     pre = FakeSolution([1.0, 1.0])
     post = FakeSolution([1.0, 0.95])
-    assert compute_piv(pre, post, PivConfig()) == pytest.approx(0.5, abs=1e-12)
+    assert compute_piv(pre, post) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_piv_sum_of_contributions():
     # deviations of 1x and 2x the limit: 0.5 * (1 + 4) = 2.5
     pre = FakeSolution([1.0, 1.0])
     post = FakeSolution([0.95, 1.10])
-    assert compute_piv(pre, post, PivConfig()) == pytest.approx(2.5, abs=1e-12)
+    assert compute_piv(pre, post) == pytest.approx(2.5, abs=1e-12)
 
 
 def test_piv_permutation_invariance():
@@ -55,28 +54,9 @@ def test_piv_permutation_invariance():
     pre = rng.uniform(0.95, 1.05, 12)
     post = pre + rng.uniform(-0.06, 0.06, 12)
     perm = rng.permutation(12)
-    a = compute_piv(FakeSolution(pre), FakeSolution(post), PivConfig())
-    b = compute_piv(FakeSolution(pre[perm]), FakeSolution(post[perm]), PivConfig())
+    a = compute_piv(FakeSolution(pre), FakeSolution(post))
+    b = compute_piv(FakeSolution(pre[perm]), FakeSolution(post[perm]))
     assert a == pytest.approx(b, abs=1e-12)
-
-
-def test_piv_exponent_scaling():
-    # doubling every deviation multiplies each term by 2^(2n)
-    rng = np.random.default_rng(4)
-    pre = rng.uniform(0.98, 1.02, 6)
-    dev = rng.uniform(-0.02, 0.02, 6)
-    for n in (1, 2, 3):
-        cfg = PivConfig(exponent=n)
-        small = compute_piv(FakeSolution(pre), FakeSolution(pre + dev), cfg)
-        big = compute_piv(FakeSolution(pre), FakeSolution(pre + 2 * dev), cfg)
-        assert big == pytest.approx(small * 2 ** (2 * n), rel=1e-9)
-
-
-def test_piv_weights():
-    pre = FakeSolution([1.0, 1.0])
-    post = FakeSolution([0.95, 0.95])
-    cfg = PivConfig(weights=np.array([2.0, 0.0]))
-    assert compute_piv(pre, post, cfg) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("piv,flow,expected", [
@@ -99,7 +79,7 @@ def test_classify_configuration_on_network(case68):
     post_case = apply_outage(case68, idx)
     post = solve_powerflow(post_case)
     assert pre.converged and post.converged
-    result = classify_configuration(pre, post, post_case, spec, PivConfig())
+    result = classify_configuration(pre, post, post_case, spec)
     assert result.pi_v > 0.1
     assert result.category in (Category.TC, Category.CSC)
     assert result.max_flow_delta_mw == pytest.approx(
@@ -261,7 +241,7 @@ def test_parse_contingency_list():
 
 
 def test_screen_configurations_ranked(case68, tc_and_csc_lines):
-    rows = screen_configurations(case68, tc_and_csc_lines, PivConfig())
+    rows = screen_configurations(case68, tc_and_csc_lines)
     pivs = [r.pi_v for r in rows]
     assert pivs == sorted(pivs, reverse=True)
     assert len(rows) == len(tc_and_csc_lines)

@@ -17,7 +17,6 @@ from gridsec.train import (
     PHASE_INIT,
     PHASE_UPDATE,
     ExperimentConfig,
-    PhasePlan,
     parse_experiment_config,
     read_log,
     run_experiment,
@@ -54,7 +53,7 @@ def test_single_sgd_step_contract():
     _, g = mlp.loss_and_gradient(theta0, arch, x, y)
     opt = Optimizer(OptimizerConfig("sgd", learning_rate=0.05), arch.n_params)
     theta1, rows = run_phase(theta0.copy(), arch, opt, (x, y), (x, y),
-                             PhasePlan("Initialization", 1))
+                             "Initialization", 1, 100)
     assert np.allclose(theta1, theta0 - 0.05 * g, atol=1e-15)
     assert len(rows) == 1 and rows[0].epoch == 1
 
@@ -66,7 +65,7 @@ def test_run_phase_log_cadence():
     theta = mlp.init_params(arch, seed=0)
     opt = Optimizer(default_config("sgd"), arch.n_params)
     _, rows = run_phase(theta, arch, opt, (x, y), (x, y),
-                        PhasePlan("Initialization", 25, eval_every=10))
+                        "Initialization", 25, 10)
     assert [r.epoch for r in rows] == [1, 10, 20, 25]
 
 
@@ -79,7 +78,7 @@ def test_run_phase_detects_divergence():
     opt = Optimizer(OptimizerConfig("sgd", learning_rate=1e305), arch.n_params)
     with np.errstate(over="ignore", invalid="ignore"):
         _, rows = run_phase(theta, arch, opt, (x, y), (x, y),
-                            PhasePlan("Initialization", 50, eval_every=10))
+                            "Initialization", 50, 10)
     assert rows[-1].diverged
     assert rows[-1].epoch < 50
 
@@ -141,11 +140,10 @@ def test_optimizer_state_continuity_matters(tmp_path, algorithm):
     arch = MlpArchitecture((3, 6, 2), "tanh")
     opt = Optimizer(cfg.optimizer_config(algorithm), arch.n_params)
     theta, _ = run_phase(mlp.init_params(arch, 0), arch, opt, it, ite,
-                         PhasePlan(PHASE_INIT, 40, 10))
-    update_plan = PhasePlan(PHASE_UPDATE, 40, 10)
+                         PHASE_INIT, 40, 10)
     fresh = Optimizer(cfg.optimizer_config(algorithm), arch.n_params)
-    _, rows_fresh = run_phase(theta.copy(), arch, fresh, ut, ute, update_plan)
-    _, rows_same = run_phase(theta, arch, opt, ut, ute, update_plan)
+    _, rows_fresh = run_phase(theta.copy(), arch, fresh, ut, ute, PHASE_UPDATE, 40, 10)
+    _, rows_same = run_phase(theta, arch, opt, ut, ute, PHASE_UPDATE, 40, 10)
     assert continued == rows_same  # LogRow equality: every field, bit for bit
     assert continued != rows_fresh
 
