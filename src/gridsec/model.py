@@ -2,7 +2,10 @@
 
 All quantities are carried in physical units (MW, MVar, kV) except branch
 impedances, which are per-unit on the system MVA base. Cases are immutable
-values: every edit returns a new ``NetworkCase``.
+values: every edit returns a new ``NetworkCase``. Each case carries one
+cached array view (``NetworkCase.arrays``, see ``arrays``) that the solver
+reads; an edit hands the new case the parts of its view that it leaves
+unchanged.
 """
 
 from __future__ import annotations
@@ -11,7 +14,10 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
+from types import MappingProxyType
 
+from .arrays import CaseArrays
 from .errors import (
     CaseFormatError,
     CaseValidationError,
@@ -79,9 +85,14 @@ class NetworkCase:
     generators: tuple[Generator, ...]
     loads: tuple[Load, ...]
 
+    @cached_property
+    def arrays(self) -> CaseArrays:
+        """The case's derived arrays, built once per case (``CaseArrays``)."""
+        return CaseArrays(self)
+
     def bus_index(self):
-        """Map bus id -> position in ``buses``."""
-        return {b.id: i for i, b in enumerate(self.buses)}
+        """Read-only map bus id -> position in ``buses``."""
+        return MappingProxyType(self.arrays.topology.bus_index)
 
     def slack_bus(self):
         for b in self.buses:
@@ -112,6 +123,12 @@ class NetworkCase:
             if {br.from_bus, br.to_bus} == {a, b} and br.circuit == circuit:
                 return i
         raise CaseValidationError(f"no branch {spec!r} in case")
+
+
+def _with_arrays(case: NetworkCase, topology, injections=None) -> NetworkCase:
+    """Seed an edited ``case``'s view with what the edit left unchanged."""
+    case.__dict__["arrays"] = CaseArrays(case, topology, injections)
+    return case
 
 
 def connected_buses(case: NetworkCase):
@@ -156,6 +173,7 @@ def validate_case(case: NetworkCase):
             raise CaseValidationError(f"bus {b.id}: v_min must be below v_max")
         if b.kind is not BusKind.PQ and b.v_setpoint is None:
             raise CaseValidationError(f"bus {b.id}: {b.kind.value} bus needs v_setpoint")
+    circuits = {}
     for br in case.branches:
         if br.x == 0.0:
             raise CaseValidationError(f"branch {br.label()}: zero reactance")
@@ -168,6 +186,13 @@ def validate_case(case: NetworkCase):
             raise CaseValidationError(f"branch {br.label()}: rating must be positive")
         if br.tap <= 0:
             raise CaseValidationError(f"branch {br.label()}: tap must be positive")
+        # find_branch reads labels either way round, so a second branch on
+        # the same ends and circuit could never be named
+        first = circuits.setdefault((min(br.from_bus, br.to_bus), max(br.from_bus, br.to_bus),
+                                     br.circuit), br)
+        if first is not br:
+            raise CaseValidationError(
+                f"branch {br.label()}: same ends and circuit as branch {first.label()}")
     for g in case.generators:
         if g.bus not in id_set:
             raise CaseValidationError(f"generator at unknown bus {g.bus}")
@@ -206,12 +231,13 @@ def apply_outage(case: NetworkCase, branch_index: int) -> NetworkCase:
         raise CaseValidationError("branch already out of service")
     branches = list(case.branches)
     branches[branch_index] = replace(br, in_service=False)
-    outaged = replace(case, branches=tuple(branches))
-    reachable = connected_buses(outaged)
-    lost = sorted(b.id for b in case.buses if b.id not in reachable)
-    if lost:
+    outaged = NetworkCase(case.base_mva, case.buses, tuple(branches), case.generators, case.loads)
+    view = case.arrays
+    if branch_index in view.topology.bridges:
+        reachable = connected_buses(outaged)
+        lost = sorted(b.id for b in case.buses if b.id not in reachable)
         raise IslandingError(f"outage disconnects bus set {set(lost)}", lost)
-    return outaged
+    return _with_arrays(outaged, view.topology.without(branch_index), view.injections)
 
 
 def scale_loads(case: NetworkCase, factors) -> NetworkCase:
@@ -223,10 +249,10 @@ def scale_loads(case: NetworkCase, factors) -> NetworkCase:
     if len(factors) != len(case.loads):
         raise CaseValidationError("one scale factor per load required")
     loads = tuple(
-        replace(l, p_mw=l.p_mw * f, q_mvar=l.q_mvar * f)
-        for l, f in zip(case.loads, factors)
+        Load(l.bus, l.p_mw * f, l.q_mvar * f) for l, f in zip(case.loads, factors)
     )
-    return replace(case, loads=loads)
+    scaled = NetworkCase(case.base_mva, case.buses, case.branches, case.generators, loads)
+    return _with_arrays(scaled, case.arrays.topology)
 
 
 def reschedule_generation(case: NetworkCase, delta_p: float) -> NetworkCase:
@@ -268,10 +294,12 @@ def reschedule_generation(case: NetworkCase, delta_p: float) -> NetworkCase:
         if not pinned and abs(remaining) > 1e-12:
             break  # nothing pinned but residual left: numerical dead end
     new_gens = tuple(
-        replace(g, p_mw=outputs[i]) if i in outputs else g
+        Generator(g.bus, outputs[i], g.q_min, g.q_max, g.p_max, g.in_service)
+        if i in outputs else g
         for i, g in enumerate(gens)
     )
-    return replace(case, generators=new_gens)
+    moved = NetworkCase(case.base_mva, case.buses, case.branches, new_gens, case.loads)
+    return _with_arrays(moved, case.arrays.topology)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Newton-Raphson AC power flow and a stepwise load-scaling PV-curve tracer.
 
 The solver works in polar coordinates on the full complex bus-admittance
-matrix. The pi-branch model lives in one branch table, which feeds both the
-admittance matrix and the branch flows. Reactive-limit switching is one-way:
-a PV bus whose generators would exceed their Q capability is pinned there as
-a PQ bus and never switches back to PV within the solve. Non-convergence
-is an outcome, not an exception: downstream screening treats a diverged
-post-contingency solve as an Insecure label.
+matrix. It reads the case through its cached array view
+(``NetworkCase.arrays``): one branch table feeds both the admittance matrix
+and the branch flows, and the bus spec comes from the same view.
+Reactive-limit switching is one-way: a PV bus whose generators would exceed
+their Q capability is pinned there as a PQ bus and never switches back to PV
+within the solve. Non-convergence is an outcome, not an exception:
+downstream screening treats a diverged post-contingency solve as an Insecure
+label.
 """
 
 from __future__ import annotations
@@ -48,35 +50,10 @@ class PvCurve:
     nose_scale: float  # last converged multiplier
 
 
-class _BranchTable(NamedTuple):
-    """In-service branches: positions in ``case.branches``, end-bus positions
-    and pi-model stamps with the off-nominal tap on the from side."""
-
-    pos: np.ndarray
-    f: np.ndarray
-    t: np.ndarray
-    yff: np.ndarray
-    yft: np.ndarray  # also y_tf: the tap is real
-    ytt: np.ndarray
-
-
-def _branch_table(case: NetworkCase) -> _BranchTable:
-    idx = case.bus_index()
-    live = [(k, br) for k, br in enumerate(case.branches) if br.in_service]
-    ends = np.array([(k, idx[br.from_bus], idx[br.to_bus]) for k, br in live], dtype=int)
-    stamps = np.zeros((len(live), 3), dtype=complex)
-    for row, (_, br) in zip(stamps, live):
-        ys = 1.0 / complex(br.r, br.x)
-        bc = 1j * br.b_shunt / 2.0
-        row[:] = (ys + bc) / (br.tap * br.tap), -ys / br.tap, ys + bc
-    return _BranchTable(*ends.reshape(-1, 3).T, *stamps.T)
-
-
-def build_ybus(case: NetworkCase, table: _BranchTable | None = None) -> np.ndarray:
+def build_ybus(case: NetworkCase) -> np.ndarray:
     """Dense complex bus-admittance matrix; standard pi model with the
-    off-nominal tap on the from side. ``table`` reuses the case's branch
-    table when the caller already holds it."""
-    tb = _branch_table(case) if table is None else table
+    off-nominal tap on the from side."""
+    tb = case.arrays.branches
     y = np.zeros((len(case.buses),) * 2, dtype=complex)
     # Stamps go in per branch as ff, tt, ft, tf; np.add.at sums repeated cells
     # in index order, so each entry adds up its branches in case order.
@@ -99,24 +76,12 @@ class _BusSpec(NamedTuple):
 
 
 def _bus_spec(case: NetworkCase) -> _BusSpec:
-    n = len(case.buses)
-    idx = case.bus_index()
-    gens = [g for g in case.generators if g.in_service]
-    gen_bus = np.array([idx[g.bus] for g in gens], dtype=int)
-    load_bus = np.array([idx[l.bus] for l in case.loads], dtype=int)
-    p, qmin, qmax, p_load, q_load = np.zeros((5, n))
-    np.add.at(p, gen_bus, [g.p_mw for g in gens])
-    np.add.at(qmin, gen_bus, [g.q_min for g in gens])
-    np.add.at(qmax, gen_bus, [g.q_max for g in gens])
-    np.add.at(p_load, load_bus, [l.p_mw for l in case.loads])
-    np.add.at(q_load, load_bus, [l.q_mvar for l in case.loads])
-    has_gen = np.zeros(n, dtype=bool)
-    has_gen[gen_bus] = True
-    s_spec = ((p - p_load) + 1j * (0.0 - q_load)) / case.base_mva
-    kinds = np.array([b.kind for b in case.buses], dtype=object)
-    vset = np.array([b.v_setpoint if b.v_setpoint is not None else 1.0 for b in case.buses])
-    return _BusSpec(s_spec, kinds, vset, qmin / case.base_mva, qmax / case.base_mva,
-                    q_load / case.base_mva, has_gen)
+    """The case's bus spec; ``s_spec`` and ``kinds`` are copies, which a
+    Q-limit pin may rewrite."""
+    view = case.arrays
+    inj = view.injections
+    return _BusSpec(inj.s_spec.copy(), view.topology.kinds.copy(), view.topology.vset,
+                    inj.qg_min, inj.qg_max, inj.q_load, inj.has_gen)
 
 
 def _index_sets(kinds):
@@ -173,9 +138,10 @@ def jacobian(ybus, v, pvpq, pq):
     return full[rows][:, rows]
 
 
-def _branch_flows(case, table, v):
+def _branch_flows(case, v):
     """Rows p_from, q_from, p_to, q_to (MW, MVar) and i_from (pu) by branch
     position; zero for out-of-service branches."""
+    table = case.arrays.branches
     v_f, v_t = v[table.f], v[table.t]
     i_from = table.yff * v_f + table.yft * v_t
     i_to = table.ytt * v_t + table.yft * v_f
@@ -197,8 +163,7 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
     """
     if tolerance <= 0:
         raise SettingError("tolerance must be positive")
-    table = _branch_table(case)
-    ybus = build_ybus(case, table)
+    ybus = build_ybus(case)
     spec = _bus_spec(case)
     n = len(case.buses)
 
@@ -263,7 +228,7 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
 
     v = vm * np.exp(1j * va)
     s = calc_injections(ybus, v) * case.base_mva
-    p_f, q_f, p_t, q_t, i_f = _branch_flows(case, table, v)
+    p_f, q_f, p_t, q_t, i_f = _branch_flows(case, v)
     return PowerFlowSolution(
         v_mag=np.abs(v),
         v_ang=np.angle(v),

@@ -307,9 +307,12 @@ def test_non_utf8_input_exit_1(tmp_path, capsys, bad_file):
 @pytest.mark.parametrize("row, message", [
     ("1 2 0.0 0.1 0.0 0.0 600.0 1", "branch 1-2: tap must be positive"),
     ("1 2 0.0 0.1 0.0 1.0 600.0 7", "line 11: bad in_service flag '7'"),
-], ids=["tap-0", "flag-7"])
+    ("1 2 0.0 0.1 0.0 1.0 600.0 1\n2 1 0.0 0.1 0.0 1.0 600.0 1",
+     "branch 2-1: same ends and circuit as branch 1-2"),
+], ids=["tap-0", "flag-7", "duplicate-branch"])
 def test_bad_case_value_exit_1(tmp_path, capsys, row, message):
-    """A zero tap or an in_service flag other than 0 or 1 is one error line."""
+    """A zero tap, an in_service flag other than 0 or 1, or a second branch
+    on the same ends and circuit is one error line."""
     case = tmp_path / "bad.case"
     case.write_text(open(CASE2, encoding="utf-8").read().replace(
         "1 2 0.0 0.1 0.0 1.0 600.0 1", row))

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gridsec
 from gridsec.data import (
     Dataset,
     GenerationConfig,
@@ -15,7 +21,7 @@ from gridsec.data import (
     split_dataset,
 )
 from gridsec.errors import DatasetError
-from gridsec.model import apply_outage, reschedule_generation, scale_loads
+from gridsec.model import apply_outage, bundled_case_path, reschedule_generation, scale_loads
 from gridsec.powerflow import solve_powerflow
 from gridsec.security import Label, OperatingLimits, run_contingency_screen
 
@@ -232,3 +238,31 @@ def test_load_rejects_bad_feature(tmp_path, value):
     path.write_text(f"a,b,label\n1.0,2.0,0\n1.0,{value},0\n")
     with pytest.raises(DatasetError, match=r"ds\.csv:3: non-(finite|numeric) feature"):
         load_dataset(path)
+
+
+GOLDEN_DATASET = Path(__file__).parent / "data" / "golden_case68_dataset.csv"
+
+
+def test_golden_case68_dataset(tmp_path):
+    """A 60-sample case68 ``gridsec gen-dataset`` with 30% TCs and the 8
+    criterion-6 CSCs writes the stored CSV and ``.meta`` byte for byte. The
+    run is a subprocess at one BLAS thread, the condition of the determinism
+    promise. A change to the solver, the screen or the case edits that moves
+    any feature's last digit, or any label, fails here."""
+    tc_list, csc_list = tmp_path / "tc.txt", tmp_path / "csc.txt"
+    tc_list.write_text("\n".join(TC_LINES) + "\n")
+    csc_list.write_text("\n".join(CSC_LINES) + "\n")
+    out = tmp_path / "ds.csv"
+    src = str(Path(gridsec.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridsec.cli", "gen-dataset",
+         "--case", str(bundled_case_path("case68")), "--n", "60", "--seed", "300",
+         "--tc-mix", "0.3", "--tc-list", str(tc_list), "--csc-list", str(csc_list),
+         "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == GOLDEN_DATASET.read_bytes()
+    assert Path(f"{out}.meta").read_bytes() == Path(f"{GOLDEN_DATASET}.meta").read_bytes()

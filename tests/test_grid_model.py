@@ -5,12 +5,20 @@ import pytest
 
 from gridsec.errors import CaseFormatError, CaseValidationError, IslandingError
 from gridsec.model import (
+    Branch,
+    Bus,
     BusKind,
+    NetworkCase,
     apply_outage,
+    bundled_case_path,
+    connected_buses,
     parse_case,
     reschedule_generation,
     scale_loads,
 )
+from gridsec.powerflow import build_ybus, solve_powerflow
+
+from tests.conftest import TC_LINES
 
 MINIMAL = """\
 format_version: 1
@@ -91,6 +99,19 @@ def test_in_service_flag_must_be_0_or_1(section, line, flag):
     bad = MINIMAL.replace(rows[section], rows[section][:-1] + flag)
     with pytest.raises(CaseFormatError, match=f"line {line}: bad in_service flag '{flag}'"):
         parse_case(bad)
+
+
+def test_duplicate_branch_label_rejected():
+    # "4-1" and "1-4" name the same branch, so the second could never be
+    # outaged by label: find_branch("4-1") would return the first
+    text = bundled_case_path("case9").read_text(encoding="utf-8")
+    first = "1 4 0.0    0.0576 0.0   1.0 300.0 1\n"
+    bad = text.replace(first, first + "4 1 0.0 0.0576 0.0 1.0 300.0 1\n")
+    with pytest.raises(CaseValidationError,
+                       match="branch 4-1: same ends and circuit as branch 1-4"):
+        parse_case(bad)
+    # a second circuit on the same ends is a different branch
+    parse_case(text.replace(first, first + "4 1 0.0 0.0576 0.0 1.0 300.0 1 2\n"))
 
 
 def test_missing_version_header():
@@ -207,3 +228,95 @@ format_version: 1
     got = reschedule_generation(case, delta)
     for g, expected in zip(got.generators[1:], outputs):
         assert g.p_mw == pytest.approx(expected, abs=1e-2)
+
+
+# --- islanding from the bridge set ---------------------------------------------
+
+def _bfs_lost(case, k):
+    """Bus ids that a BFS from the slack misses once branch ``k`` is out, on a
+    case built cold from field values."""
+    branches = list(case.branches)
+    branches[k] = dataclasses.replace(branches[k], in_service=False)
+    cold = NetworkCase(case.base_mva, case.buses, tuple(branches), case.generators, case.loads)
+    return {b.id for b in case.buses} - connected_buses(cold)
+
+
+def check_outages(case):
+    """Every in-service branch islands iff the BFS misses a bus, and the
+    error names the missed set; returns (outages, islanding)."""
+    islanding = 0
+    live = case.in_service_branches()
+    for k in live:
+        lost = _bfs_lost(case, k)
+        if lost:
+            islanding += 1
+            with pytest.raises(IslandingError) as err:
+                apply_outage(case, k)
+            assert err.value.buses == lost
+        else:
+            assert not apply_outage(case, k).branches[k].in_service
+    return len(live), islanding
+
+
+def test_bridge_rule_matches_bfs_on_bundled_cases(case9, case68):
+    check_outages(case9)
+    totals = np.array(check_outages(case68))
+    for tc in TC_LINES:
+        totals += check_outages(apply_outage(case68, case68.find_branch(tc)))
+    assert totals.tolist() == [739, 93]
+
+
+# --- the cached array view ------------------------------------------------------
+
+def _cold(case):
+    """The same case rebuilt from its field values, so it inherits no view."""
+    return NetworkCase(case.base_mva, case.buses, case.branches, case.generators, case.loads)
+
+
+def _assert_same_as_cold(case):
+    cold = _cold(case)
+    assert "arrays" not in cold.__dict__
+    assert np.array_equal(build_ybus(case), build_ybus(cold))
+    warm, ref = solve_powerflow(case), solve_powerflow(cold)
+    for field in ("v_mag", "v_ang", "p_from", "q_from", "p_to", "q_to", "i_from"):
+        assert np.array_equal(getattr(warm, field), getattr(ref, field)), field
+    assert warm.q_limited == ref.q_limited
+
+
+def _outages(case):
+    for k in case.in_service_branches():
+        try:
+            yield apply_outage(case, k)
+        except IslandingError:
+            pass
+
+
+def test_views_equal_cold_rebuilds(case9, case68):
+    """Every view an edit hands on gives the solver what a cold case gives."""
+    oc = scale_loads(case68, np.linspace(0.85, 1.05, len(case68.loads)))
+    oc = reschedule_generation(oc, oc.total_load()[0] - case68.total_load()[0])
+    for case in (case9, case68, oc):
+        _assert_same_as_cold(case)
+        for outaged in _outages(case):
+            _assert_same_as_cold(outaged)
+
+
+def test_view_arrays_are_read_only(case9):
+    outaged = apply_outage(case9, case9.find_branch("4-5"))
+    for case in (case9, outaged, scale_loads(outaged, 1.1)):
+        view = case.arrays
+        arrays = [view.topology.kinds, view.topology.vset, *view.branches,
+                  *view.injections]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+    with pytest.raises(TypeError):
+        case9.bus_index()[1] = 5
+    # a solve pins Q limits in its own copy of the bus spec, not in the view
+    gens = (case9.generators[0], dataclasses.replace(case9.generators[1], q_max=2.0),
+            *case9.generators[2:])
+    tight = dataclasses.replace(case9, generators=gens)
+    s_spec, kinds = tight.arrays.injections.s_spec.copy(), tight.arrays.topology.kinds.copy()
+    assert solve_powerflow(tight).q_limited
+    assert np.array_equal(tight.arrays.injections.s_spec, s_spec)
+    assert np.array_equal(tight.arrays.topology.kinds, kinds)

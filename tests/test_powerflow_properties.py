@@ -1,10 +1,14 @@
-"""Property tests of the solver's reactive-limit switching."""
+"""Property tests of the solver's reactive-limit switching and of the
+islanding rule of branch outages."""
 
 import dataclasses
 
 import pytest
 
+from gridsec.model import Branch, Bus, BusKind, NetworkCase
 from gridsec.powerflow import TOLERANCE, recompute_max_mismatch, solve_powerflow
+
+from tests.test_grid_model import check_outages
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -38,3 +42,30 @@ def test_q_limit_pins_hold_their_bound(case9, limits, warm):
         assert pinned in (pytest.approx(q_min, abs=1e-12), pytest.approx(q_max, abs=1e-12))
         q_gen = (sol.q_inj[pos] + q_load.get(pos, 0.0)) / tight.base_mva
         assert q_gen == pytest.approx(pinned, abs=10 * TOLERANCE)
+
+
+@st.composite
+def multigraphs(draw):
+    """Random cases: a random spanning tree plus extra branches, some of them
+    parallel circuits, any of them possibly out of service (so some cases
+    are disconnected before the outage)."""
+    n = draw(st.integers(2, 9))
+    slack = draw(st.integers(0, n - 1))
+    buses = tuple(Bus(i + 1, BusKind.SLACK if i == slack else BusKind.PQ, 345.0, 1.0)
+                  for i in range(n))
+    ends = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+    ends += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] != e[1]), max_size=2 * n))
+    circuits = {}
+    branches = []
+    for a, b in ends:
+        circuit = circuits[frozenset((a, b))] = circuits.get(frozenset((a, b)), 0) + 1
+        in_service = draw(st.sampled_from((True, True, True, False)))
+        branches.append(Branch(a + 1, b + 1, 0.0, 0.1, in_service=in_service, circuit=circuit))
+    return NetworkCase(100.0, buses, tuple(branches), (), ())
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(case=multigraphs())
+def test_bridge_rule_matches_bfs(case):
+    check_outages(case)
