@@ -1,10 +1,12 @@
 """Read-only numpy arrays derived from a ``NetworkCase``, built once per case.
 
-The solver reads a case through these arrays: the bus index and bus arrays,
-the in-service branch table with its pi stamps, and the per-bus injection
-sums. ``model`` keeps one ``CaseArrays`` per case, and its edits hand the
-new case the parts they leave unchanged. The set of islanding branches
-comes from the same arrays.
+These arrays are the one source of a case's network layout: the bus index
+and bus arrays, the in-service branch table with its pi stamps, and the
+per-bus injection sums. The solver reads its bus spec from them, and the
+solver, the limit check, the flow-change rule and the feature layout index
+branches by ``CaseArrays.branches.pos``. ``model`` keeps one ``CaseArrays``
+per case, and its edits hand the new case the parts they leave unchanged.
+The set of islanding branches comes from the same arrays.
 """
 
 from __future__ import annotations

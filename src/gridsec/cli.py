@@ -32,7 +32,7 @@ def _resolve(path):
 def cmd_case_validate(args):
     case = load_case(_resolve(args.case))
     p, q = case.total_load()
-    in_service = len(case.in_service_branches())
+    in_service = len(case.arrays.branches.pos)
     print(f"buses: {len(case.buses)}")
     print(f"branches: {len(case.branches)} ({in_service} in service)")
     print(f"generators: {len(case.generators)}")
@@ -101,11 +101,12 @@ def cmd_gen_dataset(args):
     return 0
 
 
-def _write_summaries(results, cfg, out_dir):
-    """summary_train.csv and summary_test.csv in ``out_dir``; returns their paths."""
+def _write_summaries(results, epochs, out_dir):
+    """summary_train.csv and summary_test.csv at the checkpoint ``epochs`` in
+    ``out_dir``; returns their paths."""
     paths = []
     for split in ("train", "test"):
-        header, rows = train.summarize(results, cfg, split)
+        header, rows = train.summarize(results, epochs, split)
         paths.append(os.path.join(out_dir, f"summary_{split}.csv"))
         with open(paths[-1], "w", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
@@ -123,7 +124,8 @@ def cmd_train(args):
         for run in runs:
             path = os.path.join(args.out_dir, f"{algorithm}_seed{run.seed}.log.csv")
             train.write_log(path, run)
-    _write_summaries(results, cfg, args.out_dir)
+    _write_summaries(results, train.checkpoints(cfg.init_epochs, cfg.update_epochs),
+                     args.out_dir)
     print(f"wrote logs and summaries to {args.out_dir}")
     return 0
 
@@ -146,9 +148,8 @@ def cmd_report(args):
         if not epochs:
             raise ExperimentError(f"{args.log_dir}: no {phase} rows in the training logs")
         last[phase] = max(epochs)
-    cfg = train.ExperimentConfig("", "", init_epochs=last[train.PHASE_INIT],
-                                 update_epochs=last[train.PHASE_UPDATE])
-    for path in _write_summaries(by_alg, cfg, args.out or args.log_dir):
+    epochs = train.checkpoints(last[train.PHASE_INIT], last[train.PHASE_UPDATE])
+    for path in _write_summaries(by_alg, epochs, args.out or args.log_dir):
         print(f"wrote {path}")
     return 0
 

@@ -87,7 +87,7 @@ def feature_names(case: NetworkCase) -> list:
     in-service branch] ++ [p_from per branch] ++ [q_from per branch].
     """
     _, load_ids = _load_bus_positions(case)
-    labels = [case.branches[k].label() for k in case.in_service_branches()]
+    labels = [case.branches[k].label() for k in case.arrays.branches.pos.tolist()]
     names = [f"vm_bus{i}" for i in load_ids]
     names += [f"va_bus{i}" for i in load_ids]
     names += [f"imag_br{lab}" for lab in labels]
@@ -102,13 +102,13 @@ def extract_features(solution: PowerFlowSolution, base_case: NetworkCase) -> np.
     if not solution.converged:
         raise DatasetError("cannot extract features from a non-converged solution")
     pos, _ = _load_bus_positions(base_case)
-    branch_ids = base_case.in_service_branches()
+    live = base_case.arrays.branches.pos
     return np.concatenate([
         solution.v_mag[pos],
         solution.v_ang[pos],
-        solution.i_from[branch_ids],
-        solution.p_from[branch_ids],
-        solution.q_from[branch_ids],
+        solution.i_from[live],
+        solution.p_from[live],
+        solution.q_from[live],
     ])
 
 
@@ -182,6 +182,8 @@ def _build_dataset_once(
         raise DatasetError("n_samples must be >= 1")
     if not 0.0 <= config.tc_mix <= 1.0:
         raise DatasetError(f"tc_mix must lie in [0, 1], not {config.tc_mix}")
+    if config.seed < 0:
+        raise DatasetError(f"seed must be non-negative, not {config.seed}")
     if config.tc_mix > 0 and not config.tc_list:
         raise DatasetError("tc_mix > 0 needs a non-empty tc_list")
     if not config.csc_list:

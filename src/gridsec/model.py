@@ -100,9 +100,6 @@ class NetworkCase:
                 return b
         raise CaseValidationError("no slack bus")
 
-    def in_service_branches(self):
-        return [i for i, br in enumerate(self.branches) if br.in_service]
-
     def total_load(self):
         """(P_MW, Q_MVar) summed over all loads."""
         return (sum(l.p_mw for l in self.loads), sum(l.q_mvar for l in self.loads))

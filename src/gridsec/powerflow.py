@@ -2,8 +2,10 @@
 
 The solver works in polar coordinates on the full complex bus-admittance
 matrix. It reads the case through its cached array view
-(``NetworkCase.arrays``): one branch table feeds both the admittance matrix
-and the branch flows, and the bus spec comes from the same view.
+(``NetworkCase.arrays``), the one source of its layout: one branch table
+feeds both the admittance matrix and the branch flows, and the bus spec is
+read from the same view. A solve copies only the two arrays a Q-limit pin
+rewrites, ``s_spec`` and ``kinds``.
 Reactive-limit switching is one-way: a PV bus whose generators would exceed
 their Q capability is pinned there as a PQ bus and never switches back to PV
 within the solve. Non-convergence is an outcome, not an exception:
@@ -14,7 +16,6 @@ label.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -63,36 +64,16 @@ def build_ybus(case: NetworkCase) -> np.ndarray:
     return y
 
 
-class _BusSpec(NamedTuple):
-    """Per-bus spec in per-unit; a Q-limit pin rewrites ``s_spec`` and ``kinds``."""
-
-    s_spec: np.ndarray  # complex net injection
-    kinds: np.ndarray  # BusKind per bus
-    vset: np.ndarray  # voltage setpoint, 1.0 where none
-    qg_min: np.ndarray  # summed in-service generator Q bounds
-    qg_max: np.ndarray
-    q_load: np.ndarray
-    has_gen: np.ndarray
-
-
-def _bus_spec(case: NetworkCase) -> _BusSpec:
-    """The case's bus spec; ``s_spec`` and ``kinds`` are copies, which a
-    Q-limit pin may rewrite."""
-    view = case.arrays
-    inj = view.injections
-    return _BusSpec(inj.s_spec.copy(), view.topology.kinds.copy(), view.topology.vset,
-                    inj.qg_min, inj.qg_max, inj.q_load, inj.has_gen)
-
-
 def _index_sets(kinds):
     """(pvpq, pq): the buses whose angle, and whose magnitude, NR solves for."""
     return np.flatnonzero(kinds != BusKind.SLACK), np.flatnonzero(kinds == BusKind.PQ)
 
 
-def _pin_q(spec: _BusSpec, i, q_gen):
-    """Turn bus ``i`` into a PQ bus whose generators supply ``q_gen`` (pu)."""
-    spec.kinds[i] = BusKind.PQ
-    spec.s_spec[i] = spec.s_spec[i].real + 1j * (q_gen - spec.q_load[i])
+def _pin_q(s_spec, kinds, q_load, i, q_gen):
+    """Turn bus ``i`` into a PQ bus whose generators supply ``q_gen`` (pu):
+    rewrites ``s_spec`` and ``kinds``, which must be the caller's copies."""
+    kinds[i] = BusKind.PQ
+    s_spec[i] = s_spec[i].real + 1j * (q_gen - q_load[i])
 
 
 def calc_injections(ybus, v):
@@ -164,7 +145,8 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
     if tolerance <= 0:
         raise SettingError("tolerance must be positive")
     ybus = build_ybus(case)
-    spec = _bus_spec(case)
+    inj, topo = case.arrays.injections, case.arrays.topology
+    s_spec, kinds = inj.s_spec.copy(), topo.kinds.copy()
     n = len(case.buses)
 
     if start is not None:
@@ -173,11 +155,11 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
     else:
         vm = np.ones(n)
         va = np.zeros(n)
-    regulated = spec.kinds != BusKind.PQ
-    vm[regulated] = spec.vset[regulated]
-    va = va - va[spec.kinds == BusKind.SLACK][0]
+    regulated = kinds != BusKind.PQ
+    vm[regulated] = topo.vset[regulated]
+    va = va - va[kinds == BusKind.SLACK][0]
 
-    pvpq, pq = _index_sets(spec.kinds)
+    pvpq, pq = _index_sets(kinds)
     q_limited = []
     iterations = 0
     converged = False
@@ -190,18 +172,18 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
             # One switch check per iteration: pin any PV bus whose generators
             # would have to exceed their reactive capability. A pinned bus
             # stays PQ for the rest of the solve.
-            q_gen = s_bus.imag + spec.q_load
-            over = q_gen > spec.qg_max + 1e-9
-            under = q_gen < spec.qg_min - 1e-9
-            hits = np.flatnonzero((spec.kinds == BusKind.PV) & spec.has_gen & (over | under))
+            q_gen = s_bus.imag + inj.q_load
+            over = q_gen > inj.qg_max + 1e-9
+            under = q_gen < inj.qg_min - 1e-9
+            hits = np.flatnonzero((kinds == BusKind.PV) & inj.has_gen & (over | under))
             for i in hits:
-                pinned = spec.qg_max[i] if over[i] else spec.qg_min[i]
-                _pin_q(spec, i, pinned)
+                pinned = inj.qg_max[i] if over[i] else inj.qg_min[i]
+                _pin_q(s_spec, kinds, inj.q_load, i, pinned)
                 q_limited.append((int(i), pinned))
             if hits.size:
-                pvpq, pq = _index_sets(spec.kinds)
+                pvpq, pq = _index_sets(kinds)
 
-        f = _mismatch(s_bus, spec.s_spec, pvpq, pq)
+        f = _mismatch(s_bus, s_spec, pvpq, pq)
         max_mis = float(np.max(np.abs(f))) if f.size else 0.0
         if not np.isfinite(max_mis):
             diagnostic = "non-finite mismatch"
@@ -249,11 +231,12 @@ def recompute_max_mismatch(case: NetworkCase, solution: PowerFlowSolution) -> fl
     Replays the solution's Q-limit pins: those PV buses are PQ with the
     pinned reactive output.
     """
-    spec = _bus_spec(case)
+    inj = case.arrays.injections
+    s_spec, kinds = inj.s_spec.copy(), case.arrays.topology.kinds.copy()
     for i, pinned in solution.q_limited:
-        _pin_q(spec, i, pinned)
+        _pin_q(s_spec, kinds, inj.q_load, i, pinned)
     v = solution.v_mag * np.exp(1j * solution.v_ang)
-    f = mismatch_vector(build_ybus(case), v, spec.s_spec, *_index_sets(spec.kinds))
+    f = mismatch_vector(build_ybus(case), v, s_spec, *_index_sets(kinds))
     return float(np.max(np.abs(f))) if f.size else 0.0
 
 

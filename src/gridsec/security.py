@@ -8,7 +8,10 @@ are topology changes (TCs, folded into the operating condition itself), at
 Secure/Insecure label. The N-1 screen stops at the first contingency that
 fails, since that one decides the Insecure label. Dataset labelling
 warm-starts each contingency solve from the operating condition's own
-converged voltages.
+converged voltages. A contingency fails on a bus voltage outside the
+operating limits or a branch loaded above ``LOADING_LIMIT`` of its rating.
+The limit check and the flow-change rule take the in-service branches from
+the case's array view (``case.arrays.branches.pos``).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .powerflow import PowerFlowSolution, solve_powerflow
 PIV_THRESHOLD = 0.1
 PIV_DV_LIMIT = 0.05  # acceptable per-bus voltage deviation, per-unit
 TC_FLOW_DELTA_MW = 200.0
+LOADING_LIMIT = 1.0  # fraction of a branch's mva_rating
 
 
 class Category(enum.Enum):
@@ -42,7 +46,6 @@ class Label(enum.Enum):
 class OperatingLimits:
     v_min: float = 0.90
     v_max: float = 1.10
-    loading_limit: float = 1.0  # fraction of branch mva_rating
 
     def __post_init__(self):
         if not self.v_min < self.v_max:
@@ -102,9 +105,8 @@ def compute_piv(pre: PowerFlowSolution, post: PowerFlowSolution) -> float:
 def max_flow_delta_mw(pre: PowerFlowSolution, post: PowerFlowSolution, post_case: NetworkCase) -> float:
     """Largest per-branch |active flow change| in MW, over branches still in
     service after the configuration change."""
-    in_service = np.array([br.in_service for br in post_case.branches])
-    delta = np.abs(post.p_from - pre.p_from)
-    return float(np.max(delta[in_service])) if in_service.any() else 0.0
+    live = post_case.arrays.branches.pos
+    return float(np.max(np.abs(post.p_from[live] - pre.p_from[live]))) if live.size else 0.0
 
 
 def categorize(pi_v: float, flow_delta_mw: float) -> Category:
@@ -152,15 +154,15 @@ def check_limits(
     for pos in np.flatnonzero(low | high):
         kind, limit = ("low-voltage", limits.v_min) if low[pos] else ("high-voltage", limits.v_max)
         violations.append(Violation(kind, f"bus {case.buses[pos].id}", float(vm[pos]), limit))
-    live = np.array(case.in_service_branches(), dtype=int)
-    ratings = np.array([case.branches[k].mva_rating for k in live])
+    live = case.arrays.branches.pos
+    ratings = np.array([case.branches[k].mva_rating for k in live.tolist()])
     s_from = np.hypot(solution.p_from[live], solution.q_from[live])
     s_to = np.hypot(solution.p_to[live], solution.q_to[live])
     loading = np.maximum(s_from, s_to) / ratings
     violations += [
         Violation("overload", f"branch {case.branches[live[j]].label()}",
-                  float(loading[j]), limits.loading_limit)
-        for j in np.flatnonzero(loading > limits.loading_limit)
+                  float(loading[j]), LOADING_LIMIT)
+        for j in np.flatnonzero(loading > LOADING_LIMIT)
     ]
     return violations
 
@@ -188,7 +190,7 @@ def run_contingency_screen(
     details = []
     for name in csc_list:
         index = case.find_branch(name)
-        if not case.branches[index].in_service:
+        if index not in case.arrays.branches.pos:
             continue  # outage already part of the OC topology
         try:
             outaged = apply_outage(case, index)

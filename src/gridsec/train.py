@@ -96,15 +96,28 @@ class ExperimentConfig:
     overrides: dict = field(default_factory=dict)  # per-algorithm hyperparameters
 
     def __post_init__(self):
-        """Reject a phase length, split, seed list, algorithm list, network
-        shape, activation or optimizer setting before any dataset loads."""
+        """Reject a phase length, checkpoint cadence, split, seed list,
+        algorithm list, network shape, activation or optimizer setting
+        before any dataset loads."""
         for key in ("init_epochs", "update_epochs", "eval_every"):
             if getattr(self, key) < 1:
                 raise ExperimentError(f"{key} must be >= 1")
+        # an unlogged checkpoint epoch would read as diverged in ``summarize``
+        phases = zip(("init", "update"), (self.init_epochs, self.update_epochs),
+                     checkpoints(self.init_epochs, self.update_epochs))
+        for phase, epochs, epoch_list in phases:
+            unlogged = sorted(set(epoch_list) - _eval_every_hits(epochs, self.eval_every))
+            if unlogged:
+                raise ExperimentError(
+                    f"eval_every = {self.eval_every} leaves {phase} checkpoint epochs "
+                    f"{unlogged} unlogged"
+                )
         if not 0.0 < self.train_fraction < 1.0:
             raise ExperimentError("train_fraction must lie in (0, 1)")
         if not self.seeds:
             raise ExperimentError("seeds must not be empty")
+        if min(self.seeds) < 0:
+            raise ExperimentError(f"seeds must be non-negative, not {min(self.seeds)}")
         if not self.algorithms:
             raise ExperimentError("algorithms must not be empty")
         repeated = sorted({a for a in self.algorithms if self.algorithms.count(a) > 1})
@@ -126,12 +139,13 @@ class ExperimentConfig:
     def optimizer_config(self, algorithm) -> OptimizerConfig:
         return default_config(algorithm, **self.overrides.get(algorithm, {}))
 
-    def checkpoints(self):
-        """(init epochs, update epochs) mirroring the halves / quarters of
-        the reference table layout."""
-        init = (self.init_epochs // 2, self.init_epochs)
-        update = tuple(self.update_epochs * i // 4 for i in range(1, 5))
-        return init, update
+
+def checkpoints(init_epochs, update_epochs):
+    """(init epochs, update epochs) that ``summarize`` reports, mirroring the
+    halves / quarters of the reference table layout."""
+    init = (init_epochs // 2, init_epochs)
+    update = tuple(update_epochs * i // 4 for i in range(1, 5))
+    return init, update
 
 
 def _ints(text):
@@ -187,7 +201,7 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         overrides[section] = {
             key: _read(parser[section], key, float) for key in parser[section]
         }
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         init_dataset=exp["init_dataset"],
         update_dataset=exp["update_dataset"],
         algorithms=algorithms,
@@ -195,21 +209,6 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         **{key: _read(exp, key, convert)
            for key, convert in _EXPERIMENT_KEYS.items() if key in exp},
     )
-    _check_checkpoints(cfg)
-    return cfg
-
-
-def _check_checkpoints(cfg: ExperimentConfig):
-    """Reject an ``eval_every`` that leaves a checkpoint epoch unlogged:
-    ``summarize`` would report those cells as diverged."""
-    phases = zip(("init", "update"), (cfg.init_epochs, cfg.update_epochs), cfg.checkpoints())
-    for phase, epochs, checkpoints in phases:
-        unlogged = sorted(set(checkpoints) - _eval_every_hits(epochs, cfg.eval_every))
-        if unlogged:
-            raise ExperimentError(
-                f"eval_every = {cfg.eval_every} leaves {phase} checkpoint epochs "
-                f"{unlogged} unlogged"
-            )
 
 
 def standardized_splits(init_ds: Dataset, update_ds: Dataset, fraction, seed):
@@ -244,12 +243,14 @@ def run_experiment(cfg: ExperimentConfig):
     """All configured algorithms x seeds; identical init and data order per
     seed across algorithms, with the splits made once per seed. Returns
     {algorithm: [RunResult per seed]}, in config order."""
-    _check_checkpoints(cfg)
     try:
         init_ds = load_dataset(cfg.init_dataset)
         update_ds = load_dataset(cfg.update_dataset)
     except OSError as exc:
         raise ExperimentError(f"cannot read dataset: {exc}") from None
+    if init_ds.feature_names != update_ds.feature_names:
+        raise ExperimentError(
+            f"{cfg.init_dataset} and {cfg.update_dataset} have different feature columns")
     results = {algorithm: [] for algorithm in cfg.algorithms}
     for seed in cfg.seeds:
         splits = standardized_splits(init_ds, update_ds, cfg.train_fraction, seed)
@@ -264,14 +265,15 @@ def _eval_every_hits(epochs, eval_every):
     return {1, epochs, *range(eval_every, epochs + 1, eval_every)}
 
 
-def summarize(results, cfg: ExperimentConfig, split="train"):
-    """Median accuracy across seeds at the six checkpoint epochs.
+def summarize(results, epochs, split="train"):
+    """Median accuracy across seeds at the six checkpoint epochs ``epochs``,
+    an (init, update) pair from ``checkpoints``.
 
     Returns (header, rows): header like
     ['algorithm', 'init_1000', 'init_2000', 'update_1000', ...].
     Checkpoints must land on logged epochs; pick eval_every accordingly.
     """
-    init_cp, update_cp = cfg.checkpoints()
+    init_cp, update_cp = epochs
     header = (["algorithm"]
               + [f"init_{e}" for e in init_cp]
               + [f"update_{e}" for e in update_cp])

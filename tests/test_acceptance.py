@@ -27,6 +27,7 @@ from gridsec.train import (
     PHASE_INIT,
     PHASE_UPDATE,
     ExperimentConfig,
+    checkpoints,
     run_single,
     standardized_splits,
 )
@@ -229,9 +230,9 @@ def experiment_results(case68):
 
 def test_criterion_6_experiment_properties(experiment_results):
     cfg, results, elapsed = experiment_results
-    init_cp, update_cp = cfg.checkpoints()
-    checkpoints = [(PHASE_INIT, e) for e in init_cp] + \
-                  [(PHASE_UPDATE, e) for e in update_cp]
+    init_cp, update_cp = checkpoints(cfg.init_epochs, cfg.update_epochs)
+    cells = [(PHASE_INIT, e) for e in init_cp] + \
+            [(PHASE_UPDATE, e) for e in update_cp]
 
     def median_acc(alg, phase, epoch):
         values = [r.accuracy_at(phase, epoch) for r in results[alg]]
@@ -240,7 +241,7 @@ def test_criterion_6_experiment_properties(experiment_results):
     # (a) Adam dominates SGD at every checkpoint
     ok = all(
         median_acc("adam", phase, e) >= median_acc("sgd", phase, e)
-        for phase, e in checkpoints
+        for phase, e in cells
     )
 
     # (b) Adam ends the update phase at >= 0.95 training accuracy

@@ -256,6 +256,7 @@ def test_report_header_only_log_exit_1(tmp_path, capsys):
     (["pv-curve", "--bus", "5", "--step", "nan"], "step must be positive and finite"),
     (["pv-curve", "--bus", "5", "--step", "inf"], "step must be positive and finite"),
     (["gen-dataset", "--scale-lo", "-2", "--scale-hi", "-1"], "bad scale range [-2.0, -1.0]"),
+    (["gen-dataset", "--seed", "-1"], "seed must be non-negative, not -1"),
 ])
 def test_bad_study_input_exit_1(tmp_path, capsys, command, message):
     """A bad value is one error line and exit 1, not a traceback."""

@@ -126,7 +126,7 @@ def test_outage_islanding_two_bus(case2):
 
 def test_outage_68_bus_named_line(case68):
     outaged = apply_outage(case68, case68.find_branch("17-43"))
-    assert len(outaged.in_service_branches()) == 82
+    assert len(outaged.arrays.branches.pos) == 82
     # value semantics: original untouched
     assert all(br.in_service for br in case68.branches)
 
@@ -245,7 +245,7 @@ def check_outages(case):
     """Every in-service branch islands iff the BFS misses a bus, and the
     error names the missed set; returns (outages, islanding)."""
     islanding = 0
-    live = case.in_service_branches()
+    live = case.arrays.branches.pos.tolist()
     for k in live:
         lost = _bfs_lost(case, k)
         if lost:
@@ -284,7 +284,7 @@ def _assert_same_as_cold(case):
 
 
 def _outages(case):
-    for k in case.in_service_branches():
+    for k in case.arrays.branches.pos.tolist():
         try:
             yield apply_outage(case, k)
         except IslandingError:

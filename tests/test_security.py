@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gridsec.data import generate_oc
+from gridsec.data import extract_features, feature_names, generate_oc
 from gridsec.errors import GridSecError, IslandingError
-from gridsec.model import apply_outage, scale_loads
+from gridsec.model import NetworkCase, apply_outage, scale_loads
 from gridsec.powerflow import solve_powerflow
 from gridsec.security import (
+    LOADING_LIMIT,
     Category,
     Label,
     OperatingLimits,
@@ -99,10 +100,16 @@ def test_check_limits_flags_voltage(case9):
     assert any(v.kind == "high-voltage" for v in violations)
 
 
+def derated(case, factor):
+    """The case with every branch's ``mva_rating`` scaled by ``factor``."""
+    branches = tuple(dataclasses.replace(br, mva_rating=br.mva_rating * factor)
+                     for br in case.branches)
+    return NetworkCase(case.base_mva, case.buses, branches, case.generators, case.loads)
+
+
 def test_check_limits_flags_loading(case9):
-    sol = solve_powerflow(case9)
-    tight = OperatingLimits(loading_limit=0.2)
-    violations = check_limits(sol, case9, tight)
+    light = derated(case9, 0.2)
+    violations = check_limits(solve_powerflow(light), light)
     assert any(v.kind == "overload" for v in violations)
 
 
@@ -121,27 +128,64 @@ def loop_violations(solution, case, limits):
         s_from = float(np.hypot(solution.p_from[k], solution.q_from[k]))
         s_to = float(np.hypot(solution.p_to[k], solution.q_to[k]))
         loading = max(s_from, s_to) / br.mva_rating
-        if loading > limits.loading_limit:
+        if loading > LOADING_LIMIT:
             violations.append(
-                Violation("overload", f"branch {br.label()}", loading, limits.loading_limit))
+                Violation("overload", f"branch {br.label()}", loading, LOADING_LIMIT))
     return violations
 
 
+def with_flow_on(solution, positions):
+    """The solution with a 10 GW flow left on the branches at ``positions``."""
+    p_from = solution.p_from.copy()
+    p_from[list(positions)] = 1e4
+    return dataclasses.replace(solution, p_from=p_from)
+
+
 def test_check_limits_matches_loop_reference(case9):
-    k = case9.find_branch("6-9")
-    outaged = apply_outage(case9, k)
-    sol = solve_powerflow(outaged)
+    light = derated(case9, 0.3)
+    k = light.find_branch("6-9")
+    outaged = apply_outage(light, k)
     # a flow left on the switched-out branch must not count as an overload
-    p_from = sol.p_from.copy()
-    p_from[k] = 1e4
-    sol = dataclasses.replace(sol, p_from=p_from)
-    limits = OperatingLimits(v_min=1.0, v_max=1.02, loading_limit=0.3)
+    sol = with_flow_on(solve_powerflow(outaged), [k])
+    limits = OperatingLimits(v_min=1.0, v_max=1.02)
     got = check_limits(sol, outaged, limits)
     assert got == loop_violations(sol, outaged, limits)
     # buses by position, high and low interleaved, then branches by position
     assert [v.kind for v in got] == (["high-voltage"] * 3 + ["low-voltage"] * 2
                                      + ["high-voltage"] + ["overload"] * 5)
     assert "branch 6-9" not in {v.element for v in got}
+
+
+def loop_features(solution, base_case):
+    """Reference extract_features: one Python pass per channel."""
+    index = base_case.bus_index()
+    buses = [index[i] for i in sorted({l.bus for l in base_case.loads})]
+    live = [k for k, br in enumerate(base_case.branches) if br.in_service]
+    return np.array([solution.v_mag[i] for i in buses] + [solution.v_ang[i] for i in buses]
+                    + [solution.i_from[k] for k in live] + [solution.p_from[k] for k in live]
+                    + [solution.q_from[k] for k in live])
+
+
+def test_double_outage_read_through_the_view(case68):
+    """A TC topology plus a CSC outage: the view holds both outaged
+    positions, and the limit check, the flow-change rule and the measurement
+    vector skip both, as their loop references do."""
+    oc, pre, _, _ = generate_oc(case68, (7, 1), tc="18-42")
+    post_case = apply_outage(oc, oc.find_branch("18-49"))
+    out = post_case.arrays.topology.out
+    assert len(out) == 2
+    # flows left on the switched-out branches must count nowhere
+    post = with_flow_on(solve_powerflow(post_case, (pre.v_mag, pre.v_ang)), out)
+    limits = OperatingLimits(v_min=1.0, v_max=1.02)
+    violations = check_limits(post, post_case, limits)
+    assert violations == loop_violations(post, post_case, limits)
+    assert any(v.kind == "overload" for v in violations)
+    live = [k for k, br in enumerate(post_case.branches) if br.in_service]
+    assert max_flow_delta_mw(pre, post, post_case) == max(
+        abs(post.p_from[k] - pre.p_from[k]) for k in live)
+    for base in (case68, post_case):
+        assert np.array_equal(extract_features(post, base), loop_features(post, base))
+    assert len(feature_names(post_case)) == 2 * 52 + 3 * 81
 
 
 def test_screen_islanding_is_insecure(case2):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from gridsec.train import (
     PHASE_INIT,
     PHASE_UPDATE,
     ExperimentConfig,
+    checkpoints,
     parse_experiment_config,
     read_log,
     run_experiment,
@@ -177,7 +179,7 @@ def test_summarize_shape(tmp_path):
     splits = {s: standardized_splits(init, update, 0.6, s) for s in (0, 1)}
     results = {alg: [run_single(cfg, alg, s, splits[s]) for s in (0, 1)]
                for alg in cfg.algorithms}
-    header, rows = summarize(results, cfg)
+    header, rows = summarize(results, checkpoints(cfg.init_epochs, cfg.update_epochs))
     assert header == ["algorithm", "init_10", "init_20",
                       "update_10", "update_20", "update_30", "update_40"]
     assert len(rows) == 2
@@ -209,7 +211,7 @@ beta2 = 0.99
     assert cfg.optimizer_config("adam").learning_rate == 0.002
     assert cfg.optimizer_config("adam").beta2 == 0.99
     assert cfg.optimizer_config("sgd").learning_rate == 0.01
-    assert cfg.checkpoints() == ((250, 500), (250, 500, 750, 1000))
+    assert checkpoints(cfg.init_epochs, cfg.update_epochs) == ((250, 500), (250, 500, 750, 1000))
 
 
 # [experiment] lines or algorithm sections, and the error each must raise
@@ -235,6 +237,7 @@ BAD_VALUES = [
     ("train_fraction = 1.5", r"train_fraction must lie in \(0, 1\)"),
     ("train_fraction = 0", r"train_fraction must lie in \(0, 1\)"),
     ("seeds =", r"seeds must not be empty"),
+    ("seeds = 0 -1", r"seeds must be non-negative, not -1"),
     ("algorithms =", r"algorithms must not be empty"),
     ("algorithms = sgd adam sgd", r"algorithms lists sgd more than once"),
 ]
@@ -273,13 +276,12 @@ def test_parse_experiment_config_errors():
 
 def test_run_experiment_checks_code_built_config(tmp_path):
     _, _, ip, up = _save_datasets(tmp_path)
-    # init checkpoints are epochs 20 and 40; only 1, 30 and 40 are logged
-    cfg = small_config(ip, up, init_epochs=40, update_epochs=40, eval_every=30)
+    # a bad cadence, network or optimizer setting fails when the config is
+    # built; init checkpoints are epochs 20 and 40, only 1, 30 and 40 logged
     with pytest.raises(ExperimentError, match=r"leaves init checkpoint epochs \[20\] unlogged"):
-        run_experiment(cfg)
+        small_config(ip, up, init_epochs=40, update_epochs=40, eval_every=30)
     with pytest.raises(ExperimentError, match="eval_every must be >= 1"):
-        run_experiment(small_config(ip, up, eval_every=0))
-    # a bad network or optimizer setting fails when the config is built
+        small_config(ip, up, eval_every=0)
     with pytest.raises(ExperimentError, match="unknown activation"):
         small_config(ip, up, activation="sigmoid")
     with pytest.raises(ExperimentError, match=r"\[adam\] learning rate must be positive"):
@@ -287,8 +289,30 @@ def test_run_experiment_checks_code_built_config(tmp_path):
     with pytest.raises(ExperimentError, match="algorithms lists adam more than once"):
         small_config(ip, up, algorithms=("adam", "sgd", "adam"))
     results = run_experiment(small_config(ip, up, algorithms=("sgd",)))
-    _, rows = summarize(results, small_config(ip, up))
+    _, rows = summarize(results, checkpoints(40, 40))
     assert "div" not in rows[0]
+
+
+def _blobs_with_columns(names):
+    """Blob samples cut or padded to one feature per name in ``names``."""
+    return Dataset([LabeledSample(np.resize(s.features, len(names)), s.label, s.meta)
+                    for s in make_blobs(20, 0).samples], list(names))
+
+
+@pytest.mark.parametrize("update_columns", [["a", "b"], ["a", "b", "z"]],
+                         ids=["different-width", "renamed-column"])
+def test_run_experiment_rejects_mismatched_columns(tmp_path, update_columns):
+    """Training on an update dataset whose columns are not the init
+    dataset's is an error naming both files, not a broadcast traceback or a
+    silent run on mismatched features."""
+    from gridsec.data import save_dataset
+
+    ip, up = str(tmp_path / "init.csv"), str(tmp_path / "update.csv")
+    save_dataset(_blobs_with_columns(["a", "b", "c"]), ip)
+    save_dataset(_blobs_with_columns(update_columns), up)
+    with pytest.raises(ExperimentError,
+                       match=re.escape(f"{ip} and {up} have different feature columns")):
+        run_experiment(small_config(ip, up))
 
 
 GOLDEN_LOG = Path(__file__).parent / "data" / "golden_train_log.csv"
