@@ -1,12 +1,13 @@
 """Read-only numpy arrays derived from a ``NetworkCase``, built once per case.
 
 These arrays are the one source of a case's network layout: the bus index
-and bus arrays, the in-service branch table with its pi stamps, and the
-per-bus injection sums. The solver reads its bus spec from them, and the
-solver, the limit check, the flow-change rule and the feature layout index
-branches by ``CaseArrays.branches.pos``. ``model`` keeps one ``CaseArrays``
-per case, and its edits hand the new case the parts they leave unchanged.
-The set of islanding branches comes from the same arrays.
+and bus arrays, the in-service branch table with its pi stamps, DC
+susceptances and ratings, and the per-bus injection sums. The solver reads
+its bus spec from them, and the solver, the limit check, the flow-change
+rule, the contingency ranking and the feature layout index branches by
+``CaseArrays.branches.pos``. ``model`` keeps one ``CaseArrays`` per case,
+and its edits hand the new case the parts they leave unchanged. The set of
+islanding branches comes from the same arrays.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ def _read_only(a):
 
 
 class BranchTable(NamedTuple):
-    """In-service branches: positions in ``case.branches``, end-bus positions
-    and pi-model stamps with the off-nominal tap on the from side."""
+    """In-service branches: positions in ``case.branches``, end-bus positions,
+    pi-model stamps with the off-nominal tap on the from side, the DC
+    susceptance and the rating."""
 
     pos: np.ndarray
     f: np.ndarray
@@ -32,6 +34,8 @@ class BranchTable(NamedTuple):
     yff: np.ndarray
     yft: np.ndarray  # also y_tf: the tap is real
     ytt: np.ndarray
+    b_dc: np.ndarray  # 1 / (x tap), per-unit
+    rating: np.ndarray  # mva_rating, MVA
 
 
 class Injections(NamedTuple):
@@ -65,7 +69,9 @@ class Topology:
             ys = 1.0 / complex(br.r, br.x)
             bc = 1j * br.b_shunt / 2.0
             stamps.append(((ys + bc) / (br.tap * br.tap), -ys / br.tap, ys + bc))
-        columns = (*ends.reshape(-1, 3).T, *np.array(stamps, dtype=complex).reshape(-1, 3).T)
+        dc = np.array([(1.0 / (br.x * br.tap), br.mva_rating) for _, br in live], dtype=float)
+        columns = (*ends.reshape(-1, 3).T, *np.array(stamps, dtype=complex).reshape(-1, 3).T,
+                   *dc.reshape(-1, 2).T)
         return cls(
             index,
             _read_only(np.array([b.kind for b in case.buses], dtype=object)),

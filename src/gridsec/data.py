@@ -5,7 +5,9 @@ copy of the base case together with its converged power-flow solution. Each
 OC becomes one classifier sample: a fixed-layout measurement vector plus the
 Secure/Insecure outcome of screening it against the CSC list. The screen's
 post-contingency solves warm-start from the OC's solution, which needs fewer
-Newton-Raphson iterations than a flat start and reaches the same labels.
+Newton-Raphson iterations than a flat start and reaches the same labels, and
+the screen ranks the CSCs by that solution's flows. A TC that islands the
+base network or is also a CSC is rejected before sampling.
 """
 
 from __future__ import annotations
@@ -188,6 +190,7 @@ def _build_dataset_once(
         raise DatasetError("tc_mix > 0 needs a non-empty tc_list")
     if not config.csc_list:
         raise DatasetError("no contingencies configured")
+    _check_tc_list(case, config)
     n = config.n_samples
     n_tc = int(round(config.tc_mix * n))
     pick_rng = np.random.default_rng((config.seed, 0x7C))
@@ -205,8 +208,7 @@ def _build_dataset_once(
             max_rejects=config.max_rejects,
         )
         rejections += rejects
-        screen = run_contingency_screen(oc, config.csc_list, limits,
-                                        start=(solution.v_mag, solution.v_ang))
+        screen = run_contingency_screen(oc, solution, config.csc_list, limits)
         samples.append(LabeledSample(extract_features(solution, case), screen.label, meta))
     return Dataset(
         samples=samples,
@@ -214,6 +216,22 @@ def _build_dataset_once(
         provenance=config.digest(),
         rejections=rejections,
     )
+
+
+def _check_tc_list(case: NetworkCase, config: GenerationConfig):
+    """Reject a TC that islands the base network or is also a CSC: the
+    first cannot be drawn, the second would leave its samples nothing of
+    that contingency to screen."""
+    if not config.tc_list:
+        return
+    cscs = {case.find_branch(name): name for name in config.csc_list}
+    bridges = case.arrays.topology.bridges
+    for tc in config.tc_list:
+        k = case.find_branch(tc)
+        if k in bridges:
+            raise DatasetError(f"TC {tc} from the TC list islands the network")
+        if k in cscs:
+            raise DatasetError(f"branch {tc} is both a TC and a CSC ({cscs[k]})")
 
 
 def split_dataset(ds: Dataset, train_fraction: float, seed: int):

@@ -36,8 +36,6 @@ class PowerFlowSolution:
     p_to: np.ndarray
     q_to: np.ndarray
     i_from: np.ndarray  # per-unit current magnitude at the from end
-    p_inj: np.ndarray  # MW net injection per bus (gen - load)
-    q_inj: np.ndarray
     converged: bool
     iterations: int
     max_mismatch: float  # per-unit
@@ -209,14 +207,12 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
         iterations = iteration + 1
 
     v = vm * np.exp(1j * va)
-    s = calc_injections(ybus, v) * case.base_mva
     p_f, q_f, p_t, q_t, i_f = _branch_flows(case, v)
     return PowerFlowSolution(
         v_mag=np.abs(v),
         v_ang=np.angle(v),
         p_from=p_f, q_from=q_f, p_to=p_t, q_to=q_t,
         i_from=i_f,
-        p_inj=s.real, q_inj=s.imag,
         converged=converged,
         iterations=iterations,
         max_mismatch=max_mis,

@@ -5,13 +5,21 @@ performance index stays at or below 0.1 are negligible; above that they are
 split by flow impact: under 200 MW of worst-branch active-flow change they
 are topology changes (TCs, folded into the operating condition itself), at
 200 MW or more they are critical system contingencies (CSCs) that decide the
-Secure/Insecure label. The N-1 screen stops at the first contingency that
-fails, since that one decides the Insecure label. Dataset labelling
-warm-starts each contingency solve from the operating condition's own
-converged voltages. A contingency fails on a bus voltage outside the
-operating limits or a branch loaded above ``LOADING_LIMIT`` of its rating.
-The limit check and the flow-change rule take the in-service branches from
-the case's array view (``case.arrays.branches.pos``).
+Secure/Insecure label. A contingency fails on islanding, divergence, a bus
+voltage outside the operating limits or a branch loaded above
+``LOADING_LIMIT`` of its rating.
+
+The N-1 screen stops at the first contingency that fails, since that one
+decides the Insecure label. It screens in the DC contingency-selection order
+(Ejebe & Wollenberg, "Automatic Contingency Selection", IEEE Trans. PAS
+1979; Wood & Wollenberg, *Power Generation, Operation and Control*, ch. 7):
+islanding outages first, then the rest by descending predicted post-outage
+loading from line-outage distribution factors (LODFs) and the operating
+condition's own flows. Every contingency solve warm-starts from the
+operating condition's converged voltages, so each outcome, and hence the
+label, does not depend on the order. The limit check, the flow-change rule
+and the ranking read the in-service branches, their ratings and their DC
+susceptances from the case's array view (``case.arrays.branches``).
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridSecError, IslandingError, SettingError
-from .model import NetworkCase, apply_outage
+from .model import BusKind, NetworkCase, apply_outage
 from .powerflow import PowerFlowSolution, solve_powerflow
 
 PIV_THRESHOLD = 0.1
@@ -80,8 +88,9 @@ class ContingencyResult:
 @dataclass
 class ScreenResult:
     label: Label
-    # ContingencyResult per contingency screened, in list order; the screen
-    # stops at the first failure, so an Insecure result ends with it
+    # ContingencyResult per contingency screened, in ranked order (islanding
+    # outages first, then by descending predicted loading); the screen stops
+    # at the first failure, so an Insecure result ends with it
     details: list
     first_failure: str | None = None
 
@@ -154,11 +163,11 @@ def check_limits(
     for pos in np.flatnonzero(low | high):
         kind, limit = ("low-voltage", limits.v_min) if low[pos] else ("high-voltage", limits.v_max)
         violations.append(Violation(kind, f"bus {case.buses[pos].id}", float(vm[pos]), limit))
-    live = case.arrays.branches.pos
-    ratings = np.array([case.branches[k].mva_rating for k in live.tolist()])
+    tb = case.arrays.branches
+    live = tb.pos
     s_from = np.hypot(solution.p_from[live], solution.q_from[live])
     s_to = np.hypot(solution.p_to[live], solution.q_to[live])
-    loading = np.maximum(s_from, s_to) / ratings
+    loading = np.maximum(s_from, s_to) / tb.rating
     violations += [
         Violation("overload", f"branch {case.branches[live[j]].label()}",
                   float(loading[j]), LOADING_LIMIT)
@@ -167,42 +176,90 @@ def check_limits(
     return violations
 
 
+def predicted_loading(case: NetworkCase, p_from, outages) -> np.ndarray:
+    """DC estimate of each outage's worst post-outage branch loading.
+
+    For each in-service, non-islanding branch position ``k`` in ``outages``,
+    ``max_l |p_l + LODF_lk p_k| / rating_l`` over the other in-service
+    branches ``l``, where ``p_from`` holds the pre-outage active flows (MW,
+    by branch position). The PTDF columns of all outages come from one solve
+    of the slack-grounded DC susceptance matrix B' with one right-hand side
+    per outage, and ``LODF_lk = PTDF_lk / (1 - PTDF_kk)``.
+    """
+    tb = case.arrays.branches
+    kinds = case.arrays.topology.kinds
+    n = len(kinds)
+    # B' summed branch by branch into its flattened cells: diagonals, then off-diagonals
+    cells = np.concatenate([tb.f * (n + 1), tb.t * (n + 1), tb.f * n + tb.t, tb.t * n + tb.f])
+    b = np.bincount(cells, np.concatenate([tb.b_dc, tb.b_dc, -tb.b_dc, -tb.b_dc]),
+                    minlength=n * n).reshape(n, n)
+    rows = np.searchsorted(tb.pos, outages)  # table rows of the outaged branches
+    cols = np.arange(len(rows))
+    # a unit transfer from each outaged branch's from bus to its to bus
+    rhs = np.zeros((n, len(rows)))
+    rhs[tb.f[rows], cols] = 1.0
+    rhs[tb.t[rows], cols] = -1.0
+    # grounding the slack (angle 0) is solving the slack-reduced system
+    slack = np.flatnonzero(kinds == BusKind.SLACK)[0]
+    b[slack, :] = 0.0
+    b[:, slack] = 0.0
+    b[slack, slack] = 1.0
+    rhs[slack] = 0.0
+    theta = np.linalg.solve(b, rhs)
+    ptdf = tb.b_dc[:, None] * (theta[tb.f] - theta[tb.t])
+    p = p_from[tb.pos]
+    post = p[:, None] + ptdf / (1.0 - ptdf[rows, cols]) * p[rows]
+    post[rows, cols] = 0.0  # the outaged branch itself carries nothing
+    return np.max(np.abs(post) / tb.rating[:, None], axis=0)
+
+
 def run_contingency_screen(
     case: NetworkCase,
+    solution: PowerFlowSolution,
     csc_list,
     limits: OperatingLimits | None = None,
-    start=None,
 ) -> ScreenResult:
     """Label one operating condition against a list of branch outage labels.
 
-    Secure iff every contingency converges with no limit violations. The
-    screen stops at the first contingency that fails: it decides the
-    Insecure label and is ``first_failure``. Islanding outages are Insecure
-    without a solve attempt. A listed branch that is already out of service
-    in this OC's topology is skipped. ``start``, when set, is the
-    pre-contingency ``(v_mag, v_ang)``: every post-contingency solve starts
-    from it instead of a flat start.
+    ``solution`` is the OC's converged power flow. Secure iff every
+    contingency converges with no limit violations. A listed branch that is
+    already out of service in this OC's topology is skipped; a screen left
+    with no contingency raises ``GridSecError``. Islanding outages come
+    first and are Insecure without a solve attempt. The rest are screened by
+    descending ``predicted_loading`` from the solution's flows, ties in list
+    order, each solve warm-started from the solution's voltages. The screen
+    stops at the first contingency that fails: it decides the Insecure label
+    and is ``first_failure``.
     """
     csc_list = list(csc_list)
     if not csc_list:
         raise GridSecError("no contingencies configured")
+    if not solution.converged:
+        raise GridSecError("the screen needs the operating condition's converged solution")
     limits = limits or OperatingLimits()
+    live = case.arrays.branches.pos
+    pending = [(name, case.find_branch(name)) for name in csc_list]
+    pending = [(name, k) for name, k in pending if k in live]
+    if not pending:
+        raise GridSecError(
+            f"no contingency left to screen: {', '.join(csc_list)} already out of service")
+    bridges = case.arrays.topology.bridges
+    for name, k in pending:
+        if k in bridges:
+            return ScreenResult(Label.INSECURE, [ContingencyResult(name, False, True, (), False)],
+                                first_failure=name)
+    loading = predicted_loading(case, solution.p_from, [k for _, k in pending])
+    start = (solution.v_mag, solution.v_ang)
     details = []
-    for name in csc_list:
-        index = case.find_branch(name)
-        if index not in case.arrays.branches.pos:
-            continue  # outage already part of the OC topology
-        try:
-            outaged = apply_outage(case, index)
-        except IslandingError:
-            result = ContingencyResult(name, False, True, (), False)
+    for j in np.argsort(-loading, kind="stable").tolist():
+        name, k = pending[j]
+        outaged = apply_outage(case, k)
+        sol = solve_powerflow(outaged, start)
+        if sol.converged:
+            violations = tuple(check_limits(sol, outaged, limits))
+            result = ContingencyResult(name, True, False, violations, not violations)
         else:
-            sol = solve_powerflow(outaged, start)
-            if sol.converged:
-                violations = tuple(check_limits(sol, outaged, limits))
-                result = ContingencyResult(name, True, False, violations, not violations)
-            else:
-                result = ContingencyResult(name, False, False, (), False)
+            result = ContingencyResult(name, False, False, (), False)
         details.append(result)
         if not result.secure:
             return ScreenResult(label=Label.INSECURE, details=details, first_failure=name)

@@ -263,13 +263,31 @@ def test_bad_study_input_exit_1(tmp_path, capsys, command, message):
     csc = tmp_path / "csc.txt"
     _write_csc_list(csc)
     tc = tmp_path / "tc.txt"
-    tc.write_text("4-5\n")
+    tc.write_text("5-7\n")
     args = {"gen-dataset": ["--n", "4", "--csc-list", str(csc), "--tc-list", str(tc)],
             "pv-curve": []}[command[0]]
     code, _, err = run_cli(capsys, *command, "--case", CASE9, *args,
                            "--out", str(tmp_path / "out.csv"))
     assert code == 1
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tc, message", [
+    ("4-5", "branch 4-5 is both a TC and a CSC (4-5)"),
+    ("1-4", "TC 1-4 from the TC list islands the network"),
+])
+def test_gen_dataset_bad_tc_list_exit_1(tmp_path, capsys, tc, message):
+    """A TC that is also a CSC, or that islands the case, is one error line
+    naming it and exit 1, before any sample is drawn."""
+    csc = tmp_path / "csc.txt"
+    _write_csc_list(csc)
+    tcs = tmp_path / "tc.txt"
+    tcs.write_text(f"5-7\n{tc}\n")
+    code, _, err = run_cli(capsys, "gen-dataset", "--case", CASE9, "--n", "4",
+                           "--tc-mix", "0.5", "--tc-list", str(tcs), "--csc-list", str(csc),
+                           "--out", str(tmp_path / "out.csv"))
+    assert code == 1
+    assert err == f"error: {message}\n"
 
 
 def test_parser_prog_name():

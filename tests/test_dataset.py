@@ -26,6 +26,7 @@ from gridsec.powerflow import solve_powerflow
 from gridsec.security import Label, OperatingLimits, run_contingency_screen
 
 from tests.conftest import CSC_LINES, TC_LINES
+from tests.test_security import exhaustive_screen
 
 
 def test_feature_layout_two_bus(case2):
@@ -129,26 +130,60 @@ def test_build_dataset_label_oracle(case68):
     cfg = GenerationConfig(n_samples=4, csc_list=CSC_LINES, seed=9)
     ds = build_dataset(case68, cfg)
     s = ds.samples[2]
-    screen = run_contingency_screen(rebuild_oc(case68, s.meta), CSC_LINES, OperatingLimits())
+    oc = rebuild_oc(case68, s.meta)
+    screen = run_contingency_screen(oc, solve_powerflow(oc), CSC_LINES, OperatingLimits())
     assert screen.label is s.label
 
 
 def test_build_dataset_warm_start_keeps_flat_start_labels(case68):
     """Labelling warm-starts each contingency solve from the OC's solution;
-    a flat-start screen of the same OC must give the same label."""
+    a flat-start exhaustive screen of the same OC must give the same label."""
     cfg = GenerationConfig(n_samples=20, tc_mix=0.3, tc_list=TC_LINES,
                            csc_list=CSC_LINES, seed=3)
     ds = build_dataset(case68, cfg)
     assert sum(s.meta.tc is not None for s in ds.samples) == 6
     assert {s.label for s in ds.samples} == {Label.SECURE, Label.INSECURE}
     for s in ds.samples:
-        flat = run_contingency_screen(rebuild_oc(case68, s.meta), CSC_LINES)
-        assert flat.label is s.label, s.meta
+        flat, _ = exhaustive_screen(rebuild_oc(case68, s.meta), CSC_LINES, OperatingLimits(), None)
+        assert flat is s.label, s.meta
 
 
 def test_build_dataset_requires_csc_list(case68):
     with pytest.raises(DatasetError, match="no contingencies"):
         build_dataset(case68, GenerationConfig(n_samples=2, seed=0))
+
+
+def test_build_dataset_rejects_a_tc_that_is_also_a_csc(case9):
+    cfg = GenerationConfig(n_samples=4, tc_mix=0.5, tc_list=("7-8", "5-4"),
+                           csc_list=("4-5", "6-9"), seed=0)
+    with pytest.raises(DatasetError, match="branch 5-4 is both a TC and a CSC"):
+        build_dataset(case9, cfg)
+
+
+def test_build_dataset_rejects_an_islanding_tc(case9):
+    cfg = GenerationConfig(n_samples=4, tc_mix=0.5, tc_list=("4-5", "1-4"),
+                           csc_list=("6-9",), seed=0)
+    with pytest.raises(DatasetError, match="TC 1-4 from the TC list islands the network"):
+        build_dataset(case9, cfg)
+
+
+def test_labelling_does_not_import_scipy():
+    """The screen's ranking is numpy only: labelling a sample leaves scipy
+    unimported."""
+    src = str(Path(gridsec.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        "from gridsec.data import GenerationConfig, build_dataset\n"
+        "from gridsec.model import load_bundled_case\n"
+        f"cfg = GenerationConfig(n_samples=1, tc_mix=1.0, tc_list={TC_LINES!r}, "
+        f"csc_list={CSC_LINES!r}, seed=5)\n"
+        "build_dataset(load_bundled_case('case68'), cfg)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_build_dataset_tc_mix_needs_tc_list(case68):

@@ -1,14 +1,19 @@
-"""Property tests of the solver's reactive-limit switching and of the
-islanding rule of branch outages."""
+"""Property tests of the solver's reactive-limit switching, of the
+islanding rule of branch outages and of the ranked N-1 screen."""
 
 import dataclasses
 
 import pytest
 
+from gridsec.data import generate_oc
 from gridsec.model import Branch, Bus, BusKind, NetworkCase
 from gridsec.powerflow import TOLERANCE, recompute_max_mismatch, solve_powerflow
+from gridsec.security import OperatingLimits
 
 from tests.test_grid_model import check_outages
+from tests.conftest import CSC_LINES, TC_LINES
+from tests.test_powerflow import injections
+from tests.test_security import check_ranked_screen
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -35,12 +40,13 @@ def test_q_limit_pins_hold_their_bound(case9, limits, warm):
     assert recompute_max_mismatch(tight, sol) <= 10 * TOLERANCE
     idx = tight.bus_index()
     q_load = {idx[l.bus]: l.q_mvar for l in tight.loads}
+    q_inj = injections(tight, sol).imag
     for pos, pinned in sol.q_limited:
         at_bus = [g for g in tight.generators if g.in_service and idx[g.bus] == pos]
         q_min = sum(g.q_min for g in at_bus) / tight.base_mva
         q_max = sum(g.q_max for g in at_bus) / tight.base_mva
         assert pinned in (pytest.approx(q_min, abs=1e-12), pytest.approx(q_max, abs=1e-12))
-        q_gen = (sol.q_inj[pos] + q_load.get(pos, 0.0)) / tight.base_mva
+        q_gen = (q_inj[pos] + q_load.get(pos, 0.0)) / tight.base_mva
         assert q_gen == pytest.approx(pinned, abs=10 * TOLERANCE)
 
 
@@ -69,3 +75,17 @@ def multigraphs(draw):
 @hypothesis.given(case=multigraphs())
 def test_bridge_rule_matches_bfs(case):
     check_outages(case)
+
+
+@hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@hypothesis.given(draw=st.integers(0, 10_000), tc=st.sampled_from((None,) + TC_LINES),
+                  bridge=st.sampled_from((None, "11-56", "41-66")), at=st.integers(0, 8))
+def test_ranked_screen_matches_exhaustive(case68, draw, tc, bridge, at):
+    """Over case68 OCs with and without a TC, and CSC lists with and
+    without an islanding branch: the ranked label is the exhaustive one and
+    an islanding CSC decides first."""
+    csc = list(CSC_LINES)
+    if bridge:
+        csc.insert(at, bridge)
+    oc, sol, _, _ = generate_oc(case68, (11, draw), tc=tc)
+    check_ranked_screen(oc, sol, csc, OperatingLimits())

@@ -19,9 +19,12 @@ from gridsec.security import (
     compute_piv,
     max_flow_delta_mw,
     parse_contingency_list,
+    predicted_loading,
     run_contingency_screen,
     screen_configurations,
 )
+
+from tests.conftest import CSC_LINES
 
 
 class FakeSolution:
@@ -189,7 +192,7 @@ def test_double_outage_read_through_the_view(case68):
 
 
 def test_screen_islanding_is_insecure(case2):
-    result = run_contingency_screen(case2, ["1-2"], OperatingLimits())
+    result = run_contingency_screen(case2, solve_powerflow(case2), ["1-2"], OperatingLimits())
     assert result.label is Label.INSECURE
     assert result.first_failure == "1-2"
     assert result.details[0].islanded
@@ -197,43 +200,47 @@ def test_screen_islanding_is_insecure(case2):
 
 def test_screen_light_nine_bus_secure(case9):
     light = scale_loads(case9, 0.8)
-    result = run_contingency_screen(light, ["4-5", "7-8", "6-9"], OperatingLimits())
+    result = run_contingency_screen(light, solve_powerflow(light), ["4-5", "7-8", "6-9"],
+                                    OperatingLimits())
     assert result.label is Label.SECURE
 
 
 def test_screen_base_nine_bus_insecure(case9):
-    result = run_contingency_screen(case9, ["4-5", "7-8", "6-9"], OperatingLimits())
+    result = run_contingency_screen(case9, solve_powerflow(case9), ["4-5", "7-8", "6-9"],
+                                    OperatingLimits())
     assert result.label is Label.INSECURE
     assert result.first_failure
 
 
 def test_screen_monotone_in_contingency_set(case9):
     """Removing contingencies can only weaken the screen."""
-    full = run_contingency_screen(case9, ["4-5", "7-8", "6-9"], OperatingLimits())
+    base = solve_powerflow(case9)
+    full = run_contingency_screen(case9, base, ["4-5", "7-8", "6-9"], OperatingLimits())
     failing = full.first_failure.split()[0] if full.first_failure else None
     reduced = [c for c in ("4-5", "7-8", "6-9") if c != "4-5"]
-    partial = run_contingency_screen(case9, reduced, OperatingLimits())
+    partial = run_contingency_screen(case9, base, reduced, OperatingLimits())
     if partial.label is Label.INSECURE:
         assert full.label is Label.INSECURE
 
 
 def test_screen_requires_contingencies(case9):
     with pytest.raises(GridSecError, match="no contingencies"):
-        run_contingency_screen(case9, [], OperatingLimits())
+        run_contingency_screen(case9, solve_powerflow(case9), [], OperatingLimits())
 
 
 def test_screen_stressed_68_bus(case68):
     stressed = scale_loads(case68, 1.05)
     csc = ["18-49", "21-22", "30-61", "36-61", "40-41", "40-48", "41-42", "67-68"]
-    result = run_contingency_screen(stressed, csc, OperatingLimits())
+    result = run_contingency_screen(stressed, solve_powerflow(stressed), csc, OperatingLimits())
     assert result.label in (Label.SECURE, Label.INSECURE)
     assert len(result.details) >= 1
 
 
 def exhaustive_screen(case, csc_list, limits, start):
-    """Reference label and first failure: every in-service CSC through
-    apply_outage, solve_powerflow and check_limits, with no early stop."""
-    failures = []
+    """Reference outcomes: every in-service CSC through apply_outage,
+    solve_powerflow (from ``start``, flat when None) and check_limits, with
+    no early stop. Returns the label and {CSC: secure}."""
+    secure = {}
     for name in csc_list:
         index = case.find_branch(name)
         if not case.branches[index].in_service:
@@ -241,42 +248,122 @@ def exhaustive_screen(case, csc_list, limits, start):
         try:
             outaged = apply_outage(case, index)
         except IslandingError:
-            failures.append(name)
+            secure[name] = False
             continue
         sol = solve_powerflow(outaged, start)
-        if not sol.converged or check_limits(sol, outaged, limits):
-            failures.append(name)
-    return (Label.INSECURE if failures else Label.SECURE), (failures[0] if failures else None)
+        secure[name] = sol.converged and not check_limits(sol, outaged, limits)
+    return (Label.SECURE if all(secure.values()) else Label.INSECURE), secure
+
+
+def loop_ranking(case, sol, csc_list):
+    """Reference screening order: islanding CSCs in list order, then the
+    rest by descending max_l |p_l + LODF_lk p_k| / rating_l, list order on
+    ties, from a dense inverse of the slack-reduced DC B matrix and a loop
+    over branches. Returns [(CSC, predicted loading or None)]."""
+    buses = {b.id: i for i, b in enumerate(case.buses)}
+    slack = buses[case.slack_bus().id]
+    live = [k for k, br in enumerate(case.branches) if br.in_service]
+    n = len(case.buses)
+    b = np.zeros((n, n))
+    for k in live:
+        br = case.branches[k]
+        f, t, y = buses[br.from_bus], buses[br.to_bus], 1.0 / (br.x * br.tap)
+        b[f, f] += y
+        b[t, t] += y
+        b[f, t] -= y
+        b[t, f] -= y
+    keep = [i for i in range(n) if i != slack]
+    x = np.zeros((n, n))
+    x[np.ix_(keep, keep)] = np.linalg.inv(b[np.ix_(keep, keep)])
+
+    def ptdf(l, k):
+        bl, bk = case.branches[l], case.branches[k]
+        fl, tl, fk, tk = (buses[bl.from_bus], buses[bl.to_bus], buses[bk.from_bus], buses[bk.to_bus])
+        return (x[fl, fk] - x[fl, tk] - x[tl, fk] + x[tl, tk]) / (bl.x * bl.tap)
+
+    bridges = case.arrays.topology.bridges
+    islanding, ranked = [], []
+    for name in csc_list:
+        k = case.find_branch(name)
+        if k not in live:
+            continue
+        if k in bridges:
+            islanding.append((name, None))
+            continue
+        lodf = {l: ptdf(l, k) / (1.0 - ptdf(k, k)) for l in live if l != k}
+        ranked.append((name, max(abs(sol.p_from[l] + lodf[l] * sol.p_from[k])
+                                 / case.branches[l].mva_rating for l in lodf)))
+    return islanding + sorted(ranked, key=lambda item: -item[1])
+
+
+def check_ranked_screen(case, sol, csc_list, limits):
+    """The screen against the exhaustive reference and the loop ranking:
+    the same label, each screened CSC's exhaustive outcome, the ranked
+    order, all but the last secure. Returns the result."""
+    result = run_contingency_screen(case, sol, csc_list, limits)
+    label, secure = exhaustive_screen(case, csc_list, limits, (sol.v_mag, sol.v_ang))
+    assert result.label is label
+    names = [d.contingency for d in result.details]
+    order = loop_ranking(case, sol, csc_list)
+    if order[0][1] is None:  # an islanding CSC decides without a solve
+        assert names == [order[0][0]] and result.details[0].islanded
+    else:
+        reference = dict(order)
+        k = [case.find_branch(name) for name in reference]
+        assert np.allclose(predicted_loading(case, sol.p_from, k),
+                           list(reference.values()), rtol=1e-9, atol=0.0)
+        # descending predicted loading; values within rounding of each other
+        # (often the same unaffected branch sets every maximum) may swap
+        ranked = [reference[name] for name in names]
+        assert all(a >= b * (1 - 1e-9) for a, b in zip(ranked, ranked[1:]))
+        if len(names) < len(reference):
+            assert ranked[-1] >= max(reference[n] for n in reference if n not in names) * (1 - 1e-9)
+    assert [secure[name] for name in names] == [d.secure for d in result.details]
+    assert all(d.secure for d in result.details[:-1])
+    if result.label is Label.INSECURE:
+        assert names[-1] == result.first_failure and not result.details[-1].secure
+    else:
+        assert sorted(names) == sorted(secure) and result.first_failure is None
+    return result
 
 
 def test_screen_stops_at_first_failure_and_matches_exhaustive(case68):
-    from tests.conftest import CSC_LINES
-
     limits = OperatingLimits()
-    # (draw, TC): Secure and Insecure OCs with and without a TC; the
-    # Insecure ones fail first at CSC positions 0, 3 and 4
+    # (draw, TC): Secure and Insecure OCs with and without a TC
     draws = [(0, None), (2, None), (1, "18-42"), (3, "38-46"), (39, "54-55")]
     seen = set()
     for draw, tc in draws:
         oc, sol, _, _ = generate_oc(case68, (7, draw), tc=tc)
-        ocs = [(oc, tc)]
+        ocs = [(oc, sol, tc)]
         if draw == 0:  # a CSC already out in the OC's topology is skipped
-            ocs.append((apply_outage(oc, oc.find_branch("21-22")), "21-22"))
-        for case, tc_used in ocs:
-            warm = (sol.v_mag, sol.v_ang)
-            result = run_contingency_screen(case, CSC_LINES, limits, start=warm)
-            expected = exhaustive_screen(case, CSC_LINES, limits, warm)
-            assert (result.label, result.first_failure) == expected
-            live = [c for c in CSC_LINES if case.branches[case.find_branch(c)].in_service]
-            names = [d.contingency for d in result.details]
-            assert names == live[:len(names)]
-            assert all(d.secure for d in result.details[:-1])
-            if result.label is Label.INSECURE:
-                assert names[-1] == result.first_failure and not result.details[-1].secure
-            else:
-                assert names == live
+            out = apply_outage(oc, oc.find_branch("21-22"))
+            ocs.append((out, solve_powerflow(out, (sol.v_mag, sol.v_ang)), "21-22"))
+        for case, oc_sol, tc_used in ocs:
+            result = check_ranked_screen(case, oc_sol, CSC_LINES, limits)
+            if tc_used == "21-22":
+                assert "21-22" not in [d.contingency for d in result.details]
             seen.add((tc_used is not None, result.label))
     assert seen == {(t, label) for t in (False, True) for label in Label}
+
+
+def test_screen_ties_keep_list_order(case68):
+    """With no pre-outage flow every predicted loading is 0: list order."""
+    oc, sol, _, _ = generate_oc(case68, (7, 0))
+    still = dataclasses.replace(sol, p_from=np.zeros_like(sol.p_from))
+    result = run_contingency_screen(oc, still, CSC_LINES[::-1], OperatingLimits())
+    assert [d.contingency for d in result.details] == list(CSC_LINES[::-1])
+
+
+def test_screen_needs_a_converged_solution(case9):
+    diverged = dataclasses.replace(solve_powerflow(case9), converged=False)
+    with pytest.raises(GridSecError, match="converged solution"):
+        run_contingency_screen(case9, diverged, ["4-5"], OperatingLimits())
+
+
+def test_screen_with_no_contingency_left_raises(case9):
+    oc = apply_outage(case9, case9.find_branch("4-5"))
+    with pytest.raises(GridSecError, match="no contingency left"):
+        run_contingency_screen(oc, solve_powerflow(oc), ["4-5"], OperatingLimits())
 
 
 def test_parse_contingency_list():
