@@ -1,13 +1,14 @@
 """Read-only numpy arrays derived from a ``NetworkCase``, built once per case.
 
-These arrays are the one source of a case's network layout: the bus index
-and bus arrays, the in-service branch table with its pi stamps, DC
-susceptances and ratings, and the per-bus injection sums. The solver reads
-its bus spec from them, and the solver, the limit check, the flow-change
-rule, the contingency ranking and the feature layout index branches by
-``CaseArrays.branches.pos``. ``model`` keeps one ``CaseArrays`` per case,
-and its edits hand the new case the parts they leave unchanged. The set of
-islanding branches comes from the same arrays.
+These arrays are the one source of a case's network layout: the bus index,
+the branch-label map and the bus arrays, the in-service branch table with
+its pi stamps, DC susceptances and ratings, and the per-bus injection sums.
+The solver reads its bus spec from them, and the solver, the limit check,
+the flow-change rule, the contingency ranking and the feature layout index
+branches by ``CaseArrays.branches.pos``. ``model`` keeps one ``CaseArrays``
+per case, and its edits hand the new case the parts they leave unchanged,
+the label map among them. The set of islanding branches comes from the
+same arrays.
 """
 
 from __future__ import annotations
@@ -49,11 +50,12 @@ class Injections(NamedTuple):
 
 
 class Topology:
-    """Bus arrays, and the branch table of the case that was parsed or
-    built, with the positions outaged since then in ``out``."""
+    """Bus arrays, branch labels, and the branch table of the case that was
+    parsed or built, with the positions outaged since then in ``out``."""
 
-    def __init__(self, bus_index, kinds, vset, table: BranchTable, out=()):
+    def __init__(self, bus_index, labels, kinds, vset, table: BranchTable, out=()):
         self.bus_index = bus_index  # bus id -> position
+        self.labels = labels  # (low bus id, high bus id, circuit) -> branch position
         self.kinds = kinds  # BusKind per bus
         self.vset = vset  # voltage setpoint, 1.0 where none
         self.table = table
@@ -62,6 +64,10 @@ class Topology:
     @classmethod
     def of(cls, case) -> Topology:
         index = {b.id: i for i, b in enumerate(case.buses)}
+        labels = {}
+        for k, br in enumerate(case.branches):  # in and out of service; the first wins
+            labels.setdefault((min(br.from_bus, br.to_bus), max(br.from_bus, br.to_bus),
+                               br.circuit), k)
         live = [(k, br) for k, br in enumerate(case.branches) if br.in_service]
         ends = np.array([(k, index[br.from_bus], index[br.to_bus]) for k, br in live], dtype=int)
         stamps = []
@@ -74,6 +80,7 @@ class Topology:
                    *dc.reshape(-1, 2).T)
         return cls(
             index,
+            labels,
             _read_only(np.array([b.kind for b in case.buses], dtype=object)),
             _read_only(np.array([1.0 if b.v_setpoint is None else b.v_setpoint for b in case.buses])),
             BranchTable(*(_read_only(c) for c in columns)),
@@ -81,7 +88,8 @@ class Topology:
 
     def without(self, k) -> Topology:
         """This topology with the branch at position ``k`` switched out."""
-        return Topology(self.bus_index, self.kinds, self.vset, self.table, self.out + (k,))
+        return Topology(self.bus_index, self.labels, self.kinds, self.vset, self.table,
+                        self.out + (k,))
 
     def branches(self) -> BranchTable:
         """The in-service rows of ``table``. Dropping rows, rather than

@@ -107,7 +107,8 @@ class NetworkCase:
     def find_branch(self, spec):
         """Resolve a ``from-to[:circuit]`` label to a branch index.
 
-        The label is orientation-insensitive.
+        The label is orientation-insensitive; every edit of a case keeps the
+        label map of the case it was made from.
         """
         text, colon, circ_text = spec.strip().partition(":")
         try:
@@ -116,10 +117,10 @@ class NetworkCase:
             a, b = int(a_text), int(b_text)
         except ValueError:
             raise CaseFormatError(f"bad branch label {spec!r}") from None
-        for i, br in enumerate(self.branches):
-            if {br.from_bus, br.to_bus} == {a, b} and br.circuit == circuit:
-                return i
-        raise CaseValidationError(f"no branch {spec!r} in case")
+        k = self.arrays.topology.labels.get((min(a, b), max(a, b), circuit))
+        if k is None:
+            raise CaseValidationError(f"no branch {spec!r} in case")
+        return k
 
 
 def _with_arrays(case: NetworkCase, topology, injections=None) -> NetworkCase:

@@ -6,6 +6,11 @@ matrix. It reads the case through its cached array view
 feeds both the admittance matrix and the branch flows, and the bus spec is
 read from the same view. A solve copies only the two arrays a Q-limit pin
 rewrites, ``s_spec`` and ``kinds``.
+Each NR iteration evaluates the Jacobian only at Ybus's nonzero cells (and
+its diagonal) and scatters the values into the reduced ``pvpq``/``pq``
+matrix through a layout that the solve makes once, and again after a pin
+changes ``pvpq``/``pq``. Each entry equals, bit for bit, the same entry
+selected from the dense 2n x 2n ``dSbus_dV``.
 Reactive-limit switching is one-way: a PV bus whose generators would exceed
 their Q capability is pinned there as a PQ bus and never switches back to PV
 within the solve. Non-convergence is an outcome, not an exception:
@@ -16,6 +21,7 @@ label.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,31 +96,73 @@ def mismatch_vector(ybus, v, s_spec, pvpq, pq):
     return _mismatch(calc_injections(ybus, v), s_spec, pvpq, pq)
 
 
-def jacobian(ybus, v, pvpq, pq):
-    """Analytic polar Jacobian of the mismatch vector.
+class _JacobianLayout(NamedTuple):
+    """Where the Jacobian's entries at Ybus's nonzero cells go in the reduced
+    matrix of one ``(pvpq, pq)`` choice."""
 
-    MATPOWER's ``dSbus_dV`` by broadcasting: with T = diag(V) conj(Y diag(V)),
-    dS/dVa = j(diag(V conj(I)) - T) and dS/dVm = T diag(1/|V|) + diag(conj(I) V/|V|).
+    y: np.ndarray  # Ybus at each cell
+    rows: np.ndarray  # bus positions of each cell
+    cols: np.ndarray
+    diag: np.ndarray  # the cells on the diagonal, in bus order
+    src: np.ndarray  # flat positions in the (4, cells) block values ...
+    dest: np.ndarray  # ... and their flat positions in the m x m Jacobian
+    m: int
+
+
+def _jacobian_layout(ybus, pvpq, pq) -> _JacobianLayout:
+    """Scatter layout of the reduced Jacobian for the buses ``pvpq``/``pq``.
+
+    The cells are Ybus's nonzeros plus every diagonal cell, so a bus's
+    diagonal terms have a place even where its Ybus entry is zero. A cell
+    goes to the dP/dVa, dP/dVm, dQ/dVa and dQ/dVm blocks at those of its
+    row and column buses that NR solves for; the rest of the matrix is zero.
     """
-    n = len(v)
+    n = len(ybus)
+    cells = ybus != 0
+    np.fill_diagonal(cells, True)
+    flat = np.flatnonzero(cells)
+    rows, cols = np.divmod(flat, n)
+    m = len(pvpq) + len(pq)
+    # row or column of each bus's angle and magnitude unknown; -1 if none
+    ang, mag = np.full(n, -1), np.full(n, -1)
+    ang[pvpq] = np.arange(len(pvpq))
+    mag[pq] = np.arange(len(pvpq), m)
+    ra, rm, ca, cm = ang[rows], mag[rows], ang[cols], mag[cols]
+    r = np.concatenate([ra, ra, rm, rm])
+    c = np.concatenate([ca, cm, ca, cm])
+    src = np.flatnonzero((r >= 0) & (c >= 0))
+    return _JacobianLayout(ybus.ravel()[flat], rows, cols, np.flatnonzero(rows == cols),
+                           src, r[src] * m + c[src], m)
+
+
+def jacobian(layout: _JacobianLayout, v, s_bus):
+    """Analytic polar Jacobian of the mismatch vector, reduced to ``layout``'s
+    ``pvpq``/``pq`` rows and columns.
+
+    MATPOWER's ``dSbus_dV`` at Ybus's nonzeros (Tinney & Hart 1967): with
+    T = diag(V) conj(Y diag(V)), dS/dVa = j(diag(V conj(I)) - T) and
+    dS/dVm = T diag(1/|V|) + diag(conj(I) V/|V|), where ``s_bus`` is
+    V conj(I). Each cell is computed once and scattered into a zeroed
+    ``m x m`` array.
+    """
     inv_vm = 1.0 / np.abs(v)
-    t = v[:, None] * np.conj(ybus * v)
-    s_bus = v * np.conj(ybus @ v)
-    full = np.empty((2 * n, 2 * n))
-    # [[dP/dVa, dP/dVm], [dQ/dVa, dQ/dVm]] over every bus
-    full[:n, :n] = t.imag
-    full[n:, :n] = -t.real
-    t *= inv_vm
-    full[:n, n:] = t.real
-    full[n:, n:] = t.imag
-    diag = np.arange(n)
-    full[diag, diag] -= s_bus.imag
-    full[diag + n, diag] += s_bus.real
-    full[diag, diag + n] += s_bus.real * inv_vm
-    full[diag + n, diag + n] += s_bus.imag * inv_vm
-    rows = np.concatenate([np.asarray(pvpq, dtype=int), n + np.asarray(pq, dtype=int)])
-    # two 1-D selections run faster than one np.ix_ selection
-    return full[rows][:, rows]
+    t = v[layout.rows] * np.conj(layout.y * v[layout.cols])
+    vals = np.empty((4, len(t)))
+    # the blocks in src order; 1-D views index faster than vals[i, d]
+    dp_dva, dp_dvm, dq_dva, dq_dvm = vals
+    dp_dva[:] = t.imag
+    dq_dva[:] = -t.real
+    t *= inv_vm[layout.cols]
+    dp_dvm[:] = t.real
+    dq_dvm[:] = t.imag
+    d = layout.diag
+    dp_dva[d] -= s_bus.imag
+    dq_dva[d] += s_bus.real
+    dp_dvm[d] += s_bus.real * inv_vm
+    dq_dvm[d] += s_bus.imag * inv_vm
+    out = np.zeros(layout.m * layout.m)
+    out[layout.dest] = vals.ravel()[layout.src]
+    return out.reshape(layout.m, layout.m)
 
 
 def _branch_flows(case, v):
@@ -158,6 +206,7 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
     va = va - va[kinds == BusKind.SLACK][0]
 
     pvpq, pq = _index_sets(kinds)
+    layout = _jacobian_layout(ybus, pvpq, pq)
     q_limited = []
     iterations = 0
     converged = False
@@ -180,6 +229,7 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
                 q_limited.append((int(i), pinned))
             if hits.size:
                 pvpq, pq = _index_sets(kinds)
+                layout = _jacobian_layout(ybus, pvpq, pq)
 
         f = _mismatch(s_bus, s_spec, pvpq, pq)
         max_mis = float(np.max(np.abs(f))) if f.size else 0.0
@@ -194,7 +244,7 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
             diagnostic = f"mismatch {max_mis:.3e} after {MAX_ITER} iterations"
             iterations = iteration
             break
-        jac = jacobian(ybus, v, pvpq, pq)
+        jac = jacobian(layout, v, s_bus)
         try:
             dx = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:

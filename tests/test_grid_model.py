@@ -320,3 +320,55 @@ def test_view_arrays_are_read_only(case9):
     assert solve_powerflow(tight).q_limited
     assert np.array_equal(tight.arrays.injections.s_spec, s_spec)
     assert np.array_equal(tight.arrays.topology.kinds, kinds)
+
+
+# --- branch labels ----------------------------------------------------------------
+
+def test_find_branch_same_position_in_edited_cases(case68):
+    """Edits hand the parsed case's label map down, so every label, the
+    outaged branch's own included, keeps its position in either orientation."""
+    k = case68.find_branch("17-43")
+    oc = scale_loads(case68, np.linspace(0.9, 1.1, len(case68.loads)))
+    children = [oc, reschedule_generation(oc, 25.0), apply_outage(case68, k), apply_outage(oc, k)]
+    labels = case68.arrays.topology.labels
+    for child in children:
+        assert child.arrays.topology.labels is labels
+    for position, br in enumerate(case68.branches):
+        a, b = br.from_bus, br.to_bus
+        for spec in (f"{a}-{b}", f"{b}-{a}", f"{a}-{b}:{br.circuit}", f" {b}-{a}:{br.circuit} "):
+            assert case68.find_branch(spec) == position
+            for child in children:
+                assert child.find_branch(spec) == position
+    assert not children[2].branches[k].in_service
+
+
+def test_find_branch_circuits_and_first_match(case9):
+    text = bundled_case_path("case9").read_text(encoding="utf-8")
+    line = "4 5 0.010  0.085  0.176 1.0 250.0 1\n"
+    parallel = parse_case(text.replace(line, line + "5 4 0.010  0.085  0.176 1.0 250.0 1 2\n"))
+    k = case9.find_branch("4-5")
+    assert parallel.find_branch("4-5") == parallel.find_branch("5-4:1") == k
+    assert parallel.find_branch("4-5:2") == parallel.find_branch("5-4:2") == k + 1
+    assert apply_outage(parallel, k).find_branch("4-5:2") == k + 1
+    # a case built without validation may repeat a label; the first branch wins
+    twin = dataclasses.replace(case9.branches[k], from_bus=5, to_bus=4)
+    unchecked = NetworkCase(case9.base_mva, case9.buses, case9.branches + (twin,),
+                            case9.generators, case9.loads)
+    assert unchecked.find_branch("5-4") == k
+
+
+@pytest.mark.parametrize("spec, error, message", [
+    ("17", CaseFormatError, "bad branch label '17'"),
+    ("17-x", CaseFormatError, "bad branch label '17-x'"),
+    ("17-43:x", CaseFormatError, "bad branch label '17-43:x'"),
+    ("", CaseFormatError, "bad branch label ''"),
+    ("17-43:2", CaseValidationError, "no branch '17-43:2' in case"),
+    ("17-44", CaseValidationError, "no branch '17-44' in case"),
+    ("999-1", CaseValidationError, "no branch '999-1' in case"),
+])
+def test_find_branch_errors(case68, spec, error, message):
+    outaged = apply_outage(case68, case68.find_branch("17-43"))
+    for case in (case68, scale_loads(case68, 1.1), outaged):
+        with pytest.raises(error) as err:
+            case.find_branch(spec)
+        assert type(err.value) is error and str(err.value) == message

@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from gridsec import powerflow
 from gridsec.errors import IslandingError
-from gridsec.model import BusKind, apply_outage, parse_case, scale_loads
+from gridsec.model import BusKind, apply_outage, bundled_case_path, parse_case, scale_loads
 from gridsec.powerflow import (
+    TOLERANCE,
+    _jacobian_layout,
     build_ybus,
     calc_injections,
     jacobian,
@@ -104,6 +107,11 @@ def test_power_balance(case9):
     assert abs(imbalance) / case9.base_mva <= 10 * 1e-8
 
 
+def reduced_jacobian(ybus, v, pvpq, pq):
+    """The solver's Jacobian for these bus sets, on a layout of its own."""
+    return jacobian(_jacobian_layout(ybus, pvpq, pq), v, calc_injections(ybus, v))
+
+
 def test_jacobian_matches_finite_differences(case9):
     ybus = build_ybus(case9)
     n = len(case9.buses)
@@ -124,7 +132,7 @@ def test_jacobian_matches_finite_differences(case9):
             return mismatch_vector(ybus, v, s_spec, pvpq, pq)
 
         v = vm * np.exp(1j * va)
-        jac = jacobian(ybus, v, pvpq, pq)
+        jac = reduced_jacobian(ybus, v, pvpq, pq)
         m = len(pvpq) + len(pq)
         h = 1e-6
         fd = np.zeros((m, m))
@@ -170,9 +178,119 @@ def test_jacobian_matches_dense_oracle(case68):
             want = dense_jacobian(ybus, v, pvpq, q_set)
             scale = np.abs(want).max()
             for index in (list, np.array):
-                got = jacobian(ybus, v, index(pvpq), index(q_set))
+                got = reduced_jacobian(ybus, v, index(pvpq), index(q_set))
                 assert got.shape == want.shape == (len(pvpq) + len(q_set),) * 2
                 assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+def broadcast_jacobian(ybus, v, pvpq, pq):
+    """The reduced Jacobian selected from the full 2n x 2n one built by
+    broadcasting: the dense form, the scatter's bit-for-bit oracle."""
+    n = len(v)
+    inv_vm = 1.0 / np.abs(v)
+    t = v[:, None] * np.conj(ybus * v)
+    s_bus = v * np.conj(ybus @ v)
+    full = np.empty((2 * n, 2 * n))
+    full[:n, :n] = t.imag
+    full[n:, :n] = -t.real
+    t *= inv_vm
+    full[:n, n:] = t.real
+    full[n:, n:] = t.imag
+    diag = np.arange(n)
+    full[diag, diag] -= s_bus.imag
+    full[diag + n, diag] += s_bus.real
+    full[diag, diag + n] += s_bus.real * inv_vm
+    full[diag + n, diag + n] += s_bus.imag * inv_vm
+    rows = np.concatenate([np.asarray(pvpq, dtype=int), n + np.asarray(pq, dtype=int)])
+    return full[rows][:, rows]
+
+
+def parallel_case9():
+    """case9 with a second, identical circuit beside 4-5: one Ybus cell sums
+    two branches."""
+    text = bundled_case_path("case9").read_text(encoding="utf-8")
+    line = "4 5 0.010  0.085  0.176 1.0 250.0 1\n"
+    return parse_case(text.replace(line, line + "4 5 0.010  0.085  0.176 1.0 250.0 1 2\n"))
+
+
+def test_jacobian_bit_identical_to_broadcast(case9, case68):
+    parallel = parallel_case9()
+    assert build_ybus(parallel)[3, 4] == pytest.approx(2 * build_ybus(case9)[3, 4])
+    outaged = apply_outage(case68, case68.find_branch("17-43"))
+    rng = np.random.default_rng(12)
+    for case in (case9, case68, outaged, parallel):
+        ybus = build_ybus(case)
+        sol = solve_powerflow(case)
+        assert sol.converged
+        kinds = case.arrays.topology.kinds
+        pvpq = np.flatnonzero(kinds != BusKind.SLACK)
+        pq = np.flatnonzero(kinds == BusKind.PQ)
+        pinned = np.sort(np.concatenate([pq, np.flatnonzero(kinds == BusKind.PV)[:2]]))
+        n = len(case.buses)
+        solved = sol.v_mag * np.exp(1j * sol.v_ang)
+        perturbed = ((sol.v_mag + rng.uniform(-0.05, 0.05, n))
+                     * np.exp(1j * (sol.v_ang + rng.uniform(-0.1, 0.1, n))))
+        for v in (solved, perturbed):
+            for q_set in (pq, pinned):
+                want = broadcast_jacobian(ybus, v, pvpq, q_set)
+                got = reduced_jacobian(ybus, v, pvpq, q_set)
+                assert np.array_equal(got, want)
+                f = mismatch_vector(ybus, v, case.arrays.injections.s_spec, pvpq, q_set)
+                assert np.linalg.solve(got, -f).tobytes() == np.linalg.solve(want, -f).tobytes()
+
+
+def test_jacobian_zero_ybus_diagonal():
+    """A series capacitor cancelling a line at bus 2 zeroes Y_22 while its row
+    keeps off-diagonal entries; the bus's diagonal terms must still appear."""
+    case = parse_case("""\
+format_version: 1
+[BASE]
+100.0
+[BUS]
+1 slack 345.0 1.0 0.9 1.1
+2 pq 345.0 - 0.9 1.1
+3 pq 345.0 - 0.9 1.1
+[BRANCH]
+1 2 0.0 0.1 0.0 1.0 600.0 1
+2 3 0.0 -0.1 0.0 1.0 600.0 1
+[GEN]
+1 0.0 -500.0 500.0 600.0 1
+[LOAD]
+3 30.0 10.0
+""")
+    ybus = build_ybus(case)
+    assert ybus[1, 1] == 0 and ybus[1, 0] != 0 and ybus[1, 2] != 0
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        v = (1.0 + rng.uniform(-0.05, 0.05, 3)) * np.exp(1j * rng.uniform(-0.2, 0.2, 3))
+        want = broadcast_jacobian(ybus, v, [1, 2], [1, 2])
+        assert np.array_equal(reduced_jacobian(ybus, v, [1, 2], [1, 2]), want)
+        assert want[0, 0] != 0
+
+
+def test_q_pin_rebuilds_the_jacobian_layout(case9, monkeypatch):
+    """A pin turns a PV bus into PQ mid-solve, so the Jacobian gains that
+    bus's magnitude row and column from the next iteration on."""
+    shapes = []
+
+    def recording(layout, v, s_bus):
+        jac = jacobian(layout, v, s_bus)
+        shapes.append(jac.shape)
+        return jac
+
+    monkeypatch.setattr(powerflow, "jacobian", recording)
+    gens = (case9.generators[0], dataclasses.replace(case9.generators[1], q_max=2.0),
+            *case9.generators[2:])
+    tight = dataclasses.replace(case9, generators=gens)
+    sol = solve_powerflow(tight)
+    assert sol.converged
+    assert [pos for pos, _ in sol.q_limited] == [1]
+    assert recompute_max_mismatch(tight, sol) <= TOLERANCE
+    m = 8 + 6  # angles of the non-slack buses, magnitudes of the PQ buses
+    pinned_at = shapes.index((m + 1, m + 1))
+    assert pinned_at >= 1
+    assert shapes == [(m, m)] * pinned_at + [(m + 1, m + 1)] * (len(shapes) - pinned_at)
+    assert len(shapes) == sol.iterations
 
 
 def test_q_limit_switching(case9):
