@@ -1,9 +1,11 @@
 """Read-only numpy arrays derived from a ``NetworkCase``, built once per case.
 
 These arrays are the one source of a case's network layout: the bus index,
-the branch-label map and the bus arrays, the in-service branch table with
-its pi stamps, DC susceptances and ratings, and the per-bus injection sums.
-The solver reads its bus spec from them, and the solver, the limit check,
+the branch-label map, the bus arrays (voltage setpoints, the slack position
+and read-only PV and PQ masks), the in-service branch table with its pi
+stamps, their flat Ybus cells, DC susceptances and ratings, and the per-bus
+injection sums. The solver reads its bus spec from them and builds Ybus
+from the table's cells with one ``np.add.at``; the solver, the limit check,
 the flow-change rule, the contingency ranking and the feature layout index
 branches by ``CaseArrays.branches.pos``. ``model`` keeps one ``CaseArrays``
 per case, and its edits hand the new case the parts they leave unchanged,
@@ -27,7 +29,8 @@ def _read_only(a):
 class BranchTable(NamedTuple):
     """In-service branches: positions in ``case.branches``, end-bus positions,
     pi-model stamps with the off-nominal tap on the from side, the DC
-    susceptance and the rating."""
+    susceptance and the rating, and each branch's four Ybus cells (flat
+    positions in the n x n matrix) with the admittance it adds to each."""
 
     pos: np.ndarray
     f: np.ndarray
@@ -37,6 +40,8 @@ class BranchTable(NamedTuple):
     ytt: np.ndarray
     b_dc: np.ndarray  # 1 / (x tap), per-unit
     rating: np.ndarray  # mva_rating, MVA
+    cells: np.ndarray  # (branches, 4): the ff, tt, ft and tf cells
+    stamps: np.ndarray  # (branches, 4): yff, ytt, yft, yft
 
 
 class Injections(NamedTuple):
@@ -53,10 +58,12 @@ class Topology:
     """Bus arrays, branch labels, and the branch table of the case that was
     parsed or built, with the positions outaged since then in ``out``."""
 
-    def __init__(self, bus_index, labels, kinds, vset, table: BranchTable, out=()):
+    def __init__(self, bus_index, labels, slack, pv, pq, vset, table: BranchTable, out=()):
         self.bus_index = bus_index  # bus id -> position
         self.labels = labels  # (low bus id, high bus id, circuit) -> branch position
-        self.kinds = kinds  # BusKind per bus
+        self.slack = slack  # position of the first slack bus, None if there is none
+        self.pv = pv  # True at PV buses
+        self.pq = pq  # True at PQ buses
         self.vset = vset  # voltage setpoint, 1.0 where none
         self.table = table
         self.out = out
@@ -68,6 +75,7 @@ class Topology:
         for k, br in enumerate(case.branches):  # in and out of service; the first wins
             labels.setdefault((min(br.from_bus, br.to_bus), max(br.from_bus, br.to_bus),
                                br.circuit), k)
+        kinds = [b.kind.value for b in case.buses]
         live = [(k, br) for k, br in enumerate(case.branches) if br.in_service]
         ends = np.array([(k, index[br.from_bus], index[br.to_bus]) for k, br in live], dtype=int)
         stamps = []
@@ -76,20 +84,27 @@ class Topology:
             bc = 1j * br.b_shunt / 2.0
             stamps.append(((ys + bc) / (br.tap * br.tap), -ys / br.tap, ys + bc))
         dc = np.array([(1.0 / (br.x * br.tap), br.mva_rating) for _, br in live], dtype=float)
-        columns = (*ends.reshape(-1, 3).T, *np.array(stamps, dtype=complex).reshape(-1, 3).T,
-                   *dc.reshape(-1, 2).T)
+        pos, f, t = ends.reshape(-1, 3).T
+        yff, yft, ytt = np.array(stamps, dtype=complex).reshape(-1, 3).T
+        n = len(case.buses)
+        # per branch ff, tt, ft, tf: the order build_ybus sums a cell's branches in
+        cells = np.stack([f * (n + 1), t * (n + 1), f * n + t, t * n + f], axis=1)
+        columns = (pos, f, t, yff, yft, ytt, *dc.reshape(-1, 2).T, cells,
+                   np.stack([yff, ytt, yft, yft], axis=1))
         return cls(
             index,
             labels,
-            _read_only(np.array([b.kind for b in case.buses], dtype=object)),
+            kinds.index("slack") if "slack" in kinds else None,
+            _read_only(np.array([k == "pv" for k in kinds], dtype=bool)),
+            _read_only(np.array([k == "pq" for k in kinds], dtype=bool)),
             _read_only(np.array([1.0 if b.v_setpoint is None else b.v_setpoint for b in case.buses])),
             BranchTable(*(_read_only(c) for c in columns)),
         )
 
     def without(self, k) -> Topology:
         """This topology with the branch at position ``k`` switched out."""
-        return Topology(self.bus_index, self.labels, self.kinds, self.vset, self.table,
-                        self.out + (k,))
+        return Topology(self.bus_index, self.labels, self.slack, self.pv, self.pq, self.vset,
+                        self.table, self.out + (k,))
 
     def branches(self) -> BranchTable:
         """The in-service rows of ``table``. Dropping rows, rather than
@@ -108,7 +123,7 @@ class Topology:
         network: its bridges, from one iterative Tarjan depth-first search
         (Tarjan, IPL 1974), or every branch when it is disconnected already."""
         tb = self.branches()
-        adj = [[] for _ in self.kinds]
+        adj = [[] for _ in self.vset]
         for k, a, b in zip(tb.pos.tolist(), tb.f.tolist(), tb.t.tolist()):
             adj[a].append((b, k))
             adj[b].append((a, k))
@@ -159,7 +174,7 @@ class CaseArrays:
     @cached_property
     def injections(self) -> Injections:
         base_mva, generators, loads = self._sources
-        index, n = self.topology.bus_index, len(self.topology.kinds)
+        index, n = self.topology.bus_index, len(self.topology.vset)
         gens = [g for g in generators if g.in_service]
         gen_bus = np.array([index[g.bus] for g in gens], dtype=int)
         load_bus = np.array([index[l.bus] for l in loads], dtype=int)

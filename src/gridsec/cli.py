@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import data, train
-from .errors import ExperimentError, GridSecError, open_text
+from .errors import ExperimentError, GridSecError, SettingError, open_text
 from .model import apply_outage, load_case
 from .powerflow import trace_pv_curve
 from .security import OperatingLimits, parse_contingency_list, screen_configurations
@@ -57,11 +57,11 @@ def cmd_pv_curve(args):
 
 def cmd_screen(args):
     case = load_case(_resolve(args.case))
-    with open_text(_resolve(args.configs)) as fh:
+    path = _resolve(args.configs)
+    with open_text(path) as fh:
         specs = parse_contingency_list(fh.read())
     if not specs:
-        print("empty configuration list", file=sys.stderr)
-        return 2
+        raise SettingError(f"no configurations to screen in {path}")
     assessments = screen_configurations(case, specs)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("configuration,pi_v,max_flow_delta_mw,category\n")
@@ -135,8 +135,7 @@ def cmd_report(args):
         f for f in os.listdir(args.log_dir) if f.endswith(".log.csv")
     )
     if not logs:
-        print(f"no .log.csv files in {args.log_dir}", file=sys.stderr)
-        return 1
+        raise ExperimentError(f"no .log.csv files in {args.log_dir}")
     runs = [train.read_log(os.path.join(args.log_dir, f)) for f in logs]
     by_alg = {}
     for run in runs:

@@ -25,7 +25,7 @@ from .security import Label, OperatingLimits, run_contingency_screen
 __all__ = [
     "GenerationConfig", "LabeledSample", "Dataset", "generate_oc",
     "extract_features", "feature_names", "build_dataset", "split_dataset",
-    "save_dataset", "load_dataset",
+    "train_size", "save_dataset", "load_dataset",
 ]
 
 
@@ -234,14 +234,25 @@ def _check_tc_list(case: NetworkCase, config: GenerationConfig):
             raise DatasetError(f"branch {tc} is both a TC and a CSC ({cscs[k]})")
 
 
-def split_dataset(ds: Dataset, train_fraction: float, seed: int):
-    """Seeded shuffle then partition into (train, test)."""
-    if not ds.samples:
-        raise DatasetError("cannot split an empty dataset")
+def train_size(n_samples: int, train_fraction: float) -> int:
+    """Samples on the train side of a split; raises ``DatasetError`` when
+    either side would be empty."""
     if not 0.0 < train_fraction < 1.0:
         raise DatasetError("train_fraction must be in (0, 1)")
+    n_train = int(train_fraction * n_samples)
+    if not 0 < n_train < n_samples:
+        side = "train" if n_train == 0 else "test"
+        raise DatasetError(f"{n_samples} samples at train_fraction {train_fraction} "
+                           f"leave the {side} split empty")
+    return n_train
+
+
+def split_dataset(ds: Dataset, train_fraction: float, seed: int):
+    """Seeded shuffle then partition into (train, test), neither empty."""
+    if not ds.samples:
+        raise DatasetError("cannot split an empty dataset")
+    n_train = train_size(len(ds.samples), train_fraction)
     order = np.random.default_rng(seed).permutation(len(ds.samples))
-    n_train = int(train_fraction * len(ds.samples))
     train_idx, test_idx = order[:n_train], order[n_train:]
     make = lambda idx: Dataset(
         samples=[ds.samples[i] for i in idx],

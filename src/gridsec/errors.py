@@ -31,7 +31,8 @@ class IslandingError(GridSecError):
 
 
 class SettingError(GridSecError, ValueError):
-    """A solver, PV-curve or security-limit setting is out of range."""
+    """A solver, PV-curve, screen or security-limit setting is out of range
+    or empty."""
 
 
 class InfeasibleError(GridSecError):

@@ -3,9 +3,11 @@
 The solver works in polar coordinates on the full complex bus-admittance
 matrix. It reads the case through its cached array view
 (``NetworkCase.arrays``), the one source of its layout: one branch table
-feeds both the admittance matrix and the branch flows, and the bus spec is
-read from the same view. A solve copies only the two arrays a Q-limit pin
-rewrites, ``s_spec`` and ``kinds``.
+feeds both the admittance matrix, which one ``np.add.at`` sums from the
+table's flat ``cells`` and ``stamps``, and the branch flows, and the bus
+spec is read from the same view: the slack position and the ``pv``/``pq``
+masks. A solve copies only the three arrays a Q-limit pin rewrites,
+``s_spec``, ``pv`` and ``pq``.
 Each NR iteration evaluates the Jacobian only at Ybus's nonzero cells (and
 its diagonal) and scatters the values into the reduced ``pvpq``/``pq``
 matrix through a layout that the solve makes once, and again after a pin
@@ -26,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CaseValidationError, InfeasibleError, SettingError
-from .model import BusKind, NetworkCase, reschedule_generation, scale_loads
+from .model import NetworkCase, reschedule_generation, scale_loads
 
 
 TOLERANCE = 1e-8  # per-unit power mismatch
@@ -59,24 +61,25 @@ def build_ybus(case: NetworkCase) -> np.ndarray:
     """Dense complex bus-admittance matrix; standard pi model with the
     off-nominal tap on the from side."""
     tb = case.arrays.branches
-    y = np.zeros((len(case.buses),) * 2, dtype=complex)
+    n = len(case.buses)
+    y = np.zeros(n * n, dtype=complex)
     # Stamps go in per branch as ff, tt, ft, tf; np.add.at sums repeated cells
     # in index order, so each entry adds up its branches in case order.
-    rows = np.stack([tb.f, tb.t, tb.f, tb.t], axis=1).ravel()
-    cols = np.stack([tb.f, tb.t, tb.t, tb.f], axis=1).ravel()
-    np.add.at(y, (rows, cols), np.stack([tb.yff, tb.ytt, tb.yft, tb.yft], axis=1).ravel())
-    return y
+    np.add.at(y, tb.cells.ravel(), tb.stamps.ravel())
+    return y.reshape(n, n)
 
 
-def _index_sets(kinds):
+def _index_sets(is_pv, is_pq):
     """(pvpq, pq): the buses whose angle, and whose magnitude, NR solves for."""
-    return np.flatnonzero(kinds != BusKind.SLACK), np.flatnonzero(kinds == BusKind.PQ)
+    return np.flatnonzero(is_pv | is_pq), np.flatnonzero(is_pq)
 
 
-def _pin_q(s_spec, kinds, q_load, i, q_gen):
+def _pin_q(s_spec, is_pv, is_pq, q_load, i, q_gen):
     """Turn bus ``i`` into a PQ bus whose generators supply ``q_gen`` (pu):
-    rewrites ``s_spec`` and ``kinds``, which must be the caller's copies."""
-    kinds[i] = BusKind.PQ
+    rewrites ``s_spec`` and the masks ``is_pv`` and ``is_pq``, which must be
+    the caller's copies."""
+    is_pv[i] = False
+    is_pq[i] = True
     s_spec[i] = s_spec[i].real + 1j * (q_gen - q_load[i])
 
 
@@ -190,9 +193,11 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
     """
     if tolerance <= 0:
         raise SettingError("tolerance must be positive")
-    ybus = build_ybus(case)
     inj, topo = case.arrays.injections, case.arrays.topology
-    s_spec, kinds = inj.s_spec.copy(), topo.kinds.copy()
+    if topo.slack is None:
+        raise CaseValidationError("no slack bus")
+    ybus = build_ybus(case)
+    s_spec, is_pv, is_pq = inj.s_spec.copy(), topo.pv.copy(), topo.pq.copy()
     n = len(case.buses)
 
     if start is not None:
@@ -201,12 +206,13 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
     else:
         vm = np.ones(n)
         va = np.zeros(n)
-    regulated = kinds != BusKind.PQ
+    regulated = ~is_pq
     vm[regulated] = topo.vset[regulated]
-    va = va - va[kinds == BusKind.SLACK][0]
+    va = va - va[topo.slack]
 
-    pvpq, pq = _index_sets(kinds)
+    pvpq, pq = _index_sets(is_pv, is_pq)
     layout = _jacobian_layout(ybus, pvpq, pq)
+    watch = is_pv & inj.has_gen  # the PV buses whose Q limits are checked
     q_limited = []
     iterations = 0
     converged = False
@@ -222,14 +228,15 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
             q_gen = s_bus.imag + inj.q_load
             over = q_gen > inj.qg_max + 1e-9
             under = q_gen < inj.qg_min - 1e-9
-            hits = np.flatnonzero((kinds == BusKind.PV) & inj.has_gen & (over | under))
+            hits = np.flatnonzero(watch & (over | under))
             for i in hits:
                 pinned = inj.qg_max[i] if over[i] else inj.qg_min[i]
-                _pin_q(s_spec, kinds, inj.q_load, i, pinned)
+                _pin_q(s_spec, is_pv, is_pq, inj.q_load, i, pinned)
                 q_limited.append((int(i), pinned))
             if hits.size:
-                pvpq, pq = _index_sets(kinds)
+                pvpq, pq = _index_sets(is_pv, is_pq)
                 layout = _jacobian_layout(ybus, pvpq, pq)
+                watch = is_pv & inj.has_gen
 
         f = _mismatch(s_bus, s_spec, pvpq, pq)
         max_mis = float(np.max(np.abs(f))) if f.size else 0.0
@@ -277,12 +284,12 @@ def recompute_max_mismatch(case: NetworkCase, solution: PowerFlowSolution) -> fl
     Replays the solution's Q-limit pins: those PV buses are PQ with the
     pinned reactive output.
     """
-    inj = case.arrays.injections
-    s_spec, kinds = inj.s_spec.copy(), case.arrays.topology.kinds.copy()
+    inj, topo = case.arrays.injections, case.arrays.topology
+    s_spec, is_pv, is_pq = inj.s_spec.copy(), topo.pv.copy(), topo.pq.copy()
     for i, pinned in solution.q_limited:
-        _pin_q(s_spec, kinds, inj.q_load, i, pinned)
+        _pin_q(s_spec, is_pv, is_pq, inj.q_load, i, pinned)
     v = solution.v_mag * np.exp(1j * solution.v_ang)
-    f = mismatch_vector(build_ybus(case), v, s_spec, *_index_sets(kinds))
+    f = mismatch_vector(build_ybus(case), v, s_spec, *_index_sets(is_pv, is_pq))
     return float(np.max(np.abs(f))) if f.size else 0.0
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridSecError, IslandingError, SettingError
-from .model import BusKind, NetworkCase, apply_outage
+from .model import NetworkCase, apply_outage
 from .powerflow import PowerFlowSolution, solve_powerflow
 
 PIV_THRESHOLD = 0.1
@@ -187,11 +187,9 @@ def predicted_loading(case: NetworkCase, p_from, outages) -> np.ndarray:
     per outage, and ``LODF_lk = PTDF_lk / (1 - PTDF_kk)``.
     """
     tb = case.arrays.branches
-    kinds = case.arrays.topology.kinds
-    n = len(kinds)
-    # B' summed branch by branch into its flattened cells: diagonals, then off-diagonals
-    cells = np.concatenate([tb.f * (n + 1), tb.t * (n + 1), tb.f * n + tb.t, tb.t * n + tb.f])
-    b = np.bincount(cells, np.concatenate([tb.b_dc, tb.b_dc, -tb.b_dc, -tb.b_dc]),
+    n = len(case.buses)
+    # B' summed branch by branch into Ybus's flat cells: diagonals, then off-diagonals
+    b = np.bincount(tb.cells.T.ravel(), np.concatenate([tb.b_dc, tb.b_dc, -tb.b_dc, -tb.b_dc]),
                     minlength=n * n).reshape(n, n)
     rows = np.searchsorted(tb.pos, outages)  # table rows of the outaged branches
     cols = np.arange(len(rows))
@@ -200,7 +198,7 @@ def predicted_loading(case: NetworkCase, p_from, outages) -> np.ndarray:
     rhs[tb.f[rows], cols] = 1.0
     rhs[tb.t[rows], cols] = -1.0
     # grounding the slack (angle 0) is solving the slack-reduced system
-    slack = np.flatnonzero(kinds == BusKind.SLACK)[0]
+    slack = case.arrays.topology.slack
     b[slack, :] = 0.0
     b[:, slack] = 0.0
     b[slack, slack] = 1.0

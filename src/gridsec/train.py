@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mlp
-from .data import Dataset, load_dataset, split_dataset
-from .errors import ExperimentError, OptimizerError, open_text
+from .data import Dataset, load_dataset, split_dataset, train_size
+from .errors import DatasetError, ExperimentError, OptimizerError, open_text
 from .mlp import MlpArchitecture
 from .optim import ALGORITHMS, Optimizer, OptimizerConfig, default_config
 
@@ -251,6 +251,11 @@ def run_experiment(cfg: ExperimentConfig):
     if init_ds.feature_names != update_ds.feature_names:
         raise ExperimentError(
             f"{cfg.init_dataset} and {cfg.update_dataset} have different feature columns")
+    for path, ds in ((cfg.init_dataset, init_ds), (cfg.update_dataset, update_ds)):
+        try:
+            train_size(len(ds.samples), cfg.train_fraction)
+        except DatasetError as exc:
+            raise ExperimentError(f"{path}: {exc}") from None
     results = {algorithm: [] for algorithm in cfg.algorithms}
     for seed in cfg.seeds:
         splits = standardized_splits(init_ds, update_ds, cfg.train_fraction, seed)

@@ -204,7 +204,28 @@ def test_train_reruns_byte_identical(tmp_path, capsys):
 def test_report_empty_dir_exit_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "report", "--log-dir", str(tmp_path))
     assert code == 1
-    assert "no .log.csv" in err
+    assert err.startswith("error: ") and "no .log.csv" in err
+
+
+def test_train_split_with_an_empty_side_exit_1(tmp_path, capsys):
+    """A dataset too small for train_fraction is one error line naming it,
+    before any training."""
+    csc = tmp_path / "csc.txt"
+    _write_csc_list(csc)
+    tiny, ds = tmp_path / "tiny.csv", tmp_path / "ds.csv"
+    for path, n in ((tiny, "1"), (ds, "4")):
+        code, _, _ = run_cli(capsys, "gen-dataset", "--case", CASE9, "--n", n, "--seed", "0",
+                             "--csc-list", str(csc), "--out", str(path))
+        assert code == 0
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[experiment]\ninit_dataset = {tiny}\nupdate_dataset = {ds}\n"
+                   "train_fraction = 0.6\n")
+    code, _, err = run_cli(capsys, "train", "--config", str(ini),
+                           "--out-dir", str(tmp_path / "train"))
+    assert code == 1
+    assert err == (f"error: {tiny}: 1 samples at train_fraction 0.6 "
+                   "leave the train split empty\n")
+    assert not os.listdir(tmp_path / "train")
 
 
 @pytest.mark.parametrize("logged, missing",
@@ -257,6 +278,7 @@ def test_report_header_only_log_exit_1(tmp_path, capsys):
     (["pv-curve", "--bus", "5", "--step", "inf"], "step must be positive and finite"),
     (["gen-dataset", "--scale-lo", "-2", "--scale-hi", "-1"], "bad scale range [-2.0, -1.0]"),
     (["gen-dataset", "--seed", "-1"], "seed must be non-negative, not -1"),
+    (["screen"], "no configurations to screen in"),
 ])
 def test_bad_study_input_exit_1(tmp_path, capsys, command, message):
     """A bad value is one error line and exit 1, not a traceback."""
@@ -264,8 +286,10 @@ def test_bad_study_input_exit_1(tmp_path, capsys, command, message):
     _write_csc_list(csc)
     tc = tmp_path / "tc.txt"
     tc.write_text("5-7\n")
+    configs = tmp_path / "configs.txt"
+    configs.write_text("# comments only\n\n")
     args = {"gen-dataset": ["--n", "4", "--csc-list", str(csc), "--tc-list", str(tc)],
-            "pv-curve": []}[command[0]]
+            "pv-curve": [], "screen": ["--configs", str(configs)]}[command[0]]
     code, _, err = run_cli(capsys, *command, "--case", CASE9, *args,
                            "--out", str(tmp_path / "out.csv"))
     assert code == 1

@@ -276,6 +276,10 @@ def _cold(case):
 def _assert_same_as_cold(case):
     cold = _cold(case)
     assert "arrays" not in cold.__dict__
+    topo, kinds = case.arrays.topology, [b.kind for b in case.buses]
+    assert topo.slack == cold.arrays.topology.slack == kinds.index(BusKind.SLACK)
+    for mask, kind in ((topo.pv, BusKind.PV), (topo.pq, BusKind.PQ)):
+        assert mask.dtype == bool and mask.tolist() == [k is kind for k in kinds]
     assert np.array_equal(build_ybus(case), build_ybus(cold))
     warm, ref = solve_powerflow(case), solve_powerflow(cold)
     for field in ("v_mag", "v_ang", "p_from", "q_from", "p_to", "q_to", "i_from"):
@@ -293,19 +297,25 @@ def _outages(case):
 
 def test_views_equal_cold_rebuilds(case9, case68):
     """Every view an edit hands on gives the solver what a cold case gives."""
-    oc = scale_loads(case68, np.linspace(0.85, 1.05, len(case68.loads)))
-    oc = reschedule_generation(oc, oc.total_load()[0] - case68.total_load()[0])
+    scaled = scale_loads(case68, np.linspace(0.85, 1.05, len(case68.loads)))
+    oc = reschedule_generation(scaled, scaled.total_load()[0] - case68.total_load()[0])
     for case in (case9, case68, oc):
         _assert_same_as_cold(case)
         for outaged in _outages(case):
             _assert_same_as_cold(outaged)
+            # every edit hands its parent's bus masks down instead of rebuilding them
+            assert outaged.arrays.topology.pv is case.arrays.topology.pv
+            assert outaged.arrays.topology.pq is case.arrays.topology.pq
+    for child in (scaled, oc):
+        assert child.arrays.topology.pv is case68.arrays.topology.pv
+        assert child.arrays.topology.pq is case68.arrays.topology.pq
 
 
 def test_view_arrays_are_read_only(case9):
     outaged = apply_outage(case9, case9.find_branch("4-5"))
     for case in (case9, outaged, scale_loads(outaged, 1.1)):
         view = case.arrays
-        arrays = [view.topology.kinds, view.topology.vset, *view.branches,
+        arrays = [view.topology.pv, view.topology.pq, view.topology.vset, *view.branches,
                   *view.injections]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -316,10 +326,11 @@ def test_view_arrays_are_read_only(case9):
     gens = (case9.generators[0], dataclasses.replace(case9.generators[1], q_max=2.0),
             *case9.generators[2:])
     tight = dataclasses.replace(case9, generators=gens)
-    s_spec, kinds = tight.arrays.injections.s_spec.copy(), tight.arrays.topology.kinds.copy()
+    topo = tight.arrays.topology
+    s_spec, pv, pq = tight.arrays.injections.s_spec.copy(), topo.pv.copy(), topo.pq.copy()
     assert solve_powerflow(tight).q_limited
     assert np.array_equal(tight.arrays.injections.s_spec, s_spec)
-    assert np.array_equal(tight.arrays.topology.kinds, kinds)
+    assert np.array_equal(topo.pv, pv) and np.array_equal(topo.pq, pq)
 
 
 # --- branch labels ----------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gridsec import powerflow
-from gridsec.errors import IslandingError
+from gridsec.errors import CaseValidationError, IslandingError
 from gridsec.model import BusKind, apply_outage, bundled_case_path, parse_case, scale_loads
 from gridsec.powerflow import (
     TOLERANCE,
@@ -59,6 +59,40 @@ def test_ybus_shunt_halved_on_diagonal(case2):
     assert y[0, 1] == 0 and y[1, 0] == 0
 
 
+def stacked_ybus(case):
+    """Ybus scattered from (row, column) index pairs stacked per branch as
+    ff, tt, ft, tf: the builder's bit-for-bit oracle."""
+    tb = case.arrays.branches
+    y = np.zeros((len(case.buses),) * 2, dtype=complex)
+    rows = np.stack([tb.f, tb.t, tb.f, tb.t], axis=1).ravel()
+    cols = np.stack([tb.f, tb.t, tb.t, tb.f], axis=1).ravel()
+    np.add.at(y, (rows, cols), np.stack([tb.yff, tb.ytt, tb.yft, tb.yft], axis=1).ravel())
+    return y
+
+
+def test_ybus_bit_identical_to_stacked_oracle(case9, case68):
+    """The table's flat cells sum each entry's branches in the oracle's order,
+    signed zeros included, and drop the same rows as ``pos`` on an outage."""
+    outaged = apply_outage(case68, case68.find_branch("17-43"))
+    tc = apply_outage(case68, case68.find_branch("18-42"))
+    csc = apply_outage(tc, case68.find_branch("18-49"))
+    parallel = parallel_case9()
+    cases = (case9, case68, outaged, csc, parallel, cancelled_diagonal_case())
+    for case in cases:
+        assert build_ybus(case).tobytes() == stacked_ybus(case).tobytes()
+    n = len(case68.buses)
+    full = case68.arrays.branches
+    for case in (outaged, csc):
+        tb = case.arrays.branches
+        keep = np.isin(full.pos, tb.pos)
+        assert len(tb.pos) == len(full.pos) - len(case.arrays.topology.out)
+        assert np.array_equal(tb.cells, full.cells[keep])
+        assert np.array_equal(tb.stamps, full.stamps[keep])
+        assert np.array_equal(tb.cells, np.stack(
+            [tb.f * (n + 1), tb.t * (n + 1), tb.f * n + tb.t, tb.t * n + tb.f], axis=1))
+        assert np.array_equal(tb.stamps, np.stack([tb.yff, tb.ytt, tb.yft, tb.yft], axis=1))
+
+
 def test_two_bus_analytic_solution(case2):
     half = scale_loads(case2, 0.5)  # 50 MW = 0.5 pu
     sol = solve_powerflow(half)
@@ -90,6 +124,17 @@ def test_nonconvergence_is_not_an_error(case2):
     sol = solve_powerflow(scale_loads(case2, 10.0))
     assert sol.converged is False
     assert sol.diagnostic
+
+
+def test_solve_without_slack_is_an_error(case9):
+    """A case built without validation and without a slack bus gets a view,
+    and its solve raises instead of referencing a missing slack."""
+    buses = tuple(dataclasses.replace(b, kind=BusKind.PV) if b.kind is BusKind.SLACK else b
+                  for b in case9.buses)
+    slackless = dataclasses.replace(case9, buses=buses)
+    assert slackless.arrays.topology.slack is None
+    with pytest.raises(CaseValidationError, match="no slack bus"):
+        solve_powerflow(slackless)
 
 
 def test_mismatch_oracle(case9):
@@ -222,10 +267,10 @@ def test_jacobian_bit_identical_to_broadcast(case9, case68):
         ybus = build_ybus(case)
         sol = solve_powerflow(case)
         assert sol.converged
-        kinds = case.arrays.topology.kinds
-        pvpq = np.flatnonzero(kinds != BusKind.SLACK)
-        pq = np.flatnonzero(kinds == BusKind.PQ)
-        pinned = np.sort(np.concatenate([pq, np.flatnonzero(kinds == BusKind.PV)[:2]]))
+        topo = case.arrays.topology
+        pvpq = np.flatnonzero(topo.pv | topo.pq)
+        pq = np.flatnonzero(topo.pq)
+        pinned = np.sort(np.concatenate([pq, np.flatnonzero(topo.pv)[:2]]))
         n = len(case.buses)
         solved = sol.v_mag * np.exp(1j * sol.v_ang)
         perturbed = ((sol.v_mag + rng.uniform(-0.05, 0.05, n))
@@ -239,10 +284,10 @@ def test_jacobian_bit_identical_to_broadcast(case9, case68):
                 assert np.linalg.solve(got, -f).tobytes() == np.linalg.solve(want, -f).tobytes()
 
 
-def test_jacobian_zero_ybus_diagonal():
-    """A series capacitor cancelling a line at bus 2 zeroes Y_22 while its row
-    keeps off-diagonal entries; the bus's diagonal terms must still appear."""
-    case = parse_case("""\
+def cancelled_diagonal_case():
+    """Three buses where a series capacitor cancels a line at bus 2: Y_22 is
+    zero while its row keeps off-diagonal entries."""
+    return parse_case("""\
 format_version: 1
 [BASE]
 100.0
@@ -258,6 +303,11 @@ format_version: 1
 [LOAD]
 3 30.0 10.0
 """)
+
+
+def test_jacobian_zero_ybus_diagonal():
+    """With Y_22 cancelled to zero, bus 2's diagonal terms must still appear."""
+    case = cancelled_diagonal_case()
     ybus = build_ybus(case)
     assert ybus[1, 1] == 0 and ybus[1, 0] != 0 and ybus[1, 2] != 0
     rng = np.random.default_rng(4)
