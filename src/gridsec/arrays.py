@@ -3,14 +3,16 @@
 These arrays are the one source of a case's network layout: the bus index,
 the branch-label map, the bus arrays (voltage setpoints, the slack position
 and read-only PV and PQ masks), the in-service branch table with its pi
-stamps, their flat Ybus cells, DC susceptances and ratings, and the per-bus
-injection sums. The solver reads its bus spec from them and builds Ybus
-from the table's cells with one ``np.add.at``; the solver, the limit check,
+stamps, their flat Ybus cells, DC susceptances and ratings, the cells and
+scatter map of the Newton-Raphson Jacobian, and the per-bus injection sums.
+The solver reads its bus spec from them, builds Ybus from the table's cells
+with one ``np.add.at`` and gathers its Jacobian's layout from the map that
+``Topology.of`` makes once per parsed case; the solver, the limit check,
 the flow-change rule, the contingency ranking and the feature layout index
 branches by ``CaseArrays.branches.pos``. ``model`` keeps one ``CaseArrays``
 per case, and its edits hand the new case the parts they leave unchanged,
-the label map among them. The set of islanding branches comes from the
-same arrays.
+the label map and the Jacobian map among them. The set of islanding
+branches comes from the same arrays.
 """
 
 from __future__ import annotations
@@ -54,11 +56,69 @@ class Injections(NamedTuple):
     has_gen: np.ndarray
 
 
-class Topology:
-    """Bus arrays, branch labels, and the branch table of the case that was
-    parsed or built, with the positions outaged since then in ``out``."""
+class JacobianScatter(NamedTuple):
+    """Where the reduced Newton-Raphson Jacobian of one pair of PV/PQ masks
+    takes its entries from the dP/dVa, dP/dVm, dQ/dVa and dQ/dVm values at a
+    ``JacobianCells``'s cells, and where its mismatch vector takes its floats."""
 
-    def __init__(self, bus_index, labels, slack, pv, pq, vset, table: BranchTable, out=()):
+    pvpq: np.ndarray  # the buses whose angle NR solves for ...
+    pq: np.ndarray  # ... and whose magnitude
+    src: np.ndarray  # flat positions in the (4, cells) block values ...
+    dest: np.ndarray  # ... and their flat positions in the m x m Jacobian
+    m: int
+    mismatch: np.ndarray  # positions in (S_bus - S_spec).view(float): P at pvpq, Q at pq
+
+
+class JacobianCells(NamedTuple):
+    """The Ybus cells where the Jacobian of the parsed case, or of any edit
+    of it, can be nonzero: edits only remove branches."""
+
+    # flat positions in the n x n Ybus: the n diagonal cells in bus order,
+    # then the off-diagonal cells that in-service branches stamp, ascending
+    flat: np.ndarray
+    rows: np.ndarray  # bus positions of each cell
+    cols: np.ndarray
+    scatter: JacobianScatter  # for the parsed case's own PV/PQ masks
+
+
+def jacobian_scatter(rows, cols, pv, pq) -> JacobianScatter:
+    """The scatter map of the Jacobian cells at ``rows``/``cols`` for the
+    masks ``pv``/``pq``: a cell goes to each block at those of its row and
+    column buses that NR solves for; the rest of the matrix is zero."""
+    pvpq, pq = np.flatnonzero(pv | pq), np.flatnonzero(pq)
+    m = len(pvpq) + len(pq)
+    # row or column of each bus's angle and magnitude unknown; -1 if none
+    ang, mag = np.full(len(pv), -1), np.full(len(pv), -1)
+    ang[pvpq] = np.arange(len(pvpq))
+    mag[pq] = np.arange(len(pvpq), m)
+    ra, rm, ca, cm = ang[rows], mag[rows], ang[cols], mag[cols]
+    r = np.concatenate([ra, ra, rm, rm])
+    c = np.concatenate([ca, cm, ca, cm])
+    src = np.flatnonzero((r >= 0) & (c >= 0))
+    return JacobianScatter(pvpq, pq, src, r[src] * m + c[src], m,
+                           np.concatenate([2 * pvpq, 2 * pq + 1]))
+
+
+def _jacobian_cells(n, branch_cells, pv, pq) -> JacobianCells:
+    stamped = np.zeros(n * n, dtype=bool)
+    stamped[branch_cells[:, 2:]] = True  # the ft and tf cells
+    stamped[::n + 1] = False
+    flat = np.concatenate([np.arange(n) * (n + 1), np.flatnonzero(stamped)])
+    rows, cols = np.divmod(flat, n)
+    scatter = jacobian_scatter(rows, cols, pv, pq)
+    for a in (flat, rows, cols, scatter.pvpq, scatter.pq, scatter.src, scatter.dest,
+              scatter.mismatch):
+        _read_only(a)
+    return JacobianCells(flat, rows, cols, scatter)
+
+
+class Topology:
+    """Bus arrays, branch labels, the branch table and the Jacobian cells of
+    the case that was parsed or built, with the positions outaged since then
+    in ``out``."""
+
+    def __init__(self, bus_index, labels, slack, pv, pq, vset, table: BranchTable,
+                 jacobian: JacobianCells, out=()):
         self.bus_index = bus_index  # bus id -> position
         self.labels = labels  # (low bus id, high bus id, circuit) -> branch position
         self.slack = slack  # position of the first slack bus, None if there is none
@@ -66,6 +126,7 @@ class Topology:
         self.pq = pq  # True at PQ buses
         self.vset = vset  # voltage setpoint, 1.0 where none
         self.table = table
+        self.jacobian = jacobian  # shared by every edit, as labels is
         self.out = out
 
     @classmethod
@@ -91,20 +152,23 @@ class Topology:
         cells = np.stack([f * (n + 1), t * (n + 1), f * n + t, t * n + f], axis=1)
         columns = (pos, f, t, yff, yft, ytt, *dc.reshape(-1, 2).T, cells,
                    np.stack([yff, ytt, yft, yft], axis=1))
+        pv = _read_only(np.array([k == "pv" for k in kinds], dtype=bool))
+        pq = _read_only(np.array([k == "pq" for k in kinds], dtype=bool))
         return cls(
             index,
             labels,
             kinds.index("slack") if "slack" in kinds else None,
-            _read_only(np.array([k == "pv" for k in kinds], dtype=bool)),
-            _read_only(np.array([k == "pq" for k in kinds], dtype=bool)),
+            pv,
+            pq,
             _read_only(np.array([1.0 if b.v_setpoint is None else b.v_setpoint for b in case.buses])),
             BranchTable(*(_read_only(c) for c in columns)),
+            _jacobian_cells(n, cells, pv, pq),
         )
 
     def without(self, k) -> Topology:
         """This topology with the branch at position ``k`` switched out."""
         return Topology(self.bus_index, self.labels, self.slack, self.pv, self.pq, self.vset,
-                        self.table, self.out + (k,))
+                        self.table, self.jacobian, self.out + (k,))
 
     def branches(self) -> BranchTable:
         """The in-service rows of ``table``. Dropping rows, rather than

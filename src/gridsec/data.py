@@ -219,15 +219,18 @@ def _build_dataset_once(
 
 
 def _check_tc_list(case: NetworkCase, config: GenerationConfig):
-    """Reject a TC that islands the base network or is also a CSC: the
-    first cannot be drawn, the second would leave its samples nothing of
-    that contingency to screen."""
+    """Reject a TC that is already out of service, islands the base network
+    or is also a CSC: the first two cannot be drawn, the third would leave
+    its samples nothing of that contingency to screen."""
     if not config.tc_list:
         return
     cscs = {case.find_branch(name): name for name in config.csc_list}
+    live = set(case.arrays.branches.pos.tolist())
     bridges = case.arrays.topology.bridges
     for tc in config.tc_list:
         k = case.find_branch(tc)
+        if k not in live:
+            raise DatasetError(f"TC {tc} from the TC list is already out of service")
         if k in bridges:
             raise DatasetError(f"TC {tc} from the TC list islands the network")
         if k in cscs:
@@ -290,6 +293,8 @@ def load_dataset(path) -> Dataset:
         if not header or header[-1] != "label":
             raise DatasetError(f"{path}: not a dataset file (missing label column)")
         names = header[:-1]
+        if not names:
+            raise DatasetError(f"{path}: no feature columns")
         samples = []
         for line_no, line in enumerate(fh, start=2):
             cols = line.rstrip("\n").split(",")

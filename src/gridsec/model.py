@@ -226,7 +226,7 @@ def apply_outage(case: NetworkCase, branch_index: int) -> NetworkCase:
         raise CaseValidationError(f"branch index {branch_index} out of range")
     br = case.branches[branch_index]
     if not br.in_service:
-        raise CaseValidationError("branch already out of service")
+        raise CaseValidationError(f"branch {br.label()} is already out of service")
     branches = list(case.branches)
     branches[branch_index] = replace(br, in_service=False)
     outaged = NetworkCase(case.base_mva, case.buses, tuple(branches), case.generators, case.loads)

@@ -10,9 +10,12 @@ masks. A solve copies only the three arrays a Q-limit pin rewrites,
 ``s_spec``, ``pv`` and ``pq``.
 Each NR iteration evaluates the Jacobian only at Ybus's nonzero cells (and
 its diagonal) and scatters the values into the reduced ``pvpq``/``pq``
-matrix through a layout that the solve makes once, and again after a pin
-changes ``pvpq``/``pq``. Each entry equals, bit for bit, the same entry
-selected from the dense 2n x 2n ``dSbus_dV``.
+matrix. The cells and their scatter map come from the case view
+(``Topology.jacobian``), made once per parsed case and shared by its edits,
+which only remove branches; a solve gathers Ybus at those cells and drops
+the off-diagonal ones that are zero, and after a pin it asks
+``arrays.jacobian_scatter`` for the pinned masks' map. Each entry equals,
+bit for bit, the same entry selected from the dense 2n x 2n ``dSbus_dV``.
 Reactive-limit switching is one-way: a PV bus whose generators would exceed
 their Q capability is pinned there as a PQ bus and never switches back to PV
 within the solve. Non-convergence is an outcome, not an exception:
@@ -22,11 +25,13 @@ label.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .arrays import JacobianCells, JacobianScatter, jacobian_scatter
 from .errors import CaseValidationError, InfeasibleError, SettingError
 from .model import NetworkCase, reschedule_generation, scale_loads
 
@@ -69,11 +74,6 @@ def build_ybus(case: NetworkCase) -> np.ndarray:
     return y.reshape(n, n)
 
 
-def _index_sets(is_pv, is_pq):
-    """(pvpq, pq): the buses whose angle, and whose magnitude, NR solves for."""
-    return np.flatnonzero(is_pv | is_pq), np.flatnonzero(is_pq)
-
-
 def _pin_q(s_spec, is_pv, is_pq, q_load, i, q_gen):
     """Turn bus ``i`` into a PQ bus whose generators supply ``q_gen`` (pu):
     rewrites ``s_spec`` and the masks ``is_pv`` and ``is_pq``, which must be
@@ -88,54 +88,38 @@ def calc_injections(ybus, v):
     return v * np.conj(ybus @ v)
 
 
-def _mismatch(s_bus, s_spec, pvpq, pq):
-    """Stacked [dP at PV+PQ; dQ at PQ] from the bus injections ``s_bus``."""
-    ds = s_bus - s_spec
+def mismatch_vector(ybus, v, s_spec, pvpq, pq):
+    """Stacked [dP at PV+PQ; dQ at PQ] for the current complex voltages."""
+    ds = calc_injections(ybus, v) - s_spec
     return np.concatenate([ds[pvpq].real, ds[pq].imag])
 
 
-def mismatch_vector(ybus, v, s_spec, pvpq, pq):
-    """Stacked [dP at PV+PQ; dQ at PQ] for the current complex voltages."""
-    return _mismatch(calc_injections(ybus, v), s_spec, pvpq, pq)
-
-
 class _JacobianLayout(NamedTuple):
-    """Where the Jacobian's entries at Ybus's nonzero cells go in the reduced
-    matrix of one ``(pvpq, pq)`` choice."""
+    """Where the Jacobian's entries at the parsed case's cells go in the
+    reduced matrix of one PV/PQ choice."""
 
-    y: np.ndarray  # Ybus at each cell
+    y: np.ndarray  # Ybus at each cell; the first n cells are the diagonal
     rows: np.ndarray  # bus positions of each cell
     cols: np.ndarray
-    diag: np.ndarray  # the cells on the diagonal, in bus order
     src: np.ndarray  # flat positions in the (4, cells) block values ...
     dest: np.ndarray  # ... and their flat positions in the m x m Jacobian
     m: int
 
 
-def _jacobian_layout(ybus, pvpq, pq) -> _JacobianLayout:
-    """Scatter layout of the reduced Jacobian for the buses ``pvpq``/``pq``.
+def _jacobian_layout(ybus, cells: JacobianCells, scatter: JacobianScatter) -> _JacobianLayout:
+    """Scatter layout of the reduced Jacobian for ``scatter``'s masks.
 
-    The cells are Ybus's nonzeros plus every diagonal cell, so a bus's
-    diagonal terms have a place even where its Ybus entry is zero. A cell
-    goes to the dP/dVa, dP/dVm, dQ/dVa and dQ/dVm blocks at those of its
-    row and column buses that NR solves for; the rest of the matrix is zero.
+    ``cells`` are the parsed case's, which cover this case's Ybus. The layout
+    keeps every diagonal cell, so a bus's diagonal terms have a place even
+    where its Ybus entry is zero, and the off-diagonal cells where Ybus is
+    nonzero; a cell whose branches are all out scatters nothing.
     """
-    n = len(ybus)
-    cells = ybus != 0
-    np.fill_diagonal(cells, True)
-    flat = np.flatnonzero(cells)
-    rows, cols = np.divmod(flat, n)
-    m = len(pvpq) + len(pq)
-    # row or column of each bus's angle and magnitude unknown; -1 if none
-    ang, mag = np.full(n, -1), np.full(n, -1)
-    ang[pvpq] = np.arange(len(pvpq))
-    mag[pq] = np.arange(len(pvpq), m)
-    ra, rm, ca, cm = ang[rows], mag[rows], ang[cols], mag[cols]
-    r = np.concatenate([ra, ra, rm, rm])
-    c = np.concatenate([ca, cm, ca, cm])
-    src = np.flatnonzero((r >= 0) & (c >= 0))
-    return _JacobianLayout(ybus.ravel()[flat], rows, cols, np.flatnonzero(rows == cols),
-                           src, r[src] * m + c[src], m)
+    y = ybus.ravel()[cells.flat]
+    keep = y != 0
+    keep[:len(ybus)] = True
+    sel = np.concatenate([keep] * 4)[scatter.src]
+    return _JacobianLayout(y, cells.rows, cells.cols, scatter.src[sel], scatter.dest[sel],
+                           scatter.m)
 
 
 def jacobian(layout: _JacobianLayout, v, s_bus):
@@ -158,11 +142,11 @@ def jacobian(layout: _JacobianLayout, v, s_bus):
     t *= inv_vm[layout.cols]
     dp_dvm[:] = t.real
     dq_dvm[:] = t.imag
-    d = layout.diag
-    dp_dva[d] -= s_bus.imag
-    dq_dva[d] += s_bus.real
-    dp_dvm[d] += s_bus.real * inv_vm
-    dq_dvm[d] += s_bus.imag * inv_vm
+    n = len(v)  # the first n cells are the diagonal, in bus order
+    dp_dva[:n] -= s_bus.imag
+    dq_dva[:n] += s_bus.real
+    dp_dvm[:n] += s_bus.real * inv_vm
+    dq_dvm[:n] += s_bus.imag * inv_vm
     out = np.zeros(layout.m * layout.m)
     out[layout.dest] = vals.ravel()[layout.src]
     return out.reshape(layout.m, layout.m)
@@ -210,9 +194,11 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
     vm[regulated] = topo.vset[regulated]
     va = va - va[topo.slack]
 
-    pvpq, pq = _index_sets(is_pv, is_pq)
-    layout = _jacobian_layout(ybus, pvpq, pq)
+    cells = topo.jacobian
+    scatter = cells.scatter  # the solve's masks are the parsed case's until a pin
+    layout = _jacobian_layout(ybus, cells, scatter)
     watch = is_pv & inj.has_gen  # the PV buses whose Q limits are checked
+    q_hi, q_lo = inj.qg_max + 1e-9, inj.qg_min - 1e-9
     q_limited = []
     iterations = 0
     converged = False
@@ -226,21 +212,21 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
             # would have to exceed their reactive capability. A pinned bus
             # stays PQ for the rest of the solve.
             q_gen = s_bus.imag + inj.q_load
-            over = q_gen > inj.qg_max + 1e-9
-            under = q_gen < inj.qg_min - 1e-9
+            over = q_gen > q_hi
+            under = q_gen < q_lo
             hits = np.flatnonzero(watch & (over | under))
             for i in hits:
                 pinned = inj.qg_max[i] if over[i] else inj.qg_min[i]
                 _pin_q(s_spec, is_pv, is_pq, inj.q_load, i, pinned)
                 q_limited.append((int(i), pinned))
             if hits.size:
-                pvpq, pq = _index_sets(is_pv, is_pq)
-                layout = _jacobian_layout(ybus, pvpq, pq)
+                scatter = jacobian_scatter(cells.rows, cells.cols, is_pv, is_pq)
+                layout = _jacobian_layout(ybus, cells, scatter)
                 watch = is_pv & inj.has_gen
 
-        f = _mismatch(s_bus, s_spec, pvpq, pq)
+        f = (s_bus - s_spec).view(float)[scatter.mismatch]
         max_mis = float(np.max(np.abs(f))) if f.size else 0.0
-        if not np.isfinite(max_mis):
+        if not math.isfinite(max_mis):
             diagnostic = "non-finite mismatch"
             break
         if max_mis <= tolerance:
@@ -258,9 +244,9 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
             diagnostic = "singular Jacobian"
             iterations = iteration
             break
-        npvpq = len(pvpq)
-        va[pvpq] += dx[:npvpq]
-        vm[pq] += dx[npvpq:]
+        npvpq = len(scatter.pvpq)
+        va[scatter.pvpq] += dx[:npvpq]
+        vm[scatter.pq] += dx[npvpq:]
         iterations = iteration + 1
 
     v = vm * np.exp(1j * va)
@@ -289,7 +275,8 @@ def recompute_max_mismatch(case: NetworkCase, solution: PowerFlowSolution) -> fl
     for i, pinned in solution.q_limited:
         _pin_q(s_spec, is_pv, is_pq, inj.q_load, i, pinned)
     v = solution.v_mag * np.exp(1j * solution.v_ang)
-    f = mismatch_vector(build_ybus(case), v, s_spec, *_index_sets(is_pv, is_pq))
+    f = mismatch_vector(build_ybus(case), v, s_spec, np.flatnonzero(is_pv | is_pq),
+                        np.flatnonzero(is_pq))
     return float(np.max(np.abs(f))) if f.size else 0.0
 
 

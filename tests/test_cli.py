@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import pytest
 
@@ -314,6 +315,46 @@ def test_gen_dataset_bad_tc_list_exit_1(tmp_path, capsys, tc, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command, message", [
+    (["gen-dataset", "--tc-mix", "0.5"], "TC 7-8 from the TC list is already out of service"),
+    (["screen"], "branch 7-8 is already out of service"),
+    (["pv-curve", "--bus", "5", "--outage", "7-8"], "branch 7-8 is already out of service"),
+], ids=["gen-dataset", "screen", "pv-curve"])
+def test_branch_already_out_exit_1(tmp_path, capsys, command, message):
+    """A branch the case has out of service, given as a TC, a configuration
+    or an outage, is one error line naming it; a TC is rejected before any
+    sample is drawn."""
+    case = tmp_path / "case9.case"
+    case.write_text(Path(CASE9).read_text(encoding="utf-8").replace(
+        "7 8 0.0085 0.072  0.149 1.0 250.0 1", "7 8 0.0085 0.072  0.149 1.0 250.0 0"))
+    csc = tmp_path / "csc.txt"
+    csc.write_text("4-5\n6-9\n")
+    tc = tmp_path / "tc.txt"
+    tc.write_text("7-8\n")
+    configs = tmp_path / "configs.txt"
+    configs.write_text("4-5\n7-8\n")
+    args = {"gen-dataset": ["--n", "4", "--csc-list", str(csc), "--tc-list", str(tc)],
+            "pv-curve": [], "screen": ["--configs", str(configs)]}[command[0]]
+    code, _, err = run_cli(capsys, *command, "--case", str(case), *args,
+                           "--out", str(tmp_path / "out.csv"))
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_train_dataset_without_features_exit_1(tmp_path, capsys):
+    """A dataset whose header holds only the label column is one error line
+    naming it, before any training."""
+    bare = tmp_path / "bare.csv"
+    bare.write_text("label\n1\n0\n1\n0\n1\n")
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[experiment]\ninit_dataset = {bare}\nupdate_dataset = {bare}\n")
+    code, _, err = run_cli(capsys, "train", "--config", str(ini),
+                           "--out-dir", str(tmp_path / "train"))
+    assert code == 1
+    assert err == f"error: {bare}: no feature columns\n"
+
+
 def test_parser_prog_name():
     assert build_parser().prog == "gridsec"
 
@@ -357,7 +398,7 @@ def test_bad_case_value_exit_1(tmp_path, capsys, row, message):
     """A zero tap, an in_service flag other than 0 or 1, or a second branch
     on the same ends and circuit is one error line."""
     case = tmp_path / "bad.case"
-    case.write_text(open(CASE2, encoding="utf-8").read().replace(
+    case.write_text(Path(CASE2).read_text(encoding="utf-8").replace(
         "1 2 0.0 0.1 0.0 1.0 600.0 1", row))
     code, _, err = run_cli(capsys, "case-validate", "--case", str(case))
     assert code == 1

@@ -315,8 +315,9 @@ def test_view_arrays_are_read_only(case9):
     outaged = apply_outage(case9, case9.find_branch("4-5"))
     for case in (case9, outaged, scale_loads(outaged, 1.1)):
         view = case.arrays
+        cells = view.topology.jacobian
         arrays = [view.topology.pv, view.topology.pq, view.topology.vset, *view.branches,
-                  *view.injections]
+                  *view.injections, *cells[:3], *cells.scatter[:4], cells.scatter.mismatch]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[0]

@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 
 from gridsec import powerflow
+from gridsec.arrays import jacobian_scatter
 from gridsec.errors import CaseValidationError, IslandingError
-from gridsec.model import BusKind, apply_outage, bundled_case_path, parse_case, scale_loads
+from gridsec.model import (
+    BusKind,
+    apply_outage,
+    bundled_case_path,
+    parse_case,
+    reschedule_generation,
+    scale_loads,
+)
 from gridsec.powerflow import (
     TOLERANCE,
     _jacobian_layout,
@@ -152,9 +160,21 @@ def test_power_balance(case9):
     assert abs(imbalance) / case9.base_mva <= 10 * 1e-8
 
 
-def reduced_jacobian(ybus, v, pvpq, pq):
-    """The solver's Jacobian for these bus sets, on a layout of its own."""
-    return jacobian(_jacobian_layout(ybus, pvpq, pq), v, calc_injections(ybus, v))
+def masks(n, pvpq, pq):
+    """The PV and PQ masks of ``n`` buses whose NR index sets are ``pvpq``/``pq``."""
+    is_pv, is_pq = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    is_pv[pvpq] = True
+    is_pq[pq] = True
+    return is_pv & ~is_pq, is_pq
+
+
+def reduced_jacobian(case, v, pvpq, pq):
+    """The solver's Jacobian of ``case`` for these bus sets, on the layout a
+    solve gathers from the case view's cells."""
+    ybus = build_ybus(case)
+    cells = case.arrays.topology.jacobian
+    scatter = jacobian_scatter(cells.rows, cells.cols, *masks(len(v), pvpq, pq))
+    return jacobian(_jacobian_layout(ybus, cells, scatter), v, calc_injections(ybus, v))
 
 
 def test_jacobian_matches_finite_differences(case9):
@@ -177,7 +197,7 @@ def test_jacobian_matches_finite_differences(case9):
             return mismatch_vector(ybus, v, s_spec, pvpq, pq)
 
         v = vm * np.exp(1j * va)
-        jac = reduced_jacobian(ybus, v, pvpq, pq)
+        jac = reduced_jacobian(case9, v, pvpq, pq)
         m = len(pvpq) + len(pq)
         h = 1e-6
         fd = np.zeros((m, m))
@@ -222,10 +242,9 @@ def test_jacobian_matches_dense_oracle(case68):
         for q_set in (pq, pinned):
             want = dense_jacobian(ybus, v, pvpq, q_set)
             scale = np.abs(want).max()
-            for index in (list, np.array):
-                got = reduced_jacobian(ybus, v, index(pvpq), index(q_set))
-                assert got.shape == want.shape == (len(pvpq) + len(q_set),) * 2
-                assert np.abs(got - want).max() <= 1e-12 * scale
+            got = reduced_jacobian(case68, v, pvpq, q_set)
+            assert got.shape == want.shape == (len(pvpq) + len(q_set),) * 2
+            assert np.abs(got - want).max() <= 1e-12 * scale
 
 
 def broadcast_jacobian(ybus, v, pvpq, pq):
@@ -278,7 +297,7 @@ def test_jacobian_bit_identical_to_broadcast(case9, case68):
         for v in (solved, perturbed):
             for q_set in (pq, pinned):
                 want = broadcast_jacobian(ybus, v, pvpq, q_set)
-                got = reduced_jacobian(ybus, v, pvpq, q_set)
+                got = reduced_jacobian(case, v, pvpq, q_set)
                 assert np.array_equal(got, want)
                 f = mismatch_vector(ybus, v, case.arrays.injections.s_spec, pvpq, q_set)
                 assert np.linalg.solve(got, -f).tobytes() == np.linalg.solve(want, -f).tobytes()
@@ -314,8 +333,107 @@ def test_jacobian_zero_ybus_diagonal():
     for _ in range(3):
         v = (1.0 + rng.uniform(-0.05, 0.05, 3)) * np.exp(1j * rng.uniform(-0.2, 0.2, 3))
         want = broadcast_jacobian(ybus, v, [1, 2], [1, 2])
-        assert np.array_equal(reduced_jacobian(ybus, v, [1, 2], [1, 2]), want)
+        assert np.array_equal(reduced_jacobian(case, v, [1, 2], [1, 2]), want)
         assert want[0, 0] != 0
+
+
+def scan_jacobian(ybus, v, pvpq, pq):
+    """The reduced Jacobian on a layout scanned from ``ybus != 0`` and mapped
+    from the index sets at every call, as each solve once made it: the
+    bit-for-bit oracle of the layout gathered from the case view's cells."""
+    n = len(ybus)
+    nonzero = ybus != 0
+    np.fill_diagonal(nonzero, True)
+    flat = np.flatnonzero(nonzero)
+    rows, cols = np.divmod(flat, n)
+    m = len(pvpq) + len(pq)
+    ang, mag = np.full(n, -1), np.full(n, -1)
+    ang[pvpq] = np.arange(len(pvpq))
+    mag[pq] = np.arange(len(pvpq), m)
+    ra, rm, ca, cm = ang[rows], mag[rows], ang[cols], mag[cols]
+    r = np.concatenate([ra, ra, rm, rm])
+    c = np.concatenate([ca, cm, ca, cm])
+    src = np.flatnonzero((r >= 0) & (c >= 0))
+    s_bus = calc_injections(ybus, v)
+    inv_vm = 1.0 / np.abs(v)
+    t = v[rows] * np.conj(ybus.ravel()[flat] * v[cols])
+    vals = np.empty((4, len(t)))
+    dp_dva, dp_dvm, dq_dva, dq_dvm = vals
+    dp_dva[:] = t.imag
+    dq_dva[:] = -t.real
+    t *= inv_vm[cols]
+    dp_dvm[:] = t.real
+    dq_dvm[:] = t.imag
+    d = np.flatnonzero(rows == cols)
+    dp_dva[d] -= s_bus.imag
+    dq_dva[d] += s_bus.real
+    dp_dvm[d] += s_bus.real * inv_vm
+    dq_dvm[d] += s_bus.imag * inv_vm
+    out = np.zeros(m * m)
+    out[r[src] * m + c[src]] = vals.ravel()[src]
+    return out.reshape(m, m)
+
+
+def test_jacobian_bit_identical_to_scan_oracle(case9, case68):
+    """The parsed case's cells cover every edit's Ybus pattern, and the layout
+    gathered from them gives the scanned layout's Jacobian and the loop's
+    mismatch gather gives ``mismatch_vector``, byte for byte, for the case's
+    own masks and for pinned ones."""
+    tc = apply_outage(case68, case68.find_branch("18-42"))
+    csc = apply_outage(tc, case68.find_branch("18-49"))
+    parallel = parallel_case9()
+    one_circuit = apply_outage(parallel, parallel.find_branch("4-5:2"))
+    assert build_ybus(one_circuit)[3, 4] != 0
+    rng = np.random.default_rng(14)
+    for case in (case9, case68, csc, one_circuit, cancelled_diagonal_case()):
+        ybus = build_ybus(case)
+        n = len(case.buses)
+        cells = case.arrays.topology.jacobian
+        assert set(np.flatnonzero((ybus != 0) | np.eye(n, dtype=bool))) <= set(cells.flat)
+        topo = case.arrays.topology
+        pvpq, pq = np.flatnonzero(topo.pv | topo.pq), np.flatnonzero(topo.pq)
+        pinned = np.sort(np.concatenate([pq, np.flatnonzero(topo.pv)[:2]]))
+        if not topo.pv.any():
+            pinned = pq[1:]  # no PV bus to pin: make the first PQ bus PV instead
+        sol = solve_powerflow(case)
+        assert sol.converged
+        perturbed = ((sol.v_mag + rng.uniform(-0.05, 0.05, n))
+                     * np.exp(1j * (sol.v_ang + rng.uniform(-0.1, 0.1, n))))
+        for v in (sol.v_mag * np.exp(1j * sol.v_ang), perturbed):
+            for q_set in (pq, pinned):
+                want = scan_jacobian(ybus, v, pvpq, q_set)
+                assert reduced_jacobian(case, v, pvpq, q_set).tobytes() == want.tobytes()
+                scatter = jacobian_scatter(cells.rows, cells.cols, *masks(n, pvpq, q_set))
+                s_spec = case.arrays.injections.s_spec
+                f = (calc_injections(ybus, v) - s_spec).view(float)[scatter.mismatch]
+                assert f.tobytes() == mismatch_vector(ybus, v, s_spec, pvpq, q_set).tobytes()
+
+
+def test_jacobian_cells_shared_and_never_stored_by_a_solve(case9, case68):
+    """Edits hand the parsed case's Jacobian cells on as one object, and a
+    solve that pins a Q limit maps the pinned masks without storing them."""
+    cells = case68.arrays.topology.jacobian
+    scaled = scale_loads(case68, 1.1)
+    children = [scaled, reschedule_generation(scaled, 10.0),
+                apply_outage(case68, case68.find_branch("17-43")),
+                apply_outage(apply_outage(scaled, case68.find_branch("18-42")),
+                             case68.find_branch("18-49"))]
+    for child in children:
+        assert child.arrays.topology.jacobian is cells
+    own = cells.scatter
+    assert np.array_equal(own.pvpq, np.flatnonzero(case68.arrays.topology.pv
+                                                   | case68.arrays.topology.pq))
+    gens = (case9.generators[0], dataclasses.replace(case9.generators[1], q_max=2.0),
+            *case9.generators[2:])
+    tight = dataclasses.replace(case9, generators=gens)
+    topo = tight.arrays.topology
+    before = vars(topo).copy()
+    saved = [np.copy(a) for a in (*topo.jacobian[:3], *topo.jacobian.scatter)]
+    assert solve_powerflow(tight).q_limited
+    assert vars(topo).keys() == before.keys()
+    assert all(vars(topo)[k] is before[k] for k in before)
+    now = (*topo.jacobian[:3], *topo.jacobian.scatter)
+    assert all(np.array_equal(a, b) for a, b in zip(now, saved))
 
 
 def test_q_pin_rebuilds_the_jacobian_layout(case9, monkeypatch):
