@@ -18,7 +18,6 @@ from .powerflow import build_ybus, solve_powerflow, trace_pv_curve
 from .security import (
     Category,
     Label,
-    OperatingLimits,
     check_limits,
     classify_configuration,
     compute_piv,
@@ -30,7 +29,7 @@ __all__ = [
     "Branch", "Bus", "BusKind", "Generator", "Load", "NetworkCase",
     "apply_outage", "load_bundled_case", "load_case", "parse_case",
     "build_ybus", "solve_powerflow", "trace_pv_curve",
-    "Category", "Label", "OperatingLimits", "check_limits",
+    "Category", "Label", "check_limits",
     "classify_configuration", "compute_piv", "run_contingency_screen",
 ]
 

@@ -1,18 +1,19 @@
 """Read-only numpy arrays derived from a ``NetworkCase``, built once per case.
 
 These arrays are the one source of a case's network layout: the bus index,
-the branch-label map, the bus arrays (voltage setpoints, the slack position
-and read-only PV and PQ masks), the in-service branch table with its pi
-stamps, their flat Ybus cells, DC susceptances and ratings, the cells and
-scatter map of the Newton-Raphson Jacobian, and the per-bus injection sums.
-The solver reads its bus spec from them, builds Ybus from the table's cells
-with one ``np.add.at`` and gathers its Jacobian's layout from the map that
-``Topology.of`` makes once per parsed case; the solver, the limit check,
-the flow-change rule, the contingency ranking and the feature layout index
-branches by ``CaseArrays.branches.pos``. ``model`` keeps one ``CaseArrays``
-per case, and its edits hand the new case the parts they leave unchanged,
-the label map and the Jacobian map among them. The set of islanding
-branches comes from the same arrays.
+the branch-label map, the bus arrays (voltage setpoints, each bus's voltage
+limits, the slack position and read-only PV and PQ masks), the in-service
+branch table with its pi stamps, their flat Ybus cells, DC susceptances and
+ratings, the cells and scatter map of the Newton-Raphson Jacobian, and the
+per-bus injection sums. The solver reads its bus spec from them, builds Ybus
+from the table's cells with one ``np.add.at`` and gathers its Jacobian's
+layout from the map that ``Topology.of`` makes once per parsed case; the
+solver, the limit check, the flow-change rule, the contingency ranking and
+the feature layout index branches by ``CaseArrays.branches.pos``. ``model``
+keeps one ``CaseArrays`` per case, and its edits hand the new case the parts
+they leave unchanged, the label map and the Jacobian map among them. One
+walk from the slack (``islands``) finds the buses a case leaves
+disconnected and the buses each islanding outage cuts off.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+
+from .errors import CaseValidationError
 
 
 def _read_only(a):
@@ -112,12 +115,56 @@ def _jacobian_cells(n, branch_cells, pv, pq) -> JacobianCells:
     return JacobianCells(flat, rows, cols, scatter)
 
 
+def islands(n, root, ends):
+    """One iterative Tarjan depth-first search (Tarjan, IPL 1974) from bus
+    position ``root`` over ``ends``, a sequence of (branch, from bus, to bus)
+    position triples of the ``n`` buses. Returns the bus positions it misses
+    and, for each branch whose outage cuts buses off from ``root``, those
+    buses: a bridge's subtree and the missed ones. When some buses are
+    missed already, every branch cuts off at least those."""
+    adj = [[] for _ in range(n)]
+    for k, a, b in ends:
+        adj[a].append((b, k))
+        adj[b].append((a, k))
+    order = [-1] * n  # discovery order
+    low = [0] * n  # lowest order its subtree reaches by one back edge
+    order[root] = 0
+    seen = [root]  # buses in discovery order; a finished subtree is its tail
+    cuts = {}
+    # (bus, branch it was entered by, its edges left to scan); skipping
+    # only the entering branch keeps parallel circuits out of the cuts
+    stack = [(root, -1, iter(adj[root]))]
+    while stack:
+        u, via, edges = stack[-1]
+        for v, k in edges:
+            w = order[v]
+            if w < 0:
+                order[v] = low[v] = len(seen)
+                seen.append(v)
+                stack.append((v, k, iter(adj[v])))
+                break
+            if w < low[u] and k != via:
+                low[u] = w
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                if low[u] < low[parent]:
+                    low[parent] = low[u]
+                elif low[u] > order[parent]:
+                    cuts[via] = seen[order[u]:]
+    missed = [p for p in range(n) if order[p] < 0] if len(seen) < n else []
+    if missed:
+        cuts = {k: cuts.get(k, []) + missed for k, _, _ in ends}
+    return missed, cuts
+
+
 class Topology:
     """Bus arrays, branch labels, the branch table and the Jacobian cells of
     the case that was parsed or built, with the positions outaged since then
     in ``out``."""
 
-    def __init__(self, bus_index, labels, slack, pv, pq, vset, table: BranchTable,
+    def __init__(self, bus_index, labels, slack, pv, pq, vset, v_limits, table: BranchTable,
                  jacobian: JacobianCells, out=()):
         self.bus_index = bus_index  # bus id -> position
         self.labels = labels  # (low bus id, high bus id, circuit) -> branch position
@@ -125,6 +172,7 @@ class Topology:
         self.pv = pv  # True at PV buses
         self.pq = pq  # True at PQ buses
         self.vset = vset  # voltage setpoint, 1.0 where none
+        self.v_limits = v_limits  # (2, n): each bus's v_min, then its v_max
         self.table = table
         self.jacobian = jacobian  # shared by every edit, as labels is
         self.out = out
@@ -161,6 +209,7 @@ class Topology:
             pv,
             pq,
             _read_only(np.array([1.0 if b.v_setpoint is None else b.v_setpoint for b in case.buses])),
+            _read_only(np.array([[b.v_min for b in case.buses], [b.v_max for b in case.buses]])),
             BranchTable(*(_read_only(c) for c in columns)),
             _jacobian_cells(n, cells, pv, pq),
         )
@@ -168,7 +217,7 @@ class Topology:
     def without(self, k) -> Topology:
         """This topology with the branch at position ``k`` switched out."""
         return Topology(self.bus_index, self.labels, self.slack, self.pv, self.pq, self.vset,
-                        self.table, self.jacobian, self.out + (k,))
+                        self.v_limits, self.table, self.jacobian, self.out + (k,))
 
     def branches(self) -> BranchTable:
         """The in-service rows of ``table``. Dropping rows, rather than
@@ -182,41 +231,15 @@ class Topology:
         return BranchTable(*(_read_only(c[keep]) for c in self.table))
 
     @cached_property
-    def bridges(self) -> frozenset:
-        """Positions of the in-service branches whose outage disconnects the
-        network: its bridges, from one iterative Tarjan depth-first search
-        (Tarjan, IPL 1974), or every branch when it is disconnected already."""
+    def cuts(self) -> dict:
+        """Position of each in-service branch whose outage islands buses ->
+        the positions of those buses, from one walk from the slack
+        (``islands``)."""
+        if self.slack is None:
+            raise CaseValidationError("no slack bus")
         tb = self.branches()
-        adj = [[] for _ in self.vset]
-        for k, a, b in zip(tb.pos.tolist(), tb.f.tolist(), tb.t.tolist()):
-            adj[a].append((b, k))
-            adj[b].append((a, k))
-        order = [-1] * len(adj)  # discovery order
-        low = [0] * len(adj)  # lowest order its subtree reaches by one back edge
-        order[0] = 0
-        visited = 1
-        found = set()
-        # (bus, branch it was entered by, its edges left to scan); skipping
-        # only the entering branch keeps parallel circuits out of the set
-        stack = [(0, -1, iter(adj[0]))]
-        while stack:
-            u, via, edges = stack[-1]
-            for v, k in edges:
-                if order[v] < 0:
-                    order[v] = low[v] = visited
-                    visited += 1
-                    stack.append((v, k, iter(adj[v])))
-                    break
-                if k != via:
-                    low[u] = min(low[u], order[v])
-            else:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[u])
-                    if low[u] > order[parent]:
-                        found.add(via)
-        return frozenset(tb.pos.tolist() if visited < len(adj) else found)
+        ends = list(zip(tb.pos.tolist(), tb.f.tolist(), tb.t.tolist()))
+        return islands(len(self.vset), self.slack, ends)[1]
 
 
 class CaseArrays:

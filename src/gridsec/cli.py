@@ -14,7 +14,7 @@ from . import data, train
 from .errors import ExperimentError, GridSecError, SettingError, open_text
 from .model import apply_outage, load_case
 from .powerflow import trace_pv_curve
-from .security import OperatingLimits, parse_contingency_list, screen_configurations
+from .security import parse_contingency_list, screen_configurations
 
 DATA_DIR_ENV = "GRIDSEC_DATA_DIR"
 
@@ -91,8 +91,7 @@ def cmd_gen_dataset(args):
         csc_list=_read_list(args.csc_list),
         seed=args.seed,
     )
-    limits = OperatingLimits(v_min=args.v_min, v_max=args.v_max)
-    ds = data.build_dataset(case, config, limits=limits)
+    ds = data.build_dataset(case, config)
     data.save_dataset(ds, args.out, config)
     _, y = ds.matrix()
     print(f"wrote {len(ds)} samples to {args.out} "
@@ -188,8 +187,6 @@ def build_parser():
     p.add_argument("--tc-mix", type=float, default=0.0, help="fraction of samples with a TC")
     p.add_argument("--tc-list", help="file listing TC branch labels")
     p.add_argument("--csc-list", required=True, help="file listing CSC branch labels")
-    p.add_argument("--v-min", type=float, default=0.9, help="bus voltage lower limit")
-    p.add_argument("--v-max", type=float, default=1.1, help="bus voltage upper limit")
     p.add_argument("--out", required=True, help="output dataset CSV")
     p.set_defaults(func=cmd_gen_dataset)
 

@@ -6,8 +6,9 @@ OC becomes one classifier sample: a fixed-layout measurement vector plus the
 Secure/Insecure outcome of screening it against the CSC list. The screen's
 post-contingency solves warm-start from the OC's solution, which needs fewer
 Newton-Raphson iterations than a flat start and reaches the same labels, and
-the screen ranks the CSCs by that solution's flows. A TC that islands the
-base network or is also a CSC is rejected before sampling.
+the screen ranks the CSCs by that solution's flows. A CSC or TC that is
+out of service or listed twice, a TC that islands the base network and a
+branch that is both a TC and a CSC are rejected before sampling.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import DatasetError, open_text
 from .model import NetworkCase, apply_outage, reschedule_generation, scale_loads
 from .powerflow import PowerFlowSolution, solve_powerflow
-from .security import Label, OperatingLimits, run_contingency_screen
+from .security import Label, run_contingency_screen
 
 __all__ = [
     "GenerationConfig", "LabeledSample", "Dataset", "generate_oc",
@@ -150,18 +151,14 @@ def generate_oc(
     )
 
 
-def build_dataset(
-    case: NetworkCase,
-    config: GenerationConfig,
-    limits: OperatingLimits | None = None,
-) -> Dataset:
+def build_dataset(case: NetworkCase, config: GenerationConfig) -> Dataset:
     """Generate, label, and assemble a dataset; bit-reproducible from seed.
 
     Guard against degenerate single-class data: if every sample gets the
     same label, the upper scale bound is widened by +0.05 (up to 3 times)
     and generation reruns; the returned dataset reports the widened bound.
     """
-    ds = _build_dataset_once(case, config, limits)
+    ds = _build_dataset_once(case, config)
     labels = {s.label for s in ds.samples}
     hi = config.scale_range[1]
     attempts = 0
@@ -169,17 +166,13 @@ def build_dataset(
         attempts += 1
         hi = round(hi + 0.05, 10)
         widened = replace(config, scale_range=(config.scale_range[0], hi))
-        ds = _build_dataset_once(case, widened, limits)
+        ds = _build_dataset_once(case, widened)
         ds.widened_scale_hi = hi
         labels = {s.label for s in ds.samples}
     return ds
 
 
-def _build_dataset_once(
-    case: NetworkCase,
-    config: GenerationConfig,
-    limits: OperatingLimits | None = None,
-) -> Dataset:
+def _build_dataset_once(case: NetworkCase, config: GenerationConfig) -> Dataset:
     if config.n_samples < 1:
         raise DatasetError("n_samples must be >= 1")
     if not 0.0 <= config.tc_mix <= 1.0:
@@ -190,7 +183,7 @@ def _build_dataset_once(
         raise DatasetError("tc_mix > 0 needs a non-empty tc_list")
     if not config.csc_list:
         raise DatasetError("no contingencies configured")
-    _check_tc_list(case, config)
+    _check_lists(case, config)
     n = config.n_samples
     n_tc = int(round(config.tc_mix * n))
     pick_rng = np.random.default_rng((config.seed, 0x7C))
@@ -208,7 +201,7 @@ def _build_dataset_once(
             max_rejects=config.max_rejects,
         )
         rejections += rejects
-        screen = run_contingency_screen(oc, solution, config.csc_list, limits)
+        screen = run_contingency_screen(oc, solution, config.csc_list)
         samples.append(LabeledSample(extract_features(solution, case), screen.label, meta))
     return Dataset(
         samples=samples,
@@ -218,20 +211,31 @@ def _build_dataset_once(
     )
 
 
-def _check_tc_list(case: NetworkCase, config: GenerationConfig):
-    """Reject a TC that is already out of service, islands the base network
-    or is also a CSC: the first two cannot be drawn, the third would leave
-    its samples nothing of that contingency to screen."""
-    if not config.tc_list:
-        return
-    cscs = {case.find_branch(name): name for name in config.csc_list}
+def _positions(case: NetworkCase, names, kind):
+    """Branch position -> label for a CSC or TC list; a branch that is out of
+    service, or listed twice under either orientation, is a ``DatasetError``."""
     live = set(case.arrays.branches.pos.tolist())
-    bridges = case.arrays.topology.bridges
-    for tc in config.tc_list:
-        k = case.find_branch(tc)
+    found = {}
+    for name in names:
+        k = case.find_branch(name)
         if k not in live:
-            raise DatasetError(f"TC {tc} from the TC list is already out of service")
-        if k in bridges:
+            raise DatasetError(f"{kind} {name} from the {kind} list is already out of service")
+        if k in found:
+            raise DatasetError(f"{kind} {name} from the {kind} list repeats {found[k]}")
+        found[k] = name
+    return found
+
+
+def _check_lists(case: NetworkCase, config: GenerationConfig):
+    """Reject, before sampling, a CSC or TC that is out of service or listed
+    twice, a TC that islands the base network, and a branch that is both a
+    TC and a CSC: an out-of-service or islanding TC cannot be drawn, and a
+    TC that is also a CSC would leave its samples nothing of that
+    contingency to screen."""
+    cscs = _positions(case, config.csc_list, "CSC")
+    cuts = case.arrays.topology.cuts
+    for k, tc in _positions(case, config.tc_list, "TC").items():
+        if k in cuts:
             raise DatasetError(f"TC {tc} from the TC list islands the network")
         if k in cscs:
             raise DatasetError(f"branch {tc} is both a TC and a CSC ({cscs[k]})")

@@ -31,8 +31,7 @@ class IslandingError(GridSecError):
 
 
 class SettingError(GridSecError, ValueError):
-    """A solver, PV-curve, screen or security-limit setting is out of range
-    or empty."""
+    """A solver, PV-curve or screen setting is out of range or empty."""
 
 
 class InfeasibleError(GridSecError):

@@ -5,19 +5,20 @@ impedances, which are per-unit on the system MVA base. Cases are immutable
 values: every edit returns a new ``NetworkCase``. Each case carries one
 cached array view (``NetworkCase.arrays``, see ``arrays``) that the solver
 reads; an edit hands the new case the parts of its view that it leaves
-unchanged.
+unchanged. Connectivity has one source, a walk from the slack
+(``arrays.islands``): validation reads the buses it misses, and an outage
+the buses it cuts off.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
 
-from .arrays import CaseArrays
+from .arrays import CaseArrays, islands
 from .errors import (
     CaseFormatError,
     CaseValidationError,
@@ -129,25 +130,6 @@ def _with_arrays(case: NetworkCase, topology, injections=None) -> NetworkCase:
     return case
 
 
-def connected_buses(case: NetworkCase):
-    """Bus ids reachable from the slack over in-service branches (BFS)."""
-    start_id = case.slack_bus().id
-    adj = {b.id: [] for b in case.buses}
-    for br in case.branches:
-        if br.in_service:
-            adj[br.from_bus].append(br.to_bus)
-            adj[br.to_bus].append(br.from_bus)
-    seen = {start_id}
-    queue = deque([start_id])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
-
-
 def validate_case(case: NetworkCase):
     """Raise ``CaseValidationError`` on the first violated invariant."""
     if case.base_mva <= 0:
@@ -203,10 +185,12 @@ def validate_case(case: NetworkCase):
     for l in case.loads:
         if l.bus not in id_set:
             raise CaseValidationError(f"load at unknown bus {l.bus}")
-    reachable = connected_buses(case)
-    missing = sorted(id_set - reachable)
-    if missing:
-        raise CaseValidationError(f"disconnected bus {missing[0]}")
+    index = {b.id: i for i, b in enumerate(case.buses)}
+    ends = [(k, index[br.from_bus], index[br.to_bus])
+            for k, br in enumerate(case.branches) if br.in_service]
+    missed, _ = islands(len(ids), index[slacks[0]], ends)
+    if missed:
+        raise CaseValidationError(f"disconnected bus {min(ids[p] for p in missed)}")
     capacity = sum(g.p_max for g in case.generators if g.in_service)
     p_load, _ = case.total_load()
     if capacity < 1.05 * p_load:
@@ -227,14 +211,14 @@ def apply_outage(case: NetworkCase, branch_index: int) -> NetworkCase:
     br = case.branches[branch_index]
     if not br.in_service:
         raise CaseValidationError(f"branch {br.label()} is already out of service")
+    view = case.arrays
+    cut = view.topology.cuts.get(branch_index)
+    if cut:
+        lost = sorted(case.buses[p].id for p in cut)
+        raise IslandingError(f"outage disconnects bus set {set(lost)}", lost)
     branches = list(case.branches)
     branches[branch_index] = replace(br, in_service=False)
     outaged = NetworkCase(case.base_mva, case.buses, tuple(branches), case.generators, case.loads)
-    view = case.arrays
-    if branch_index in view.topology.bridges:
-        reachable = connected_buses(outaged)
-        lost = sorted(b.id for b in case.buses if b.id not in reachable)
-        raise IslandingError(f"outage disconnects bus set {set(lost)}", lost)
     return _with_arrays(outaged, view.topology.without(branch_index), view.injections)
 
 

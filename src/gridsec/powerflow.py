@@ -287,10 +287,13 @@ def trace_pv_curve(case: NetworkCase, monitored_bus: int, step: float) -> PvCurv
     rescheduled across non-slack generators capacity-proportionally (slack
     absorbs anything beyond their limits). Each solve warm-starts from the
     previous point. Tracing stops at the first non-converged solve, or past a
-    multiplier of 50; the last converged multiplier is the nose.
+    multiplier of 50; the last converged multiplier is the nose. The
+    multiplier is rounded to 12 decimals, so ``step`` must be at least 1e-12.
     """
     if not 0.0 < step < np.inf:
         raise SettingError("step must be positive and finite")
+    if step < 1e-12:  # a smaller step can round back to the same load scale
+        raise SettingError(f"step {step} is below 1e-12, the resolution of the load scale")
     pos = case.bus_index().get(monitored_bus)
     if pos is None:
         raise CaseValidationError(f"no bus {monitored_bus} in case")

@@ -6,8 +6,8 @@ split by flow impact: under 200 MW of worst-branch active-flow change they
 are topology changes (TCs, folded into the operating condition itself), at
 200 MW or more they are critical system contingencies (CSCs) that decide the
 Secure/Insecure label. A contingency fails on islanding, divergence, a bus
-voltage outside the operating limits or a branch loaded above
-``LOADING_LIMIT`` of its rating.
+voltage outside that bus's ``[v_min, v_max]`` band from the case file, or a
+branch loaded above ``LOADING_LIMIT`` of its rating.
 
 The N-1 screen stops at the first contingency that fails, since that one
 decides the Insecure label. It screens in the DC contingency-selection order
@@ -18,8 +18,9 @@ loading from line-outage distribution factors (LODFs) and the operating
 condition's own flows. Every contingency solve warm-starts from the
 operating condition's converged voltages, so each outcome, and hence the
 label, does not depend on the order. The limit check, the flow-change rule
-and the ranking read the in-service branches, their ratings and their DC
-susceptances from the case's array view (``case.arrays.branches``).
+and the ranking read the bus voltage bands, the in-service branches, their
+ratings and their DC susceptances from the case's array view
+(``case.arrays``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridSecError, IslandingError, SettingError
+from .errors import GridSecError, IslandingError
 from .model import NetworkCase, apply_outage
 from .powerflow import PowerFlowSolution, solve_powerflow
 
@@ -51,21 +52,11 @@ class Label(enum.Enum):
 
 
 @dataclass(frozen=True)
-class OperatingLimits:
-    v_min: float = 0.90
-    v_max: float = 1.10
-
-    def __post_init__(self):
-        if not self.v_min < self.v_max:
-            raise SettingError("v_min must be below v_max")
-
-
-@dataclass(frozen=True)
 class Violation:
     kind: str  # low-voltage | high-voltage | overload
     element: str  # "bus 7" or a branch label
     value: float
-    limit: float
+    limit: float  # the bus's own v_min or v_max, or LOADING_LIMIT
 
 
 @dataclass
@@ -144,25 +135,23 @@ def classify_configuration(
     )
 
 
-def check_limits(
-    solution: PowerFlowSolution,
-    case: NetworkCase,
-    limits: OperatingLimits | None = None,
-) -> list:
+def check_limits(solution: PowerFlowSolution, case: NetworkCase) -> list:
     """All bus-voltage and branch-loading violations; empty means secure.
 
-    Buses come first, then in-service branches, each in case order.
+    Each bus is held to its own ``v_min``/``v_max`` from the case. Buses
+    come first, then in-service branches, each in case order.
     """
-    limits = limits or OperatingLimits()
     if not solution.converged:
         raise GridSecError("limit check needs a converged solution")
     vm = solution.v_mag
-    low = vm < limits.v_min
-    high = vm > limits.v_max
+    v_min, v_max = case.arrays.topology.v_limits
+    low = vm < v_min
+    high = vm > v_max
     violations = []
     for pos in np.flatnonzero(low | high):
-        kind, limit = ("low-voltage", limits.v_min) if low[pos] else ("high-voltage", limits.v_max)
-        violations.append(Violation(kind, f"bus {case.buses[pos].id}", float(vm[pos]), limit))
+        kind, limit = ("low-voltage", v_min[pos]) if low[pos] else ("high-voltage", v_max[pos])
+        violations.append(Violation(kind, f"bus {case.buses[pos].id}", float(vm[pos]),
+                                    float(limit)))
     tb = case.arrays.branches
     live = tb.pos
     s_from = np.hypot(solution.p_from[live], solution.q_from[live])
@@ -211,12 +200,8 @@ def predicted_loading(case: NetworkCase, p_from, outages) -> np.ndarray:
     return np.max(np.abs(post) / tb.rating[:, None], axis=0)
 
 
-def run_contingency_screen(
-    case: NetworkCase,
-    solution: PowerFlowSolution,
-    csc_list,
-    limits: OperatingLimits | None = None,
-) -> ScreenResult:
+def run_contingency_screen(case: NetworkCase, solution: PowerFlowSolution,
+                           csc_list) -> ScreenResult:
     """Label one operating condition against a list of branch outage labels.
 
     ``solution`` is the OC's converged power flow. Secure iff every
@@ -234,16 +219,15 @@ def run_contingency_screen(
         raise GridSecError("no contingencies configured")
     if not solution.converged:
         raise GridSecError("the screen needs the operating condition's converged solution")
-    limits = limits or OperatingLimits()
     live = case.arrays.branches.pos
     pending = [(name, case.find_branch(name)) for name in csc_list]
     pending = [(name, k) for name, k in pending if k in live]
     if not pending:
         raise GridSecError(
             f"no contingency left to screen: {', '.join(csc_list)} already out of service")
-    bridges = case.arrays.topology.bridges
+    cuts = case.arrays.topology.cuts
     for name, k in pending:
-        if k in bridges:
+        if k in cuts:
             return ScreenResult(Label.INSECURE, [ContingencyResult(name, False, True, (), False)],
                                 first_failure=name)
     loading = predicted_loading(case, solution.p_from, [k for _, k in pending])
@@ -254,7 +238,7 @@ def run_contingency_screen(
         outaged = apply_outage(case, k)
         sol = solve_powerflow(outaged, start)
         if sol.converged:
-            violations = tuple(check_limits(sol, outaged, limits))
+            violations = tuple(check_limits(sol, outaged))
             result = ContingencyResult(name, True, False, violations, not violations)
         else:
             result = ContingencyResult(name, False, False, (), False)

@@ -120,9 +120,11 @@ class ExperimentConfig:
             raise ExperimentError(f"seeds must be non-negative, not {min(self.seeds)}")
         if not self.algorithms:
             raise ExperimentError("algorithms must not be empty")
-        repeated = sorted({a for a in self.algorithms if self.algorithms.count(a) > 1})
-        if repeated:
-            raise ExperimentError(f"algorithms lists {', '.join(repeated)} more than once")
+        for key in ("seeds", "algorithms"):
+            values = getattr(self, key)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ExperimentError(f"{key} lists {', '.join(map(str, repeated))} more than once")
         try:
             # width 1 stands in for the feature count, which the datasets fix
             MlpArchitecture((1, *self.hidden, 2), self.activation)

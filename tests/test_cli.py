@@ -1,8 +1,12 @@
 import os
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gridsec
 from gridsec.cli import build_parser, main
 from gridsec.model import bundled_case_path
 from gridsec.train import PHASE_INIT, PHASE_UPDATE, LogRow, RunResult, write_log
@@ -35,8 +39,7 @@ def test_help_lists_all_subcommands(capsys):
     ("pv-curve", ["--case", "--bus", "--step", "--outage", "--out"]),
     ("screen", ["--case", "--configs", "--out"]),
     ("gen-dataset", ["--case", "--n", "--seed", "--scale-lo", "--scale-hi",
-                     "--tc-mix", "--tc-list", "--csc-list", "--v-min",
-                     "--v-max", "--out"]),
+                     "--tc-mix", "--tc-list", "--csc-list", "--out"]),
     ("train", ["--config", "--out-dir"]),
     ("report", ["--log-dir", "--out"]),
 ])
@@ -269,7 +272,7 @@ def test_report_header_only_log_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, message", [
-    (["gen-dataset", "--v-min", "1.2", "--v-max", "1.0"], "v_min must be below v_max"),
+    (["case-validate"], "bus 5: v_min must be below v_max"),
     (["gen-dataset", "--tc-mix", "1.5"], "tc_mix must lie in [0, 1]"),
     (["gen-dataset", "--tc-mix", "-0.5"], "tc_mix must lie in [0, 1]"),
     (["pv-curve", "--bus", "999"], "no bus 999 in case"),
@@ -280,6 +283,7 @@ def test_report_header_only_log_exit_1(tmp_path, capsys):
     (["gen-dataset", "--scale-lo", "-2", "--scale-hi", "-1"], "bad scale range [-2.0, -1.0]"),
     (["gen-dataset", "--seed", "-1"], "seed must be non-negative, not -1"),
     (["screen"], "no configurations to screen in"),
+    (["pv-curve", "--bus", "5", "--step", "1e-13"], "step 1e-13 is below 1e-12"),
 ])
 def test_bad_study_input_exit_1(tmp_path, capsys, command, message):
     """A bad value is one error line and exit 1, not a traceback."""
@@ -289,10 +293,18 @@ def test_bad_study_input_exit_1(tmp_path, capsys, command, message):
     tc.write_text("5-7\n")
     configs = tmp_path / "configs.txt"
     configs.write_text("# comments only\n\n")
-    args = {"gen-dataset": ["--n", "4", "--csc-list", str(csc), "--tc-list", str(tc)],
-            "pv-curve": [], "screen": ["--configs", str(configs)]}[command[0]]
-    code, _, err = run_cli(capsys, *command, "--case", CASE9, *args,
-                           "--out", str(tmp_path / "out.csv"))
+    # bus 5's band turned upside down
+    band = tmp_path / "band.case"
+    band.write_text(Path(CASE9).read_text(encoding="utf-8").replace(
+        "5 pq    230.0 -     0.9 1.1", "5 pq    230.0 -     1.1 0.9"))
+    out = ["--out", str(tmp_path / "out.csv")]
+    case, args = {
+        "case-validate": (band, []),
+        "gen-dataset": (CASE9, ["--n", "4", "--csc-list", str(csc), "--tc-list", str(tc), *out]),
+        "pv-curve": (CASE9, out),
+        "screen": (CASE9, ["--configs", str(configs), *out]),
+    }[command[0]]
+    code, _, err = run_cli(capsys, *command, "--case", str(case), *args)
     assert code == 1
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
@@ -300,10 +312,12 @@ def test_bad_study_input_exit_1(tmp_path, capsys, command, message):
 @pytest.mark.parametrize("tc, message", [
     ("4-5", "branch 4-5 is both a TC and a CSC (4-5)"),
     ("1-4", "TC 1-4 from the TC list islands the network"),
+    ("7-5", "TC 7-5 from the TC list repeats 5-7"),
 ])
 def test_gen_dataset_bad_tc_list_exit_1(tmp_path, capsys, tc, message):
-    """A TC that is also a CSC, or that islands the case, is one error line
-    naming it and exit 1, before any sample is drawn."""
+    """A TC that is also a CSC, that islands the case or that repeats another
+    in either orientation is one error line naming it and exit 1, before any
+    sample is drawn."""
     csc = tmp_path / "csc.txt"
     _write_csc_list(csc)
     tcs = tmp_path / "tc.txt"
@@ -313,6 +327,29 @@ def test_gen_dataset_bad_tc_list_exit_1(tmp_path, capsys, tc, message):
                            "--out", str(tmp_path / "out.csv"))
     assert code == 1
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("out_of_service, cscs, message", [
+    (True, "4-5\n7-8\n", "CSC 7-8 from the CSC list is already out of service"),
+    (False, "4-5\n7-8\n5-4\n", "CSC 5-4 from the CSC list repeats 4-5"),
+], ids=["out-of-service", "repeated"])
+def test_gen_dataset_bad_csc_list_exit_1(tmp_path, capsys, out_of_service, cscs, message):
+    """A CSC that the case has out of service, or one listed twice in either
+    orientation, is one error line naming it, with no TC list and before
+    any sample is drawn."""
+    text = Path(CASE9).read_text(encoding="utf-8")
+    if out_of_service:
+        text = text.replace("7 8 0.0085 0.072  0.149 1.0 250.0 1",
+                            "7 8 0.0085 0.072  0.149 1.0 250.0 0")
+    case = tmp_path / "case9.case"
+    case.write_text(text)
+    csc = tmp_path / "csc.txt"
+    csc.write_text(cscs)
+    code, _, err = run_cli(capsys, "gen-dataset", "--case", str(case), "--n", "4",
+                           "--csc-list", str(csc), "--out", str(tmp_path / "out.csv"))
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("command, message", [
@@ -353,6 +390,25 @@ def test_train_dataset_without_features_exit_1(tmp_path, capsys):
                            "--out-dir", str(tmp_path / "train"))
     assert code == 1
     assert err == f"error: {bare}: no feature columns\n"
+
+
+def test_readme_cli_block_runs(tmp_path):
+    """The README's CLI walk-through runs as written under ``bash -e``, in a
+    fresh directory, with ``gridsec`` as ``python -m gridsec.cli`` and the
+    case paths read from the repository root."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    src = str(Path(gridsec.__file__).resolve().parents[1])
+    env = {**os.environ, "GRIDSEC_DATA_DIR": str(root),
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    script = f'gridsec() {{ {shlex.quote(sys.executable)} -m gridsec.cli "$@"; }}\n' + block
+    done = subprocess.run(["bash", "-e", "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    for name in ("curve.csv", "screen.csv", "init.csv", "update.csv",
+                 "runs/summary_train.csv", "runs/summary_test.csv"):
+        assert (tmp_path / name).is_file(), name
 
 
 def test_parser_prog_name():

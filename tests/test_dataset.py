@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -21,9 +22,15 @@ from gridsec.data import (
     split_dataset,
 )
 from gridsec.errors import DatasetError
-from gridsec.model import apply_outage, bundled_case_path, reschedule_generation, scale_loads
+from gridsec.model import (
+    BusKind,
+    apply_outage,
+    bundled_case_path,
+    reschedule_generation,
+    scale_loads,
+)
 from gridsec.powerflow import solve_powerflow
-from gridsec.security import Label, OperatingLimits, run_contingency_screen
+from gridsec.security import Label, run_contingency_screen
 
 from tests.conftest import CSC_LINES, TC_LINES
 from tests.test_security import exhaustive_screen
@@ -131,7 +138,7 @@ def test_build_dataset_label_oracle(case68):
     ds = build_dataset(case68, cfg)
     s = ds.samples[2]
     oc = rebuild_oc(case68, s.meta)
-    screen = run_contingency_screen(oc, solve_powerflow(oc), CSC_LINES, OperatingLimits())
+    screen = run_contingency_screen(oc, solve_powerflow(oc), CSC_LINES)
     assert screen.label is s.label
 
 
@@ -144,7 +151,7 @@ def test_build_dataset_warm_start_keeps_flat_start_labels(case68):
     assert sum(s.meta.tc is not None for s in ds.samples) == 6
     assert {s.label for s in ds.samples} == {Label.SECURE, Label.INSECURE}
     for s in ds.samples:
-        flat, _ = exhaustive_screen(rebuild_oc(case68, s.meta), CSC_LINES, OperatingLimits(), None)
+        flat, _ = exhaustive_screen(rebuild_oc(case68, s.meta), CSC_LINES, None)
         assert flat is s.label, s.meta
 
 
@@ -165,6 +172,17 @@ def test_build_dataset_rejects_an_islanding_tc(case9):
                            csc_list=("6-9",), seed=0)
     with pytest.raises(DatasetError, match="TC 1-4 from the TC list islands the network"):
         build_dataset(case9, cfg)
+
+
+def test_build_dataset_reads_each_bus_band(case9):
+    """The case's per-bus band decides the labels: every PQ bus of case9 at
+    v_min 1.0 labels more samples Insecure than the case's own 0.9."""
+    buses = tuple(dataclasses.replace(b, v_min=1.0) if b.kind is BusKind.PQ else b
+                  for b in case9.buses)
+    raised = dataclasses.replace(case9, buses=buses)
+    cfg = GenerationConfig(n_samples=20, csc_list=("4-5", "7-8"), seed=3)
+    plain, tight = (build_dataset(case, cfg).matrix()[1] for case in (case9, raised))
+    assert tight.sum() > plain.sum()
 
 
 def test_labelling_does_not_import_scipy():

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import deque
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from gridsec.model import (
     NetworkCase,
     apply_outage,
     bundled_case_path,
-    connected_buses,
     parse_case,
     reschedule_generation,
     scale_loads,
@@ -69,6 +69,18 @@ def test_disconnected_bus_rejected():
     bad = MINIMAL.replace("[BRANCH]", "3 pq 345.0 - 0.9 1.1\n[BRANCH]")
     with pytest.raises(CaseValidationError, match="disconnected bus 3"):
         parse_case(bad)
+    # an island of two buses, listed and joined after the slack: the lowest id
+    island = MINIMAL.replace("[BRANCH]", "4 pq 345.0 - 0.9 1.1\n3 pq 345.0 - 0.9 1.1\n"
+                             "[BRANCH]\n4 3 0.0 0.1 0.0 1.0 600.0 1")
+    with pytest.raises(CaseValidationError, match="disconnected bus 3"):
+        parse_case(island)
+
+
+def test_outage_without_slack_is_an_error():
+    case = parse_case(MINIMAL)
+    buses = (dataclasses.replace(case.buses[0], kind=BusKind.PV), case.buses[1])
+    with pytest.raises(CaseValidationError, match="no slack bus"):
+        apply_outage(dataclasses.replace(case, buses=buses), 0)
 
 
 def test_syntax_error_carries_line_number():
@@ -230,7 +242,25 @@ format_version: 1
         assert g.p_mw == pytest.approx(expected, abs=1e-2)
 
 
-# --- islanding from the bridge set ---------------------------------------------
+# --- islanding from the walk from the slack -----------------------------------
+
+def bfs_reached(case):
+    """Bus ids reachable from the slack over in-service branches: a
+    breadth-first search, the oracle of ``arrays.islands``."""
+    adj = {b.id: [] for b in case.buses}
+    for br in case.branches:
+        if br.in_service:
+            adj[br.from_bus].append(br.to_bus)
+            adj[br.to_bus].append(br.from_bus)
+    seen = {case.slack_bus().id}
+    queue = deque(seen)
+    while queue:
+        for v in adj[queue.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return seen
+
 
 def _bfs_lost(case, k):
     """Bus ids that a BFS from the slack misses once branch ``k`` is out, on a
@@ -238,7 +268,7 @@ def _bfs_lost(case, k):
     branches = list(case.branches)
     branches[k] = dataclasses.replace(branches[k], in_service=False)
     cold = NetworkCase(case.base_mva, case.buses, tuple(branches), case.generators, case.loads)
-    return {b.id for b in case.buses} - connected_buses(cold)
+    return {b.id for b in case.buses} - bfs_reached(cold)
 
 
 def check_outages(case):
@@ -253,6 +283,7 @@ def check_outages(case):
             with pytest.raises(IslandingError) as err:
                 apply_outage(case, k)
             assert err.value.buses == lost
+            assert str(err.value) == f"outage disconnects bus set {set(sorted(lost))}"
         else:
             assert not apply_outage(case, k).branches[k].in_service
     return len(live), islanding
@@ -280,6 +311,7 @@ def _assert_same_as_cold(case):
     assert topo.slack == cold.arrays.topology.slack == kinds.index(BusKind.SLACK)
     for mask, kind in ((topo.pv, BusKind.PV), (topo.pq, BusKind.PQ)):
         assert mask.dtype == bool and mask.tolist() == [k is kind for k in kinds]
+    assert topo.v_limits.tolist() == [[b.v_min for b in case.buses], [b.v_max for b in case.buses]]
     assert np.array_equal(build_ybus(case), build_ybus(cold))
     warm, ref = solve_powerflow(case), solve_powerflow(cold)
     for field in ("v_mag", "v_ang", "p_from", "q_from", "p_to", "q_to", "i_from"):
@@ -306,9 +338,11 @@ def test_views_equal_cold_rebuilds(case9, case68):
             # every edit hands its parent's bus masks down instead of rebuilding them
             assert outaged.arrays.topology.pv is case.arrays.topology.pv
             assert outaged.arrays.topology.pq is case.arrays.topology.pq
+            assert outaged.arrays.topology.v_limits is case.arrays.topology.v_limits
     for child in (scaled, oc):
         assert child.arrays.topology.pv is case68.arrays.topology.pv
         assert child.arrays.topology.pq is case68.arrays.topology.pq
+        assert child.arrays.topology.v_limits is case68.arrays.topology.v_limits
 
 
 def test_view_arrays_are_read_only(case9):
@@ -316,7 +350,8 @@ def test_view_arrays_are_read_only(case9):
     for case in (case9, outaged, scale_loads(outaged, 1.1)):
         view = case.arrays
         cells = view.topology.jacobian
-        arrays = [view.topology.pv, view.topology.pq, view.topology.vset, *view.branches,
+        arrays = [view.topology.pv, view.topology.pq, view.topology.vset,
+                  view.topology.v_limits, *view.branches,
                   *view.injections, *cells[:3], *cells.scatter[:4], cells.scatter.mismatch]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):

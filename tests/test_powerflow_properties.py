@@ -8,7 +8,6 @@ import pytest
 from gridsec.data import generate_oc
 from gridsec.model import Branch, Bus, BusKind, NetworkCase
 from gridsec.powerflow import TOLERANCE, recompute_max_mismatch, solve_powerflow
-from gridsec.security import OperatingLimits
 
 from tests.test_grid_model import check_outages
 from tests.conftest import CSC_LINES, TC_LINES
@@ -88,4 +87,4 @@ def test_ranked_screen_matches_exhaustive(case68, draw, tc, bridge, at):
     if bridge:
         csc.insert(at, bridge)
     oc, sol, _, _ = generate_oc(case68, (11, draw), tc=tc)
-    check_ranked_screen(oc, sol, csc, OperatingLimits())
+    check_ranked_screen(oc, sol, csc)

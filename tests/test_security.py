@@ -5,13 +5,12 @@ import pytest
 
 from gridsec.data import extract_features, feature_names, generate_oc
 from gridsec.errors import GridSecError, IslandingError
-from gridsec.model import NetworkCase, apply_outage, scale_loads
+from gridsec.model import BusKind, NetworkCase, apply_outage, scale_loads
 from gridsec.powerflow import solve_powerflow
 from gridsec.security import (
     LOADING_LIMIT,
     Category,
     Label,
-    OperatingLimits,
     Violation,
     categorize,
     check_limits,
@@ -90,17 +89,43 @@ def test_classify_configuration_on_network(case68):
         max_flow_delta_mw(pre, post, post_case))
 
 
+def banded(case, bands):
+    """The case with bus ``k``'s (v_min, v_max) set to ``bands[k % len(bands)]``."""
+    buses = tuple(dataclasses.replace(b, v_min=bands[k % len(bands)][0],
+                                      v_max=bands[k % len(bands)][1])
+                  for k, b in enumerate(case.buses))
+    return dataclasses.replace(case, buses=buses)
+
+
 def test_check_limits_clean(case9):
     sol = solve_powerflow(case9)
-    violations = check_limits(sol, case9, OperatingLimits())
+    violations = check_limits(sol, case9)
     assert violations == []
 
 
 def test_check_limits_flags_voltage(case9):
     sol = solve_powerflow(case9)
-    tight = OperatingLimits(v_min=0.90, v_max=1.02)
-    violations = check_limits(sol, case9, tight)
-    assert any(v.kind == "high-voltage" for v in violations)
+    # buses 1-9 are at 1.040, 1.025, 1.025, 1.026, 0.996, 1.013, 1.026, 1.016, 1.032
+    tight = banded(case9, [(0.90, 1.02), (1.00, 1.10), (0.90, 1.03)])
+    violations = check_limits(sol, tight)
+    assert [(v.kind, v.element, v.limit) for v in violations] == [
+        ("high-voltage", "bus 1", 1.02), ("high-voltage", "bus 4", 1.02),
+        ("low-voltage", "bus 5", 1.00), ("high-voltage", "bus 7", 1.02),
+        ("high-voltage", "bus 9", 1.03)]
+
+
+def test_check_limits_reads_each_bus_band(case9):
+    """Every PQ bus of case9 at v_min 1.0: low voltage at exactly the PQ
+    buses below 1.0 pu, each against its own limit."""
+    buses = tuple(dataclasses.replace(b, v_min=1.0) if b.kind is BusKind.PQ else b
+                  for b in case9.buses)
+    raised = dataclasses.replace(case9, buses=buses)
+    sol = solve_powerflow(raised)
+    low = [k for k, b in enumerate(raised.buses) if b.kind is BusKind.PQ and sol.v_mag[k] < 1.0]
+    assert low
+    assert check_limits(sol, raised) == [
+        Violation("low-voltage", f"bus {raised.buses[k].id}", float(sol.v_mag[k]), 1.0)
+        for k in low]
 
 
 def derated(case, factor):
@@ -116,15 +141,16 @@ def test_check_limits_flags_loading(case9):
     assert any(v.kind == "overload" for v in violations)
 
 
-def loop_violations(solution, case, limits):
-    """Reference check_limits: one Python pass over buses, then branches."""
+def loop_violations(solution, case):
+    """Reference check_limits: one Python pass over buses, each against its
+    own band, then branches."""
     violations = []
     for pos, bus in enumerate(case.buses):
         vm = float(solution.v_mag[pos])
-        if vm < limits.v_min:
-            violations.append(Violation("low-voltage", f"bus {bus.id}", vm, limits.v_min))
-        elif vm > limits.v_max:
-            violations.append(Violation("high-voltage", f"bus {bus.id}", vm, limits.v_max))
+        if vm < bus.v_min:
+            violations.append(Violation("low-voltage", f"bus {bus.id}", vm, bus.v_min))
+        elif vm > bus.v_max:
+            violations.append(Violation("high-voltage", f"bus {bus.id}", vm, bus.v_max))
     for k, br in enumerate(case.branches):
         if not br.in_service:
             continue
@@ -145,17 +171,18 @@ def with_flow_on(solution, positions):
 
 
 def test_check_limits_matches_loop_reference(case9):
-    light = derated(case9, 0.3)
+    # bus 4 at 1.005 pu keeps to its v_min 1.0, bus 8 at 1.005 falls below its 1.01
+    light = banded(derated(case9, 0.3), [(1.0, 1.02), (1.01, 1.02), (0.97, 1.02)])
     k = light.find_branch("6-9")
     outaged = apply_outage(light, k)
     # a flow left on the switched-out branch must not count as an overload
     sol = with_flow_on(solve_powerflow(outaged), [k])
-    limits = OperatingLimits(v_min=1.0, v_max=1.02)
-    got = check_limits(sol, outaged, limits)
-    assert got == loop_violations(sol, outaged, limits)
+    got = check_limits(sol, outaged)
+    assert got == loop_violations(sol, outaged)
     # buses by position, high and low interleaved, then branches by position
-    assert [v.kind for v in got] == (["high-voltage"] * 3 + ["low-voltage"] * 2
+    assert [v.kind for v in got] == (["high-voltage"] * 3 + ["low-voltage"] * 3
                                      + ["high-voltage"] + ["overload"] * 5)
+    assert [v.limit for v in got[:7]] == [1.02, 1.02, 1.02, 1.01, 0.97, 1.01, 1.02]
     assert "branch 6-9" not in {v.element for v in got}
 
 
@@ -173,16 +200,18 @@ def test_double_outage_read_through_the_view(case68):
     """A TC topology plus a CSC outage: the view holds both outaged
     positions, and the limit check, the flow-change rule and the measurement
     vector skip both, as their loop references do."""
-    oc, pre, _, _ = generate_oc(case68, (7, 1), tc="18-42")
+    banded68 = banded(case68, [(1.0, 1.02), (0.95, 1.03), (1.01, 1.1)])
+    oc, pre, _, _ = generate_oc(banded68, (7, 1), tc="18-42")
     post_case = apply_outage(oc, oc.find_branch("18-49"))
     out = post_case.arrays.topology.out
     assert len(out) == 2
     # flows left on the switched-out branches must count nowhere
     post = with_flow_on(solve_powerflow(post_case, (pre.v_mag, pre.v_ang)), out)
-    limits = OperatingLimits(v_min=1.0, v_max=1.02)
-    violations = check_limits(post, post_case, limits)
-    assert violations == loop_violations(post, post_case, limits)
+    violations = check_limits(post, post_case)
+    assert violations == loop_violations(post, post_case)
     assert any(v.kind == "overload" for v in violations)
+    # the edits hand each bus's band down to the outaged case
+    assert {v.limit for v in violations if v.kind != "overload"} == {0.95, 1.0, 1.01, 1.02, 1.03}
     live = [k for k, br in enumerate(post_case.branches) if br.in_service]
     assert max_flow_delta_mw(pre, post, post_case) == max(
         abs(post.p_from[k] - pre.p_from[k]) for k in live)
@@ -192,7 +221,7 @@ def test_double_outage_read_through_the_view(case68):
 
 
 def test_screen_islanding_is_insecure(case2):
-    result = run_contingency_screen(case2, solve_powerflow(case2), ["1-2"], OperatingLimits())
+    result = run_contingency_screen(case2, solve_powerflow(case2), ["1-2"])
     assert result.label is Label.INSECURE
     assert result.first_failure == "1-2"
     assert result.details[0].islanded
@@ -200,14 +229,12 @@ def test_screen_islanding_is_insecure(case2):
 
 def test_screen_light_nine_bus_secure(case9):
     light = scale_loads(case9, 0.8)
-    result = run_contingency_screen(light, solve_powerflow(light), ["4-5", "7-8", "6-9"],
-                                    OperatingLimits())
+    result = run_contingency_screen(light, solve_powerflow(light), ["4-5", "7-8", "6-9"])
     assert result.label is Label.SECURE
 
 
 def test_screen_base_nine_bus_insecure(case9):
-    result = run_contingency_screen(case9, solve_powerflow(case9), ["4-5", "7-8", "6-9"],
-                                    OperatingLimits())
+    result = run_contingency_screen(case9, solve_powerflow(case9), ["4-5", "7-8", "6-9"])
     assert result.label is Label.INSECURE
     assert result.first_failure
 
@@ -215,28 +242,28 @@ def test_screen_base_nine_bus_insecure(case9):
 def test_screen_monotone_in_contingency_set(case9):
     """Removing contingencies can only weaken the screen."""
     base = solve_powerflow(case9)
-    full = run_contingency_screen(case9, base, ["4-5", "7-8", "6-9"], OperatingLimits())
+    full = run_contingency_screen(case9, base, ["4-5", "7-8", "6-9"])
     failing = full.first_failure.split()[0] if full.first_failure else None
     reduced = [c for c in ("4-5", "7-8", "6-9") if c != "4-5"]
-    partial = run_contingency_screen(case9, base, reduced, OperatingLimits())
+    partial = run_contingency_screen(case9, base, reduced)
     if partial.label is Label.INSECURE:
         assert full.label is Label.INSECURE
 
 
 def test_screen_requires_contingencies(case9):
     with pytest.raises(GridSecError, match="no contingencies"):
-        run_contingency_screen(case9, solve_powerflow(case9), [], OperatingLimits())
+        run_contingency_screen(case9, solve_powerflow(case9), [])
 
 
 def test_screen_stressed_68_bus(case68):
     stressed = scale_loads(case68, 1.05)
     csc = ["18-49", "21-22", "30-61", "36-61", "40-41", "40-48", "41-42", "67-68"]
-    result = run_contingency_screen(stressed, solve_powerflow(stressed), csc, OperatingLimits())
+    result = run_contingency_screen(stressed, solve_powerflow(stressed), csc)
     assert result.label in (Label.SECURE, Label.INSECURE)
     assert len(result.details) >= 1
 
 
-def exhaustive_screen(case, csc_list, limits, start):
+def exhaustive_screen(case, csc_list, start):
     """Reference outcomes: every in-service CSC through apply_outage,
     solve_powerflow (from ``start``, flat when None) and check_limits, with
     no early stop. Returns the label and {CSC: secure}."""
@@ -251,7 +278,7 @@ def exhaustive_screen(case, csc_list, limits, start):
             secure[name] = False
             continue
         sol = solve_powerflow(outaged, start)
-        secure[name] = sol.converged and not check_limits(sol, outaged, limits)
+        secure[name] = sol.converged and not check_limits(sol, outaged)
     return (Label.SECURE if all(secure.values()) else Label.INSECURE), secure
 
 
@@ -281,13 +308,13 @@ def loop_ranking(case, sol, csc_list):
         fl, tl, fk, tk = (buses[bl.from_bus], buses[bl.to_bus], buses[bk.from_bus], buses[bk.to_bus])
         return (x[fl, fk] - x[fl, tk] - x[tl, fk] + x[tl, tk]) / (bl.x * bl.tap)
 
-    bridges = case.arrays.topology.bridges
+    cuts = case.arrays.topology.cuts
     islanding, ranked = [], []
     for name in csc_list:
         k = case.find_branch(name)
         if k not in live:
             continue
-        if k in bridges:
+        if k in cuts:
             islanding.append((name, None))
             continue
         lodf = {l: ptdf(l, k) / (1.0 - ptdf(k, k)) for l in live if l != k}
@@ -296,12 +323,12 @@ def loop_ranking(case, sol, csc_list):
     return islanding + sorted(ranked, key=lambda item: -item[1])
 
 
-def check_ranked_screen(case, sol, csc_list, limits):
+def check_ranked_screen(case, sol, csc_list):
     """The screen against the exhaustive reference and the loop ranking:
     the same label, each screened CSC's exhaustive outcome, the ranked
     order, all but the last secure. Returns the result."""
-    result = run_contingency_screen(case, sol, csc_list, limits)
-    label, secure = exhaustive_screen(case, csc_list, limits, (sol.v_mag, sol.v_ang))
+    result = run_contingency_screen(case, sol, csc_list)
+    label, secure = exhaustive_screen(case, csc_list, (sol.v_mag, sol.v_ang))
     assert result.label is label
     names = [d.contingency for d in result.details]
     order = loop_ranking(case, sol, csc_list)
@@ -328,7 +355,6 @@ def check_ranked_screen(case, sol, csc_list, limits):
 
 
 def test_screen_stops_at_first_failure_and_matches_exhaustive(case68):
-    limits = OperatingLimits()
     # (draw, TC): Secure and Insecure OCs with and without a TC
     draws = [(0, None), (2, None), (1, "18-42"), (3, "38-46"), (39, "54-55")]
     seen = set()
@@ -339,7 +365,7 @@ def test_screen_stops_at_first_failure_and_matches_exhaustive(case68):
             out = apply_outage(oc, oc.find_branch("21-22"))
             ocs.append((out, solve_powerflow(out, (sol.v_mag, sol.v_ang)), "21-22"))
         for case, oc_sol, tc_used in ocs:
-            result = check_ranked_screen(case, oc_sol, CSC_LINES, limits)
+            result = check_ranked_screen(case, oc_sol, CSC_LINES)
             if tc_used == "21-22":
                 assert "21-22" not in [d.contingency for d in result.details]
             seen.add((tc_used is not None, result.label))
@@ -350,20 +376,20 @@ def test_screen_ties_keep_list_order(case68):
     """With no pre-outage flow every predicted loading is 0: list order."""
     oc, sol, _, _ = generate_oc(case68, (7, 0))
     still = dataclasses.replace(sol, p_from=np.zeros_like(sol.p_from))
-    result = run_contingency_screen(oc, still, CSC_LINES[::-1], OperatingLimits())
+    result = run_contingency_screen(oc, still, CSC_LINES[::-1])
     assert [d.contingency for d in result.details] == list(CSC_LINES[::-1])
 
 
 def test_screen_needs_a_converged_solution(case9):
     diverged = dataclasses.replace(solve_powerflow(case9), converged=False)
     with pytest.raises(GridSecError, match="converged solution"):
-        run_contingency_screen(case9, diverged, ["4-5"], OperatingLimits())
+        run_contingency_screen(case9, diverged, ["4-5"])
 
 
 def test_screen_with_no_contingency_left_raises(case9):
     oc = apply_outage(case9, case9.find_branch("4-5"))
     with pytest.raises(GridSecError, match="no contingency left"):
-        run_contingency_screen(oc, solve_powerflow(oc), ["4-5"], OperatingLimits())
+        run_contingency_screen(oc, solve_powerflow(oc), ["4-5"])
 
 
 def test_parse_contingency_list():

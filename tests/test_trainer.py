@@ -238,6 +238,7 @@ BAD_VALUES = [
     ("train_fraction = 0", r"train_fraction must lie in \(0, 1\)"),
     ("seeds =", r"seeds must not be empty"),
     ("seeds = 0 -1", r"seeds must be non-negative, not -1"),
+    ("seeds = 0 1 0", r"seeds lists 0 more than once"),
     ("algorithms =", r"algorithms must not be empty"),
     ("algorithms = sgd adam sgd", r"algorithms lists sgd more than once"),
 ]
