@@ -20,7 +20,10 @@ Reactive-limit switching is one-way: a PV bus whose generators would exceed
 their Q capability is pinned there as a PQ bus and never switches back to PV
 within the solve. Non-convergence is an outcome, not an exception:
 downstream screening treats a diverged post-contingency solve as an Insecure
-label.
+label. ``chord_screen`` checks many branch outages of one case at once by
+chord iterations on its inverted Jacobian, with a low-rank correction per
+outage; it only ever accepts an outage as clearly secure, and leaves every
+other to ``solve_powerflow``.
 """
 
 from __future__ import annotations
@@ -38,6 +41,17 @@ from .model import NetworkCase, reschedule_generation, scale_loads
 
 TOLERANCE = 1e-8  # per-unit power mismatch
 MAX_ITER = 20
+# Guards of chord_screen. An outage is accepted only when every bus voltage
+# and branch loading clears its limit by more than MARGIN_BAND: the chord
+# solution differs from NR's by under 1e-9 pu, far inside it. NR pins a PV
+# bus on its own iterates, which after the first differ from the chord's, so
+# a watched bus whose Q comes within Q_BAND (pu) of a limit at any iterate
+# goes to the exact solver, as does an outage the chord has not solved after
+# CHORD_MAX_ITER iterations.
+MARGIN_BAND = 1e-6
+Q_BAND = 0.05
+CHORD_MAX_ITER = 20
+_CHORD_OUTCOMES = ("", "non-finite", "q-limit", "accepted", "no-convergence", "band")
 
 
 @dataclass
@@ -154,15 +168,16 @@ def jacobian(layout: _JacobianLayout, v, s_bus):
 
 def _branch_flows(case, v):
     """Rows p_from, q_from, p_to, q_to (MW, MVar) and i_from (pu) by branch
-    position; zero for out-of-service branches."""
+    position on the last axis, for bus voltages ``v`` on theirs; zero for
+    out-of-service branches."""
     table = case.arrays.branches
-    v_f, v_t = v[table.f], v[table.t]
+    v_f, v_t = v[..., table.f], v[..., table.t]
     i_from = table.yff * v_f + table.yft * v_t
     i_to = table.ytt * v_t + table.yft * v_f
     s_from = v_f * np.conj(i_from) * case.base_mva
     s_to = v_t * np.conj(i_to) * case.base_mva
-    flows = np.zeros((5, len(case.branches)))
-    flows[:, table.pos] = (s_from.real, s_from.imag, s_to.real, s_to.imag, np.abs(i_from))
+    flows = np.zeros((5, *v.shape[:-1], len(case.branches)))
+    flows[..., table.pos] = (s_from.real, s_from.imag, s_to.real, s_to.imag, np.abs(i_from))
     return flows
 
 
@@ -264,20 +279,106 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
     )
 
 
-def recompute_max_mismatch(case: NetworkCase, solution: PowerFlowSolution) -> float:
-    """Independent mismatch recomputation from the returned voltages.
+def chord_screen(case: NetworkCase, start, outages, loading_limit: float) -> list:
+    """Solve the outage of each in-service, non-islanding branch position in
+    ``outages`` by chord iterations from the warm start ``start`` (as in
+    ``solve_powerflow``), and say for each whether it is clearly secure.
 
-    Replays the solution's Q-limit pins: those PV buses are PQ with the
-    pinned reactive output.
+    Compensation (Alsac, Stott & Tinney, IEEE Trans. PAS 1983): the case's
+    reduced Jacobian at the start is inverted once. An outage changes Ybus on
+    its branch's two end buses only, and so the Jacobian, which is linear in
+    Ybus, by a rank-4 term on their P/Q rows and angle/magnitude columns.
+    Sherman-Morrison-Woodbury makes that a 4 x 4 correction of the inverse,
+    so no outage's Jacobian or Ybus is built. Every outage then iterates
+    ``x <- x - Jk^-1 f(x)`` in one batch, on the case's PV/PQ masks; the
+    first iterate is NR's.
+
+    Returns one outcome per outage: ``"accepted"`` when it converged within
+    ``CHORD_MAX_ITER`` iterations and every bus voltage and branch loading
+    (against ``loading_limit`` of its rating) clears its limit by more than
+    ``MARGIN_BAND``; else ``"non-finite"``, ``"q-limit"`` (a watched PV bus
+    within ``Q_BAND`` of a Q limit at an iterate), ``"no-convergence"`` or
+    ``"band"``. Only the exact solver may decide an outage not accepted.
     """
-    inj, topo = case.arrays.injections, case.arrays.topology
-    s_spec, is_pv, is_pq = inj.s_spec.copy(), topo.pv.copy(), topo.pq.copy()
-    for i, pinned in solution.q_limited:
-        _pin_q(s_spec, is_pv, is_pq, inj.q_load, i, pinned)
-    v = solution.v_mag * np.exp(1j * solution.v_ang)
-    f = mismatch_vector(build_ybus(case), v, s_spec, np.flatnonzero(is_pv | is_pq),
-                        np.flatnonzero(is_pq))
-    return float(np.max(np.abs(f))) if f.size else 0.0
+    inj, topo, tb = case.arrays.injections, case.arrays.topology, case.arrays.branches
+    sc, k = topo.jacobian.scatter, len(outages)
+    ybus = build_ybus(case)
+    vm = np.where(topo.pq, start[0], topo.vset)
+    va = start[1] - start[1][topo.slack]
+    v = vm * np.exp(1j * va)
+    j0 = jacobian(_jacobian_layout(ybus, topo.jacobian, sc), v, calc_injections(ybus, v))
+    # each outage's Ybus change on its end buses [f, t], and the Jacobian's at
+    # the start (dS/dVa, dS/dVm as in jacobian()) on rows P_f P_t Q_f Q_t
+    rows = np.searchsorted(tb.pos, outages)
+    each, ends = np.arange(k)[:, None], np.stack([tb.f[rows], tb.t[rows]], axis=1)
+    dy = -tb.stamps[rows][:, [0, 2, 3, 1]].reshape(k, 2, 2)
+    tm = v[ends][:, :, None] * np.conj(dy * v[ends][:, None, :])
+    ds = np.eye(2) * tm.sum(axis=2)[:, :, None]
+    c = np.concatenate([1j * (ds - tm), (tm + ds) / vm[ends][:, None, :]], axis=2)
+    c = np.concatenate([c.real, c.imag], axis=1)
+    # reduced positions of those rows, which columns Va/Vm of the same buses
+    # share; where NR does not solve for one, it points at 0 and c is zeroed
+    pos = np.full(2 * len(vm), -1)
+    pos[sc.mismatch] = np.arange(sc.m)
+    idx = pos[np.concatenate([2 * ends, 2 * ends + 1], axis=1)]
+    c *= (idx[:, :, None] >= 0) & (idx[:, None, :] >= 0)
+    idx[idx < 0] = 0
+    p = len(sc.pvpq)
+    try:
+        # A = J0^-1 by blocks (Schur complement of the dP/dVa block), written
+        # over J0: np.linalg.inv's own m x m buffers would raise the peak RSS
+        a11 = np.linalg.inv(j0[:p, :p])
+        b = a11 @ j0[:p, p:]
+        s22 = np.linalg.inv(j0[p:, p:] - j0[p:, :p] @ b)
+        cc = j0[p:, :p] @ a11
+        inv = j0
+        inv[p:, p:] = s22
+        inv[:p, p:] = -(b @ s22)
+        inv[p:, :p] = -(s22 @ cc)
+        inv[:p, :p] = a11 - inv[:p, p:] @ cc
+        # Jk^-1 = A - A U C (I + U'A U C)^-1 U'A, so Jk^-1 f is g = A f less
+        # g[idx] (I + C'A'[idx, idx])^-1 C' (A U)'
+        ct = c.transpose(0, 2, 1)
+        corr = np.linalg.solve(np.eye(4) + ct @ inv.T[idx[:, :, None], idx[:, None, :]], ct)
+        corr = corr @ inv.T[idx]
+    except np.linalg.LinAlgError:
+        return ["non-finite"] * k
+    vm, va = np.tile(vm, (k, 1)), np.tile(va, (k, 1))
+    watch = topo.pv & inj.has_gen
+    q_lo, q_hi = inj.qg_min[watch] + Q_BAND, inj.qg_max[watch] - Q_BAND
+    out = np.zeros(k, dtype=int)  # an index into _CHORD_OUTCOMES; 0 while open
+    with np.errstate(all="ignore"):
+        for iteration in range(CHORD_MAX_ITER + 1):
+            v = vm * np.exp(1j * va)
+            # one matrix-vector product per outage: a first GEMM here would
+            # raise the peak RSS
+            i = (ybus @ v[:, :, None])[:, :, 0]
+            i[each, ends] += (dy * v[each, ends][:, None, :]).sum(axis=2)
+            s_bus = v * np.conj(i)
+            f = (s_bus - inj.s_spec).view(float)[:, sc.mismatch]
+            err = np.abs(f).max(axis=1)
+            # an outage's first event settles it: non-finite, then Q near a
+            # limit (NR checks from its iterate 1), then convergence
+            open_ = out == 0
+            out[open_ & (err <= TOLERANCE)] = 3
+            if iteration:
+                q = s_bus.imag[:, watch] + inj.q_load[watch]
+                out[open_ & ((q < q_lo) | (q > q_hi)).any(axis=1)] = 2
+            out[open_ & ~np.isfinite(err)] = 1
+            if out.all() or iteration == CHORD_MAX_ITER:
+                break
+            g = (inv @ f[:, :, None])[:, :, 0]
+            dx = g - (g[each, idx][:, None] @ corr)[:, 0]
+            va[:, sc.pvpq] -= dx[:, :p]
+            vm[:, sc.pq] -= dx[:, p:]
+        out[out == 0] = 4
+        p_f, q_f, p_t, q_t, _ = _branch_flows(case, v)[:, :, tb.pos]
+        loading = np.maximum(np.hypot(p_f, q_f), np.hypot(p_t, q_t)) / tb.rating
+        loading[each[:, 0], rows] = 0.0  # the outaged branch
+        margin = np.minimum(np.minimum(vm - topo.v_limits[0], topo.v_limits[1] - vm).min(axis=1),
+                            loading_limit - loading.max(axis=1))
+        out[(out == 3) & ~(margin > MARGIN_BAND)] = 5
+    return [_CHORD_OUTCOMES[o] for o in out]
 
 
 def trace_pv_curve(case: NetworkCase, monitored_bus: int, step: float) -> PvCurve:
@@ -288,12 +389,16 @@ def trace_pv_curve(case: NetworkCase, monitored_bus: int, step: float) -> PvCurv
     absorbs anything beyond their limits). Each solve warm-starts from the
     previous point. Tracing stops at the first non-converged solve, or past a
     multiplier of 50; the last converged multiplier is the nose. The
-    multiplier is rounded to 12 decimals, so ``step`` must be at least 1e-12.
+    multiplier is rounded to 12 decimals, so ``step`` must be at least 1e-12,
+    and a step that could take more than 1e6 solves to reach 50 (one below
+    4.9e-5) is rejected before any solve.
     """
     if not 0.0 < step < np.inf:
         raise SettingError("step must be positive and finite")
     if step < 1e-12:  # a smaller step can round back to the same load scale
         raise SettingError(f"step {step} is below 1e-12, the resolution of the load scale")
+    if (50.0 - 1.0) / step > 1e6:  # one solve per step until the nose or 50
+        raise SettingError(f"step {step} could take more than 1e6 solves to reach a load scale of 50")
     pos = case.bus_index().get(monitored_bus)
     if pos is None:
         raise CaseValidationError(f"no bus {monitored_bus} in case")

@@ -17,7 +17,14 @@ islanding outages first, then the rest by descending predicted post-outage
 loading from line-outage distribution factors (LODFs) and the operating
 condition's own flows. Every contingency solve warm-starts from the
 operating condition's converged voltages, so each outcome, and hence the
-label, does not depend on the order. The limit check, the flow-change rule
+label, does not depend on the order. The top-ranked contingency gets an
+exact Newton-Raphson solve; when it passes, ``powerflow.chord_screen``
+solves all the others at once from the operating condition's inverted
+Jacobian (the compensation method; Wood & Wollenberg, ch. 7), and accepts
+one as secure only when it converged clear of every limit by a guard band
+and no generator came near a Q limit. Every other contingency, and so every
+failure, is decided by the exact solver as before, so the screen's result
+does not depend on the chord's bits. The limit check, the flow-change rule
 and the ranking read the bus voltage bands, the in-service branches, their
 ratings and their DC susceptances from the case's array view
 (``case.arrays``).
@@ -32,7 +39,7 @@ import numpy as np
 
 from .errors import GridSecError, IslandingError
 from .model import NetworkCase, apply_outage
-from .powerflow import PowerFlowSolution, solve_powerflow
+from .powerflow import PowerFlowSolution, chord_screen, solve_powerflow
 
 PIV_THRESHOLD = 0.1
 PIV_DV_LIMIT = 0.05  # acceptable per-bus voltage deviation, per-unit
@@ -210,9 +217,11 @@ def run_contingency_screen(case: NetworkCase, solution: PowerFlowSolution,
     with no contingency raises ``GridSecError``. Islanding outages come
     first and are Insecure without a solve attempt. The rest are screened by
     descending ``predicted_loading`` from the solution's flows, ties in list
-    order, each solve warm-started from the solution's voltages. The screen
-    stops at the first contingency that fails: it decides the Insecure label
-    and is ``first_failure``.
+    order, each solve warm-started from the solution's voltages. When the
+    first passes, ``chord_screen`` checks the rest in one batch; each one it
+    does not accept gets the exact solve and limit check, in ranked order.
+    The screen stops at the first contingency that fails: it decides the
+    Insecure label and is ``first_failure``.
     """
     csc_list = list(csc_list)
     if not csc_list:
@@ -231,10 +240,15 @@ def run_contingency_screen(case: NetworkCase, solution: PowerFlowSolution,
             return ScreenResult(Label.INSECURE, [ContingencyResult(name, False, True, (), False)],
                                 first_failure=name)
     loading = predicted_loading(case, solution.p_from, [k for _, k in pending])
+    ranked = [pending[j] for j in np.argsort(-loading, kind="stable").tolist()]
     start = (solution.v_mag, solution.v_ang)
     details = []
-    for j in np.argsort(-loading, kind="stable").tolist():
-        name, k = pending[j]
+    for rank, (name, k) in enumerate(ranked):
+        if rank == 1:  # the top-ranked CSC passed
+            outcomes = chord_screen(case, start, [k for _, k in ranked[1:]], LOADING_LIMIT)
+        if rank and outcomes[rank - 1] == "accepted":
+            details.append(ContingencyResult(name, True, False, (), True))
+            continue
         outaged = apply_outage(case, k)
         sol = solve_powerflow(outaged, start)
         if sol.converged:

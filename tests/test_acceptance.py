@@ -21,7 +21,7 @@ from gridsec.data import GenerationConfig, build_dataset, split_dataset
 from gridsec.mlp import MlpArchitecture
 from gridsec.model import apply_outage, bundled_case_path, scale_loads
 from gridsec.optim import ALGORITHMS, Optimizer, OptimizerConfig
-from gridsec.powerflow import recompute_max_mismatch, solve_powerflow, trace_pv_curve
+from gridsec.powerflow import solve_powerflow, trace_pv_curve
 from gridsec.security import Category, categorize, compute_piv
 from gridsec.train import (
     PHASE_INIT,
@@ -33,6 +33,7 @@ from gridsec.train import (
 )
 
 from tests.conftest import CSC_LINES, CSC_LINES_9BUS, TC_LINES
+from tests.test_powerflow import recompute_max_mismatch
 
 
 def _verdict(number, ok, detail=""):

@@ -18,11 +18,11 @@ from gridsec.model import (
 from gridsec.powerflow import (
     TOLERANCE,
     _jacobian_layout,
+    _pin_q,
     build_ybus,
     calc_injections,
     jacobian,
     mismatch_vector,
-    recompute_max_mismatch,
     solve_powerflow,
     trace_pv_curve,
 )
@@ -31,6 +31,22 @@ from gridsec.powerflow import (
 def injections(case, sol):
     """Complex net bus injections (gen - load) of a solution, MW + j MVar."""
     return calc_injections(build_ybus(case), sol.v_mag * np.exp(1j * sol.v_ang)) * case.base_mva
+
+
+def recompute_max_mismatch(case, solution):
+    """Independent mismatch recomputation from the returned voltages.
+
+    Replays the solution's Q-limit pins: those PV buses are PQ with the
+    pinned reactive output.
+    """
+    inj, topo = case.arrays.injections, case.arrays.topology
+    s_spec, is_pv, is_pq = inj.s_spec.copy(), topo.pv.copy(), topo.pq.copy()
+    for i, pinned in solution.q_limited:
+        _pin_q(s_spec, is_pv, is_pq, inj.q_load, i, pinned)
+    v = solution.v_mag * np.exp(1j * solution.v_ang)
+    f = mismatch_vector(build_ybus(case), v, s_spec, np.flatnonzero(is_pv | is_pq),
+                        np.flatnonzero(is_pq))
+    return float(np.max(np.abs(f))) if f.size else 0.0
 
 
 def two_bus_oracle(p_pu, x_pu):

@@ -7,11 +7,11 @@ import pytest
 
 from gridsec.data import generate_oc
 from gridsec.model import Branch, Bus, BusKind, NetworkCase
-from gridsec.powerflow import TOLERANCE, recompute_max_mismatch, solve_powerflow
+from gridsec.powerflow import TOLERANCE, solve_powerflow
 
 from tests.test_grid_model import check_outages
 from tests.conftest import CSC_LINES, TC_LINES
-from tests.test_powerflow import injections
+from tests.test_powerflow import injections, recompute_max_mismatch
 from tests.test_security import check_ranked_screen
 
 hypothesis = pytest.importorskip("hypothesis")

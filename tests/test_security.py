@@ -3,14 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gridsec import security
 from gridsec.data import extract_features, feature_names, generate_oc
 from gridsec.errors import GridSecError, IslandingError
-from gridsec.model import BusKind, NetworkCase, apply_outage, scale_loads
+from gridsec.model import BusKind, NetworkCase, apply_outage, reschedule_generation, scale_loads
 from gridsec.powerflow import solve_powerflow
 from gridsec.security import (
     LOADING_LIMIT,
     Category,
+    ContingencyResult,
     Label,
+    ScreenResult,
     Violation,
     categorize,
     check_limits,
@@ -282,6 +285,31 @@ def exhaustive_screen(case, csc_list, start):
     return (Label.SECURE if all(secure.values()) else Label.INSECURE), secure
 
 
+def exact_ranked_screen(case, sol, csc_list):
+    """Reference ``ScreenResult``: the screen's islanding rule and ranking,
+    then every CSC through apply_outage, solve_powerflow warm-started from
+    ``sol`` and check_limits, stopping at the first failure."""
+    live = case.arrays.branches.pos
+    pending = [(name, case.find_branch(name)) for name in csc_list]
+    pending = [(name, k) for name, k in pending if k in live]
+    for name, k in pending:
+        if k in case.arrays.topology.cuts:
+            return ScreenResult(Label.INSECURE, [ContingencyResult(name, False, True, (), False)],
+                                first_failure=name)
+    loading = predicted_loading(case, sol.p_from, [k for _, k in pending])
+    details = []
+    for j in np.argsort(-loading, kind="stable"):
+        name, k = pending[j]
+        outaged = apply_outage(case, k)
+        post = solve_powerflow(outaged, (sol.v_mag, sol.v_ang))
+        violations = tuple(check_limits(post, outaged)) if post.converged else ()
+        details.append(ContingencyResult(name, post.converged, False, violations,
+                                         post.converged and not violations))
+        if not details[-1].secure:
+            return ScreenResult(Label.INSECURE, details, first_failure=name)
+    return ScreenResult(Label.SECURE, details)
+
+
 def loop_ranking(case, sol, csc_list):
     """Reference screening order: islanding CSCs in list order, then the
     rest by descending max_l |p_l + LODF_lk p_k| / rating_l, list order on
@@ -326,8 +354,10 @@ def loop_ranking(case, sol, csc_list):
 def check_ranked_screen(case, sol, csc_list):
     """The screen against the exhaustive reference and the loop ranking:
     the same label, each screened CSC's exhaustive outcome, the ranked
-    order, all but the last secure. Returns the result."""
+    order, all but the last secure, and ``==`` to the all-exact ranked
+    screen. Returns the result."""
     result = run_contingency_screen(case, sol, csc_list)
+    assert result == exact_ranked_screen(case, sol, csc_list)
     label, secure = exhaustive_screen(case, csc_list, (sol.v_mag, sol.v_ang))
     assert result.label is label
     names = [d.contingency for d in result.details]
@@ -370,6 +400,97 @@ def test_screen_stops_at_first_failure_and_matches_exhaustive(case68):
                 assert "21-22" not in [d.contingency for d in result.details]
             seen.add((tc_used is not None, result.label))
     assert seen == {(t, label) for t in (False, True) for label in Label}
+
+
+def recorded(monkeypatch, name):
+    """Wrap ``security.<name>``; returns the list its results go to."""
+    results = []
+    inner = getattr(security, name)
+
+    def wrapper(*args):
+        results.append(inner(*args))
+        return results[-1]
+
+    monkeypatch.setattr(security, name, wrapper)
+    return results
+
+
+def test_secure_screen_makes_one_exact_solve(case68, monkeypatch):
+    """A Secure OC whose chord accepts every CSC after the first: one exact
+    CSC solve, and the all-exact screen's result."""
+    oc, sol, _, _ = generate_oc(case68, (7, 0))
+    solves = recorded(monkeypatch, "solve_powerflow")
+    outcomes = recorded(monkeypatch, "chord_screen")
+    result = run_contingency_screen(oc, sol, CSC_LINES)
+    assert result.label is Label.SECURE and len(result.details) == len(CSC_LINES)
+    assert outcomes == [["accepted"] * (len(CSC_LINES) - 1)]
+    assert len(solves) == 1
+    monkeypatch.undo()
+    assert result == exact_ranked_screen(oc, sol, CSC_LINES)
+
+
+def widened(case, scale):
+    """The case at ``scale`` times its load, with every bus band 0.5-1.5,
+    every rating 1e4 MVA and every generator's Q within +-1e4 MVar."""
+    base_p, _ = case.total_load()
+    wide = dataclasses.replace(
+        case,
+        buses=tuple(dataclasses.replace(b, v_min=0.5, v_max=1.5) for b in case.buses),
+        branches=tuple(dataclasses.replace(b, mva_rating=1e4) for b in case.branches),
+        generators=tuple(dataclasses.replace(g, q_min=-1e4, q_max=1e4) for g in case.generators))
+    return reschedule_generation(scale_loads(wide, scale), (scale - 1.0) * base_p)
+
+
+def q_limited(case, factor):
+    """The case with every generator's Q limits scaled by ``factor``."""
+    return dataclasses.replace(case, generators=tuple(
+        dataclasses.replace(g, q_min=g.q_min * factor, q_max=g.q_max * factor)
+        for g in case.generators))
+
+
+def test_chord_fallbacks_keep_the_exact_screen(case9, case68, monkeypatch):
+    """A stress set on which each kind of chord fallback fires: the screen is
+    ``==`` to the all-exact ranked screen on every OC."""
+    outcomes = recorded(monkeypatch, "chord_screen")
+    solves = recorded(monkeypatch, "solve_powerflow")
+    stress = []
+    # Q limits at 0.8x: post-contingency NR solves pin PV buses
+    for draw in range(6):
+        oc, _, _, _ = generate_oc(case68, (5, draw))
+        oc = q_limited(oc, 0.8)
+        sol = solve_powerflow(oc)
+        if sol.converged:
+            stress.append((oc, sol, CSC_LINES))
+    # 1.5x load on case9 with wide limits: the chord reaches its cap on 5-7,
+    # which NR solves in 5 iterations
+    heavy = widened(case9, 1.5)
+    stress.append((heavy, solve_powerflow(heavy), ["4-6", "5-7", "6-9", "7-8", "8-9"]))
+    # a v_max 5e-8 above the highest voltage any CSC after the first gives
+    # some bus: inside the chord's margin band, but no violation
+    oc, sol, _, _ = generate_oc(case68, (7, 0))
+    top = run_contingency_screen(oc, sol, CSC_LINES).details[0].contingency
+    posts = {name: solve_powerflow(apply_outage(oc, oc.find_branch(name)),
+                                   (sol.v_mag, sol.v_ang)).v_mag for name in CSC_LINES}
+    highest = np.max([v for name, v in posts.items() if name != top], axis=0)
+    bus = int(np.argmax(highest - posts[top]))
+    bands = [(b.v_min, b.v_max) for b in oc.buses]
+    bands[bus] = (bands[bus][0], float(highest[bus]) + 5e-8)
+    stress.append((banded(oc, bands), sol, CSC_LINES))
+    del outcomes[:], solves[:]
+    for case, sol, csc in stress:
+        assert run_contingency_screen(case, sol, csc) == exact_ranked_screen(case, sol, csc)
+    fired = {o for calls in outcomes for o in calls}
+    assert {"accepted", "q-limit", "no-convergence", "band"} <= fired
+    assert any(s.q_limited for s in solves)
+
+
+def test_chord_declines_a_non_finite_start(case9):
+    """A start the chord cannot iterate from is declined, never accepted."""
+    sol = solve_powerflow(case9)
+    nan = np.full_like(sol.v_ang, np.nan)
+    outages = [case9.find_branch("7-8"), case9.find_branch("4-5")]
+    assert security.chord_screen(case9, (sol.v_mag, nan), outages, LOADING_LIMIT) == [
+        "non-finite", "non-finite"]
 
 
 def test_screen_ties_keep_list_order(case68):
