@@ -135,9 +135,14 @@ def cmd_report(args):
     )
     if not logs:
         raise ExperimentError(f"no .log.csv files in {args.log_dir}")
-    runs = [train.read_log(os.path.join(args.log_dir, f)) for f in logs]
-    by_alg = {}
-    for run in runs:
+    runs, seen, by_alg = [], {}, {}
+    for f in logs:
+        path = os.path.join(args.log_dir, f)
+        run = train.read_log(path)
+        first = seen.setdefault((run.algorithm, run.seed), path)
+        if first != path:
+            raise ExperimentError(f"{first} and {path} both log {run.algorithm} seed {run.seed}")
+        runs.append(run)
         by_alg.setdefault(run.algorithm, []).append(run)
     # infer checkpoint epochs from the logs themselves
     last = {}

@@ -289,41 +289,73 @@ def reschedule_generation(case: NetworkCase, delta_p: float) -> NetworkCase:
 #
 # UTF-8 text; '#' starts a comment; sections [BASE] [BUS] [BRANCH] [GEN]
 # [LOAD]; whitespace-delimited columns; '-' marks an absent optional field.
+# [BASE] holds one MVA value. ``_ROWS`` is the format of the other four: each
+# row is one record, and the table gives its class, the column counts a row
+# may have, the usage error, and its columns in file order as (name in
+# errors, reader). A reader takes one token and raises ValueError on a bad one.
 
 FORMAT_VERSION = 1
 
-_SECTIONS = ("BASE", "BUS", "BRANCH", "GEN", "LOAD")
+
+def _float(token):
+    value = float(token)
+    if math.isfinite(value):
+        return value
+    raise ValueError(token)
 
 
-def _parse_float(token, what, line_no):
+def _flag(token):
+    """An in_service column: 1 is in service, 0 is out, anything else an error."""
+    flag = int(token)
+    if flag not in (0, 1):
+        raise ValueError(token)
+    return flag == 1
+
+
+def _kind(token):
+    return BusKind(token.lower())
+
+
+def _setpoint(token):
+    return None if token == "-" else _float(token)
+
+
+_ROWS = {
+    "BUS": (Bus, (6,), "needs 6 columns: id kind base_kv v_set v_min v_max", (
+        ("bus id", int), ("bus kind", _kind), ("base_kv", _float),
+        ("v_setpoint", _setpoint), ("v_min", _float), ("v_max", _float),
+    )),
+    # a row without the trailing circuit takes Branch's default, 1
+    "BRANCH": (Branch, (8, 9),
+               "needs 8 or 9 columns: from to r x b tap rating in_service [circuit]", (
+        ("from bus", int), ("to bus", int), ("r", _float), ("x", _float),
+        ("b_shunt", _float), ("tap", _float), ("mva_rating", _float),
+        ("in_service flag", _flag), ("circuit", int),
+    )),
+    "GEN": (Generator, (6,), "needs 6 columns: bus p_mw q_min q_max p_max in_service", (
+        ("gen bus", int), ("p_mw", _float), ("q_min", _float), ("q_max", _float),
+        ("p_max", _float), ("in_service flag", _flag),
+    )),
+    "LOAD": (Load, (3,), "needs 3 columns: bus p_mw q_mvar", (
+        ("load bus", int), ("p_mw", _float), ("q_mvar", _float),
+    )),
+}
+
+_SECTIONS = ("BASE", *_ROWS)
+
+
+def _read(read, token, what, line_no):
+    """``read(token)``, where a ValueError is reported as a bad ``what``."""
     try:
-        value = float(token)
-        if math.isfinite(value):
-            return value
-    except ValueError:
-        pass
-    raise CaseFormatError(f"bad {what} {token!r}", line_no)
-
-
-def _parse_int(token, what, line_no):
-    try:
-        return int(token)
+        return read(token)
     except ValueError:
         raise CaseFormatError(f"bad {what} {token!r}", line_no) from None
-
-
-def _parse_flag(token, line_no):
-    """An in_service column: 1 is in service, 0 is out, anything else an error."""
-    flag = _parse_int(token, "in_service flag", line_no)
-    if flag not in (0, 1):
-        raise CaseFormatError(f"bad in_service flag {token!r}", line_no)
-    return flag == 1
 
 
 def parse_case(text: str) -> NetworkCase:
     """Parse case-file text into a validated ``NetworkCase``."""
     base_mva = None
-    buses, branches, gens, loads = [], [], [], []
+    rows = {name: [] for name in _ROWS}
     section = None
     saw_version = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -332,7 +364,7 @@ def parse_case(text: str) -> NetworkCase:
             continue
         if line.lower().startswith("format_version"):
             _, _, ver = line.partition(":")
-            if _parse_int(ver.strip(), "format version", line_no) != FORMAT_VERSION:
+            if _read(int, ver.strip(), "format version", line_no) != FORMAT_VERSION:
                 raise CaseFormatError(f"unsupported format version {ver.strip()}", line_no)
             saw_version = True
             continue
@@ -341,6 +373,10 @@ def parse_case(text: str) -> NetworkCase:
             if name not in _SECTIONS:
                 raise CaseFormatError(f"unknown section [{name}]", line_no)
             section = name
+            if name in _ROWS:  # looked up once per section, not once per row
+                record, counts, usage, columns = _ROWS[name]
+                readers = [read for _, read in columns]
+                records = rows[name]
             continue
         if not saw_version:
             raise CaseFormatError("missing format_version header", line_no)
@@ -348,71 +384,20 @@ def parse_case(text: str) -> NetworkCase:
             raise CaseFormatError("data before any section", line_no)
         cols = line.split()
         if section == "BASE":
-            if len(cols) != 1:
+            if len(cols) != 1 or base_mva is not None:
                 raise CaseFormatError("[BASE] takes a single MVA value", line_no)
-            base_mva = _parse_float(cols[0], "base MVA", line_no)
-        elif section == "BUS":
-            if len(cols) != 6:
-                raise CaseFormatError("[BUS] needs 6 columns: id kind base_kv v_set v_min v_max", line_no)
-            kind_text = cols[1].lower()
+            base_mva = _read(_float, cols[0], "base MVA", line_no)
+        elif len(cols) not in counts:
+            raise CaseFormatError(f"[{section}] {usage}", line_no)
+        else:
             try:
-                kind = BusKind(kind_text)
-            except ValueError:
-                raise CaseFormatError(f"bad bus kind {cols[1]!r}", line_no) from None
-            v_set = None if cols[3] == "-" else _parse_float(cols[3], "v_setpoint", line_no)
-            buses.append(Bus(
-                id=_parse_int(cols[0], "bus id", line_no),
-                kind=kind,
-                base_kv=_parse_float(cols[2], "base_kv", line_no),
-                v_setpoint=v_set,
-                v_min=_parse_float(cols[4], "v_min", line_no),
-                v_max=_parse_float(cols[5], "v_max", line_no),
-            ))
-        elif section == "BRANCH":
-            if len(cols) not in (8, 9):
-                raise CaseFormatError(
-                    "[BRANCH] needs 8 or 9 columns: from to r x b tap rating in_service [circuit]",
-                    line_no,
-                )
-            branches.append(Branch(
-                from_bus=_parse_int(cols[0], "from bus", line_no),
-                to_bus=_parse_int(cols[1], "to bus", line_no),
-                r=_parse_float(cols[2], "r", line_no),
-                x=_parse_float(cols[3], "x", line_no),
-                b_shunt=_parse_float(cols[4], "b_shunt", line_no),
-                tap=_parse_float(cols[5], "tap", line_no),
-                mva_rating=_parse_float(cols[6], "mva_rating", line_no),
-                in_service=_parse_flag(cols[7], line_no),
-                circuit=_parse_int(cols[8], "circuit", line_no) if len(cols) == 9 else 1,
-            ))
-        elif section == "GEN":
-            if len(cols) != 6:
-                raise CaseFormatError("[GEN] needs 6 columns: bus p_mw q_min q_max p_max in_service", line_no)
-            gens.append(Generator(
-                bus=_parse_int(cols[0], "gen bus", line_no),
-                p_mw=_parse_float(cols[1], "p_mw", line_no),
-                q_min=_parse_float(cols[2], "q_min", line_no),
-                q_max=_parse_float(cols[3], "q_max", line_no),
-                p_max=_parse_float(cols[4], "p_max", line_no),
-                in_service=_parse_flag(cols[5], line_no),
-            ))
-        elif section == "LOAD":
-            if len(cols) != 3:
-                raise CaseFormatError("[LOAD] needs 3 columns: bus p_mw q_mvar", line_no)
-            loads.append(Load(
-                bus=_parse_int(cols[0], "load bus", line_no),
-                p_mw=_parse_float(cols[1], "p_mw", line_no),
-                q_mvar=_parse_float(cols[2], "q_mvar", line_no),
-            ))
+                records.append(record(*[read(token) for read, token in zip(readers, cols)]))
+            except ValueError:  # name the first bad column
+                for (what, read), token in zip(columns, cols):
+                    _read(read, token, what, line_no)
     if base_mva is None:
         raise CaseFormatError("missing [BASE] section")
-    case = NetworkCase(
-        base_mva=base_mva,
-        buses=tuple(buses),
-        branches=tuple(branches),
-        generators=tuple(gens),
-        loads=tuple(loads),
-    )
+    case = NetworkCase(base_mva, *map(tuple, rows.values()))
     validate_case(case)
     return case
 

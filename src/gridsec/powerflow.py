@@ -181,6 +181,17 @@ def _branch_flows(case, v):
     return flows
 
 
+def _first_iterate(topo, start):
+    """The first iterate ``(v_mag, v_ang)``, as new arrays, from the warm start
+    ``start`` or a flat one: PV and slack magnitudes at their setpoints, and
+    angles measured from the slack's."""
+    if start is None:
+        vm, va = 1.0, np.zeros(len(topo.vset))
+    else:
+        vm, va = start[0], np.asarray(start[1], dtype=float)
+    return np.where(topo.pq, vm, topo.vset), va - va[topo.slack]
+
+
 def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE) -> PowerFlowSolution:
     """Newton-Raphson solve with PV->PQ reactive-limit switching.
 
@@ -197,17 +208,7 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
         raise CaseValidationError("no slack bus")
     ybus = build_ybus(case)
     s_spec, is_pv, is_pq = inj.s_spec.copy(), topo.pv.copy(), topo.pq.copy()
-    n = len(case.buses)
-
-    if start is not None:
-        vm = np.array(start[0], dtype=float)
-        va = np.array(start[1], dtype=float)
-    else:
-        vm = np.ones(n)
-        va = np.zeros(n)
-    regulated = ~is_pq
-    vm[regulated] = topo.vset[regulated]
-    va = va - va[topo.slack]
+    vm, va = _first_iterate(topo, start)
 
     cells = topo.jacobian
     scatter = cells.scatter  # the solve's masks are the parsed case's until a pin
@@ -303,8 +304,7 @@ def chord_screen(case: NetworkCase, start, outages, loading_limit: float) -> lis
     inj, topo, tb = case.arrays.injections, case.arrays.topology, case.arrays.branches
     sc, k = topo.jacobian.scatter, len(outages)
     ybus = build_ybus(case)
-    vm = np.where(topo.pq, start[0], topo.vset)
-    va = start[1] - start[1][topo.slack]
+    vm, va = _first_iterate(topo, start)
     v = vm * np.exp(1j * va)
     j0 = jacobian(_jacobian_layout(ybus, topo.jacobian, sc), v, calc_injections(ybus, v))
     # each outage's Ybus change on its end buses [f, t], and the Jacobian's at

@@ -313,20 +313,24 @@ def write_log(path, run: RunResult):
 
 
 def read_log(path) -> RunResult:
+    """Read a log written by ``write_log``: one run, so every row carries the
+    first row's algorithm and seed."""
     with open_text(path) as fh:
         header = fh.readline().strip()
         if header != LOG_HEADER:
             raise ExperimentError(f"{path}: not a training log")
-        rows = []
+        rows, runs = [], set()
         for line_no, line in enumerate(fh, start=2):
             try:  # a wrong column count fails the unpacking
                 (algorithm, seed, phase, epoch, loss, train_acc, test_acc,
                  diverged) = line.strip().split(",")
-                seed = int(seed)
+                runs.add((algorithm, int(seed)))  # a log holds one run
+                if len(runs) > 1 or phase not in (PHASE_INIT, PHASE_UPDATE):
+                    raise ValueError(phase)
                 rows.append(LogRow(phase, int(epoch), float(loss), float(train_acc),
                                    float(test_acc), diverged=bool(int(diverged))))
             except ValueError:
                 raise ExperimentError(f"{path}:{line_no}: bad log row {line.strip()!r}") from None
     if not rows:
         raise ExperimentError(f"{path}: no log rows")
-    return RunResult(algorithm, seed, rows)
+    return RunResult(*runs.pop(), rows)

@@ -249,6 +249,10 @@ def test_report_missing_phase_exit_1(tmp_path, capsys, logged, missing):
     "sgd,0,Update,five,0.5,0.9,0.8,0",
     "sgd,0,Update,5,0.5,high,0.8,0",
     "sgd,0,Update,5,0.5,0.9,0.8,no",
+    "adam,0,Update,5,0.5,0.9,0.8,0",  # another run's algorithm
+    "sgd,3,Update,5,0.5,0.9,0.8,0",  # another run's seed
+    "sgd,0,Warmup,2,0.5,0.9,0.8,0",  # no such phase
+    "adam,3,Warmup,2,0.5,0.9,0.8,0",
 ])
 def test_report_bad_log_row_exit_1(tmp_path, capsys, row):
     run = RunResult("sgd", 0, [LogRow(PHASE_INIT, 1, 0.5, 0.9, 0.8)])
@@ -259,6 +263,17 @@ def test_report_bad_log_row_exit_1(tmp_path, capsys, row):
     code, _, err = run_cli(capsys, "report", "--log-dir", str(tmp_path))
     assert code == 1
     assert f"sgd_seed0.log.csv:3: bad log row {row!r}" in err
+
+
+def test_report_same_run_twice_exit_1(tmp_path, capsys):
+    run = RunResult("sgd", 0, [LogRow(PHASE_INIT, 1, 0.5, 0.9, 0.8),
+                               LogRow(PHASE_UPDATE, 1, 0.4, 0.9, 0.8)])
+    first, copy = tmp_path / "sgd_seed0.log.csv", tmp_path / "sgd_seed0_copy.log.csv"
+    write_log(first, run)
+    write_log(copy, run)
+    code, _, err = run_cli(capsys, "report", "--log-dir", str(tmp_path))
+    assert code == 1
+    assert err == f"error: {first} and {copy} both log sgd seed 0\n"
 
 
 def test_report_header_only_log_exit_1(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +112,74 @@ def test_in_service_flag_must_be_0_or_1(section, line, flag):
     bad = MINIMAL.replace(rows[section], rows[section][:-1] + flag)
     with pytest.raises(CaseFormatError, match=f"line {line}: bad in_service flag '{flag}'"):
         parse_case(bad)
+
+
+MINIMAL_ROWS = {  # section: (line, row) of MINIMAL
+    "BUS": (5, "1 slack 345.0 1.0 0.9 1.1"),
+    "BRANCH": (8, "1 2 0.0 0.1 0.0 1.0 600.0 1"),
+    "GEN": (10, "1 0.0 -500.0 500.0 600.0 1"),
+    "LOAD": (12, "2 50.0 0.0"),
+}
+
+
+@pytest.mark.parametrize("section, column, name", [
+    ("BUS", 0, "bus id"), ("BUS", 1, "bus kind"), ("BUS", 2, "base_kv"),
+    ("BUS", 3, "v_setpoint"), ("BUS", 4, "v_min"), ("BUS", 5, "v_max"),
+    ("BRANCH", 0, "from bus"), ("BRANCH", 1, "to bus"), ("BRANCH", 2, "r"),
+    ("BRANCH", 3, "x"), ("BRANCH", 4, "b_shunt"), ("BRANCH", 5, "tap"),
+    ("BRANCH", 6, "mva_rating"), ("BRANCH", 7, "in_service flag"), ("BRANCH", 8, "circuit"),
+    ("GEN", 0, "gen bus"), ("GEN", 1, "p_mw"), ("GEN", 2, "q_min"), ("GEN", 3, "q_max"),
+    ("GEN", 4, "p_max"), ("GEN", 5, "in_service flag"),
+    ("LOAD", 0, "load bus"), ("LOAD", 1, "p_mw"), ("LOAD", 2, "q_mvar"),
+])
+def test_bad_column_named_with_its_line(section, column, name):
+    line, row = MINIMAL_ROWS[section]
+    cols = row.split()
+    cols[column:column + 1] = ["x"]  # the optional circuit column is appended
+    with pytest.raises(CaseFormatError) as err:
+        parse_case(MINIMAL.replace(row, " ".join(cols)))
+    assert str(err.value) == f"line {line}: bad {name} 'x'"
+
+
+@pytest.mark.parametrize("section, usage, short, over", [
+    ("BUS", "[BUS] needs 6 columns: id kind base_kv v_set v_min v_max", 5, 7),
+    ("BRANCH", "[BRANCH] needs 8 or 9 columns: from to r x b tap rating in_service [circuit]",
+     7, 10),
+    ("GEN", "[GEN] needs 6 columns: bus p_mw q_min q_max p_max in_service", 5, 7),
+    ("LOAD", "[LOAD] needs 3 columns: bus p_mw q_mvar", 2, 4),
+])
+def test_wrong_column_count_names_the_columns(section, usage, short, over):
+    line, row = MINIMAL_ROWS[section]
+    cols = row.split()
+    for n in (short, over):
+        with pytest.raises(CaseFormatError) as err:
+            parse_case(MINIMAL.replace(row, " ".join((cols + ["1"] * n)[:n])))
+        assert str(err.value) == f"line {line}: {usage}"
+
+
+def test_readme_case_format_block_parses():
+    """The README's case-file example parses, and each section's column
+    comment is the column list its usage error names."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Case file format\n", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    case = parse_case(block)
+    assert (len(case.buses), len(case.branches), len(case.generators), len(case.loads)) \
+        == (2, 1, 1, 1)
+    lines = block.splitlines()
+    for section in ("BUS", "BRANCH", "GEN", "LOAD"):
+        at = lines.index(f"[{section}]") + 1
+        row, comment = lines[at].split("#")
+        too_wide = block.replace(lines[at], row + " 1" * 10)
+        with pytest.raises(CaseFormatError) as err:
+            parse_case(too_wide)
+        assert str(err.value).split(": ", 2)[2] == comment.strip(), section
+
+
+def test_second_base_value_rejected():
+    for extra, line in (("[BASE]\n1.0\n", 5), ("1.0\n", 4)):
+        with pytest.raises(CaseFormatError) as err:
+            parse_case(MINIMAL.replace("[BUS]\n", extra + "[BUS]\n"))
+        assert str(err.value) == f"line {line}: [BASE] takes a single MVA value"
 
 
 def test_duplicate_branch_label_rejected():
