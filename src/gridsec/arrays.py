@@ -4,13 +4,14 @@ These arrays are the one source of a case's network layout: the bus index,
 the branch-label map, the bus arrays (voltage setpoints, each bus's voltage
 limits, the slack position and read-only PV and PQ masks), the in-service
 branch table with its pi stamps, their flat Ybus cells, DC susceptances and
-ratings, the cells and scatter map of the Newton-Raphson Jacobian, and the
-per-bus injection sums. The solver reads its bus spec from them, builds Ybus
-from the table's cells with one ``np.add.at`` and gathers its Jacobian's
-layout from the map that ``Topology.of`` makes once per parsed case; the
-solver, the limit check, the flow-change rule, the contingency ranking and
-the feature layout index branches by ``CaseArrays.branches.pos``. ``model``
-keeps one ``CaseArrays`` per case, and its edits hand the new case the parts
+ratings, the Newton-Raphson Jacobian's cells and map, and the per-bus
+injection sums. The solver reads its bus spec from them, builds Ybus from
+the table's cells with one ``np.add.at`` and gathers its Jacobian's layout
+from the map that ``Topology.of`` makes once per parsed case; the solver,
+the limit check, the flow-change rule, the contingency ranking and the
+feature layout index branches by ``NetworkCase.branch_table.pos``. A case
+caches its ``topology``, ``branch_table`` and ``injections``
+(``bus_injections``), and ``model``'s edits hand the new case the parts
 they leave unchanged, the label map and the Jacobian map among them. One
 walk from the slack (``islands``) finds the buses a case leaves
 disconnected and the buses each islanding outage cuts off.
@@ -59,11 +60,18 @@ class Injections(NamedTuple):
     has_gen: np.ndarray
 
 
-class JacobianScatter(NamedTuple):
-    """Where the reduced Newton-Raphson Jacobian of one pair of PV/PQ masks
-    takes its entries from the dP/dVa, dP/dVm, dQ/dVa and dQ/dVm values at a
-    ``JacobianCells``'s cells, and where its mismatch vector takes its floats."""
+class JacobianMap(NamedTuple):
+    """The Ybus cells where the Jacobian of the parsed case, or of any edit
+    of it, can be nonzero (edits only remove branches), and where the reduced
+    Newton-Raphson Jacobian of one pair of PV/PQ masks takes its entries from
+    the dP/dVa, dP/dVm, dQ/dVa and dQ/dVm values at those cells, and its
+    mismatch vector its floats."""
 
+    # flat positions in the n x n Ybus: the n diagonal cells in bus order,
+    # then the off-diagonal cells that in-service branches stamp, ascending
+    flat: np.ndarray
+    rows: np.ndarray  # bus positions of each cell
+    cols: np.ndarray
     pvpq: np.ndarray  # the buses whose angle NR solves for ...
     pq: np.ndarray  # ... and whose magnitude
     src: np.ndarray  # flat positions in the (4, cells) block values ...
@@ -72,20 +80,8 @@ class JacobianScatter(NamedTuple):
     mismatch: np.ndarray  # positions in (S_bus - S_spec).view(float): P at pvpq, Q at pq
 
 
-class JacobianCells(NamedTuple):
-    """The Ybus cells where the Jacobian of the parsed case, or of any edit
-    of it, can be nonzero: edits only remove branches."""
-
-    # flat positions in the n x n Ybus: the n diagonal cells in bus order,
-    # then the off-diagonal cells that in-service branches stamp, ascending
-    flat: np.ndarray
-    rows: np.ndarray  # bus positions of each cell
-    cols: np.ndarray
-    scatter: JacobianScatter  # for the parsed case's own PV/PQ masks
-
-
-def jacobian_scatter(rows, cols, pv, pq) -> JacobianScatter:
-    """The scatter map of the Jacobian cells at ``rows``/``cols`` for the
+def jacobian_map(flat, rows, cols, pv, pq) -> JacobianMap:
+    """The map of the Jacobian cells ``flat`` at ``rows``/``cols`` for the
     masks ``pv``/``pq``: a cell goes to each block at those of its row and
     column buses that NR solves for; the rest of the matrix is zero."""
     pvpq, pq = np.flatnonzero(pv | pq), np.flatnonzero(pq)
@@ -98,21 +94,8 @@ def jacobian_scatter(rows, cols, pv, pq) -> JacobianScatter:
     r = np.concatenate([ra, ra, rm, rm])
     c = np.concatenate([ca, cm, ca, cm])
     src = np.flatnonzero((r >= 0) & (c >= 0))
-    return JacobianScatter(pvpq, pq, src, r[src] * m + c[src], m,
-                           np.concatenate([2 * pvpq, 2 * pq + 1]))
-
-
-def _jacobian_cells(n, branch_cells, pv, pq) -> JacobianCells:
-    stamped = np.zeros(n * n, dtype=bool)
-    stamped[branch_cells[:, 2:]] = True  # the ft and tf cells
-    stamped[::n + 1] = False
-    flat = np.concatenate([np.arange(n) * (n + 1), np.flatnonzero(stamped)])
-    rows, cols = np.divmod(flat, n)
-    scatter = jacobian_scatter(rows, cols, pv, pq)
-    for a in (flat, rows, cols, scatter.pvpq, scatter.pq, scatter.src, scatter.dest,
-              scatter.mismatch):
-        _read_only(a)
-    return JacobianCells(flat, rows, cols, scatter)
+    return JacobianMap(flat, rows, cols, pvpq, pq, src, r[src] * m + c[src], m,
+                       np.concatenate([2 * pvpq, 2 * pq + 1]))
 
 
 def islands(n, root, ends):
@@ -160,12 +143,12 @@ def islands(n, root, ends):
 
 
 class Topology:
-    """Bus arrays, branch labels, the branch table and the Jacobian cells of
+    """Bus arrays, branch labels, the branch table and the Jacobian map of
     the case that was parsed or built, with the positions outaged since then
     in ``out``."""
 
     def __init__(self, bus_index, labels, slack, pv, pq, vset, v_limits, table: BranchTable,
-                 jacobian: JacobianCells, out=()):
+                 jacobian: JacobianMap, out=()):
         self.bus_index = bus_index  # bus id -> position
         self.labels = labels  # (low bus id, high bus id, circuit) -> branch position
         self.slack = slack  # position of the first slack bus, None if there is none
@@ -202,6 +185,13 @@ class Topology:
                    np.stack([yff, ytt, yft, yft], axis=1))
         pv = _read_only(np.array([k == "pv" for k in kinds], dtype=bool))
         pq = _read_only(np.array([k == "pq" for k in kinds], dtype=bool))
+        stamped = np.zeros(n * n, dtype=bool)
+        stamped[cells[:, 2:]] = True  # the ft and tf cells
+        stamped[::n + 1] = False
+        flat = np.concatenate([np.arange(n) * (n + 1), np.flatnonzero(stamped)])
+        jmap = jacobian_map(flat, *np.divmod(flat, n), pv, pq)
+        for a in jmap[:7] + jmap[8:]:  # every array; m is an int
+            _read_only(a)
         return cls(
             index,
             labels,
@@ -211,7 +201,7 @@ class Topology:
             _read_only(np.array([1.0 if b.v_setpoint is None else b.v_setpoint for b in case.buses])),
             _read_only(np.array([[b.v_min for b in case.buses], [b.v_max for b in case.buses]])),
             BranchTable(*(_read_only(c) for c in columns)),
-            _jacobian_cells(n, cells, pv, pq),
+            jmap,
         )
 
     def without(self, k) -> Topology:
@@ -242,38 +232,21 @@ class Topology:
         return islands(len(self.vset), self.slack, ends)[1]
 
 
-class CaseArrays:
-    """Read-only arrays derived from one ``NetworkCase``, each built at first
-    use: ``topology`` from its buses and branches, ``branches`` from the
-    topology, ``injections`` from its generators and loads."""
-
-    def __init__(self, case, topology: Topology | None = None,
-                 injections: Injections | None = None):
-        self.topology = Topology.of(case) if topology is None else topology
-        self._sources = (case.base_mva, case.generators, case.loads)
-        if injections is not None:
-            self.injections = injections
-
-    @cached_property
-    def branches(self) -> BranchTable:
-        return self.topology.branches()
-
-    @cached_property
-    def injections(self) -> Injections:
-        base_mva, generators, loads = self._sources
-        index, n = self.topology.bus_index, len(self.topology.vset)
-        gens = [g for g in generators if g.in_service]
-        gen_bus = np.array([index[g.bus] for g in gens], dtype=int)
-        load_bus = np.array([index[l.bus] for l in loads], dtype=int)
-        p, qmin, qmax, p_load, q_load = np.zeros((5, n))
-        # np.add.at sums the units of a bus in case order
-        np.add.at(p, gen_bus, [g.p_mw for g in gens])
-        np.add.at(qmin, gen_bus, [g.q_min for g in gens])
-        np.add.at(qmax, gen_bus, [g.q_max for g in gens])
-        np.add.at(p_load, load_bus, [l.p_mw for l in loads])
-        np.add.at(q_load, load_bus, [l.q_mvar for l in loads])
-        has_gen = np.zeros(n, dtype=bool)
-        has_gen[gen_bus] = True
-        s_spec = ((p - p_load) + 1j * (0.0 - q_load)) / base_mva
-        return Injections(*(_read_only(a) for a in (
-            s_spec, qmin / base_mva, qmax / base_mva, q_load / base_mva, has_gen)))
+def bus_injections(case) -> Injections:
+    """``case``'s per-bus injection sums, on its topology's bus positions."""
+    index, n, base_mva = case.topology.bus_index, len(case.buses), case.base_mva
+    gens = [g for g in case.generators if g.in_service]
+    gen_bus = np.array([index[g.bus] for g in gens], dtype=int)
+    load_bus = np.array([index[l.bus] for l in case.loads], dtype=int)
+    p, qmin, qmax, p_load, q_load = np.zeros((5, n))
+    # np.add.at sums the units of a bus in case order
+    np.add.at(p, gen_bus, [g.p_mw for g in gens])
+    np.add.at(qmin, gen_bus, [g.q_min for g in gens])
+    np.add.at(qmax, gen_bus, [g.q_max for g in gens])
+    np.add.at(p_load, load_bus, [l.p_mw for l in case.loads])
+    np.add.at(q_load, load_bus, [l.q_mvar for l in case.loads])
+    has_gen = np.zeros(n, dtype=bool)
+    has_gen[gen_bus] = True
+    s_spec = ((p - p_load) + 1j * (0.0 - q_load)) / base_mva
+    return Injections(*(_read_only(a) for a in (
+        s_spec, qmin / base_mva, qmax / base_mva, q_load / base_mva, has_gen)))

@@ -32,7 +32,7 @@ def _resolve(path):
 def cmd_case_validate(args):
     case = load_case(_resolve(args.case))
     p, q = case.total_load()
-    in_service = len(case.arrays.branches.pos)
+    in_service = len(case.branch_table.pos)
     print(f"buses: {len(case.buses)}")
     print(f"branches: {len(case.branches)} ({in_service} in service)")
     print(f"generators: {len(case.generators)}")
@@ -152,6 +152,16 @@ def cmd_report(args):
             raise ExperimentError(f"{args.log_dir}: no {phase} rows in the training logs")
         last[phase] = max(epochs)
     epochs = train.checkpoints(last[train.PHASE_INIT], last[train.PHASE_UPDATE])
+    # a run that never diverged logged every checkpoint: lacking one, its log is cut short
+    for run in runs:
+        if run.rows[-1].diverged:  # a diverged row is a log's last
+            continue
+        logged = {(r.phase, r.epoch) for r in run.rows}
+        for phase, checkpoint_epochs in zip((train.PHASE_INIT, train.PHASE_UPDATE), epochs):
+            missing = [e for e in checkpoint_epochs if (phase, e) not in logged]
+            if missing:
+                raise ExperimentError(f"{seen[run.algorithm, run.seed]}: no {phase} row at "
+                                      f"checkpoint epoch {missing[0]}")
     for path in _write_summaries(by_alg, epochs, args.out or args.log_dir):
         print(f"wrote {path}")
     return 0

@@ -90,7 +90,7 @@ def feature_names(case: NetworkCase) -> list:
     in-service branch] ++ [p_from per branch] ++ [q_from per branch].
     """
     _, load_ids = _load_bus_positions(case)
-    labels = [case.branches[k].label() for k in case.arrays.branches.pos.tolist()]
+    labels = [case.branches[k].label() for k in case.branch_table.pos.tolist()]
     names = [f"vm_bus{i}" for i in load_ids]
     names += [f"va_bus{i}" for i in load_ids]
     names += [f"imag_br{lab}" for lab in labels]
@@ -105,7 +105,7 @@ def extract_features(solution: PowerFlowSolution, base_case: NetworkCase) -> np.
     if not solution.converged:
         raise DatasetError("cannot extract features from a non-converged solution")
     pos, _ = _load_bus_positions(base_case)
-    live = base_case.arrays.branches.pos
+    live = base_case.branch_table.pos
     return np.concatenate([
         solution.v_mag[pos],
         solution.v_ang[pos],
@@ -214,7 +214,7 @@ def _build_dataset_once(case: NetworkCase, config: GenerationConfig) -> Dataset:
 def _positions(case: NetworkCase, names, kind):
     """Branch position -> label for a CSC or TC list; a branch that is out of
     service, or listed twice under either orientation, is a ``DatasetError``."""
-    live = set(case.arrays.branches.pos.tolist())
+    live = set(case.branch_table.pos.tolist())
     found = {}
     for name in names:
         k = case.find_branch(name)
@@ -233,7 +233,7 @@ def _check_lists(case: NetworkCase, config: GenerationConfig):
     TC that is also a CSC would leave its samples nothing of that
     contingency to screen."""
     cscs = _positions(case, config.csc_list, "CSC")
-    cuts = case.arrays.topology.cuts
+    cuts = case.topology.cuts
     for k, tc in _positions(case, config.tc_list, "TC").items():
         if k in cuts:
             raise DatasetError(f"TC {tc} from the TC list islands the network")

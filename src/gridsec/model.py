@@ -2,10 +2,10 @@
 
 All quantities are carried in physical units (MW, MVar, kV) except branch
 impedances, which are per-unit on the system MVA base. Cases are immutable
-values: every edit returns a new ``NetworkCase``. Each case carries one
-cached array view (``NetworkCase.arrays``, see ``arrays``) that the solver
-reads; an edit hands the new case the parts of its view that it leaves
-unchanged. Connectivity has one source, a walk from the slack
+values: every edit returns a new ``NetworkCase``. Each case caches the
+read-only arrays that the solver reads (``topology``, ``branch_table`` and
+``injections``, see ``arrays``); an edit hands the new case those that it
+leaves unchanged. Connectivity has one source, a walk from the slack
 (``arrays.islands``): validation reads the buses it misses, and an outage
 the buses it cuts off.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
 
-from .arrays import CaseArrays, islands
+from .arrays import Topology, bus_injections, islands
 from .errors import (
     CaseFormatError,
     CaseValidationError,
@@ -86,14 +86,14 @@ class NetworkCase:
     generators: tuple[Generator, ...]
     loads: tuple[Load, ...]
 
-    @cached_property
-    def arrays(self) -> CaseArrays:
-        """The case's derived arrays, built once per case (``CaseArrays``)."""
-        return CaseArrays(self)
+    # the case's read-only arrays (see ``arrays``), each built at first use
+    topology = cached_property(Topology.of)
+    branch_table = cached_property(lambda self: self.topology.branches())  # in-service rows
+    injections = cached_property(bus_injections)
 
     def bus_index(self):
         """Read-only map bus id -> position in ``buses``."""
-        return MappingProxyType(self.arrays.topology.bus_index)
+        return MappingProxyType(self.topology.bus_index)
 
     def slack_bus(self):
         for b in self.buses:
@@ -118,15 +118,15 @@ class NetworkCase:
             a, b = int(a_text), int(b_text)
         except ValueError:
             raise CaseFormatError(f"bad branch label {spec!r}") from None
-        k = self.arrays.topology.labels.get((min(a, b), max(a, b), circuit))
+        k = self.topology.labels.get((min(a, b), max(a, b), circuit))
         if k is None:
             raise CaseValidationError(f"no branch {spec!r} in case")
         return k
 
 
-def _with_arrays(case: NetworkCase, topology, injections=None) -> NetworkCase:
-    """Seed an edited ``case``'s view with what the edit left unchanged."""
-    case.__dict__["arrays"] = CaseArrays(case, topology, injections)
+def _with_arrays(case: NetworkCase, **arrays) -> NetworkCase:
+    """Seed an edited ``case`` with the arrays that the edit left unchanged."""
+    case.__dict__.update(arrays)
     return case
 
 
@@ -211,15 +211,15 @@ def apply_outage(case: NetworkCase, branch_index: int) -> NetworkCase:
     br = case.branches[branch_index]
     if not br.in_service:
         raise CaseValidationError(f"branch {br.label()} is already out of service")
-    view = case.arrays
-    cut = view.topology.cuts.get(branch_index)
+    cut = case.topology.cuts.get(branch_index)
     if cut:
         lost = sorted(case.buses[p].id for p in cut)
         raise IslandingError(f"outage disconnects bus set {set(lost)}", lost)
     branches = list(case.branches)
     branches[branch_index] = replace(br, in_service=False)
     outaged = NetworkCase(case.base_mva, case.buses, tuple(branches), case.generators, case.loads)
-    return _with_arrays(outaged, view.topology.without(branch_index), view.injections)
+    return _with_arrays(outaged, topology=case.topology.without(branch_index),
+                        injections=case.injections)
 
 
 def scale_loads(case: NetworkCase, factors) -> NetworkCase:
@@ -234,7 +234,7 @@ def scale_loads(case: NetworkCase, factors) -> NetworkCase:
         Load(l.bus, l.p_mw * f, l.q_mvar * f) for l, f in zip(case.loads, factors)
     )
     scaled = NetworkCase(case.base_mva, case.buses, case.branches, case.generators, loads)
-    return _with_arrays(scaled, case.arrays.topology)
+    return _with_arrays(scaled, topology=case.topology)
 
 
 def reschedule_generation(case: NetworkCase, delta_p: float) -> NetworkCase:
@@ -281,7 +281,7 @@ def reschedule_generation(case: NetworkCase, delta_p: float) -> NetworkCase:
         for i, g in enumerate(gens)
     )
     moved = NetworkCase(case.base_mva, case.buses, case.branches, new_gens, case.loads)
-    return _with_arrays(moved, case.arrays.topology)
+    return _with_arrays(moved, topology=case.topology)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,20 @@
 """Newton-Raphson AC power flow and a stepwise load-scaling PV-curve tracer.
 
 The solver works in polar coordinates on the full complex bus-admittance
-matrix. It reads the case through its cached array view
-(``NetworkCase.arrays``), the one source of its layout: one branch table
-feeds both the admittance matrix, which one ``np.add.at`` sums from the
-table's flat ``cells`` and ``stamps``, and the branch flows, and the bus
-spec is read from the same view: the slack position and the ``pv``/``pq``
+matrix. It reads the case through its cached arrays (``NetworkCase.topology``,
+``branch_table`` and ``injections``), the one source of its layout: one
+branch table feeds both the admittance matrix, which one ``np.add.at`` sums
+from the table's flat ``cells`` and ``stamps``, and the branch flows, and the
+bus spec is read from the topology: the slack position and the ``pv``/``pq``
 masks. A solve copies only the three arrays a Q-limit pin rewrites,
 ``s_spec``, ``pv`` and ``pq``.
 Each NR iteration evaluates the Jacobian only at Ybus's nonzero cells (and
 its diagonal) and scatters the values into the reduced ``pvpq``/``pq``
-matrix. The cells and their scatter map come from the case view
+matrix. The cells and their scatter map are one ``arrays.JacobianMap``
 (``Topology.jacobian``), made once per parsed case and shared by its edits,
 which only remove branches; a solve gathers Ybus at those cells and drops
 the off-diagonal ones that are zero, and after a pin it asks
-``arrays.jacobian_scatter`` for the pinned masks' map. Each entry equals,
+``arrays.jacobian_map`` for the pinned masks' map. Each entry equals,
 bit for bit, the same entry selected from the dense 2n x 2n ``dSbus_dV``.
 Reactive-limit switching is one-way: a PV bus whose generators would exceed
 their Q capability is pinned there as a PQ bus and never switches back to PV
@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import JacobianCells, JacobianScatter, jacobian_scatter
+from .arrays import JacobianMap, jacobian_map
 from .errors import CaseValidationError, InfeasibleError, SettingError
 from .model import NetworkCase, reschedule_generation, scale_loads
 
@@ -79,7 +78,7 @@ class PvCurve:
 def build_ybus(case: NetworkCase) -> np.ndarray:
     """Dense complex bus-admittance matrix; standard pi model with the
     off-nominal tap on the from side."""
-    tb = case.arrays.branches
+    tb = case.branch_table
     n = len(case.buses)
     y = np.zeros(n * n, dtype=complex)
     # Stamps go in per branch as ff, tt, ft, tf; np.add.at sums repeated cells
@@ -108,37 +107,25 @@ def mismatch_vector(ybus, v, s_spec, pvpq, pq):
     return np.concatenate([ds[pvpq].real, ds[pq].imag])
 
 
-class _JacobianLayout(NamedTuple):
-    """Where the Jacobian's entries at the parsed case's cells go in the
-    reduced matrix of one PV/PQ choice."""
+def _live_map(ybus, jmap: JacobianMap):
+    """Ybus at ``jmap``'s cells, the first n of which are the diagonal, and
+    ``jmap`` without the off-diagonal cells where Ybus is zero.
 
-    y: np.ndarray  # Ybus at each cell; the first n cells are the diagonal
-    rows: np.ndarray  # bus positions of each cell
-    cols: np.ndarray
-    src: np.ndarray  # flat positions in the (4, cells) block values ...
-    dest: np.ndarray  # ... and their flat positions in the m x m Jacobian
-    m: int
-
-
-def _jacobian_layout(ybus, cells: JacobianCells, scatter: JacobianScatter) -> _JacobianLayout:
-    """Scatter layout of the reduced Jacobian for ``scatter``'s masks.
-
-    ``cells`` are the parsed case's, which cover this case's Ybus. The layout
+    ``jmap``'s cells are the parsed case's, which cover this case's Ybus. It
     keeps every diagonal cell, so a bus's diagonal terms have a place even
-    where its Ybus entry is zero, and the off-diagonal cells where Ybus is
-    nonzero; a cell whose branches are all out scatters nothing.
+    where its Ybus entry is zero; a cell whose branches are all out scatters
+    nothing.
     """
-    y = ybus.ravel()[cells.flat]
+    y = ybus.ravel()[jmap.flat]
     keep = y != 0
     keep[:len(ybus)] = True
-    sel = np.concatenate([keep] * 4)[scatter.src]
-    return _JacobianLayout(y, cells.rows, cells.cols, scatter.src[sel], scatter.dest[sel],
-                           scatter.m)
+    sel = np.concatenate([keep] * 4)[jmap.src]
+    return y, jmap._replace(src=jmap.src[sel], dest=jmap.dest[sel])
 
 
-def jacobian(layout: _JacobianLayout, v, s_bus):
+def jacobian(layout: JacobianMap, y, v, s_bus):
     """Analytic polar Jacobian of the mismatch vector, reduced to ``layout``'s
-    ``pvpq``/``pq`` rows and columns.
+    ``pvpq``/``pq`` rows and columns, from Ybus at its cells, ``y``.
 
     MATPOWER's ``dSbus_dV`` at Ybus's nonzeros (Tinney & Hart 1967): with
     T = diag(V) conj(Y diag(V)), dS/dVa = j(diag(V conj(I)) - T) and
@@ -147,7 +134,7 @@ def jacobian(layout: _JacobianLayout, v, s_bus):
     ``m x m`` array.
     """
     inv_vm = 1.0 / np.abs(v)
-    t = v[layout.rows] * np.conj(layout.y * v[layout.cols])
+    t = v[layout.rows] * np.conj(y * v[layout.cols])
     vals = np.empty((4, len(t)))
     # the blocks in src order; 1-D views index faster than vals[i, d]
     dp_dva, dp_dvm, dq_dva, dq_dvm = vals
@@ -170,7 +157,7 @@ def _branch_flows(case, v):
     """Rows p_from, q_from, p_to, q_to (MW, MVar) and i_from (pu) by branch
     position on the last axis, for bus voltages ``v`` on theirs; zero for
     out-of-service branches."""
-    table = case.arrays.branches
+    table = case.branch_table
     v_f, v_t = v[..., table.f], v[..., table.t]
     i_from = table.yff * v_f + table.yft * v_t
     i_to = table.ytt * v_t + table.yft * v_f
@@ -203,20 +190,18 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
     """
     if tolerance <= 0:
         raise SettingError("tolerance must be positive")
-    inj, topo = case.arrays.injections, case.arrays.topology
+    inj, topo = case.injections, case.topology
     if topo.slack is None:
         raise CaseValidationError("no slack bus")
     ybus = build_ybus(case)
     s_spec, is_pv, is_pq = inj.s_spec.copy(), topo.pv.copy(), topo.pq.copy()
     vm, va = _first_iterate(topo, start)
 
-    cells = topo.jacobian
-    scatter = cells.scatter  # the solve's masks are the parsed case's until a pin
-    layout = _jacobian_layout(ybus, cells, scatter)
+    # the solve's masks are the parsed case's until a pin
+    y, layout = _live_map(ybus, topo.jacobian)
     watch = is_pv & inj.has_gen  # the PV buses whose Q limits are checked
     q_hi, q_lo = inj.qg_max + 1e-9, inj.qg_min - 1e-9
     q_limited = []
-    iterations = 0
     converged = False
     diagnostic = ""
     for iteration in range(MAX_ITER + 1):
@@ -236,34 +221,30 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
                 _pin_q(s_spec, is_pv, is_pq, inj.q_load, i, pinned)
                 q_limited.append((int(i), pinned))
             if hits.size:
-                scatter = jacobian_scatter(cells.rows, cells.cols, is_pv, is_pq)
-                layout = _jacobian_layout(ybus, cells, scatter)
+                y, layout = _live_map(ybus, jacobian_map(layout.flat, layout.rows, layout.cols,
+                                                         is_pv, is_pq))
                 watch = is_pv & inj.has_gen
 
-        f = (s_bus - s_spec).view(float)[scatter.mismatch]
+        f = (s_bus - s_spec).view(float)[layout.mismatch]
         max_mis = float(np.max(np.abs(f))) if f.size else 0.0
         if not math.isfinite(max_mis):
             diagnostic = "non-finite mismatch"
             break
         if max_mis <= tolerance:
             converged = True
-            iterations = iteration
             break
         if iteration == MAX_ITER:
             diagnostic = f"mismatch {max_mis:.3e} after {MAX_ITER} iterations"
-            iterations = iteration
             break
-        jac = jacobian(layout, v, s_bus)
+        jac = jacobian(layout, y, v, s_bus)
         try:
             dx = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
             diagnostic = "singular Jacobian"
-            iterations = iteration
             break
-        npvpq = len(scatter.pvpq)
-        va[scatter.pvpq] += dx[:npvpq]
-        vm[scatter.pq] += dx[npvpq:]
-        iterations = iteration + 1
+        npvpq = len(layout.pvpq)
+        va[layout.pvpq] += dx[:npvpq]
+        vm[layout.pq] += dx[npvpq:]
 
     v = vm * np.exp(1j * va)
     p_f, q_f, p_t, q_t, i_f = _branch_flows(case, v)
@@ -273,7 +254,7 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
         p_from=p_f, q_from=q_f, p_to=p_t, q_to=q_t,
         i_from=i_f,
         converged=converged,
-        iterations=iterations,
+        iterations=iteration,  # every exit is a break
         max_mismatch=max_mis,
         q_limited=tuple(q_limited),
         diagnostic=diagnostic,
@@ -301,12 +282,12 @@ def chord_screen(case: NetworkCase, start, outages, loading_limit: float) -> lis
     within ``Q_BAND`` of a Q limit at an iterate), ``"no-convergence"`` or
     ``"band"``. Only the exact solver may decide an outage not accepted.
     """
-    inj, topo, tb = case.arrays.injections, case.arrays.topology, case.arrays.branches
-    sc, k = topo.jacobian.scatter, len(outages)
+    inj, topo, tb, k = case.injections, case.topology, case.branch_table, len(outages)
     ybus = build_ybus(case)
     vm, va = _first_iterate(topo, start)
     v = vm * np.exp(1j * va)
-    j0 = jacobian(_jacobian_layout(ybus, topo.jacobian, sc), v, calc_injections(ybus, v))
+    y, layout = _live_map(ybus, topo.jacobian)
+    j0 = jacobian(layout, y, v, calc_injections(ybus, v))
     # each outage's Ybus change on its end buses [f, t], and the Jacobian's at
     # the start (dS/dVa, dS/dVm as in jacobian()) on rows P_f P_t Q_f Q_t
     rows = np.searchsorted(tb.pos, outages)
@@ -319,11 +300,11 @@ def chord_screen(case: NetworkCase, start, outages, loading_limit: float) -> lis
     # reduced positions of those rows, which columns Va/Vm of the same buses
     # share; where NR does not solve for one, it points at 0 and c is zeroed
     pos = np.full(2 * len(vm), -1)
-    pos[sc.mismatch] = np.arange(sc.m)
+    pos[layout.mismatch] = np.arange(layout.m)
     idx = pos[np.concatenate([2 * ends, 2 * ends + 1], axis=1)]
     c *= (idx[:, :, None] >= 0) & (idx[:, None, :] >= 0)
     idx[idx < 0] = 0
-    p = len(sc.pvpq)
+    p = len(layout.pvpq)
     try:
         # A = J0^-1 by blocks (Schur complement of the dP/dVa block), written
         # over J0: np.linalg.inv's own m x m buffers would raise the peak RSS
@@ -355,7 +336,7 @@ def chord_screen(case: NetworkCase, start, outages, loading_limit: float) -> lis
             i = (ybus @ v[:, :, None])[:, :, 0]
             i[each, ends] += (dy * v[each, ends][:, None, :]).sum(axis=2)
             s_bus = v * np.conj(i)
-            f = (s_bus - inj.s_spec).view(float)[:, sc.mismatch]
+            f = (s_bus - inj.s_spec).view(float)[:, layout.mismatch]
             err = np.abs(f).max(axis=1)
             # an outage's first event settles it: non-finite, then Q near a
             # limit (NR checks from its iterate 1), then convergence
@@ -369,8 +350,8 @@ def chord_screen(case: NetworkCase, start, outages, loading_limit: float) -> lis
                 break
             g = (inv @ f[:, :, None])[:, :, 0]
             dx = g - (g[each, idx][:, None] @ corr)[:, 0]
-            va[:, sc.pvpq] -= dx[:, :p]
-            vm[:, sc.pq] -= dx[:, p:]
+            va[:, layout.pvpq] -= dx[:, :p]
+            vm[:, layout.pq] -= dx[:, p:]
         out[out == 0] = 4
         p_f, q_f, p_t, q_t, _ = _branch_flows(case, v)[:, :, tb.pos]
         loading = np.maximum(np.hypot(p_f, q_f), np.hypot(p_t, q_t)) / tb.rating

@@ -26,8 +26,8 @@ and no generator came near a Q limit. Every other contingency, and so every
 failure, is decided by the exact solver as before, so the screen's result
 does not depend on the chord's bits. The limit check, the flow-change rule
 and the ranking read the bus voltage bands, the in-service branches, their
-ratings and their DC susceptances from the case's array view
-(``case.arrays``).
+ratings and their DC susceptances from the case's cached arrays
+(``case.topology`` and ``case.branch_table``).
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def compute_piv(pre: PowerFlowSolution, post: PowerFlowSolution) -> float:
 def max_flow_delta_mw(pre: PowerFlowSolution, post: PowerFlowSolution, post_case: NetworkCase) -> float:
     """Largest per-branch |active flow change| in MW, over branches still in
     service after the configuration change."""
-    live = post_case.arrays.branches.pos
+    live = post_case.branch_table.pos
     return float(np.max(np.abs(post.p_from[live] - pre.p_from[live]))) if live.size else 0.0
 
 
@@ -151,7 +151,7 @@ def check_limits(solution: PowerFlowSolution, case: NetworkCase) -> list:
     if not solution.converged:
         raise GridSecError("limit check needs a converged solution")
     vm = solution.v_mag
-    v_min, v_max = case.arrays.topology.v_limits
+    v_min, v_max = case.topology.v_limits
     low = vm < v_min
     high = vm > v_max
     violations = []
@@ -159,7 +159,7 @@ def check_limits(solution: PowerFlowSolution, case: NetworkCase) -> list:
         kind, limit = ("low-voltage", v_min[pos]) if low[pos] else ("high-voltage", v_max[pos])
         violations.append(Violation(kind, f"bus {case.buses[pos].id}", float(vm[pos]),
                                     float(limit)))
-    tb = case.arrays.branches
+    tb = case.branch_table
     live = tb.pos
     s_from = np.hypot(solution.p_from[live], solution.q_from[live])
     s_to = np.hypot(solution.p_to[live], solution.q_to[live])
@@ -182,7 +182,7 @@ def predicted_loading(case: NetworkCase, p_from, outages) -> np.ndarray:
     of the slack-grounded DC susceptance matrix B' with one right-hand side
     per outage, and ``LODF_lk = PTDF_lk / (1 - PTDF_kk)``.
     """
-    tb = case.arrays.branches
+    tb = case.branch_table
     n = len(case.buses)
     # B' summed branch by branch into Ybus's flat cells: diagonals, then off-diagonals
     b = np.bincount(tb.cells.T.ravel(), np.concatenate([tb.b_dc, tb.b_dc, -tb.b_dc, -tb.b_dc]),
@@ -194,7 +194,7 @@ def predicted_loading(case: NetworkCase, p_from, outages) -> np.ndarray:
     rhs[tb.f[rows], cols] = 1.0
     rhs[tb.t[rows], cols] = -1.0
     # grounding the slack (angle 0) is solving the slack-reduced system
-    slack = case.arrays.topology.slack
+    slack = case.topology.slack
     b[slack, :] = 0.0
     b[:, slack] = 0.0
     b[slack, slack] = 1.0
@@ -228,13 +228,13 @@ def run_contingency_screen(case: NetworkCase, solution: PowerFlowSolution,
         raise GridSecError("no contingencies configured")
     if not solution.converged:
         raise GridSecError("the screen needs the operating condition's converged solution")
-    live = case.arrays.branches.pos
+    live = case.branch_table.pos
     pending = [(name, case.find_branch(name)) for name in csc_list]
     pending = [(name, k) for name, k in pending if k in live]
     if not pending:
         raise GridSecError(
             f"no contingency left to screen: {', '.join(csc_list)} already out of service")
-    cuts = case.arrays.topology.cuts
+    cuts = case.topology.cuts
     for name, k in pending:
         if k in cuts:
             return ScreenResult(Label.INSECURE, [ContingencyResult(name, False, True, (), False)],
@@ -285,15 +285,13 @@ def screen_configurations(case: NetworkCase, config_specs) -> list:
         try:
             outaged = apply_outage(case, index)
         except IslandingError:
+            post = None
+        else:
+            post = solve_powerflow(outaged)
+        if post is None or not post.converged:  # islanded or diverged
             assessments.append(
                 ConfigurationAssessment(spec, float("inf"), float("inf"), Category.CSC)
             )
-            continue
-        post = solve_powerflow(outaged)
-        if not post.converged:
-            assessments.append(
-                ConfigurationAssessment(spec, float("inf"), float("inf"), Category.CSC)
-            )
-            continue
-        assessments.append(classify_configuration(base, post, outaged, spec))
+        else:
+            assessments.append(classify_configuration(base, post, outaged, spec))
     return sorted(assessments, key=lambda a: -a.pi_v)

@@ -226,7 +226,8 @@ def standardized_splits(init_ds: Dataset, update_ds: Dataset, fraction, seed):
 
 def run_single(cfg: ExperimentConfig, algorithm, seed, splits) -> RunResult:
     """One algorithm, one seed: initialization phase then update phase with
-    continued optimizer state, on the seed's ``standardized_splits``."""
+    continued optimizer state, on the seed's ``standardized_splits``. A run
+    that diverges in the initialization phase has no update phase."""
     init_train, init_test, upd_train, upd_test = splits
     arch = MlpArchitecture(
         (init_train[0].shape[1], *cfg.hidden, 2), cfg.activation
@@ -236,6 +237,8 @@ def run_single(cfg: ExperimentConfig, algorithm, seed, splits) -> RunResult:
 
     theta, init_rows = run_phase(theta, arch, optimizer, init_train, init_test,
                                  PHASE_INIT, cfg.init_epochs, cfg.eval_every)
+    if init_rows[-1].diverged:  # the update phase would start from a non-finite loss
+        return RunResult(algorithm, seed, init_rows)
     theta, upd_rows = run_phase(theta, arch, optimizer, upd_train, upd_test,
                                 PHASE_UPDATE, cfg.update_epochs, cfg.eval_every)
     return RunResult(algorithm, seed, init_rows + upd_rows)
@@ -312,9 +315,28 @@ def write_log(path, run: RunResult):
             )
 
 
+def _follows(prev, row):
+    """Whether ``write_log`` can write ``row`` after ``prev`` (None before the
+    first row): the initialization phase, then the update phase, with rising
+    epochs from 1 in each, and nothing after a diverged row; a row that has
+    not diverged has a finite loss and accuracies in [0, 1]."""
+    phases = (PHASE_INIT, PHASE_UPDATE)
+    if row.phase not in phases:
+        return False
+    if not row.diverged and not (np.isfinite(row.loss) and 0.0 <= row.train_accuracy <= 1.0
+                                 and 0.0 <= row.test_accuracy <= 1.0):
+        return False
+    if prev is None:
+        return row.epoch >= 1
+    if prev.diverged or phases.index(row.phase) < phases.index(prev.phase):
+        return False
+    return row.epoch > (prev.epoch if prev.phase == row.phase else 0)
+
+
 def read_log(path) -> RunResult:
     """Read a log written by ``write_log``: one run, so every row carries the
-    first row's algorithm and seed."""
+    first row's algorithm and seed, and each row can follow the one before
+    it (``_follows``)."""
     with open_text(path) as fh:
         header = fh.readline().strip()
         if header != LOG_HEADER:
@@ -325,10 +347,12 @@ def read_log(path) -> RunResult:
                 (algorithm, seed, phase, epoch, loss, train_acc, test_acc,
                  diverged) = line.strip().split(",")
                 runs.add((algorithm, int(seed)))  # a log holds one run
-                if len(runs) > 1 or phase not in (PHASE_INIT, PHASE_UPDATE):
-                    raise ValueError(phase)
-                rows.append(LogRow(phase, int(epoch), float(loss), float(train_acc),
-                                   float(test_acc), diverged=bool(int(diverged))))
+                row = LogRow(phase, int(epoch), float(loss), float(train_acc),
+                             float(test_acc), diverged=diverged == "1")
+                if len(runs) > 1 or diverged not in ("0", "1") or not _follows(
+                        rows[-1] if rows else None, row):
+                    raise ValueError(line)
+                rows.append(row)
             except ValueError:
                 raise ExperimentError(f"{path}:{line_no}: bad log row {line.strip()!r}") from None
     if not rows:

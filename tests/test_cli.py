@@ -253,8 +253,18 @@ def test_report_missing_phase_exit_1(tmp_path, capsys, logged, missing):
     "sgd,3,Update,5,0.5,0.9,0.8,0",  # another run's seed
     "sgd,0,Warmup,2,0.5,0.9,0.8,0",  # no such phase
     "adam,3,Warmup,2,0.5,0.9,0.8,0",
+    "sgd,0,Update,2,0.5,0.9,0.8,7",  # a diverged flag other than 0 or 1
+    "sgd,0,Update,2,nan,0.9,0.8,0",  # a non-finite loss on a row that did not diverge
+    "sgd,0,Update,2,0.5,1.5,0.8,0",  # an accuracy above 1 ...
+    "sgd,0,Update,2,0.5,0.9,-3.0,0",  # ... or below 0
+    "sgd,0,Update,2,nan,1.5,-3.0,7",
+    "sgd,0,Initialization,1,0.5,0.9,0.8,0",  # a repeated epoch
+    "sgd,0,Update,0,0.5,0.9,0.8,0",  # an epoch below 1
+    "sgd,0,Update,2,0.5,0.9,0.8,0\nsgd,0,Initialization,3,0.5,0.9,0.8,0",  # phases out of order
+    "sgd,0,Update,2,nan,nan,nan,1\nsgd,0,Update,3,0.5,0.9,0.8,0",  # a row after divergence
 ])
 def test_report_bad_log_row_exit_1(tmp_path, capsys, row):
+    """The last of the appended rows is the bad one."""
     run = RunResult("sgd", 0, [LogRow(PHASE_INIT, 1, 0.5, 0.9, 0.8)])
     path = tmp_path / "sgd_seed0.log.csv"
     write_log(path, run)
@@ -262,7 +272,33 @@ def test_report_bad_log_row_exit_1(tmp_path, capsys, row):
         fh.write(row + "\n")
     code, _, err = run_cli(capsys, "report", "--log-dir", str(tmp_path))
     assert code == 1
-    assert f"sgd_seed0.log.csv:3: bad log row {row!r}" in err
+    bad = row.splitlines()[-1]
+    assert f"sgd_seed0.log.csv:{2 + len(row.splitlines())}: bad log row {bad!r}" in err
+
+
+def _complete_log(algorithm, init_epochs, update_epochs):
+    return RunResult(algorithm, 0, [LogRow(phase, e, 0.5, 0.9, 0.8)
+                                    for phase, epochs in ((PHASE_INIT, init_epochs),
+                                                          (PHASE_UPDATE, update_epochs))
+                                    for e in epochs])
+
+
+def test_report_truncated_log_exit_1(tmp_path, capsys):
+    """A log that lacks a checkpoint the other logs reach, and has no
+    diverged row, is cut short, not diverged; a diverged log may stop early."""
+    write_log(tmp_path / "sgd_seed0.log.csv", _complete_log("sgd", (1, 2, 4), (1, 2, 3, 4)))
+    diverged = RunResult("nag", 0, [LogRow(PHASE_INIT, 1, 0.5, 0.9, 0.8),
+                                    LogRow(PHASE_INIT, 2, *[float("nan")] * 3, diverged=True)])
+    write_log(tmp_path / "nag_seed0.log.csv", diverged)
+    code, _, _ = run_cli(capsys, "report", "--log-dir", str(tmp_path))
+    assert code == 0
+    assert (tmp_path / "summary_train.csv").read_text().splitlines()[1:] == [
+        "nag,div,div,div,div,div,div", "sgd,0.9000,0.9000,0.9000,0.9000,0.9000,0.9000"]
+    truncated = tmp_path / "adam_seed0.log.csv"
+    write_log(truncated, _complete_log("adam", (1,), (1,)))
+    code, _, err = run_cli(capsys, "report", "--log-dir", str(tmp_path))
+    assert code == 1
+    assert err == f"error: {truncated}: no Initialization row at checkpoint epoch 2\n"
 
 
 def test_report_same_run_twice_exit_1(tmp_path, capsys):

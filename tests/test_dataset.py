@@ -49,7 +49,7 @@ def test_feature_layout_two_bus(case2):
 
 def test_feature_width_formula(case68):
     n_load_bus = len({l.bus for l in case68.loads})
-    n_branch = len(case68.arrays.branches.pos)
+    n_branch = len(case68.branch_table.pos)
     assert len(feature_names(case68)) == 2 * n_load_bus + 3 * n_branch == 353
 
 
@@ -61,7 +61,7 @@ def test_feature_names_stable_under_tc(case68):
     assert len(x) == len(base_names)
     k = case68.find_branch("17-43")
     # outaged branch channels are zero-filled
-    order = case68.arrays.branches.pos.tolist()
+    order = case68.branch_table.pos.tolist()
     col = 2 * 52 + order.index(k)
     assert x[col] == 0.0
     assert x[col + 83] == 0.0

@@ -207,7 +207,7 @@ def test_outage_islanding_two_bus(case2):
 
 def test_outage_68_bus_named_line(case68):
     outaged = apply_outage(case68, case68.find_branch("17-43"))
-    assert len(outaged.arrays.branches.pos) == 82
+    assert len(outaged.branch_table.pos) == 82
     # value semantics: original untouched
     assert all(br.in_service for br in case68.branches)
 
@@ -344,7 +344,7 @@ def check_outages(case):
     """Every in-service branch islands iff the BFS misses a bus, and the
     error names the missed set; returns (outages, islanding)."""
     islanding = 0
-    live = case.arrays.branches.pos.tolist()
+    live = case.branch_table.pos.tolist()
     for k in live:
         lost = _bfs_lost(case, k)
         if lost:
@@ -375,9 +375,9 @@ def _cold(case):
 
 def _assert_same_as_cold(case):
     cold = _cold(case)
-    assert "arrays" not in cold.__dict__
-    topo, kinds = case.arrays.topology, [b.kind for b in case.buses]
-    assert topo.slack == cold.arrays.topology.slack == kinds.index(BusKind.SLACK)
+    assert "topology" not in cold.__dict__
+    topo, kinds = case.topology, [b.kind for b in case.buses]
+    assert topo.slack == cold.topology.slack == kinds.index(BusKind.SLACK)
     for mask, kind in ((topo.pv, BusKind.PV), (topo.pq, BusKind.PQ)):
         assert mask.dtype == bool and mask.tolist() == [k is kind for k in kinds]
     assert topo.v_limits.tolist() == [[b.v_min for b in case.buses], [b.v_max for b in case.buses]]
@@ -389,7 +389,7 @@ def _assert_same_as_cold(case):
 
 
 def _outages(case):
-    for k in case.arrays.branches.pos.tolist():
+    for k in case.branch_table.pos.tolist():
         try:
             yield apply_outage(case, k)
         except IslandingError:
@@ -405,23 +405,21 @@ def test_views_equal_cold_rebuilds(case9, case68):
         for outaged in _outages(case):
             _assert_same_as_cold(outaged)
             # every edit hands its parent's bus masks down instead of rebuilding them
-            assert outaged.arrays.topology.pv is case.arrays.topology.pv
-            assert outaged.arrays.topology.pq is case.arrays.topology.pq
-            assert outaged.arrays.topology.v_limits is case.arrays.topology.v_limits
+            assert outaged.topology.pv is case.topology.pv
+            assert outaged.topology.pq is case.topology.pq
+            assert outaged.topology.v_limits is case.topology.v_limits
     for child in (scaled, oc):
-        assert child.arrays.topology.pv is case68.arrays.topology.pv
-        assert child.arrays.topology.pq is case68.arrays.topology.pq
-        assert child.arrays.topology.v_limits is case68.arrays.topology.v_limits
+        assert child.topology.pv is case68.topology.pv
+        assert child.topology.pq is case68.topology.pq
+        assert child.topology.v_limits is case68.topology.v_limits
 
 
 def test_view_arrays_are_read_only(case9):
     outaged = apply_outage(case9, case9.find_branch("4-5"))
     for case in (case9, outaged, scale_loads(outaged, 1.1)):
-        view = case.arrays
-        cells = view.topology.jacobian
-        arrays = [view.topology.pv, view.topology.pq, view.topology.vset,
-                  view.topology.v_limits, *view.branches,
-                  *view.injections, *cells[:3], *cells.scatter[:4], cells.scatter.mismatch]
+        topo, jmap = case.topology, case.topology.jacobian
+        arrays = [topo.pv, topo.pq, topo.vset, topo.v_limits, *case.branch_table,
+                  *case.injections, *jmap[:7], jmap.mismatch]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[0]
@@ -431,10 +429,10 @@ def test_view_arrays_are_read_only(case9):
     gens = (case9.generators[0], dataclasses.replace(case9.generators[1], q_max=2.0),
             *case9.generators[2:])
     tight = dataclasses.replace(case9, generators=gens)
-    topo = tight.arrays.topology
-    s_spec, pv, pq = tight.arrays.injections.s_spec.copy(), topo.pv.copy(), topo.pq.copy()
+    topo = tight.topology
+    s_spec, pv, pq = tight.injections.s_spec.copy(), topo.pv.copy(), topo.pq.copy()
     assert solve_powerflow(tight).q_limited
-    assert np.array_equal(tight.arrays.injections.s_spec, s_spec)
+    assert np.array_equal(tight.injections.s_spec, s_spec)
     assert np.array_equal(topo.pv, pv) and np.array_equal(topo.pq, pq)
 
 
@@ -446,9 +444,9 @@ def test_find_branch_same_position_in_edited_cases(case68):
     k = case68.find_branch("17-43")
     oc = scale_loads(case68, np.linspace(0.9, 1.1, len(case68.loads)))
     children = [oc, reschedule_generation(oc, 25.0), apply_outage(case68, k), apply_outage(oc, k)]
-    labels = case68.arrays.topology.labels
+    labels = case68.topology.labels
     for child in children:
-        assert child.arrays.topology.labels is labels
+        assert child.topology.labels is labels
     for position, br in enumerate(case68.branches):
         a, b = br.from_bus, br.to_bus
         for spec in (f"{a}-{b}", f"{b}-{a}", f"{a}-{b}:{br.circuit}", f" {b}-{a}:{br.circuit} "):

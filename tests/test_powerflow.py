@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gridsec import powerflow
-from gridsec.arrays import jacobian_scatter
+from gridsec.arrays import jacobian_map
 from gridsec.errors import CaseValidationError, IslandingError
 from gridsec.model import (
     BusKind,
@@ -17,7 +17,7 @@ from gridsec.model import (
 )
 from gridsec.powerflow import (
     TOLERANCE,
-    _jacobian_layout,
+    _live_map,
     _pin_q,
     build_ybus,
     calc_injections,
@@ -39,7 +39,7 @@ def recompute_max_mismatch(case, solution):
     Replays the solution's Q-limit pins: those PV buses are PQ with the
     pinned reactive output.
     """
-    inj, topo = case.arrays.injections, case.arrays.topology
+    inj, topo = case.injections, case.topology
     s_spec, is_pv, is_pq = inj.s_spec.copy(), topo.pv.copy(), topo.pq.copy()
     for i, pinned in solution.q_limited:
         _pin_q(s_spec, is_pv, is_pq, inj.q_load, i, pinned)
@@ -86,7 +86,7 @@ def test_ybus_shunt_halved_on_diagonal(case2):
 def stacked_ybus(case):
     """Ybus scattered from (row, column) index pairs stacked per branch as
     ff, tt, ft, tf: the builder's bit-for-bit oracle."""
-    tb = case.arrays.branches
+    tb = case.branch_table
     y = np.zeros((len(case.buses),) * 2, dtype=complex)
     rows = np.stack([tb.f, tb.t, tb.f, tb.t], axis=1).ravel()
     cols = np.stack([tb.f, tb.t, tb.t, tb.f], axis=1).ravel()
@@ -105,11 +105,11 @@ def test_ybus_bit_identical_to_stacked_oracle(case9, case68):
     for case in cases:
         assert build_ybus(case).tobytes() == stacked_ybus(case).tobytes()
     n = len(case68.buses)
-    full = case68.arrays.branches
+    full = case68.branch_table
     for case in (outaged, csc):
-        tb = case.arrays.branches
+        tb = case.branch_table
         keep = np.isin(full.pos, tb.pos)
-        assert len(tb.pos) == len(full.pos) - len(case.arrays.topology.out)
+        assert len(tb.pos) == len(full.pos) - len(case.topology.out)
         assert np.array_equal(tb.cells, full.cells[keep])
         assert np.array_equal(tb.stamps, full.stamps[keep])
         assert np.array_equal(tb.cells, np.stack(
@@ -156,7 +156,7 @@ def test_solve_without_slack_is_an_error(case9):
     buses = tuple(dataclasses.replace(b, kind=BusKind.PV) if b.kind is BusKind.SLACK else b
                   for b in case9.buses)
     slackless = dataclasses.replace(case9, buses=buses)
-    assert slackless.arrays.topology.slack is None
+    assert slackless.topology.slack is None
     with pytest.raises(CaseValidationError, match="no slack bus"):
         solve_powerflow(slackless)
 
@@ -188,9 +188,10 @@ def reduced_jacobian(case, v, pvpq, pq):
     """The solver's Jacobian of ``case`` for these bus sets, on the layout a
     solve gathers from the case view's cells."""
     ybus = build_ybus(case)
-    cells = case.arrays.topology.jacobian
-    scatter = jacobian_scatter(cells.rows, cells.cols, *masks(len(v), pvpq, pq))
-    return jacobian(_jacobian_layout(ybus, cells, scatter), v, calc_injections(ybus, v))
+    cells = case.topology.jacobian
+    y, layout = _live_map(ybus, jacobian_map(cells.flat, cells.rows, cells.cols,
+                                             *masks(len(v), pvpq, pq)))
+    return jacobian(layout, y, v, calc_injections(ybus, v))
 
 
 def test_jacobian_matches_finite_differences(case9):
@@ -302,7 +303,7 @@ def test_jacobian_bit_identical_to_broadcast(case9, case68):
         ybus = build_ybus(case)
         sol = solve_powerflow(case)
         assert sol.converged
-        topo = case.arrays.topology
+        topo = case.topology
         pvpq = np.flatnonzero(topo.pv | topo.pq)
         pq = np.flatnonzero(topo.pq)
         pinned = np.sort(np.concatenate([pq, np.flatnonzero(topo.pv)[:2]]))
@@ -315,7 +316,7 @@ def test_jacobian_bit_identical_to_broadcast(case9, case68):
                 want = broadcast_jacobian(ybus, v, pvpq, q_set)
                 got = reduced_jacobian(case, v, pvpq, q_set)
                 assert np.array_equal(got, want)
-                f = mismatch_vector(ybus, v, case.arrays.injections.s_spec, pvpq, q_set)
+                f = mismatch_vector(ybus, v, case.injections.s_spec, pvpq, q_set)
                 assert np.linalg.solve(got, -f).tobytes() == np.linalg.solve(want, -f).tobytes()
 
 
@@ -404,9 +405,9 @@ def test_jacobian_bit_identical_to_scan_oracle(case9, case68):
     for case in (case9, case68, csc, one_circuit, cancelled_diagonal_case()):
         ybus = build_ybus(case)
         n = len(case.buses)
-        cells = case.arrays.topology.jacobian
+        cells = case.topology.jacobian
         assert set(np.flatnonzero((ybus != 0) | np.eye(n, dtype=bool))) <= set(cells.flat)
-        topo = case.arrays.topology
+        topo = case.topology
         pvpq, pq = np.flatnonzero(topo.pv | topo.pq), np.flatnonzero(topo.pq)
         pinned = np.sort(np.concatenate([pq, np.flatnonzero(topo.pv)[:2]]))
         if not topo.pv.any():
@@ -419,37 +420,34 @@ def test_jacobian_bit_identical_to_scan_oracle(case9, case68):
             for q_set in (pq, pinned):
                 want = scan_jacobian(ybus, v, pvpq, q_set)
                 assert reduced_jacobian(case, v, pvpq, q_set).tobytes() == want.tobytes()
-                scatter = jacobian_scatter(cells.rows, cells.cols, *masks(n, pvpq, q_set))
-                s_spec = case.arrays.injections.s_spec
-                f = (calc_injections(ybus, v) - s_spec).view(float)[scatter.mismatch]
+                jmap = jacobian_map(cells.flat, cells.rows, cells.cols, *masks(n, pvpq, q_set))
+                s_spec = case.injections.s_spec
+                f = (calc_injections(ybus, v) - s_spec).view(float)[jmap.mismatch]
                 assert f.tobytes() == mismatch_vector(ybus, v, s_spec, pvpq, q_set).tobytes()
 
 
 def test_jacobian_cells_shared_and_never_stored_by_a_solve(case9, case68):
     """Edits hand the parsed case's Jacobian cells on as one object, and a
     solve that pins a Q limit maps the pinned masks without storing them."""
-    cells = case68.arrays.topology.jacobian
+    cells = case68.topology.jacobian
     scaled = scale_loads(case68, 1.1)
     children = [scaled, reschedule_generation(scaled, 10.0),
                 apply_outage(case68, case68.find_branch("17-43")),
                 apply_outage(apply_outage(scaled, case68.find_branch("18-42")),
                              case68.find_branch("18-49"))]
     for child in children:
-        assert child.arrays.topology.jacobian is cells
-    own = cells.scatter
-    assert np.array_equal(own.pvpq, np.flatnonzero(case68.arrays.topology.pv
-                                                   | case68.arrays.topology.pq))
+        assert child.topology.jacobian is cells
+    assert np.array_equal(cells.pvpq, np.flatnonzero(case68.topology.pv | case68.topology.pq))
     gens = (case9.generators[0], dataclasses.replace(case9.generators[1], q_max=2.0),
             *case9.generators[2:])
     tight = dataclasses.replace(case9, generators=gens)
-    topo = tight.arrays.topology
+    topo = tight.topology
     before = vars(topo).copy()
-    saved = [np.copy(a) for a in (*topo.jacobian[:3], *topo.jacobian.scatter)]
+    saved = [np.copy(a) for a in topo.jacobian]
     assert solve_powerflow(tight).q_limited
     assert vars(topo).keys() == before.keys()
     assert all(vars(topo)[k] is before[k] for k in before)
-    now = (*topo.jacobian[:3], *topo.jacobian.scatter)
-    assert all(np.array_equal(a, b) for a, b in zip(now, saved))
+    assert all(np.array_equal(a, b) for a, b in zip(topo.jacobian, saved))
 
 
 def test_q_pin_rebuilds_the_jacobian_layout(case9, monkeypatch):
@@ -457,8 +455,8 @@ def test_q_pin_rebuilds_the_jacobian_layout(case9, monkeypatch):
     bus's magnitude row and column from the next iteration on."""
     shapes = []
 
-    def recording(layout, v, s_bus):
-        jac = jacobian(layout, v, s_bus)
+    def recording(layout, y, v, s_bus):
+        jac = jacobian(layout, y, v, s_bus)
         shapes.append(jac.shape)
         return jac
 

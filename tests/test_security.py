@@ -206,7 +206,7 @@ def test_double_outage_read_through_the_view(case68):
     banded68 = banded(case68, [(1.0, 1.02), (0.95, 1.03), (1.01, 1.1)])
     oc, pre, _, _ = generate_oc(banded68, (7, 1), tc="18-42")
     post_case = apply_outage(oc, oc.find_branch("18-49"))
-    out = post_case.arrays.topology.out
+    out = post_case.topology.out
     assert len(out) == 2
     # flows left on the switched-out branches must count nowhere
     post = with_flow_on(solve_powerflow(post_case, (pre.v_mag, pre.v_ang)), out)
@@ -289,11 +289,11 @@ def exact_ranked_screen(case, sol, csc_list):
     """Reference ``ScreenResult``: the screen's islanding rule and ranking,
     then every CSC through apply_outage, solve_powerflow warm-started from
     ``sol`` and check_limits, stopping at the first failure."""
-    live = case.arrays.branches.pos
+    live = case.branch_table.pos
     pending = [(name, case.find_branch(name)) for name in csc_list]
     pending = [(name, k) for name, k in pending if k in live]
     for name, k in pending:
-        if k in case.arrays.topology.cuts:
+        if k in case.topology.cuts:
             return ScreenResult(Label.INSECURE, [ContingencyResult(name, False, True, (), False)],
                                 first_failure=name)
     loading = predicted_loading(case, sol.p_from, [k for _, k in pending])
@@ -336,7 +336,7 @@ def loop_ranking(case, sol, csc_list):
         fl, tl, fk, tk = (buses[bl.from_bus], buses[bl.to_bus], buses[bk.from_bus], buses[bk.to_bus])
         return (x[fl, fk] - x[fl, tk] - x[tl, fk] + x[tl, tk]) / (bl.x * bl.tap)
 
-    cuts = case.arrays.topology.cuts
+    cuts = case.topology.cuts
     islanding, ranked = [], []
     for name in csc_list:
         k = case.find_branch(name)

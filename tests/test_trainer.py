@@ -127,6 +127,22 @@ def test_run_single_covers_both_phases(tmp_path):
     assert np.isfinite(result.accuracy_at(PHASE_UPDATE, 40, split="test"))
 
 
+def test_initialization_divergence_skips_the_update_phase(tmp_path):
+    """A run that diverges in the initialization phase logs no update rows,
+    and the experiment goes on to summarize it as diverged."""
+    _, _, ip, up = _save_datasets(tmp_path)
+    cfg = small_config(ip, up, algorithms=("sgd",), activation="relu",
+                       overrides={"sgd": {"learning_rate": 1e305}})
+    with np.errstate(all="ignore"):
+        results = run_experiment(cfg)
+    run = results["sgd"][0]
+    assert run.rows[-1].diverged and {r.phase for r in run.rows} == {PHASE_INIT}
+    _, table = summarize(results, checkpoints(cfg.init_epochs, cfg.update_epochs))
+    assert table == [["sgd"] + ["div"] * 6]
+    write_log(tmp_path / "sgd.log.csv", run)
+    assert len(read_log(tmp_path / "sgd.log.csv").rows) == len(run.rows)
+
+
 @pytest.mark.parametrize("algorithm", ["sgd-m", "nag", "nag-m", "adagrad", "adam", "nadam"])
 def test_optimizer_state_continuity_matters(tmp_path, algorithm):
     """The update phase continues the initialization phase's optimizer: its
