@@ -333,12 +333,14 @@ def test_run_experiment_rejects_mismatched_columns(tmp_path, update_columns):
 
 
 GOLDEN_LOG = Path(__file__).parent / "data" / "golden_train_log.csv"
+GOLDEN_LOG_TANH = Path(__file__).parent / "data" / "golden_train_log_tanh.csv"
 
 
-def _golden_run_log(tmp_path):
+def _golden_run_log(tmp_path, activation="relu"):
     """The ``write_log`` bytes of every run of a 7-algorithm, 2-seed
-    ``gridsec train`` on the blob datasets, in config order. The run is a
-    subprocess at one BLAS thread, the condition of the determinism promise."""
+    ``gridsec train`` on the blob datasets with ``activation``, in config
+    order. The run is a subprocess at one BLAS thread, the condition of the
+    determinism promise."""
     _, _, ip, up = _save_datasets(tmp_path)
     ini = tmp_path / "exp.ini"
     ini.write_text(f"""\
@@ -350,6 +352,7 @@ update_epochs = 40
 eval_every = 5
 seeds = 0 1
 hidden = 8 4
+activation = {activation}
 """)
     out_dir = tmp_path / "train"
     src = str(Path(gridsec.__file__).resolve().parent.parent)
@@ -370,3 +373,9 @@ def test_golden_training_log(tmp_path):
     log byte for byte: a change to the training step that moves any
     parameter moves the ``loss`` column's 10 significant digits."""
     assert _golden_run_log(tmp_path) == GOLDEN_LOG.read_bytes()
+
+
+def test_golden_training_log_tanh(tmp_path):
+    """The same for tanh hidden layers, whose derivative the backward pass
+    takes from the activations."""
+    assert _golden_run_log(tmp_path, "tanh") == GOLDEN_LOG_TANH.read_bytes()
