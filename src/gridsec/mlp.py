@@ -1,5 +1,6 @@
 """From-scratch feed-forward classifier: forward pass, softmax cross-entropy,
-and exact backpropagation gradients over a flat parameter vector.
+and exact backpropagation gradients, taken from the activations alone, over
+a flat parameter vector that ``unpack`` alone slices.
 
 Class index 0 is Secure, 1 is Insecure; argmax ties resolve to index 0.
 """
@@ -26,30 +27,20 @@ class MlpArchitecture:
 
     @property
     def n_params(self):
-        offset, fan_in, fan_out = param_layout(self)[-1]
-        return offset + (fan_in + 1) * fan_out
-
-
-def param_layout(arch: MlpArchitecture):
-    """(offset, fan_in, fan_out) per layer for slicing the flat vector.
-
-    Each layer occupies fan_in*fan_out weights followed by fan_out biases.
-    """
-    layout = []
-    offset = 0
-    for fan_in, fan_out in zip(arch.layer_sizes, arch.layer_sizes[1:]):
-        layout.append((offset, fan_in, fan_out))
-        offset += (fan_in + 1) * fan_out
-    return layout
+        sizes = self.layer_sizes
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
 
 
 def unpack(theta: np.ndarray, arch: MlpArchitecture):
-    """Views of the flat vector as per-layer (W, b) pairs."""
+    """Views of the flat vector as per-layer (W, b) pairs: each layer
+    occupies fan_in*fan_out weights, row-major, followed by fan_out biases."""
     pairs = []
-    for offset, fan_in, fan_out in param_layout(arch):
-        w = theta[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out)
-        b = theta[offset + fan_in * fan_out:offset + (fan_in + 1) * fan_out]
-        pairs.append((w, b))
+    offset = 0
+    for fan_in, fan_out in zip(arch.layer_sizes, arch.layer_sizes[1:]):
+        w_end = offset + fan_in * fan_out
+        pairs.append((theta[offset:w_end].reshape(fan_in, fan_out),
+                      theta[w_end:w_end + fan_out]))
+        offset = w_end + fan_out
     return pairs
 
 
@@ -57,11 +48,9 @@ def init_params(arch: MlpArchitecture, seed: int) -> np.ndarray:
     """Scaled-uniform weights, bound sqrt(6/(fan_in+fan_out)); zero biases."""
     rng = np.random.default_rng(seed)
     theta = np.zeros(arch.n_params)
-    for offset, fan_in, fan_out in param_layout(arch):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        theta[offset:offset + fan_in * fan_out] = rng.uniform(
-            -bound, bound, size=fan_in * fan_out
-        )
+    for w, _ in unpack(theta, arch):
+        bound = np.sqrt(6.0 / sum(w.shape))  # w is (fan_in, fan_out)
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
     return theta
 
 
@@ -71,25 +60,28 @@ def _activate(z, activation):
     return np.tanh(z)
 
 
-def _activate_grad(z, activation):
+def _activate_grad(a, activation):
+    """The derivative at the pre-activation, read from the activation ``a``:
+    relu's ``a > 0`` holds exactly where its input is positive (a bool mask,
+    multiplied as 0 and 1), and tanh's ``a`` is ``tanh`` of its input."""
     if activation == "relu":
-        return (z > 0.0).astype(float)
-    return 1.0 - np.tanh(z) ** 2
+        return a > 0.0
+    return 1.0 - a ** 2
 
 
 def _forward_pass(theta, arch, x):
-    """Returns (probabilities, cached pre-activations and activations)."""
+    """Activations of every layer: the input first, the class probabilities
+    last."""
     a = np.atleast_2d(np.asarray(x, dtype=float))
     if a.shape[1] != arch.layer_sizes[0]:
         raise ValueError(
             f"input width {a.shape[1]} does not match model width {arch.layer_sizes[0]}"
         )
     pairs = unpack(theta, arch)
-    zs, activations = [], [a]
+    activations = [a]
     for li, (w, b) in enumerate(pairs):
         z = activations[-1] @ w
         z += b
-        zs.append(z)
         if li < len(pairs) - 1:
             a = _activate(z, arch.activation)
         else:
@@ -97,7 +89,7 @@ def _forward_pass(theta, arch, x):
             expz = np.exp(shifted)
             a = expz / expz.sum(axis=1, keepdims=True)
         activations.append(a)
-    return activations[-1], zs, activations
+    return activations
 
 
 def _cross_entropy(probs, y):
@@ -111,31 +103,29 @@ def _cross_entropy(probs, y):
 def loss_and_gradient(theta: np.ndarray, arch: MlpArchitecture, x, y):
     """Mean cross-entropy over the batch and its exact gradient in theta."""
     y = np.asarray(y, dtype=int)
-    probs, zs, activations = _forward_pass(theta, arch, x)
+    activations = _forward_pass(theta, arch, x)
+    probs = activations[-1]
     loss = _cross_entropy(probs, y)
 
     n = probs.shape[0]
     grad = np.empty_like(theta)
-    layout = param_layout(arch)
+    weights = unpack(theta, arch)
     delta = probs  # the output error overwrites the probabilities, now unused
     delta[np.arange(n), y] -= 1.0
     delta /= n
-    for li in range(len(layout) - 1, -1, -1):
-        offset, fan_in, fan_out = layout[li]
-        w_end = offset + fan_in * fan_out
-        np.matmul(activations[li].T, delta, out=grad[offset:w_end].reshape(fan_in, fan_out))
-        np.sum(delta, axis=0, out=grad[w_end:w_end + fan_out])
+    for li, (grad_w, grad_b) in reversed(list(enumerate(unpack(grad, arch)))):
+        np.matmul(activations[li].T, delta, out=grad_w)
+        np.sum(delta, axis=0, out=grad_b)
         if li > 0:
-            w = theta[offset:w_end].reshape(fan_in, fan_out)
-            delta = delta @ w.T
-            delta *= _activate_grad(zs[li - 1], arch.activation)
+            delta = delta @ weights[li][0].T
+            delta *= _activate_grad(activations[li], arch.activation)
     return loss, grad
 
 
 def evaluate(theta, arch, x, y):
     """{'accuracy', 'loss'} on a labeled set, from one forward pass."""
     y = np.asarray(y, dtype=int)
-    probs, _, _ = _forward_pass(theta, arch, x)
+    probs = _forward_pass(theta, arch, x)[-1]
     loss = _cross_entropy(probs, y)
     accuracy = float(np.mean(np.argmax(probs, axis=1) == y))
     return {"accuracy": accuracy, "loss": loss}

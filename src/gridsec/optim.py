@@ -1,8 +1,8 @@
 """Gradient-descent update rules behind one stepping interface.
 
 Seven algorithms: sgd, sgd-m, nag, nag-m (constant learning rate) and
-adagrad, adam, nadam (per-coordinate adaptive rates). Every step applies
-theta_next = theta + delta with the algorithm's own delta; the Nesterov
+adagrad, adam, nadam (per-coordinate adaptive rates). Every step adds the
+algorithm's own delta to theta in place; the Nesterov
 variants evaluate the gradient at the momentum-extrapolated lookahead
 point, which is why stepping takes a gradient callback instead of a
 gradient value.
@@ -64,7 +64,7 @@ class Optimizer:
         self.accum = np.zeros(n_params)  # sum of squared gradients (adagrad)
         self.m = np.zeros(n_params)  # first raw moment (adam/nadam)
         self.v = np.zeros(n_params)  # second raw moment
-        # scratch for the update arithmetic, so a step allocates only its result
+        # scratch for the update arithmetic, so that it allocates no arrays
         self._a = np.empty(n_params)
         self._b = np.empty(n_params)
 
@@ -80,12 +80,13 @@ class Optimizer:
         return g
 
     def step(self, theta: np.ndarray, grad_fn):
-        """One update; returns (theta_next, delta).
+        """One update, ``theta += delta`` in place; ``delta`` is kept as
+        ``prev_delta``. A non-finite gradient raises before anything changes.
 
         The arithmetic runs in place on the optimizer's state and scratch
         vectors, each operation in the order of its textbook expression
         (noted beside it), so the results equal that expression's bit for
-        bit. ``delta`` is a copy the next step does not touch.
+        bit.
         """
         cfg = self.cfg
         alg = cfg.algorithm
@@ -143,4 +144,4 @@ class Optimizer:
                 np.multiply((1.0 - cfg.beta1) / (1.0 - cfg.beta1 ** k), g, out=delta)
                 np.add(a, delta, out=delta)
                 delta *= b
-        return theta + delta, delta.copy()
+        theta += delta

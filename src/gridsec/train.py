@@ -52,11 +52,11 @@ class RunResult:
 
 def run_phase(theta, arch, optimizer, train_xy, test_xy, phase, epochs, eval_every):
     """Execute exactly ``epochs`` optimizer steps on the full batch, logging
-    rows named ``phase``.
+    rows named ``phase``. ``theta`` is updated in place.
 
-    Logs every ``eval_every`` epochs plus the first and last. A non-finite loss
-    marks the remaining epochs as divergent instead of raising. Returns
-    (theta, rows).
+    Logs every ``eval_every`` epochs plus the first and last. A non-finite
+    gradient, parameter or loss ends the phase with a diverged row at that
+    epoch instead of raising. Returns (theta, rows).
     """
     x_train, y_train = train_xy
     x_test, y_test = test_xy
@@ -64,8 +64,12 @@ def run_phase(theta, arch, optimizer, train_xy, test_xy, phase, epochs, eval_eve
     logged = _eval_every_hits(epochs, eval_every)
     rows = []
     for epoch in range(1, epochs + 1):
-        theta, _ = optimizer.step(theta, grad_fn)
-        if not np.all(np.isfinite(theta)):
+        try:
+            optimizer.step(theta, grad_fn)
+            finite = np.all(np.isfinite(theta))
+        except OptimizerError:  # the gradient has theta's shape: it is not finite
+            finite = False
+        if not finite:
             rows.append(LogRow(phase, epoch, float("nan"), float("nan"),
                                float("nan"), diverged=True))
             break
@@ -97,8 +101,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Reject a phase length, checkpoint cadence, split, seed list,
-        algorithm list, network shape, activation or optimizer setting
-        before any dataset loads."""
+        algorithm list, network shape, activation or optimizer setting, or
+        settings for an unused algorithm, before any dataset loads."""
         for key in ("init_epochs", "update_epochs", "eval_every"):
             if getattr(self, key) < 1:
                 raise ExperimentError(f"{key} must be >= 1")
@@ -132,6 +136,10 @@ class ExperimentConfig:
             hidden = " ".join(map(str, self.hidden))
             raise ExperimentError(
                 f"hidden = {hidden}, activation = {self.activation}: {exc}") from None
+        for algorithm in self.overrides:
+            if algorithm not in self.algorithms:
+                raise ExperimentError(f"[{algorithm}] configures an algorithm not in "
+                                      f"algorithms = {' '.join(self.algorithms)}")
         for algorithm in self.algorithms:
             try:
                 self.optimizer_config(algorithm)

@@ -50,30 +50,31 @@ def test_criterion_1_optimizer_oracles():
     ok = True
 
     opt = Optimizer(OptimizerConfig("sgd", learning_rate=0.1), 1)
-    _, d = opt.step(np.zeros(1), lambda _: np.array([3.0]))
-    ok &= abs(d[0] - (-0.3)) <= 1e-9
+    opt.step(np.zeros(1), lambda _: np.array([3.0]))
+    ok &= abs(opt.prev_delta[0] - (-0.3)) <= 1e-9
 
     opt = Optimizer(OptimizerConfig("adam", learning_rate=0.001,
                                     beta1=0.9, beta2=0.999, eps=1e-8), 1)
-    _, d = opt.step(np.zeros(1), lambda _: np.array([0.5]))
-    ok &= abs(d[0] - (-9.99999980e-4)) <= 1e-9
+    opt.step(np.zeros(1), lambda _: np.array([0.5]))
+    ok &= abs(opt.prev_delta[0] - (-9.99999980e-4)) <= 1e-9
 
     opt = Optimizer(OptimizerConfig("nadam", learning_rate=0.001,
                                     beta1=0.9, beta2=0.999, eps=1e-8), 1)
-    _, d = opt.step(np.zeros(1), lambda _: np.array([1.0]))
-    ok &= abs(d[0] - (-1.8999999810e-3)) <= 1e-9
+    opt.step(np.zeros(1), lambda _: np.array([1.0]))
+    ok &= abs(opt.prev_delta[0] - (-1.8999999810e-3)) <= 1e-9
 
     opt = Optimizer(OptimizerConfig("adagrad", learning_rate=0.1, eps=0.0), 1)
     theta = np.zeros(1)
-    theta, d1 = opt.step(theta, lambda _: np.array([2.0]))
-    theta, d2 = opt.step(theta, lambda _: np.array([2.0]))
+    opt.step(theta, lambda _: np.array([2.0]))
+    d1 = opt.prev_delta.copy()  # the next step overwrites prev_delta
+    opt.step(theta, lambda _: np.array([2.0]))
     ok &= abs(d1[0] - (-0.1)) <= 1e-9
-    ok &= abs(d2[0] - (-0.2 / math.sqrt(8.0))) <= 1e-9
+    ok &= abs(opt.prev_delta[0] - (-0.2 / math.sqrt(8.0))) <= 1e-9
 
     opt = Optimizer(OptimizerConfig("nag-m", learning_rate=0.1, momentum=0.9), 1)
     opt.prev_delta = np.array([-0.1])
-    _, d = opt.step(np.array([1.0]), lambda t: t)
-    ok &= abs(d[0] - (-0.181)) <= 1e-9
+    opt.step(np.array([1.0]), lambda t: t)
+    ok &= abs(opt.prev_delta[0] - (-0.181)) <= 1e-9
 
     # gamma = 0 reductions must be bit-exact against plain sgd
     grad = lambda t: np.sin(t) + 0.2 * t
@@ -83,8 +84,8 @@ def test_criterion_1_optimizer_oracles():
         sub = Optimizer(OptimizerConfig(alg, learning_rate=0.05, momentum=0.0), 3)
         ta, tb = theta0.copy(), theta0.copy()
         for _ in range(5):
-            ta, _ = ref.step(ta, grad)
-            tb, _ = sub.step(tb, grad)
+            ref.step(ta, grad)
+            sub.step(tb, grad)
         ok &= bool(np.array_equal(ta, tb))
 
     elapsed = time.perf_counter() - start

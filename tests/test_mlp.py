@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gridsec.mlp import (
     MlpArchitecture,
@@ -10,7 +13,6 @@ from gridsec.mlp import (
     fit_standardization,
     init_params,
     loss_and_gradient,
-    param_layout,
     unpack,
 )
 
@@ -20,7 +22,7 @@ def small_arch(activation="tanh"):
 
 
 def probabilities(theta, arch, x):
-    return _forward_pass(theta, arch, x)[0]
+    return _forward_pass(theta, arch, x)[-1]
 
 
 def predicted_classes(theta, arch, x):
@@ -33,11 +35,16 @@ def test_n_params():
 
 
 def test_param_layout_covers_theta():
+    """``unpack``'s views tile the flat vector from its start: each layer's
+    weights, then its biases, with no gap or overlap."""
     arch = small_arch()
-    layout = param_layout(arch)
-    total = sum((fan_in + 1) * fan_out for _, fan_in, fan_out in layout)
-    assert total == arch.n_params
-    assert layout[0][0] == 0
+    theta = np.arange(arch.n_params, dtype=float)
+    pairs = unpack(theta, arch)
+    assert [(w.shape, b.shape) for w, b in pairs] == [((4, 6), (6,)), ((6, 3), (3,)),
+                                                      ((3, 2), (2,))]
+    parts = [part for pair in pairs for part in pair]
+    assert np.array_equal(np.concatenate([part.ravel() for part in parts]), theta)
+    assert all(np.shares_memory(part, theta) for part in parts)
 
 
 def test_init_deterministic_and_bounded():
@@ -79,8 +86,7 @@ def test_softmax_translation_invariance():
     x = np.random.default_rng(2).normal(size=(5, 4))
     p0 = probabilities(theta, arch, x)
     shifted = theta.copy()
-    offset, fan_in, fan_out = param_layout(arch)[-1]
-    shifted[offset + fan_in * fan_out:offset + (fan_in + 1) * fan_out] += 7.3
+    unpack(shifted, arch)[-1][1][...] += 7.3
     p1 = probabilities(shifted, arch, x)
     assert np.allclose(p0, p1, atol=1e-12)
 
@@ -170,7 +176,9 @@ def test_standardization_round_trip():
 
 def _expression_loss_and_gradient(theta, arch, x, y):
     """Forward pass and backpropagation as whole-array expressions, one
-    fresh array per operation: the oracle for ``loss_and_gradient``."""
+    fresh array per operation, with each activation's derivative taken from
+    the cached pre-activations ``zs``: the oracle for ``loss_and_gradient``,
+    which reads it from the activations."""
     pairs = unpack(theta, arch)
     zs, activations = [], [x]
     for li, (w, b) in enumerate(pairs):
@@ -188,16 +196,13 @@ def _expression_loss_and_gradient(theta, arch, x, y):
     loss = float(-np.mean(np.log(probs[np.arange(n), y] + np.finfo(float).tiny)))
 
     grad = np.zeros_like(theta)
-    layout = param_layout(arch)
+    grad_pairs = unpack(grad, arch)
     delta = probs.copy()
     delta[np.arange(n), y] -= 1.0
     delta /= n
     for li in range(len(pairs) - 1, -1, -1):
-        offset, fan_in, fan_out = layout[li]
-        grad_w = activations[li].T @ delta
-        grad_b = delta.sum(axis=0)
-        grad[offset:offset + fan_in * fan_out] = grad_w.ravel()
-        grad[offset + fan_in * fan_out:offset + (fan_in + 1) * fan_out] = grad_b
+        grad_pairs[li][0][...] = activations[li].T @ delta
+        grad_pairs[li][1][...] = delta.sum(axis=0)
         if li > 0:
             z = zs[li - 1]
             act_grad = (z > 0.0).astype(float) if arch.activation == "relu" \
@@ -218,3 +223,31 @@ def test_loss_and_gradient_equals_expression_oracle(activation, sizes, rows):
     loss_ref, grad_ref = _expression_loss_and_gradient(theta, arch, x, y)
     assert loss == loss_ref
     assert np.array_equal(grad, grad_ref)
+
+
+def finite_arrays(shape):
+    """Every element drawn on its own, so that exact zeros and saturation show."""
+    return arrays(float, shape, elements=st.floats(-10.0, 10.0), fill=st.nothing())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(hidden=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+       n_features=st.integers(1, 6), rows=st.integers(1, 9),
+       activation=st.sampled_from(["relu", "tanh"]), data=st.data())
+def test_loss_and_gradient_bits_equal_the_pre_activation_oracle(
+        hidden, n_features, rows, activation, data):
+    """At any sizes, batch and theta, a NaN parameter included, the loss and
+    gradient equal the oracle's byte for byte: relu's ``a > 0`` is
+    ``z > 0`` and tanh's ``1 - a**2`` is ``1 - tanh(z)**2``."""
+    arch = MlpArchitecture((n_features, *hidden, 2), activation)
+    theta = data.draw(finite_arrays(arch.n_params))
+    nan_at = data.draw(st.none() | st.integers(0, arch.n_params - 1))
+    if nan_at is not None:
+        theta[nan_at] = np.nan
+    x = data.draw(finite_arrays((rows, n_features)))
+    y = data.draw(arrays(int, rows, elements=st.integers(0, 1)))
+    with np.errstate(all="ignore"):
+        loss, grad = loss_and_gradient(theta, arch, x, y)
+        loss_ref, grad_ref = _expression_loss_and_gradient(theta, arch, x, y)
+    assert np.float64(loss).tobytes() == np.float64(loss_ref).tobytes()
+    assert grad.tobytes() == grad_ref.tobytes()

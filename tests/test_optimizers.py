@@ -13,12 +13,16 @@ from gridsec.optim import (
 
 
 def step_with_constant_gradient(opt, theta, g):
-    return opt.step(theta, lambda _: np.asarray(g, dtype=float))
+    """One step at the gradient ``g``; returns its delta, the optimizer's
+    own ``prev_delta``, which the next step overwrites."""
+    opt.step(theta, lambda _: np.asarray(g, dtype=float))
+    return opt.prev_delta
 
 
 def test_sgd_single_step():
     opt = Optimizer(OptimizerConfig("sgd", learning_rate=0.1), 1)
-    theta, delta = step_with_constant_gradient(opt, np.zeros(1), [3.0])
+    theta = np.zeros(1)
+    delta = step_with_constant_gradient(opt, theta, [3.0])
     assert delta[0] == pytest.approx(-0.3, abs=1e-9)
     assert theta[0] == pytest.approx(-0.3, abs=1e-9)
 
@@ -26,14 +30,14 @@ def test_sgd_single_step():
 def test_sgd_scales_linearly_with_gradient():
     opt = Optimizer(OptimizerConfig("sgd", learning_rate=0.05), 3)
     g = np.array([1.0, -2.0, 4.0])
-    _, delta = opt.step(np.zeros(3), lambda _: g)
-    assert np.array_equal(delta, -0.05 * g)
+    opt.step(np.zeros(3), lambda _: g)
+    assert np.array_equal(opt.prev_delta, -0.05 * g)
 
 
 def test_adam_first_step():
     cfg = OptimizerConfig("adam", learning_rate=0.001, beta1=0.9, beta2=0.999, eps=1e-8)
     opt = Optimizer(cfg, 1)
-    _, delta = step_with_constant_gradient(opt, np.zeros(1), [0.5])
+    delta = step_with_constant_gradient(opt, np.zeros(1), [0.5])
     # bias-corrected m_hat = 0.5, v_hat = 0.25
     assert opt.m[0] == pytest.approx(0.05, abs=1e-15)
     assert opt.v[0] == pytest.approx(0.00025, abs=1e-15)
@@ -43,7 +47,7 @@ def test_adam_first_step():
 def test_nadam_first_step():
     cfg = OptimizerConfig("nadam", learning_rate=0.001, beta1=0.9, beta2=0.999, eps=1e-8)
     opt = Optimizer(cfg, 1)
-    _, delta = step_with_constant_gradient(opt, np.zeros(1), [1.0])
+    delta = step_with_constant_gradient(opt, np.zeros(1), [1.0])
     # inner term 0.9 * 1 + (0.1 / 0.1) * 1 = 1.9
     assert delta[0] == pytest.approx(-1.8999999810e-3, abs=1e-9)
 
@@ -52,8 +56,8 @@ def test_adagrad_two_steps():
     cfg = OptimizerConfig("adagrad", learning_rate=0.1, eps=0.0)
     opt = Optimizer(cfg, 1)
     theta = np.zeros(1)
-    theta, d1 = step_with_constant_gradient(opt, theta, [2.0])
-    theta, d2 = step_with_constant_gradient(opt, theta, [2.0])
+    d1 = step_with_constant_gradient(opt, theta, [2.0]).copy()
+    d2 = step_with_constant_gradient(opt, theta, [2.0])
     assert d1[0] == pytest.approx(-0.1, abs=1e-9)
     assert d2[0] == pytest.approx(-0.1 * 2.0 / math.sqrt(8.0), abs=1e-9)
 
@@ -63,9 +67,9 @@ def test_nag_m_quadratic_step():
     cfg = OptimizerConfig("nag-m", learning_rate=0.1, momentum=0.9)
     opt = Optimizer(cfg, 1)
     opt.prev_delta = np.array([-0.1])
-    theta, delta = opt.step(np.array([1.0]), lambda t: t)
+    opt.step(np.array([1.0]), lambda t: t)
     # lookahead 1 + 0.9 * (-0.1) = 0.91; delta = 0.9*(-0.1) - 0.1*0.91
-    assert delta[0] == pytest.approx(-0.181, abs=1e-9)
+    assert opt.prev_delta[0] == pytest.approx(-0.181, abs=1e-9)
 
 
 def test_momentum_zero_collapses_to_sgd():
@@ -77,8 +81,8 @@ def test_momentum_zero_collapses_to_sgd():
         sub = Optimizer(OptimizerConfig(alg, learning_rate=0.07, momentum=0.0), 5)
         ta, tb = theta0.copy(), theta0.copy()
         for _ in range(4):
-            ta, _ = ref.step(ta, grad)
-            tb, _ = sub.step(tb, grad)
+            ref.step(ta, grad)
+            sub.step(tb, grad)
         assert np.array_equal(ta, tb), alg  # bit-exact reduction
 
 
@@ -88,7 +92,7 @@ def test_adam_constant_gradient_moment_identities():
     opt = Optimizer(default_config("adam"), 2)
     theta = np.zeros(2)
     for k in range(1, 30):
-        theta, _ = opt.step(theta, lambda _: g)
+        opt.step(theta, lambda _: g)
         m_hat = opt.m / (1 - opt.cfg.beta1 ** k)
         v_hat = opt.v / (1 - opt.cfg.beta2 ** k)
         assert np.allclose(m_hat, g, atol=1e-12)
@@ -100,11 +104,11 @@ def test_adam_scale_invariance_with_zero_eps():
     grad = lambda t: 3.0 * t + 1.0
     base = Optimizer(OptimizerConfig("adam", learning_rate=0.001, eps=0.0), 2)
     scaled = Optimizer(OptimizerConfig("adam", learning_rate=0.001, eps=0.0), 2)
-    theta_a = theta_b = np.array([1.0, -2.0])
+    theta_a, theta_b = np.array([1.0, -2.0]), np.array([1.0, -2.0])
     for _ in range(10):
-        theta_a, da = base.step(theta_a, grad)
-        theta_b, db = scaled.step(theta_b, lambda t: 1000.0 * grad(t))
-        assert np.allclose(da, db, atol=1e-12)
+        base.step(theta_a, grad)
+        scaled.step(theta_b, lambda t: 1000.0 * grad(t))
+        assert np.allclose(base.prev_delta, scaled.prev_delta, atol=1e-12)
 
 
 def test_adagrad_steps_shrink_monotonically():
@@ -112,7 +116,7 @@ def test_adagrad_steps_shrink_monotonically():
     theta = np.zeros(1)
     sizes = []
     for _ in range(20):
-        theta, delta = step_with_constant_gradient(opt, theta, [1.5])
+        delta = step_with_constant_gradient(opt, theta, [1.5])
         sizes.append(abs(delta[0]))
     assert all(b < a for a, b in zip(sizes, sizes[1:]))
 
@@ -125,7 +129,7 @@ def test_converges_on_quadratic(algorithm):
     opt = Optimizer(default_config(algorithm, **overrides), 4)
     theta = np.array([2.0, -1.5, 0.5, 3.0])
     for _ in range(10000):
-        theta, _ = opt.step(theta, lambda t: t)
+        opt.step(theta, lambda t: t)
         if np.abs(theta).max() < 1e-4:
             break
     assert np.abs(theta).max() < 1e-4
@@ -137,22 +141,25 @@ def test_state_isolation():
     solo = Optimizer(default_config("adam"), 2)
     theta_solo = np.array([0.4, -0.7])
     for _ in range(6):
-        theta_solo, _ = solo.step(theta_solo, grad)
+        solo.step(theta_solo, grad)
 
     inter = Optimizer(default_config("adam"), 2)
     noise = Optimizer(default_config("nadam"), 2)
     theta_inter = np.array([0.4, -0.7])
     theta_noise = np.array([5.0, 5.0])
     for _ in range(6):
-        theta_inter, _ = inter.step(theta_inter, grad)
-        theta_noise, _ = noise.step(theta_noise, grad)
+        inter.step(theta_inter, grad)
+        noise.step(theta_noise, grad)
     assert np.array_equal(theta_solo, theta_inter)
 
 
 def test_non_finite_gradient_rejected():
+    """The check runs before the update: theta and the state stay as they were."""
     opt = Optimizer(default_config("sgd"), 2)
+    theta = np.ones(2)
     with pytest.raises(OptimizerError, match="non-finite gradient at coordinate 1"):
-        opt.step(np.zeros(2), lambda t: np.array([0.0, np.nan]))
+        opt.step(theta, lambda t: np.array([0.0, np.nan]))
+    assert np.array_equal(theta, np.ones(2)) and opt.k == 0
 
 
 def test_gradient_shape_mismatch_rejected():
@@ -222,7 +229,7 @@ class ExpressionOptimizer(Optimizer):
                 delta = -cfg.learning_rate / (np.sqrt(v_hat) + cfg.eps) * nesterov_m
 
         self.prev_delta = delta
-        return theta + delta, delta
+        theta[...] = theta + delta
 
 
 GRADIENTS = {
@@ -236,18 +243,15 @@ GRADIENTS = {
 @pytest.mark.parametrize("gradient", sorted(GRADIENTS))
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_step_equals_expression_oracle(algorithm, gradient):
-    """50 steps equal the expression form bit for bit, and a returned delta
-    stays as it was through the next step."""
+    """50 steps equal the expression form bit for bit, in theta and in the
+    kept delta."""
     grad = GRADIENTS[gradient]
     cfg = default_config(algorithm)
     opt, oracle = Optimizer(cfg, 257), ExpressionOptimizer(cfg, 257)
-    theta = theta_ref = np.random.default_rng(4).normal(size=257)
-    previous = None
+    theta = np.random.default_rng(4).normal(size=257)
+    theta_ref = theta.copy()
     for _ in range(50):
-        theta, delta = opt.step(theta, grad)
-        theta_ref, delta_ref = oracle.step(theta_ref, grad)
-        assert np.array_equal(theta, theta_ref)
-        assert np.array_equal(delta, delta_ref)
-        if previous is not None:
-            assert np.array_equal(previous[0], previous[1])
-        previous = (delta, delta.copy())
+        opt.step(theta, grad)
+        oracle.step(theta_ref, grad)
+        assert theta.tobytes() == theta_ref.tobytes()
+        assert opt.prev_delta.tobytes() == oracle.prev_delta.tobytes()

@@ -85,6 +85,22 @@ def test_run_phase_detects_divergence():
     assert rows[-1].epoch < 50
 
 
+@pytest.mark.parametrize("learning_rate", [1e100, 1e150])
+def test_run_phase_ends_at_a_non_finite_gradient(learning_rate):
+    """A rate that leaves theta finite but overflows the next gradient ends
+    the phase with a diverged row at that epoch, and theta stays finite:
+    the step that raised did not apply."""
+    x, y = xy(make_blobs(10, 2))
+    arch = MlpArchitecture((3, 4, 2), "relu")
+    opt = Optimizer(OptimizerConfig("sgd", learning_rate=learning_rate), arch.n_params)
+    with np.errstate(all="ignore"):
+        theta, rows = run_phase(mlp.init_params(arch, seed=0), arch, opt, (x, y), (x, y),
+                                "Initialization", 50, 10)
+    assert rows[-1].diverged and np.isnan(rows[-1].loss)
+    assert rows[-1].epoch == opt.k + 1 < 50
+    assert np.all(np.isfinite(theta))
+
+
 def _save_datasets(tmp_path):
     from gridsec.data import save_dataset
 
@@ -257,6 +273,8 @@ BAD_VALUES = [
     ("seeds = 0 1 0", r"seeds lists 0 more than once"),
     ("algorithms =", r"algorithms must not be empty"),
     ("algorithms = sgd adam sgd", r"algorithms lists sgd more than once"),
+    ("algorithms = sgd\n[adam]\nlearning_rate = -1",
+     r"\[adam\] configures an algorithm not in algorithms = sgd"),
 ]
 
 
@@ -305,6 +323,9 @@ def test_run_experiment_checks_code_built_config(tmp_path):
         small_config(ip, up, overrides={"adam": {"learning_rate": -1.0}})
     with pytest.raises(ExperimentError, match="algorithms lists adam more than once"):
         small_config(ip, up, algorithms=("adam", "sgd", "adam"))
+    with pytest.raises(ExperimentError, match=r"\[nadam\] configures an algorithm not in "
+                                              r"algorithms = sgd adam"):
+        small_config(ip, up, overrides={"nadam": {"learning_rate": 0.01}})
     results = run_experiment(small_config(ip, up, algorithms=("sgd",)))
     _, rows = summarize(results, checkpoints(40, 40))
     assert "div" not in rows[0]
