@@ -232,21 +232,32 @@ class Topology:
         return islands(len(self.vset), self.slack, ends)[1]
 
 
+def _bus_sums(n, base_mva, gen_bus, p_gen, load_bus, p_load, q_load):
+    """The per-unit net complex injection and load Q of ``n`` buses, from
+    the in-service generators' MW at bus positions ``gen_bus`` and the
+    loads' MW and MVar at ``load_bus``."""
+    p, pl, ql = np.zeros((3, n))
+    # np.add.at sums the units of a bus in case order
+    np.add.at(p, gen_bus, p_gen)
+    np.add.at(pl, load_bus, p_load)
+    np.add.at(ql, load_bus, q_load)
+    return ((p - pl) + 1j * (0.0 - ql)) / base_mva, ql / base_mva
+
+
 def bus_injections(case) -> Injections:
-    """``case``'s per-bus injection sums, on its topology's bus positions."""
+    """``case``'s per-bus injection sums, on its topology's bus positions;
+    ``_bus_sums`` does the net injection, for ``powerflow.trace_pv_curve``'s
+    load steps too."""
     index, n, base_mva = case.topology.bus_index, len(case.buses), case.base_mva
     gens = [g for g in case.generators if g.in_service]
     gen_bus = np.array([index[g.bus] for g in gens], dtype=int)
     load_bus = np.array([index[l.bus] for l in case.loads], dtype=int)
-    p, qmin, qmax, p_load, q_load = np.zeros((5, n))
-    # np.add.at sums the units of a bus in case order
-    np.add.at(p, gen_bus, [g.p_mw for g in gens])
+    qmin, qmax = np.zeros((2, n))
     np.add.at(qmin, gen_bus, [g.q_min for g in gens])
     np.add.at(qmax, gen_bus, [g.q_max for g in gens])
-    np.add.at(p_load, load_bus, [l.p_mw for l in case.loads])
-    np.add.at(q_load, load_bus, [l.q_mvar for l in case.loads])
     has_gen = np.zeros(n, dtype=bool)
     has_gen[gen_bus] = True
-    s_spec = ((p - p_load) + 1j * (0.0 - q_load)) / base_mva
+    s_spec, q_load = _bus_sums(n, base_mva, gen_bus, [g.p_mw for g in gens], load_bus,
+                               [l.p_mw for l in case.loads], [l.q_mvar for l in case.loads])
     return Injections(*(_read_only(a) for a in (
-        s_spec, qmin / base_mva, qmax / base_mva, q_load / base_mva, has_gen)))
+        s_spec, qmin / base_mva, qmax / base_mva, q_load, has_gen)))

@@ -237,25 +237,14 @@ def scale_loads(case: NetworkCase, factors) -> NetworkCase:
     return _with_arrays(scaled, topology=case.topology)
 
 
-def reschedule_generation(case: NetworkCase, delta_p: float) -> NetworkCase:
-    """Spread a load change over non-slack generators, capacity-proportional.
-
-    Each in-service generator off the slack bus moves by
-    ``delta_p * p_max_g / sum(p_max)``; units pinned at a bound have their
-    residual redistributed over the rest. The slack picks up whatever no
-    unit can absorb, inside the power flow.
-    """
-    if delta_p == 0.0:
-        return case
-    slack_id = case.slack_bus().id
-    gens = list(case.generators)
+def _dispatch(gens, slack_id, delta_p) -> dict:
+    """The outputs (MW), by index in ``gens``, of the in-service generators
+    off bus ``slack_id`` with ``p_max > 0``, once ``delta_p`` is spread over
+    them as ``reschedule_generation`` says; empty when there are none."""
     movable = [
         i for i, g in enumerate(gens)
         if g.in_service and g.bus != slack_id and g.p_max > 0
     ]
-    if not movable:
-        # Only the slack can balance; it does so inside the power flow.
-        return case
     outputs = {i: gens[i].p_mw for i in movable}
     remaining = float(delta_p)
     active = set(movable)
@@ -275,10 +264,28 @@ def reschedule_generation(case: NetworkCase, delta_p: float) -> NetworkCase:
         active -= pinned
         if not pinned and abs(remaining) > 1e-12:
             break  # nothing pinned but residual left: numerical dead end
+    return outputs
+
+
+def reschedule_generation(case: NetworkCase, delta_p: float) -> NetworkCase:
+    """Spread a load change over non-slack generators, capacity-proportional.
+
+    Each in-service generator off the slack bus moves by
+    ``delta_p * p_max_g / sum(p_max)``; units pinned at a bound have their
+    residual redistributed over the rest. The slack picks up whatever no
+    unit can absorb, inside the power flow. ``_dispatch`` does the
+    arithmetic, for ``powerflow.trace_pv_curve`` too.
+    """
+    if delta_p == 0.0:
+        return case
+    outputs = _dispatch(case.generators, case.slack_bus().id, delta_p)
+    if not outputs:
+        # Only the slack can balance; it does so inside the power flow.
+        return case
     new_gens = tuple(
         Generator(g.bus, outputs[i], g.q_min, g.q_max, g.p_max, g.in_service)
         if i in outputs else g
-        for i, g in enumerate(gens)
+        for i, g in enumerate(case.generators)
     )
     moved = NetworkCase(case.base_mva, case.buses, case.branches, new_gens, case.loads)
     return _with_arrays(moved, topology=case.topology)

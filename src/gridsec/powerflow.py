@@ -18,9 +18,11 @@ the off-diagonal ones that are zero, and after a pin it asks
 bit for bit, the same entry selected from the dense 2n x 2n ``dSbus_dV``.
 Reactive-limit switching is one-way: a PV bus whose generators would exceed
 their Q capability is pinned there as a PQ bus and never switches back to PV
-within the solve. Non-convergence is an outcome, not an exception:
-downstream screening treats a diverged post-contingency solve as an Insecure
-label. ``chord_screen`` checks many branch outages of one case at once by
+within the solve. One NR loop, ``_newton``, serves ``solve_powerflow`` and
+``trace_pv_curve``; a PV curve builds its branch table and Ybus once and
+keeps them off the caller's case. Non-convergence is an outcome, not an
+exception: downstream screening treats a diverged post-contingency solve as
+an Insecure label. ``chord_screen`` checks many branch outages of one case at once by
 chord iterations on its inverted Jacobian, with a low-rank correction per
 outage; it only ever accepts an outage as clearly secure, and leaves every
 other to ``solve_powerflow``.
@@ -33,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import JacobianMap, jacobian_map
+from .arrays import Injections, JacobianMap, _bus_sums, bus_injections, jacobian_map
 from .errors import CaseValidationError, InfeasibleError, SettingError
-from .model import NetworkCase, reschedule_generation, scale_loads
+from .model import NetworkCase, _dispatch
 
 
 TOLERANCE = 1e-8  # per-unit power mismatch
@@ -78,8 +80,11 @@ class PvCurve:
 def build_ybus(case: NetworkCase) -> np.ndarray:
     """Dense complex bus-admittance matrix; standard pi model with the
     off-nominal tap on the from side."""
-    tb = case.branch_table
-    n = len(case.buses)
+    return _ybus(case.branch_table, len(case.buses))
+
+
+def _ybus(tb, n):
+    """Ybus of the ``n`` buses from the branch table ``tb``."""
     y = np.zeros(n * n, dtype=complex)
     # Stamps go in per branch as ff, tt, ft, tf; np.add.at sums repeated cells
     # in index order, so each entry adds up its branches in case order.
@@ -179,26 +184,15 @@ def _first_iterate(topo, start):
     return np.where(topo.pq, vm, topo.vset), va - va[topo.slack]
 
 
-def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE) -> PowerFlowSolution:
-    """Newton-Raphson solve with PV->PQ reactive-limit switching.
-
-    ``start``, when given, is a ``(v_mag, v_ang)`` warm start; otherwise the
-    solve starts flat. It stops when the largest per-unit mismatch is at or
-    below ``tolerance``, or after ``MAX_ITER`` iterations. Returns a solution
-    object in all cases; check ``converged``. The slack bus keeps angle 0 and
-    its setpoint magnitude throughout.
-    """
-    if tolerance <= 0:
-        raise SettingError("tolerance must be positive")
-    inj, topo = case.injections, case.topology
-    if topo.slack is None:
-        raise CaseValidationError("no slack bus")
-    ybus = build_ybus(case)
+def _newton(topo, inj: Injections, ybus, live, start, tolerance):
+    """``solve_powerflow``'s NR loop on ``topo``'s bus spec, ``inj``, Ybus and
+    ``live``, its ``_live_map``. Returns the last iterate's complex voltages,
+    then the solution's fields from ``converged`` on."""
     s_spec, is_pv, is_pq = inj.s_spec.copy(), topo.pv.copy(), topo.pq.copy()
     vm, va = _first_iterate(topo, start)
 
     # the solve's masks are the parsed case's until a pin
-    y, layout = _live_map(ybus, topo.jacobian)
+    y, layout = live
     watch = is_pv & inj.has_gen  # the PV buses whose Q limits are checked
     q_hi, q_lo = inj.qg_max + 1e-9, inj.qg_min - 1e-9
     q_limited = []
@@ -245,20 +239,28 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
         npvpq = len(layout.pvpq)
         va[layout.pvpq] += dx[:npvpq]
         vm[layout.pq] += dx[npvpq:]
+    # every exit breaks before the update: v is vm and va's
+    return v, converged, iteration, max_mis, tuple(q_limited), diagnostic
 
-    v = vm * np.exp(1j * va)
+
+def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE) -> PowerFlowSolution:
+    """Newton-Raphson solve with PV->PQ reactive-limit switching.
+
+    ``start``, when given, is a ``(v_mag, v_ang)`` warm start; otherwise the
+    solve starts flat. It stops when the largest per-unit mismatch is at or
+    below ``tolerance``, or after ``MAX_ITER`` iterations. Returns a solution
+    object in all cases; check ``converged``. The slack bus keeps angle 0 and
+    its setpoint magnitude throughout.
+    """
+    if tolerance <= 0:
+        raise SettingError("tolerance must be positive")
+    inj, topo = case.injections, case.topology
+    if topo.slack is None:
+        raise CaseValidationError("no slack bus")
+    ybus = build_ybus(case)
+    v, *outcome = _newton(topo, inj, ybus, _live_map(ybus, topo.jacobian), start, tolerance)
     p_f, q_f, p_t, q_t, i_f = _branch_flows(case, v)
-    return PowerFlowSolution(
-        v_mag=np.abs(v),
-        v_ang=np.angle(v),
-        p_from=p_f, q_from=q_f, p_to=p_t, q_to=q_t,
-        i_from=i_f,
-        converged=converged,
-        iterations=iteration,  # every exit is a break
-        max_mismatch=max_mis,
-        q_limited=tuple(q_limited),
-        diagnostic=diagnostic,
-    )
+    return PowerFlowSolution(np.abs(v), np.angle(v), p_f, q_f, p_t, q_t, i_f, *outcome)
 
 
 def chord_screen(case: NetworkCase, start, outages, loading_limit: float) -> list:
@@ -367,12 +369,17 @@ def trace_pv_curve(case: NetworkCase, monitored_bus: int, step: float) -> PvCurv
 
     Loads are scaled uniformly by 1.0, 1.0+step, ...; the extra demand is
     rescheduled across non-slack generators capacity-proportionally (slack
-    absorbs anything beyond their limits). Each solve warm-starts from the
+    absorbs anything beyond their limits), as ``scale_loads`` and
+    ``reschedule_generation`` would. Each solve warm-starts from the
     previous point. Tracing stops at the first non-converged solve, or past a
     multiplier of 50; the last converged multiplier is the nose. The
     multiplier is rounded to 12 decimals, so ``step`` must be at least 1e-12,
     and a step that could take more than 1e6 solves to reach 50 (one below
     4.9e-5) is rejected before any solve.
+
+    A curve builds its branch table and Ybus once, and keeps them off
+    ``case`` (a study stores many outaged cases); a step makes only its
+    ``Injections`` for ``_newton``: no case, no branch flows.
     """
     if not 0.0 < step < np.inf:
         raise SettingError("step must be positive and finite")
@@ -383,18 +390,31 @@ def trace_pv_curve(case: NetworkCase, monitored_bus: int, step: float) -> PvCurv
     pos = case.bus_index().get(monitored_bus)
     if pos is None:
         raise CaseValidationError(f"no bus {monitored_bus} in case")
+    inj, topo, n = bus_injections(case), case.topology, len(case.buses)
+    if topo.slack is None:
+        raise CaseValidationError("no slack bus")
+    ybus = _ybus(topo.branches(), n)
+    live = _live_map(ybus, topo.jacobian)
+    gens = [(i, g) for i, g in enumerate(case.generators) if g.in_service]
+    gen_bus = np.array([topo.bus_index[g.bus] for _, g in gens], dtype=int)
+    load_bus = np.array([topo.bus_index[l.bus] for l in case.loads], dtype=int)
+    p_load, q_load = np.array([(l.p_mw, l.q_mvar) for l in case.loads], dtype=float).reshape(-1, 2).T
+    slack_id = case.buses[topo.slack].id
     base_p, _ = case.total_load()
     points = []
     warm = None
     scale = 1.0
     while scale <= 50.0 + 1e-12:
-        scaled = scale_loads(case, scale)
-        scaled = reschedule_generation(scaled, (scale - 1.0) * base_p)
-        sol = solve_powerflow(scaled, warm)
-        if not sol.converged:
+        p_gen = _dispatch(case.generators, slack_id, (scale - 1.0) * base_p)
+        s_spec, q_pu = _bus_sums(n, case.base_mva, gen_bus, [p_gen.get(i, g.p_mw) for i, g in gens],
+                                 load_bus, p_load * scale, q_load * scale)
+        v, converged, *_ = _newton(topo, Injections(s_spec, inj.qg_min, inj.qg_max, q_pu, inj.has_gen),
+                                   ybus, live, warm, TOLERANCE)
+        if not converged:
             break
-        points.append((scale, float(sol.v_mag[pos])))
-        warm = (sol.v_mag, sol.v_ang)
+        v_mag = np.abs(v)
+        points.append((scale, float(v_mag[pos])))
+        warm = (v_mag, np.angle(v))
         scale = round(scale + step, 12)
     if not points:
         raise InfeasibleError("base case infeasible")

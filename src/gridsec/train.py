@@ -63,25 +63,27 @@ def run_phase(theta, arch, optimizer, train_xy, test_xy, phase, epochs, eval_eve
     grad_fn = lambda t: mlp.loss_and_gradient(t, arch, x_train, y_train)[1]
     logged = _eval_every_hits(epochs, eval_every)
     rows = []
-    for epoch in range(1, epochs + 1):
-        try:
-            optimizer.step(theta, grad_fn)
-            finite = np.all(np.isfinite(theta))
-        except OptimizerError:  # the gradient has theta's shape: it is not finite
-            finite = False
-        if not finite:
-            rows.append(LogRow(phase, epoch, float("nan"), float("nan"),
-                               float("nan"), diverged=True))
-            break
-        if epoch in logged:
-            train_eval = mlp.evaluate(theta, arch, x_train, y_train)
-            test_eval = mlp.evaluate(theta, arch, x_test, y_test)
-            diverged = not np.isfinite(train_eval["loss"])
-            rows.append(LogRow(phase, epoch, train_eval["loss"],
-                               train_eval["accuracy"], test_eval["accuracy"],
-                               diverged))
-            if diverged:
+    # a diverging run overflows on its way to the diverged row, which records it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, epochs + 1):
+            try:
+                optimizer.step(theta, grad_fn)
+                finite = np.all(np.isfinite(theta))
+            except OptimizerError:  # the gradient has theta's shape: it is not finite
+                finite = False
+            if not finite:
+                rows.append(LogRow(phase, epoch, float("nan"), float("nan"),
+                                   float("nan"), diverged=True))
                 break
+            if epoch in logged:
+                train_eval = mlp.evaluate(theta, arch, x_train, y_train)
+                test_eval = mlp.evaluate(theta, arch, x_test, y_test)
+                diverged = not np.isfinite(train_eval["loss"])
+                rows.append(LogRow(phase, epoch, train_eval["loss"],
+                                   train_eval["accuracy"], test_eval["accuracy"],
+                                   diverged))
+                if diverged:
+                    break
     return theta, rows
 
 

@@ -152,13 +152,15 @@ def test_nonconvergence_is_not_an_error(case2):
 
 def test_solve_without_slack_is_an_error(case9):
     """A case built without validation and without a slack bus gets a view,
-    and its solve raises instead of referencing a missing slack."""
+    and its solve and PV trace raise instead of referencing a missing slack."""
     buses = tuple(dataclasses.replace(b, kind=BusKind.PV) if b.kind is BusKind.SLACK else b
                   for b in case9.buses)
     slackless = dataclasses.replace(case9, buses=buses)
     assert slackless.topology.slack is None
     with pytest.raises(CaseValidationError, match="no slack bus"):
         solve_powerflow(slackless)
+    with pytest.raises(CaseValidationError, match="no slack bus"):
+        trace_pv_curve(slackless, 5, 0.1)
 
 
 def test_mismatch_oracle(case9):
@@ -555,3 +557,66 @@ def test_outage_noses_never_exceed_base(case9):
             continue
         nose = trace_pv_curve(outaged, 5, 0.05).nose_scale
         assert nose <= base + 1e-9, f"outage {br.label()} raised the nose"
+
+
+def composed_trace(case, bus, step):
+    """The PV trace as one case per load step: ``scale_loads``, then
+    ``reschedule_generation``, then ``solve_powerflow`` warm-started from
+    the last point's solution. Returns the converged points."""
+    pos = case.bus_index()[bus]
+    base_p, _ = case.total_load()
+    points, warm, scale = [], None, 1.0
+    while scale <= 50.0 + 1e-12:
+        oc = reschedule_generation(scale_loads(case, scale), (scale - 1.0) * base_p)
+        sol = solve_powerflow(oc, warm)
+        if not sol.converged:
+            break
+        points.append((scale, float(sol.v_mag[pos])))
+        warm = (sol.v_mag, sol.v_ang)
+        scale = round(scale + step, 12)
+    return points
+
+
+def assert_trace_is_composed(case, bus, step):
+    points = composed_trace(case, bus, step)
+    curve = trace_pv_curve(case, bus, step)
+    assert len(points) > 1
+    assert repr(curve.points) == repr(points)
+    assert curve.nose_scale == points[-1][0]
+
+
+def test_trace_matches_the_composed_steps_case9(case9):
+    assert_trace_is_composed(case9, 5, 0.02)
+
+
+@pytest.mark.parametrize("outage", [None, "1-2", "16-17", "18-19"])
+def test_trace_matches_the_composed_steps_case68(case68, outage):
+    case = case68 if outage is None else apply_outage(case68, case68.find_branch(outage))
+    assert_trace_is_composed(case, 8, 0.01)
+
+
+def test_trace_matches_the_composed_steps_with_shared_buses(case9):
+    """Three loads on bus 5, two generators on bus 2, an out-of-service one
+    on bus 3, and a small unit that the rescheduling drives to its p_max:
+    the bus sums add several units in case order (three loads sum to other
+    bits in another order), and the clamp path runs."""
+    slack, g2, g3 = case9.generators
+    small = dataclasses.replace(g2, p_mw=40.0, p_max=45.0)
+    spare = dataclasses.replace(g3, p_mw=50.0, in_service=False)
+    extra = (dataclasses.replace(case9.loads[0], p_mw=20.1, q_mvar=5.0),
+             dataclasses.replace(case9.loads[0], p_mw=0.7, q_mvar=0.3))
+    loads = case9.loads[:1] + extra + case9.loads[1:]
+    case = dataclasses.replace(case9, generators=(slack, g2, small, g3, spare), loads=loads)
+    points = composed_trace(case, 5, 0.02)
+    nose = reschedule_generation(case, (points[-1][0] - 1.0) * case.total_load()[0])
+    assert nose.generators[2].p_mw == 45.0  # the clamp path ran
+    assert_trace_is_composed(case, 5, 0.02)
+
+
+def test_trace_leaves_its_case_as_it_found_it(case68):
+    """A curve's branch table and Ybus stay local: a table cached on each
+    outaged case a study keeps would add up."""
+    outaged = apply_outage(case68, case68.find_branch("1-2"))
+    keys = set(vars(outaged))
+    trace_pv_curve(outaged, 8, 0.05)
+    assert set(vars(outaged)) == keys

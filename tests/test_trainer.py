@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -76,9 +77,11 @@ def test_run_phase_detects_divergence():
     x, y = xy(ds)
     arch = MlpArchitecture((3, 4, 2), "relu")
     theta = mlp.init_params(arch, seed=0)
-    # absurd learning rate overflows the very first update
+    # absurd learning rate overflows the very first update; the diverged row
+    # records it, and numpy's overflow warnings would only repeat it on stderr
     opt = Optimizer(OptimizerConfig("sgd", learning_rate=1e305), arch.n_params)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         _, rows = run_phase(theta, arch, opt, (x, y), (x, y),
                             "Initialization", 50, 10)
     assert rows[-1].diverged
@@ -89,11 +92,12 @@ def test_run_phase_detects_divergence():
 def test_run_phase_ends_at_a_non_finite_gradient(learning_rate):
     """A rate that leaves theta finite but overflows the next gradient ends
     the phase with a diverged row at that epoch, and theta stays finite:
-    the step that raised did not apply."""
+    the step that raised did not apply. It warns nothing on the way."""
     x, y = xy(make_blobs(10, 2))
     arch = MlpArchitecture((3, 4, 2), "relu")
     opt = Optimizer(OptimizerConfig("sgd", learning_rate=learning_rate), arch.n_params)
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         theta, rows = run_phase(mlp.init_params(arch, seed=0), arch, opt, (x, y), (x, y),
                                 "Initialization", 50, 10)
     assert rows[-1].diverged and np.isnan(rows[-1].loss)
