@@ -93,9 +93,8 @@ def cmd_gen_dataset(args):
     )
     ds = data.build_dataset(case, config)
     data.save_dataset(ds, args.out, config)
-    _, y = ds.matrix()
     print(f"wrote {len(ds)} samples to {args.out} "
-          f"(secure {int((y == 0).sum())}, insecure {int((y == 1).sum())}, "
+          f"(secure {int((ds.y == 0).sum())}, insecure {int((ds.y == 1).sum())}, "
           f"rejections {ds.rejections})")
     return 0
 

@@ -2,8 +2,9 @@
 
 An operating condition (OC) is a load-scaled, optionally topology-changed
 copy of the base case together with its converged power-flow solution. Each
-OC becomes one classifier sample: a fixed-layout measurement vector plus the
-Secure/Insecure outcome of screening it against the CSC list. The screen's
+OC becomes one classifier sample: a row of the dataset's measurement matrix,
+in a fixed layout, and the Secure/Insecure outcome of screening it against
+the CSC list as that row's class. The screen's
 post-contingency solves warm-start from the OC's solution, which needs fewer
 Newton-Raphson iterations than a flat start and reaches the same labels, and
 the screen ranks the CSCs by that solution's flows. A CSC or TC that is
@@ -14,6 +15,7 @@ branch that is both a TC and a CSC are rejected before sampling.
 from __future__ import annotations
 
 import hashlib
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +26,7 @@ from .powerflow import PowerFlowSolution, solve_powerflow
 from .security import Label, run_contingency_screen
 
 __all__ = [
-    "GenerationConfig", "LabeledSample", "Dataset", "generate_oc",
+    "GenerationConfig", "Dataset", "generate_oc", "sample_tcs",
     "extract_features", "feature_names", "build_dataset", "split_dataset",
     "train_size", "save_dataset", "load_dataset",
 ]
@@ -44,36 +46,36 @@ class GenerationConfig:
         return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
 
 
-@dataclass
-class SampleMeta:
-    scale_factors: tuple
-    tc: str | None
-    seed: tuple
-
-
-@dataclass
-class LabeledSample:
-    features: np.ndarray
-    label: Label
-    meta: SampleMeta
+Row = namedtuple("Row", "features label")
 
 
 @dataclass
 class Dataset:
-    samples: list
+    """One sample per row: ``x`` (n x d float64) holds the measurements and
+    ``y`` (n int64) the class index, 0 = Secure and 1 = Insecure. A dataset
+    file writes the label the other way round, 1 = Secure and 0 = Insecure."""
+
+    x: np.ndarray
+    y: np.ndarray
     feature_names: list
     provenance: str = ""
     rejections: int = 0
     widened_scale_hi: float | None = None  # set when the class-presence guard kicked in
 
     def matrix(self):
-        """(X, y) arrays; y uses 0 = Secure, 1 = Insecure class indices."""
-        x = np.array([s.features for s in self.samples], dtype=float)
-        y = np.array([0 if s.label is Label.SECURE else 1 for s in self.samples])
-        return x, y
+        """(x, y) themselves, not copies."""
+        return self.x, self.y
+
+    @property
+    def samples(self):
+        """The rows as ``Row(features, label)``: ``features`` is a view of the
+        row of ``x`` and ``label`` a ``Label``. The benchmark reads rows this
+        way; the package itself reads ``x`` and ``y``."""
+        return [Row(f, Label.SECURE if c == 0 else Label.INSECURE)
+                for f, c in zip(self.x, self.y.tolist())]
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.y)
 
 
 def _load_bus_positions(case: NetworkCase):
@@ -128,7 +130,8 @@ def generate_oc(
     range, whose bounds must be non-negative and finite; aggregate load
     change is rescheduled across non-slack generators. Non-convergent draws
     are rejected and redrawn with the next seed in the (rng_seed, attempt)
-    stream. Returns (scaled case, solution, meta, rejections).
+    stream. Returns (scaled case, solution, the drawn load factors,
+    rejections).
     """
     lo, hi = scale_range
     if not 0.0 <= lo <= hi < np.inf:
@@ -144,8 +147,7 @@ def generate_oc(
             oc = apply_outage(oc, oc.find_branch(tc))
         solution = solve_powerflow(oc)
         if solution.converged:
-            meta = SampleMeta(tuple(factors), tc, (tuple(np.atleast_1d(rng_seed).tolist()), attempt))
-            return oc, solution, meta, attempt
+            return oc, solution, factors, attempt
     raise DatasetError(
         f"infeasible generation config: {max_rejects} consecutive rejections"
     )
@@ -159,17 +161,28 @@ def build_dataset(case: NetworkCase, config: GenerationConfig) -> Dataset:
     and generation reruns; the returned dataset reports the widened bound.
     """
     ds = _build_dataset_once(case, config)
-    labels = {s.label for s in ds.samples}
     hi = config.scale_range[1]
     attempts = 0
-    while len(labels) < 2 and len(ds.samples) > 1 and attempts < 3:
+    while len(set(ds.y.tolist())) < 2 and len(ds) > 1 and attempts < 3:
         attempts += 1
         hi = round(hi + 0.05, 10)
         widened = replace(config, scale_range=(config.scale_range[0], hi))
         ds = _build_dataset_once(case, widened)
         ds.widened_scale_hi = hi
-        labels = {s.label for s in ds.samples}
     return ds
+
+
+def sample_tcs(config: GenerationConfig) -> list:
+    """Each sample's topology change, a ``tc_list`` label or None. Exactly
+    ``round(tc_mix * n_samples)`` samples, chosen by the seed, carry one,
+    drawn uniformly from ``tc_list`` by the sample's own (seed, index) stream."""
+    n = config.n_samples
+    pick = np.random.default_rng((config.seed, 0x7C))
+    tcs = [None] * n
+    for i in pick.choice(n, size=int(round(config.tc_mix * n)), replace=False).tolist():
+        draw = np.random.default_rng((config.seed, 0x7C, i)).integers(len(config.tc_list))
+        tcs[i] = config.tc_list[int(draw)]
+    return tcs
 
 
 def _build_dataset_once(case: NetworkCase, config: GenerationConfig) -> Dataset:
@@ -184,31 +197,19 @@ def _build_dataset_once(case: NetworkCase, config: GenerationConfig) -> Dataset:
     if not config.csc_list:
         raise DatasetError("no contingencies configured")
     _check_lists(case, config)
-    n = config.n_samples
-    n_tc = int(round(config.tc_mix * n))
-    pick_rng = np.random.default_rng((config.seed, 0x7C))
-    tc_indices = set(pick_rng.choice(n, size=n_tc, replace=False).tolist()) if n_tc else set()
     names = feature_names(case)
-    samples = []
+    x = np.empty((config.n_samples, len(names)))
+    y = np.empty(config.n_samples, dtype=np.int64)
     rejections = 0
-    for i in range(n):
-        tc = None
-        if i in tc_indices:
-            tc_rng = np.random.default_rng((config.seed, 0x7C, i))
-            tc = config.tc_list[int(tc_rng.integers(len(config.tc_list)))]
-        oc, solution, meta, rejects = generate_oc(
+    for i, tc in enumerate(sample_tcs(config)):
+        oc, solution, _, rejects = generate_oc(
             case, (config.seed, i), config.scale_range, tc=tc,
             max_rejects=config.max_rejects,
         )
         rejections += rejects
-        screen = run_contingency_screen(oc, solution, config.csc_list)
-        samples.append(LabeledSample(extract_features(solution, case), screen.label, meta))
-    return Dataset(
-        samples=samples,
-        feature_names=names,
-        provenance=config.digest(),
-        rejections=rejections,
-    )
+        x[i] = extract_features(solution, case)
+        y[i] = run_contingency_screen(oc, solution, config.csc_list).label is Label.INSECURE
+    return Dataset(x, y, names, provenance=config.digest(), rejections=rejections)
 
 
 def _positions(case: NetworkCase, names, kind):
@@ -256,17 +257,10 @@ def train_size(n_samples: int, train_fraction: float) -> int:
 
 def split_dataset(ds: Dataset, train_fraction: float, seed: int):
     """Seeded shuffle then partition into (train, test), neither empty."""
-    if not ds.samples:
-        raise DatasetError("cannot split an empty dataset")
-    n_train = train_size(len(ds.samples), train_fraction)
-    order = np.random.default_rng(seed).permutation(len(ds.samples))
-    train_idx, test_idx = order[:n_train], order[n_train:]
-    make = lambda idx: Dataset(
-        samples=[ds.samples[i] for i in idx],
-        feature_names=ds.feature_names,
-        provenance=ds.provenance,
-    )
-    return make(train_idx), make(test_idx)
+    n_train = train_size(len(ds), train_fraction)
+    order = np.random.default_rng(seed).permutation(len(ds))
+    return tuple(Dataset(ds.x[idx], ds.y[idx], ds.feature_names, ds.provenance)
+                 for idx in (order[:n_train], order[n_train:]))
 
 
 def save_dataset(ds: Dataset, path, config: GenerationConfig | None = None):
@@ -274,14 +268,12 @@ def save_dataset(ds: Dataset, path, config: GenerationConfig | None = None):
     plus a key-value .meta companion."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(ds.feature_names + ["label"]) + "\n")
-        for s in ds.samples:
-            values = [repr(float(v)) for v in s.features]
-            values.append("1" if s.label is Label.SECURE else "0")
-            fh.write(",".join(values) + "\n")
+        for row, c in zip(ds.x, ds.y.tolist()):
+            fh.write(",".join(map(repr, row.tolist())) + (",1\n" if c == 0 else ",0\n"))
     meta_path = str(path) + ".meta"
     with open(meta_path, "w", encoding="utf-8") as fh:
         fh.write(f"provenance: {ds.provenance}\n")
-        fh.write(f"n_samples: {len(ds.samples)}\n")
+        fh.write(f"n_samples: {len(ds)}\n")
         fh.write(f"rejections: {ds.rejections}\n")
         if ds.widened_scale_hi is not None:
             fh.write(f"widened_scale_hi: {ds.widened_scale_hi}\n")
@@ -299,7 +291,13 @@ def load_dataset(path) -> Dataset:
         names = header[:-1]
         if not names:
             raise DatasetError(f"{path}: no feature columns")
-        samples = []
+        seen = {"label"}
+        for col, name in enumerate(names, start=1):
+            if not name or name in seen:
+                what = f"repeats feature name {name!r}" if name else "has an empty feature name"
+                raise DatasetError(f"{path}: column {col} {what}")
+            seen.add(name)
+        rows, y = [], []
         for line_no, line in enumerate(fh, start=2):
             cols = line.rstrip("\n").split(",")
             if len(cols) != len(header):
@@ -312,6 +310,7 @@ def load_dataset(path) -> Dataset:
                 raise DatasetError(f"{path}:{line_no}: non-finite feature")
             if cols[-1] not in ("0", "1"):
                 raise DatasetError(f"{path}:{line_no}: label {cols[-1]!r} is not 0 or 1")
-            label = Label.SECURE if cols[-1] == "1" else Label.INSECURE
-            samples.append(LabeledSample(features, label, SampleMeta((), None, ())))
-    return Dataset(samples=samples, feature_names=names)
+            rows.append(features)
+            y.append(0 if cols[-1] == "1" else 1)
+    x = np.array(rows, dtype=float).reshape(len(rows), len(names))
+    return Dataset(x, np.array(y, dtype=np.int64), names)

@@ -268,7 +268,7 @@ def run_experiment(cfg: ExperimentConfig):
             f"{cfg.init_dataset} and {cfg.update_dataset} have different feature columns")
     for path, ds in ((cfg.init_dataset, init_ds), (cfg.update_dataset, update_ds)):
         try:
-            train_size(len(ds.samples), cfg.train_fraction)
+            train_size(len(ds), cfg.train_fraction)
         except DatasetError as exc:
             raise ExperimentError(f"{path}: {exc}") from None
     results = {algorithm: [] for algorithm in cfg.algorithms}

@@ -332,23 +332,25 @@ def test_criterion_7_pipeline_determinism(tmp_path):
 # --- 8. split protocol ---------------------------------------------------------
 
 def test_criterion_8_split_and_tc_counts(case68):
-    from gridsec.data import Dataset, LabeledSample, SampleMeta
-    from gridsec.security import Label
+    from gridsec.data import Dataset, sample_tcs
+    from tests.test_dataset import tc_columns
 
     rng = np.random.default_rng(0)
-    samples = [
-        LabeledSample(rng.normal(size=2),
-                      Label.SECURE if i % 3 else Label.INSECURE,
-                      SampleMeta((), None, ()))
-        for i in range(4000)
-    ]
-    ds = Dataset(samples=samples, feature_names=["a", "b"])
+    ds = Dataset(rng.normal(size=(4000, 2)), (np.arange(4000) % 3 == 0).astype(np.int64),
+                 ["a", "b"])
     train, test = split_dataset(ds, 0.6, seed=0)
     ok = len(train) == 2400 and len(test) == 1600
 
     cfg = GenerationConfig(n_samples=20, tc_mix=0.30, tc_list=TC_LINES,
                            csc_list=CSC_LINES, seed=5)
     built = build_dataset(case68, cfg)
-    n_tc = sum(1 for s in built.samples if s.meta.tc is not None)
+    tcs = sample_tcs(cfg)
+    n_tc = sum(tc is not None for tc in tcs)
     ok &= n_tc == 6  # exactly 30% of 20
+    # a TC row carries its branch's zero-filled channels, and only TC rows do
+    for i, tc in enumerate(tcs):
+        for line in TC_LINES:
+            cols = tc_columns(case68, line)
+            ok &= bool(np.all(built.x[i, cols] == 0.0) if line == tc
+                       else np.all(built.x[i, cols] != 0.0))
     _verdict(8, ok, f"split 2400/1600, tc {n_tc}/20")

@@ -212,8 +212,8 @@ def test_report_empty_dir_exit_1(tmp_path, capsys):
 
 
 def test_train_split_with_an_empty_side_exit_1(tmp_path, capsys):
-    """A dataset too small for train_fraction is one error line naming it,
-    before any training."""
+    """A dataset too small for train_fraction, one sample or a header alone,
+    is one error line naming it, before any training."""
     csc = tmp_path / "csc.txt"
     _write_csc_list(csc)
     tiny, ds = tmp_path / "tiny.csv", tmp_path / "ds.csv"
@@ -221,15 +221,18 @@ def test_train_split_with_an_empty_side_exit_1(tmp_path, capsys):
         code, _, _ = run_cli(capsys, "gen-dataset", "--case", CASE9, "--n", n, "--seed", "0",
                              "--csc-list", str(csc), "--out", str(path))
         assert code == 0
-    ini = tmp_path / "exp.ini"
-    ini.write_text(f"[experiment]\ninit_dataset = {tiny}\nupdate_dataset = {ds}\n"
-                   "train_fraction = 0.6\n")
-    code, _, err = run_cli(capsys, "train", "--config", str(ini),
-                           "--out-dir", str(tmp_path / "train"))
-    assert code == 1
-    assert err == (f"error: {tiny}: 1 samples at train_fraction 0.6 "
-                   "leave the train split empty\n")
-    assert not os.listdir(tmp_path / "train")
+    empty = tmp_path / "empty.csv"
+    empty.write_text(ds.read_text().splitlines(keepends=True)[0])
+    for init, n in ((tiny, 1), (empty, 0)):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[experiment]\ninit_dataset = {init}\nupdate_dataset = {ds}\n"
+                       "train_fraction = 0.6\n")
+        out_dir = tmp_path / f"train_{n}"
+        code, _, err = run_cli(capsys, "train", "--config", str(ini), "--out-dir", str(out_dir))
+        assert code == 1
+        assert err == (f"error: {init}: {n} samples at train_fraction 0.6 "
+                       "leave the train split empty\n")
+        assert not os.listdir(out_dir)
 
 
 @pytest.mark.parametrize("logged, missing",

@@ -11,13 +11,12 @@ import gridsec
 from gridsec.data import (
     Dataset,
     GenerationConfig,
-    LabeledSample,
-    SampleMeta,
     build_dataset,
     extract_features,
     feature_names,
     generate_oc,
     load_dataset,
+    sample_tcs,
     save_dataset,
     split_dataset,
 )
@@ -56,7 +55,7 @@ def test_feature_width_formula(case68):
 def test_feature_names_stable_under_tc(case68):
     """The layout is fixed by the base topology, not the OC topology."""
     base_names = feature_names(case68)
-    oc, sol, meta, _ = generate_oc(case68, (7, 0), tc="17-43")
+    oc, sol, _, _ = generate_oc(case68, (7, 0), tc="17-43")
     x = extract_features(sol, case68)
     assert len(x) == len(base_names)
     k = case68.find_branch("17-43")
@@ -69,27 +68,26 @@ def test_feature_names_stable_under_tc(case68):
 
 
 def test_generate_oc_degenerate_range_is_base_case(case68):
-    oc, sol, meta, rejects = generate_oc(case68, (0, 0), scale_range=(1.0, 1.0))
+    oc, sol, factors, rejects = generate_oc(case68, (0, 0), scale_range=(1.0, 1.0))
     base_sol = solve_powerflow(case68)
     assert rejects == 0
     assert np.allclose(sol.v_mag, base_sol.v_mag, atol=1e-9)
-    assert all(f == 1.0 for f in meta.scale_factors)
+    assert all(f == 1.0 for f in factors)
 
 
 def test_generate_oc_load_within_range(case68):
     base_p, _ = case68.total_load()
-    oc, sol, meta, _ = generate_oc(case68, (11, 0), scale_range=(0.8, 1.05))
+    oc, sol, factors, _ = generate_oc(case68, (11, 0), scale_range=(0.8, 1.05))
     new_p, _ = oc.total_load()
     assert 0.8 * base_p <= new_p <= 1.05 * base_p
-    assert all(0.8 <= f <= 1.05 for f in meta.scale_factors)
-    assert len(meta.scale_factors) == len(case68.loads)
+    assert all(0.8 <= f <= 1.05 for f in factors)
+    assert len(factors) == len(case68.loads)
 
 
 def test_generate_oc_applies_tc(case68):
-    oc, sol, meta, _ = generate_oc(case68, (3, 0), tc="54-55")
+    oc, sol, _, _ = generate_oc(case68, (3, 0), tc="54-55")
     k = oc.find_branch("54-55")
     assert not oc.branches[k].in_service
-    assert meta.tc == "54-55"
 
 
 @pytest.mark.parametrize("scale_range", [
@@ -109,37 +107,62 @@ def test_build_dataset_deterministic(case68):
     xb, yb = b.matrix()
     assert np.array_equal(xa, xb)
     assert np.array_equal(ya, yb)
-    assert [s.meta.tc for s in a.samples] == [s.meta.tc for s in b.samples]
+
+
+def tc_columns(case, tc):
+    """The three feature columns of branch ``tc``: i_mag, p_from, q_from."""
+    names = feature_names(case)
+    label = case.branches[case.find_branch(tc)].label()
+    return [names.index(f"{kind}_br{label}") for kind in ("imag", "pf", "qf")]
 
 
 def test_build_dataset_tc_count_exact(case68):
+    """``sample_tcs`` gives exactly round(tc_mix * n) TCs; each such row has
+    its branch's three channels exactly 0.0, and no other row has a zero in
+    any TC-list channel."""
     cfg = GenerationConfig(n_samples=10, tc_mix=0.3, tc_list=TC_LINES,
                            csc_list=CSC_LINES, seed=1)
     ds = build_dataset(case68, cfg)
-    tcs = [s.meta.tc for s in ds.samples if s.meta.tc is not None]
-    assert len(tcs) == 3
-    assert set(tcs) <= set(TC_LINES)
+    tcs = sample_tcs(cfg)
+    assert len(tcs) == 10
+    assert sum(tc is not None for tc in tcs) == 3
+    assert {tc for tc in tcs if tc is not None} <= set(TC_LINES)
+    for i, tc in enumerate(tcs):
+        for line in TC_LINES:
+            values = ds.x[i, tc_columns(case68, line)]
+            if line == tc:
+                assert values.tolist() == [0.0, 0.0, 0.0], (i, tc)
+            else:
+                assert np.all(values != 0.0), (i, tc, line)
 
 
-def rebuild_oc(case, meta):
-    """The operating condition a sample was drawn from, rebuilt from its meta."""
-    oc = scale_loads(case, np.array(meta.scale_factors))
+def rebuild_oc(case, factors, tc):
+    """The operating condition a sample was drawn from, rebuilt from its
+    load factors and TC."""
+    oc = scale_loads(case, np.array(factors))
     base_p, _ = case.total_load()
     new_p, _ = oc.total_load()
     oc = reschedule_generation(oc, new_p - base_p)
-    if meta.tc:
-        oc = apply_outage(oc, oc.find_branch(meta.tc))
+    if tc:
+        oc = apply_outage(oc, oc.find_branch(tc))
     return oc
 
 
+def redrawn_oc(case, cfg, tcs, i):
+    """Sample ``i`` drawn again: (its OC rebuilt independently from the
+    drawn load factors, the draw's features)."""
+    _, sol, factors, _ = generate_oc(case, (cfg.seed, i), cfg.scale_range, tc=tcs[i])
+    return rebuild_oc(case, factors, tcs[i]), extract_features(sol, case)
+
+
 def test_build_dataset_label_oracle(case68):
-    """Re-derive one sample's label from its recorded meta."""
+    """Re-derive one sample's row and label from its redrawn load factors."""
     cfg = GenerationConfig(n_samples=4, csc_list=CSC_LINES, seed=9)
     ds = build_dataset(case68, cfg)
-    s = ds.samples[2]
-    oc = rebuild_oc(case68, s.meta)
+    oc, features = redrawn_oc(case68, cfg, sample_tcs(cfg), 2)
+    assert features.tobytes() == ds.x[2].tobytes()
     screen = run_contingency_screen(oc, solve_powerflow(oc), CSC_LINES)
-    assert screen.label is s.label
+    assert screen.label is (Label.SECURE, Label.INSECURE)[ds.y[2]]
 
 
 def test_build_dataset_warm_start_keeps_flat_start_labels(case68):
@@ -148,11 +171,14 @@ def test_build_dataset_warm_start_keeps_flat_start_labels(case68):
     cfg = GenerationConfig(n_samples=20, tc_mix=0.3, tc_list=TC_LINES,
                            csc_list=CSC_LINES, seed=3)
     ds = build_dataset(case68, cfg)
-    assert sum(s.meta.tc is not None for s in ds.samples) == 6
-    assert {s.label for s in ds.samples} == {Label.SECURE, Label.INSECURE}
-    for s in ds.samples:
-        flat, _ = exhaustive_screen(rebuild_oc(case68, s.meta), CSC_LINES, None)
-        assert flat is s.label, s.meta
+    tcs = sample_tcs(cfg)
+    assert sum(tc is not None for tc in tcs) == 6
+    assert set(ds.y.tolist()) == {0, 1}
+    for i in range(len(ds)):
+        oc, features = redrawn_oc(case68, cfg, tcs, i)
+        assert features.tobytes() == ds.x[i].tobytes(), i
+        flat, _ = exhaustive_screen(oc, CSC_LINES, None)
+        assert flat is (Label.SECURE, Label.INSECURE)[ds.y[i]], (i, tcs[i])
 
 
 def test_build_dataset_requires_csc_list(case68):
@@ -211,13 +237,9 @@ def test_build_dataset_tc_mix_needs_tc_list(case68):
 
 
 def _synthetic_dataset(n):
+    """Random features; even rows Insecure (1), odd rows Secure (0)."""
     rng = np.random.default_rng(0)
-    samples = [
-        LabeledSample(rng.normal(size=3), Label.SECURE if i % 2 else Label.INSECURE,
-                      SampleMeta((), None, ()))
-        for i in range(n)
-    ]
-    return Dataset(samples=samples, feature_names=["a", "b", "c"])
+    return Dataset(rng.normal(size=(n, 3)), (np.arange(n) + 1) % 2, ["a", "b", "c"])
 
 
 def test_split_sizes_exact():
@@ -228,19 +250,21 @@ def test_split_sizes_exact():
 
 def test_split_is_a_partition():
     ds = _synthetic_dataset(50)
-    for i, s in enumerate(ds.samples):
-        s.features[0] = float(i)  # tag each sample
+    ds.x[:, 0] = np.arange(50)  # tag each sample
     train, test = split_dataset(ds, 0.5, seed=3)
-    tags = sorted(s.features[0] for s in train.samples + test.samples)
+    tags = sorted(np.concatenate([train.x[:, 0], test.x[:, 0]]).tolist())
     assert tags == [float(i) for i in range(50)]
     assert len(train) == len(test) == 25
+    for part in (train, test):  # each row keeps its own label
+        assert part.y.tolist() == ds.y[part.x[:, 0].astype(int)].tolist()
 
 
 def test_split_deterministic():
     ds = _synthetic_dataset(100)
     a_train, _ = split_dataset(ds, 0.6, seed=5)
     b_train, _ = split_dataset(ds, 0.6, seed=5)
-    assert [id(x) for x in a_train.samples] == [id(x) for x in b_train.samples]
+    assert np.array_equal(a_train.x, b_train.x)
+    assert np.array_equal(a_train.y, b_train.y)
 
 
 def test_split_rejects_bad_fraction():
@@ -253,6 +277,32 @@ def test_matrix_class_indices():
     _, y = ds.matrix()
     # even indices Insecure (1), odd Secure (0)
     assert y.tolist() == [1, 0, 1, 0]
+
+
+def test_benchmark_read_surface(case68):
+    """What the benchmark reads of a dataset and of a draw: ``samples`` rows
+    whose features are the rows of ``x`` and whose label is Secure exactly
+    where ``y`` is 0, ``matrix()`` as ``(x, y)``, and the rejection count as
+    ``generate_oc``'s fourth item."""
+    ds = build_dataset(case68, GenerationConfig(n_samples=6, csc_list=CSC_LINES, seed=3))
+    assert set(ds.y.tolist()) == {0, 1}
+    rows = ds.samples
+    assert len(rows) == len(ds) == 6
+    for i, row in enumerate(rows):
+        assert row.features.tobytes() == ds.x[i].tobytes()
+        assert (row.label is Label.SECURE) == (ds.y[i] == 0)
+        assert row.label in (Label.SECURE, Label.INSECURE)
+    x, y = ds.matrix()
+    assert x is ds.x and y is ds.y
+    # replay the draw's (seed, attempt) stream: each rejection is one
+    # attempt whose OC does not converge
+    seed, scale = (1, 0), (1.0, 1.5)
+    _, _, factors, rejects = generate_oc(case68, seed, scale)
+    draws = [np.random.default_rng((*seed, a)).uniform(*scale, size=len(case68.loads))
+             for a in range(rejects + 1)]
+    converged = [solve_powerflow(rebuild_oc(case68, f, None)).converged for f in draws]
+    assert converged == [False, False, False, True]
+    assert draws[-1].tobytes() == factors.tobytes()
 
 
 def test_save_load_round_trip(case68, tmp_path):
@@ -282,6 +332,19 @@ def test_load_rejects_bad_label(tmp_path):
     path = tmp_path / "ds.csv"
     path.write_text("a,b,label\n1.0,2.0,1\n1.0,2.0,7\n")
     with pytest.raises(DatasetError, match=r"ds\.csv:3: label '7' is not 0 or 1"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("header, message", [
+    ("a,,label", "column 2 has an empty feature name"),
+    (",b,label", "column 1 has an empty feature name"),
+    ("a,b,a,label", "column 3 repeats feature name 'a'"),
+    ("a,label,label", "column 2 repeats feature name 'label'"),
+], ids=["empty", "empty-first", "repeated", "label"])
+def test_load_rejects_bad_header(tmp_path, header, message):
+    path = tmp_path / "ds.csv"
+    path.write_text(f"{header}\n" + "1.0," * (header.count(",")) + "0\n")
+    with pytest.raises(DatasetError, match=rf"ds\.csv: {message}$"):
         load_dataset(path)
 
 

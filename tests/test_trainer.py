@@ -10,11 +10,10 @@ import pytest
 
 import gridsec
 from gridsec import mlp
-from gridsec.data import Dataset, LabeledSample, SampleMeta
+from gridsec.data import Dataset
 from gridsec.errors import ExperimentError
 from gridsec.mlp import MlpArchitecture
 from gridsec.optim import ALGORITHMS, Optimizer, OptimizerConfig, default_config
-from gridsec.security import Label
 from gridsec.train import (
     PHASE_INIT,
     PHASE_UPDATE,
@@ -32,15 +31,12 @@ from gridsec.train import (
 
 
 def make_blobs(n, seed, shift=2.0):
-    """Two linearly separable Gaussian blobs as a Dataset."""
+    """Two linearly separable Gaussian blobs as a Dataset: even rows Secure
+    (class 0) around -shift, odd rows Insecure (class 1) around +shift."""
     rng = np.random.default_rng(seed)
-    samples = []
-    for i in range(n):
-        label = Label.SECURE if i % 2 == 0 else Label.INSECURE
-        center = -shift if label is Label.SECURE else shift
-        x = rng.normal(center, 1.0, size=3)
-        samples.append(LabeledSample(x, label, SampleMeta((), None, ())))
-    return Dataset(samples=samples, feature_names=["a", "b", "c"])
+    y = np.arange(n) % 2
+    x = np.array([rng.normal(shift if c else -shift, 1.0, size=3) for c in y.tolist()])
+    return Dataset(x, y, ["a", "b", "c"])
 
 
 def xy(ds):
@@ -337,8 +333,9 @@ def test_run_experiment_checks_code_built_config(tmp_path):
 
 def _blobs_with_columns(names):
     """Blob samples cut or padded to one feature per name in ``names``."""
-    return Dataset([LabeledSample(np.resize(s.features, len(names)), s.label, s.meta)
-                    for s in make_blobs(20, 0).samples], list(names))
+    blobs = make_blobs(20, 0)
+    return Dataset(np.array([np.resize(row, len(names)) for row in blobs.x]), blobs.y,
+                   list(names))
 
 
 @pytest.mark.parametrize("update_columns", [["a", "b"], ["a", "b", "z"]],
