@@ -3,18 +3,18 @@
 These arrays are the one source of a case's network layout: the bus index,
 the branch-label map, the bus arrays (voltage setpoints, each bus's voltage
 limits, the slack position and read-only PV and PQ masks), the in-service
-branch table with its pi stamps, their flat Ybus cells, DC susceptances and
-ratings, the Newton-Raphson Jacobian's cells and map, and the per-bus
-injection sums. The solver reads its bus spec from them, builds Ybus from
-the table's cells with one ``np.add.at`` and gathers its Jacobian's layout
-from the map that ``Topology.of`` makes once per parsed case; the solver,
-the limit check, the flow-change rule, the contingency ranking and the
-feature layout index branches by ``NetworkCase.branch_table.pos``. A case
-caches its ``topology``, ``branch_table`` and ``injections``
-(``bus_injections``), and ``model``'s edits hand the new case the parts
-they leave unchanged, the label map and the Jacobian map among them. One
-walk from the slack (``islands``) finds the buses a case leaves
-disconnected and the buses each islanding outage cuts off.
+branch table with its pi stamps (the one copy of each branch admittance),
+flat Ybus cells, DC susceptances and ratings, the Newton-Raphson Jacobian's
+cells and map, and the per-bus injection sums. The solver reads its bus
+spec from them, builds Ybus and branch flows from the table's stamps and
+gathers its Jacobian's layout from the map that ``Topology.of`` makes once
+per parsed case; the solver, the limit check, the flow-change rule, the
+contingency ranking and the feature layout index branches by
+``NetworkCase.branch_table.pos``. A case caches its ``topology``,
+``branch_table`` and ``injections`` (``bus_injections``), and ``model``'s
+edits hand the new case the parts they leave unchanged, the label map and
+the Jacobian map among them. One walk from the slack (``islands``) finds
+the buses a case leaves disconnected and the buses each outage cuts off.
 """
 
 from __future__ import annotations
@@ -34,20 +34,17 @@ def _read_only(a):
 
 class BranchTable(NamedTuple):
     """In-service branches: positions in ``case.branches``, end-bus positions,
-    pi-model stamps with the off-nominal tap on the from side, the DC
-    susceptance and the rating, and each branch's four Ybus cells (flat
-    positions in the n x n matrix) with the admittance it adds to each."""
+    the DC susceptance and the rating, and each branch's four Ybus cells (flat
+    positions in the n x n matrix) with its pi-model stamps there (tap on the
+    from side): the one copy of each branch admittance."""
 
     pos: np.ndarray
     f: np.ndarray
     t: np.ndarray
-    yff: np.ndarray
-    yft: np.ndarray  # also y_tf: the tap is real
-    ytt: np.ndarray
     b_dc: np.ndarray  # 1 / (x tap), per-unit
     rating: np.ndarray  # mva_rating, MVA
     cells: np.ndarray  # (branches, 4): the ff, tt, ft and tf cells
-    stamps: np.ndarray  # (branches, 4): yff, ytt, yft, yft
+    stamps: np.ndarray  # (branches, 4): y_ff, y_tt, y_ft, y_tf (= y_ft: the tap is real)
 
 
 class Injections(NamedTuple):
@@ -174,15 +171,14 @@ class Topology:
         for _, br in live:
             ys = 1.0 / complex(br.r, br.x)
             bc = 1j * br.b_shunt / 2.0
-            stamps.append(((ys + bc) / (br.tap * br.tap), -ys / br.tap, ys + bc))
+            stamps.append(((ys + bc) / (br.tap * br.tap), ys + bc, -ys / br.tap))
         dc = np.array([(1.0 / (br.x * br.tap), br.mva_rating) for _, br in live], dtype=float)
         pos, f, t = ends.reshape(-1, 3).T
-        yff, yft, ytt = np.array(stamps, dtype=complex).reshape(-1, 3).T
         n = len(case.buses)
         # per branch ff, tt, ft, tf: the order build_ybus sums a cell's branches in
         cells = np.stack([f * (n + 1), t * (n + 1), f * n + t, t * n + f], axis=1)
-        columns = (pos, f, t, yff, yft, ytt, *dc.reshape(-1, 2).T, cells,
-                   np.stack([yff, ytt, yft, yft], axis=1))
+        columns = (pos, f, t, *dc.reshape(-1, 2).T, cells,
+                   np.array(stamps, dtype=complex).reshape(-1, 3)[:, [0, 1, 2, 2]])
         pv = _read_only(np.array([k == "pv" for k in kinds], dtype=bool))
         pq = _read_only(np.array([k == "pq" for k in kinds], dtype=bool))
         stamped = np.zeros(n * n, dtype=bool)

@@ -156,14 +156,14 @@ def generate_oc(
 def build_dataset(case: NetworkCase, config: GenerationConfig) -> Dataset:
     """Generate, label, and assemble a dataset; bit-reproducible from seed.
 
-    Guard against degenerate single-class data: if every sample gets the
-    same label, the upper scale bound is widened by +0.05 (up to 3 times)
-    and generation reruns; the returned dataset reports the widened bound.
+    While every sample is Secure, the upper scale bound is widened by +0.05
+    (up to 3 times) and generation reruns (heavier loads cannot help an
+    all-Insecure set); the returned dataset reports the widened bound.
     """
     ds = _build_dataset_once(case, config)
     hi = config.scale_range[1]
     attempts = 0
-    while len(set(ds.y.tolist())) < 2 and len(ds) > 1 and attempts < 3:
+    while set(ds.y.tolist()) == {0} and len(ds) > 1 and attempts < 3:
         attempts += 1
         hi = round(hi + 0.05, 10)
         widened = replace(config, scale_range=(config.scale_range[0], hi))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import Injections, JacobianMap, _bus_sums, bus_injections, jacobian_map
+from .arrays import Injections, JacobianMap, _bus_sums, jacobian_map
 from .errors import CaseValidationError, InfeasibleError, SettingError
 from .model import NetworkCase, _dispatch
 
@@ -125,7 +125,8 @@ def _live_map(ybus, jmap: JacobianMap):
     keep = y != 0
     keep[:len(ybus)] = True
     sel = np.concatenate([keep] * 4)[jmap.src]
-    return y, jmap._replace(src=jmap.src[sel], dest=jmap.dest[sel])
+    return y, JacobianMap(jmap.flat, jmap.rows, jmap.cols, jmap.pvpq, jmap.pq, jmap.src[sel],
+                          jmap.dest[sel], jmap.m, jmap.mismatch)
 
 
 def jacobian(layout: JacobianMap, y, v, s_bus):
@@ -163,9 +164,10 @@ def _branch_flows(case, v):
     position on the last axis, for bus voltages ``v`` on theirs; zero for
     out-of-service branches."""
     table = case.branch_table
+    y_ff, y_tt, y_ft, y_tf = table.stamps.T
     v_f, v_t = v[..., table.f], v[..., table.t]
-    i_from = table.yff * v_f + table.yft * v_t
-    i_to = table.ytt * v_t + table.yft * v_f
+    i_from = y_ff * v_f + y_ft * v_t
+    i_to = y_tt * v_t + y_tf * v_f
     s_from = v_f * np.conj(i_from) * case.base_mva
     s_to = v_t * np.conj(i_to) * case.base_mva
     flows = np.zeros((5, *v.shape[:-1], len(case.branches)))
@@ -309,7 +311,8 @@ def chord_screen(case: NetworkCase, start, outages, loading_limit: float) -> lis
     p = len(layout.pvpq)
     try:
         # A = J0^-1 by blocks (Schur complement of the dP/dVa block), written
-        # over J0: np.linalg.inv's own m x m buffers would raise the peak RSS
+        # over J0: on case68 (m = 119, one BLAS thread) it takes about half the
+        # time of np.linalg.inv(J0), and allocates no m x m array of its own
         a11 = np.linalg.inv(j0[:p, :p])
         b = a11 @ j0[:p, p:]
         s22 = np.linalg.inv(j0[p:, p:] - j0[p:, :p] @ b)
@@ -372,10 +375,10 @@ def trace_pv_curve(case: NetworkCase, monitored_bus: int, step: float) -> PvCurv
     absorbs anything beyond their limits), as ``scale_loads`` and
     ``reschedule_generation`` would. Each solve warm-starts from the
     previous point. Tracing stops at the first non-converged solve, or past a
-    multiplier of 50; the last converged multiplier is the nose. The
-    multiplier is rounded to 12 decimals, so ``step`` must be at least 1e-12,
-    and a step that could take more than 1e6 solves to reach 50 (one below
-    4.9e-5) is rejected before any solve.
+    multiplier of 50; the last converged multiplier is the nose. A step
+    that could take more than 1e6 solves to reach 50 (one below 4.9e-5) is
+    rejected before any solve; so is every step too small to move the
+    multiplier, which is rounded to 12 decimals.
 
     A curve builds its branch table and Ybus once, and keeps them off
     ``case`` (a study stores many outaged cases); a step makes only its
@@ -383,14 +386,12 @@ def trace_pv_curve(case: NetworkCase, monitored_bus: int, step: float) -> PvCurv
     """
     if not 0.0 < step < np.inf:
         raise SettingError("step must be positive and finite")
-    if step < 1e-12:  # a smaller step can round back to the same load scale
-        raise SettingError(f"step {step} is below 1e-12, the resolution of the load scale")
     if (50.0 - 1.0) / step > 1e6:  # one solve per step until the nose or 50
         raise SettingError(f"step {step} could take more than 1e6 solves to reach a load scale of 50")
     pos = case.bus_index().get(monitored_bus)
     if pos is None:
         raise CaseValidationError(f"no bus {monitored_bus} in case")
-    inj, topo, n = bus_injections(case), case.topology, len(case.buses)
+    inj, topo, n = case.injections, case.topology, len(case.buses)
     if topo.slack is None:
         raise CaseValidationError("no slack bus")
     ybus = _ybus(topo.branches(), n)

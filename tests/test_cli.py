@@ -337,7 +337,7 @@ def test_report_header_only_log_exit_1(tmp_path, capsys):
     (["gen-dataset", "--scale-lo", "-2", "--scale-hi", "-1"], "bad scale range [-2.0, -1.0]"),
     (["gen-dataset", "--seed", "-1"], "seed must be non-negative, not -1"),
     (["screen"], "no configurations to screen in"),
-    (["pv-curve", "--bus", "5", "--step", "1e-13"], "step 1e-13 is below 1e-12"),
+    (["pv-curve", "--bus", "5", "--step", "1e-13"], "step 1e-13 could take more than 1e6 solves"),
     (["pv-curve", "--bus", "5", "--step", "1e-9"], "step 1e-09 could take more than 1e6 solves"),
 ])
 def test_bad_study_input_exit_1(tmp_path, capsys, command, message):

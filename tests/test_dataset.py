@@ -321,6 +321,31 @@ def test_save_load_round_trip(case68, tmp_path):
     assert f"provenance: {cfg.digest()}" in meta
 
 
+@pytest.mark.parametrize("scale_range, label, his, widened", [
+    ((0.5, 0.6), 0, [0.6, 0.65, 0.7, 0.75], 0.75),  # all Secure: heavier loads are tried
+    ((0.9, 1.0), 1, [1.0], None),  # all Insecure: heavier loads cannot make a Secure sample
+])
+def test_class_presence_guard_widens_only_all_secure_data(case9, tmp_path, monkeypatch,
+                                                           scale_range, label, his, widened):
+    """The guard reruns generation with a higher upper load bound only while
+    every sample is Secure; an all-Insecure dataset takes one pass and its
+    ``.meta`` records no widening."""
+    passes = []
+    once = gridsec.data._build_dataset_once
+    monkeypatch.setattr(gridsec.data, "_build_dataset_once",
+                        lambda case, cfg: passes.append(cfg.scale_range[1]) or once(case, cfg))
+    cfg = GenerationConfig(n_samples=12, scale_range=scale_range, csc_list=("4-5", "7-8", "6-9"),
+                           seed=1)
+    ds = build_dataset(case9, cfg)
+    assert set(ds.y.tolist()) == {label}
+    assert passes == his
+    assert ds.widened_scale_hi == widened
+    save_dataset(ds, tmp_path / "data.csv", cfg)
+    lines = (tmp_path / "data.csv.meta").read_text().splitlines()
+    assert [l for l in lines if l.startswith("widened_scale_hi")] == (
+        [] if widened is None else [f"widened_scale_hi: {widened}"])
+
+
 def test_load_rejects_non_dataset(tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("a,b,c\n1,2,3\n")

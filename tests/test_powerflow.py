@@ -83,14 +83,29 @@ def test_ybus_shunt_halved_on_diagonal(case2):
     assert y[0, 1] == 0 and y[1, 0] == 0
 
 
+def tapped_case9(case9):
+    """case9 with off-nominal taps on its generator transformers 1-4, 2-7 and
+    3-9, where y_ff = (ys + bc) / tap^2 differs from y_tt = ys + bc."""
+    taps = (1.05, 0.95, 1.025) + (1.0,) * 6
+    return dataclasses.replace(case9, branches=tuple(
+        dataclasses.replace(br, tap=tap) for br, tap in zip(case9.branches, taps)))
+
+
 def stacked_ybus(case):
     """Ybus scattered from (row, column) index pairs stacked per branch as
-    ff, tt, ft, tf: the builder's bit-for-bit oracle."""
+    ff, tt, ft, tf, with pi stamps computed here from ``case.branches``: the
+    builder's bit-for-bit oracle."""
     tb = case.branch_table
+    stamps = []
+    for k in tb.pos.tolist():
+        br = case.branches[k]
+        ys = 1.0 / complex(br.r, br.x)
+        bc = 1j * br.b_shunt / 2.0
+        stamps.append(((ys + bc) / (br.tap * br.tap), ys + bc, -ys / br.tap, -ys / br.tap))
     y = np.zeros((len(case.buses),) * 2, dtype=complex)
     rows = np.stack([tb.f, tb.t, tb.f, tb.t], axis=1).ravel()
     cols = np.stack([tb.f, tb.t, tb.t, tb.f], axis=1).ravel()
-    np.add.at(y, (rows, cols), np.stack([tb.yff, tb.ytt, tb.yft, tb.yft], axis=1).ravel())
+    np.add.at(y, (rows, cols), np.array(stamps, dtype=complex).ravel())
     return y
 
 
@@ -101,7 +116,7 @@ def test_ybus_bit_identical_to_stacked_oracle(case9, case68):
     tc = apply_outage(case68, case68.find_branch("18-42"))
     csc = apply_outage(tc, case68.find_branch("18-49"))
     parallel = parallel_case9()
-    cases = (case9, case68, outaged, csc, parallel, cancelled_diagonal_case())
+    cases = (case9, case68, outaged, csc, parallel, cancelled_diagonal_case(), tapped_case9(case9))
     for case in cases:
         assert build_ybus(case).tobytes() == stacked_ybus(case).tobytes()
     n = len(case68.buses)
@@ -114,7 +129,6 @@ def test_ybus_bit_identical_to_stacked_oracle(case9, case68):
         assert np.array_equal(tb.stamps, full.stamps[keep])
         assert np.array_equal(tb.cells, np.stack(
             [tb.f * (n + 1), tb.t * (n + 1), tb.f * n + tb.t, tb.t * n + tb.f], axis=1))
-        assert np.array_equal(tb.stamps, np.stack([tb.yff, tb.ytt, tb.yft, tb.yft], axis=1))
 
 
 def test_two_bus_analytic_solution(case2):
@@ -176,6 +190,22 @@ def test_power_balance(case9):
     losses = float(np.sum(sol.p_from + sol.p_to))
     imbalance = generation - sum(l.p_mw for l in case9.loads) - losses
     assert abs(imbalance) / case9.base_mva <= 10 * 1e-8
+
+
+def test_branch_flows_sum_to_bus_injections_with_taps(case9):
+    """With off-nominal taps, the flows leaving each bus add up to its
+    injection V conj(Ybus V): each end's flow reads the stamps of its own end
+    (y_ff and y_ft at the from end, y_tt and y_tf at the to end). At tap 1
+    y_ff equals y_tt, and a swap would not show."""
+    tapped = tapped_case9(case9)
+    sol = solve_powerflow(tapped)
+    assert sol.converged
+    index = tapped.bus_index()
+    leaving = np.zeros(len(tapped.buses), dtype=complex)
+    for k, br in enumerate(tapped.branches):
+        leaving[index[br.from_bus]] += sol.p_from[k] + 1j * sol.q_from[k]
+        leaving[index[br.to_bus]] += sol.p_to[k] + 1j * sol.q_to[k]
+    assert np.allclose(leaving, injections(tapped, sol), rtol=0, atol=1e-9)
 
 
 def masks(n, pvpq, pq):
