@@ -1,15 +1,14 @@
 """Operating-condition generation, feature extraction, labeling, persistence.
 
 An operating condition (OC) is a load-scaled, optionally topology-changed
-copy of the base case together with its converged power-flow solution. Each
-OC becomes one classifier sample: a row of the dataset's measurement matrix,
-in a fixed layout, and the Secure/Insecure outcome of screening it against
-the CSC list as that row's class. The screen's
-post-contingency solves warm-start from the OC's solution, which needs fewer
-Newton-Raphson iterations than a flat start and reaches the same labels, and
-the screen ranks the CSCs by that solution's flows. A CSC or TC that is
-out of service or listed twice, a TC that islands the base network and a
-branch that is both a TC and a CSC are rejected before sampling.
+copy of the base case with its converged power-flow solution. Each OC is one
+classifier sample: a row of measurements in ``_LAYOUT``'s order, classed by
+screening the OC against the CSC list. The screen's post-contingency solves
+warm-start from the OC's solution (fewer Newton-Raphson iterations than a
+flat start, the same labels) and it ranks the CSCs by that solution's flows.
+``build_dataset`` checks its config once (a CSC or TC that is out of service
+or listed twice, a TC that islands the base network and a branch that is
+both a TC and a CSC are rejected), then labels the samples in one loop.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ class GenerationConfig:
     tc_list: tuple = ()  # branch labels eligible as TCs
     csc_list: tuple = ()  # branch labels screened for the label
     seed: int = 0
-    max_rejects: int = 50  # consecutive non-convergent draws per sample
+    max_rejects: int = 50  # non-convergent draws a sample may reject; one more raises
 
     def digest(self):
         return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
@@ -85,20 +84,24 @@ def _load_bus_positions(case: NetworkCase):
     return [idx[i] for i in load_ids], load_ids
 
 
-def feature_names(case: NetworkCase) -> list:
-    """Measurement layout fixed by the base topology.
+# The measurement layout in column order: (name prefix, ``PowerFlowSolution``
+# field, True for a block over load buses, False for one over branches).
+_LAYOUT = (
+    ("vm_bus", "v_mag", True),
+    ("va_bus", "v_ang", True),
+    ("imag_br", "i_from", False),
+    ("pf_br", "p_from", False),
+    ("qf_br", "q_from", False),
+)
 
-    [v_mag per load bus] ++ [v_ang per load bus] ++ [i_mag from-end per
-    in-service branch] ++ [p_from per branch] ++ [q_from per branch].
-    """
+
+def feature_names(case: NetworkCase) -> list:
+    """Measurement layout fixed by the base topology: ``_LAYOUT``'s blocks,
+    each bus block by load bus id, each branch block by in-service branch."""
     _, load_ids = _load_bus_positions(case)
     labels = [case.branches[k].label() for k in case.branch_table.pos.tolist()]
-    names = [f"vm_bus{i}" for i in load_ids]
-    names += [f"va_bus{i}" for i in load_ids]
-    names += [f"imag_br{lab}" for lab in labels]
-    names += [f"pf_br{lab}" for lab in labels]
-    names += [f"qf_br{lab}" for lab in labels]
-    return names
+    return [f"{prefix}{key}" for prefix, _, by_bus in _LAYOUT
+            for key in (load_ids if by_bus else labels)]
 
 
 def extract_features(solution: PowerFlowSolution, base_case: NetworkCase) -> np.ndarray:
@@ -108,13 +111,8 @@ def extract_features(solution: PowerFlowSolution, base_case: NetworkCase) -> np.
         raise DatasetError("cannot extract features from a non-converged solution")
     pos, _ = _load_bus_positions(base_case)
     live = base_case.branch_table.pos
-    return np.concatenate([
-        solution.v_mag[pos],
-        solution.v_ang[pos],
-        solution.i_from[live],
-        solution.p_from[live],
-        solution.q_from[live],
-    ])
+    return np.concatenate([getattr(solution, field)[pos if by_bus else live]
+                           for _, field, by_bus in _LAYOUT])
 
 
 def generate_oc(
@@ -149,7 +147,7 @@ def generate_oc(
         if solution.converged:
             return oc, solution, factors, attempt
     raise DatasetError(
-        f"infeasible generation config: {max_rejects} consecutive rejections"
+        f"infeasible generation config: {max_rejects + 1} draws in a row did not converge"
     )
 
 
@@ -160,16 +158,38 @@ def build_dataset(case: NetworkCase, config: GenerationConfig) -> Dataset:
     (up to 3 times) and generation reruns (heavier loads cannot help an
     all-Insecure set); the returned dataset reports the widened bound.
     """
-    ds = _build_dataset_once(case, config)
-    hi = config.scale_range[1]
-    attempts = 0
-    while set(ds.y.tolist()) == {0} and len(ds) > 1 and attempts < 3:
-        attempts += 1
-        hi = round(hi + 0.05, 10)
-        widened = replace(config, scale_range=(config.scale_range[0], hi))
-        ds = _build_dataset_once(case, widened)
-        ds.widened_scale_hi = hi
-    return ds
+    if config.n_samples < 1:
+        raise DatasetError("n_samples must be >= 1")
+    if not 0.0 <= config.tc_mix <= 1.0:
+        raise DatasetError(f"tc_mix must lie in [0, 1], not {config.tc_mix}")
+    if config.seed < 0:
+        raise DatasetError(f"seed must be non-negative, not {config.seed}")
+    if config.tc_mix > 0 and not config.tc_list:
+        raise DatasetError("tc_mix > 0 needs a non-empty tc_list")
+    if not config.csc_list:
+        raise DatasetError("no contingencies configured")
+    _check_lists(case, config)
+    names = feature_names(case)
+    tcs = sample_tcs(config)
+    x = np.empty((config.n_samples, len(names)))
+    y = np.empty(config.n_samples, dtype=np.int64)
+    run = config
+    for widenings in range(4):  # one pass, then up to 3 widened ones
+        if widenings:
+            hi = round(run.scale_range[1] + 0.05, 10)
+            run = replace(config, scale_range=(config.scale_range[0], hi))
+        rejections = 0
+        for i, tc in enumerate(tcs):
+            oc, solution, _, rejects = generate_oc(
+                case, (config.seed, i), run.scale_range, tc=tc, max_rejects=config.max_rejects,
+            )
+            rejections += rejects
+            x[i] = extract_features(solution, case)
+            y[i] = run_contingency_screen(oc, solution, config.csc_list).label is Label.INSECURE
+        if y.any() or len(y) < 2:
+            break
+    return Dataset(x, y, names, provenance=run.digest(), rejections=rejections,
+                   widened_scale_hi=run.scale_range[1] if widenings else None)
 
 
 def sample_tcs(config: GenerationConfig) -> list:
@@ -183,33 +203,6 @@ def sample_tcs(config: GenerationConfig) -> list:
         draw = np.random.default_rng((config.seed, 0x7C, i)).integers(len(config.tc_list))
         tcs[i] = config.tc_list[int(draw)]
     return tcs
-
-
-def _build_dataset_once(case: NetworkCase, config: GenerationConfig) -> Dataset:
-    if config.n_samples < 1:
-        raise DatasetError("n_samples must be >= 1")
-    if not 0.0 <= config.tc_mix <= 1.0:
-        raise DatasetError(f"tc_mix must lie in [0, 1], not {config.tc_mix}")
-    if config.seed < 0:
-        raise DatasetError(f"seed must be non-negative, not {config.seed}")
-    if config.tc_mix > 0 and not config.tc_list:
-        raise DatasetError("tc_mix > 0 needs a non-empty tc_list")
-    if not config.csc_list:
-        raise DatasetError("no contingencies configured")
-    _check_lists(case, config)
-    names = feature_names(case)
-    x = np.empty((config.n_samples, len(names)))
-    y = np.empty(config.n_samples, dtype=np.int64)
-    rejections = 0
-    for i, tc in enumerate(sample_tcs(config)):
-        oc, solution, _, rejects = generate_oc(
-            case, (config.seed, i), config.scale_range, tc=tc,
-            max_rejects=config.max_rejects,
-        )
-        rejections += rejects
-        x[i] = extract_features(solution, case)
-        y[i] = run_contingency_screen(oc, solution, config.csc_list).label is Label.INSECURE
-    return Dataset(x, y, names, provenance=config.digest(), rejections=rejections)
 
 
 def _positions(case: NetworkCase, names, kind):

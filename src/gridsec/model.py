@@ -95,12 +95,6 @@ class NetworkCase:
         """Read-only map bus id -> position in ``buses``."""
         return MappingProxyType(self.topology.bus_index)
 
-    def slack_bus(self):
-        for b in self.buses:
-            if b.kind is BusKind.SLACK:
-                return b
-        raise CaseValidationError("no slack bus")
-
     def total_load(self):
         """(P_MW, Q_MVar) summed over all loads."""
         return (sum(l.p_mw for l in self.loads), sum(l.q_mvar for l in self.loads))
@@ -278,7 +272,10 @@ def reschedule_generation(case: NetworkCase, delta_p: float) -> NetworkCase:
     """
     if delta_p == 0.0:
         return case
-    outputs = _dispatch(case.generators, case.slack_bus().id, delta_p)
+    slack = case.topology.slack
+    if slack is None:
+        raise CaseValidationError("no slack bus")
+    outputs = _dispatch(case.generators, case.buses[slack].id, delta_p)
     if not outputs:
         # Only the slack can balance; it does so inside the power flow.
         return case

@@ -42,6 +42,7 @@ from .model import NetworkCase, _dispatch
 
 TOLERANCE = 1e-8  # per-unit power mismatch
 MAX_ITER = 20
+LOADING_LIMIT = 1.0  # fraction of a branch's mva_rating
 # Guards of chord_screen. An outage is accepted only when every bus voltage
 # and branch loading clears its limit by more than MARGIN_BAND: the chord
 # solution differs from NR's by under 1e-9 pu, far inside it. NR pins a PV
@@ -265,7 +266,7 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
     return PowerFlowSolution(np.abs(v), np.angle(v), p_f, q_f, p_t, q_t, i_f, *outcome)
 
 
-def chord_screen(case: NetworkCase, start, outages, loading_limit: float) -> list:
+def chord_screen(case: NetworkCase, start, outages) -> list:
     """Solve the outage of each in-service, non-islanding branch position in
     ``outages`` by chord iterations from the warm start ``start`` (as in
     ``solve_powerflow``), and say for each whether it is clearly secure.
@@ -281,7 +282,7 @@ def chord_screen(case: NetworkCase, start, outages, loading_limit: float) -> lis
 
     Returns one outcome per outage: ``"accepted"`` when it converged within
     ``CHORD_MAX_ITER`` iterations and every bus voltage and branch loading
-    (against ``loading_limit`` of its rating) clears its limit by more than
+    (against ``LOADING_LIMIT`` of its rating) clears its limit by more than
     ``MARGIN_BAND``; else ``"non-finite"``, ``"q-limit"`` (a watched PV bus
     within ``Q_BAND`` of a Q limit at an iterate), ``"no-convergence"`` or
     ``"band"``. Only the exact solver may decide an outage not accepted.
@@ -362,7 +363,7 @@ def chord_screen(case: NetworkCase, start, outages, loading_limit: float) -> lis
         loading = np.maximum(np.hypot(p_f, q_f), np.hypot(p_t, q_t)) / tb.rating
         loading[each[:, 0], rows] = 0.0  # the outaged branch
         margin = np.minimum(np.minimum(vm - topo.v_limits[0], topo.v_limits[1] - vm).min(axis=1),
-                            loading_limit - loading.max(axis=1))
+                            LOADING_LIMIT - loading.max(axis=1))
         out[(out == 3) & ~(margin > MARGIN_BAND)] = 5
     return [_CHORD_OUTCOMES[o] for o in out]
 

@@ -39,12 +39,11 @@ import numpy as np
 
 from .errors import GridSecError, IslandingError
 from .model import NetworkCase, apply_outage
-from .powerflow import PowerFlowSolution, chord_screen, solve_powerflow
+from .powerflow import LOADING_LIMIT, PowerFlowSolution, chord_screen, solve_powerflow
 
 PIV_THRESHOLD = 0.1
 PIV_DV_LIMIT = 0.05  # acceptable per-bus voltage deviation, per-unit
 TC_FLOW_DELTA_MW = 200.0
-LOADING_LIMIT = 1.0  # fraction of a branch's mva_rating
 
 
 class Category(enum.Enum):
@@ -245,7 +244,7 @@ def run_contingency_screen(case: NetworkCase, solution: PowerFlowSolution,
     details = []
     for rank, (name, k) in enumerate(ranked):
         if rank == 1:  # the top-ranked CSC passed
-            outcomes = chord_screen(case, start, [k for _, k in ranked[1:]], LOADING_LIMIT)
+            outcomes = chord_screen(case, start, [k for _, k in ranked[1:]])
         if rank and outcomes[rank - 1] == "accepted":
             details.append(ContingencyResult(name, True, False, (), True))
             continue

@@ -128,6 +128,16 @@ def test_gen_dataset_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_gen_dataset_no_samples_exit_1(tmp_path, capsys):
+    csc = tmp_path / "csc.txt"
+    _write_csc_list(csc)
+    code, _, err = run_cli(capsys, "gen-dataset", "--case", CASE9, "--n", "0",
+                           "--csc-list", str(csc), "--out", str(tmp_path / "out.csv"))
+    assert code == 1
+    assert err == "error: n_samples must be >= 1\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_gen_dataset_seed_changes_output(tmp_path, capsys):
     csc = tmp_path / "csc.txt"
     _write_csc_list(csc)

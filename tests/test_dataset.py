@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,36 @@ def test_feature_width_formula(case68):
     n_load_bus = len({l.bus for l in case68.loads})
     n_branch = len(case68.branch_table.pos)
     assert len(feature_names(case68)) == 2 * n_load_bus + 3 * n_branch == 353
+
+
+def test_each_feature_name_reads_its_solution_field(case68):
+    """Every column holds the solution field its name's prefix stands for, at
+    the named bus or branch, bit for bit; the TC's branch reads 0.0."""
+    _, sol, _, _ = generate_oc(case68, (7, 0), tc="17-43")
+    x = extract_features(sol, case68)
+    fields = {"vm_bus": sol.v_mag, "va_bus": sol.v_ang, "imag_br": sol.i_from,
+              "pf_br": sol.p_from, "qf_br": sol.q_from}
+    bus, tc = case68.bus_index(), case68.find_branch("17-43")
+    names = feature_names(case68)
+    assert len(x) == len(names)
+    prefixes, tc_columns = [], 0
+    for col, name in enumerate(names):
+        prefix, key = re.fullmatch(r"(vm_bus|va_bus|imag_br|pf_br|qf_br)(.+)", name).groups()
+        at = bus[int(key)] if prefix.endswith("bus") else case68.find_branch(key)
+        assert x[col].tobytes() == fields[prefix][at].tobytes(), name
+        if prefix.endswith("br") and at == tc:
+            assert x[col] == 0.0, name
+            tc_columns += 1
+        prefixes.append(prefix)
+    assert list(dict.fromkeys(prefixes)) == list(fields)
+    assert tc_columns == 3
+
+
+def test_rejection_exhaustion_counts_its_draws(case2):
+    """``max_rejects=2`` tolerates two rejections; the third non-converging
+    draw raises, and the message counts all three draws."""
+    with pytest.raises(DatasetError, match="3 draws in a row did not converge"):
+        generate_oc(case2, (0, 0), (6.0, 6.0), max_rejects=2)
 
 
 def test_feature_names_stable_under_tc(case68):
@@ -331,9 +362,14 @@ def test_class_presence_guard_widens_only_all_secure_data(case9, tmp_path, monke
     every sample is Secure; an all-Insecure dataset takes one pass and its
     ``.meta`` records no widening."""
     passes = []
-    once = gridsec.data._build_dataset_once
-    monkeypatch.setattr(gridsec.data, "_build_dataset_once",
-                        lambda case, cfg: passes.append(cfg.scale_range[1]) or once(case, cfg))
+    draw = gridsec.data.generate_oc
+
+    def counted(case, rng_seed, scale_range, **kwargs):
+        if rng_seed[1] == 0:  # sample 0 opens every pass
+            passes.append(scale_range[1])
+        return draw(case, rng_seed, scale_range, **kwargs)
+
+    monkeypatch.setattr(gridsec.data, "generate_oc", counted)
     cfg = GenerationConfig(n_samples=12, scale_range=scale_range, csc_list=("4-5", "7-8", "6-9"),
                            seed=1)
     ds = build_dataset(case9, cfg)

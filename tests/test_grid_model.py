@@ -321,7 +321,7 @@ def bfs_reached(case):
         if br.in_service:
             adj[br.from_bus].append(br.to_bus)
             adj[br.to_bus].append(br.from_bus)
-    seen = {case.slack_bus().id}
+    seen = {case.buses[case.topology.slack].id}
     queue = deque(seen)
     while queue:
         for v in adj[queue.popleft()]:

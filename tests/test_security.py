@@ -316,7 +316,7 @@ def loop_ranking(case, sol, csc_list):
     ties, from a dense inverse of the slack-reduced DC B matrix and a loop
     over branches. Returns [(CSC, predicted loading or None)]."""
     buses = {b.id: i for i, b in enumerate(case.buses)}
-    slack = buses[case.slack_bus().id]
+    slack = buses[case.buses[case.topology.slack].id]
     live = [k for k, br in enumerate(case.branches) if br.in_service]
     n = len(case.buses)
     b = np.zeros((n, n))
@@ -489,7 +489,7 @@ def test_chord_declines_a_non_finite_start(case9):
     sol = solve_powerflow(case9)
     nan = np.full_like(sol.v_ang, np.nan)
     outages = [case9.find_branch("7-8"), case9.find_branch("4-5")]
-    assert security.chord_screen(case9, (sol.v_mag, nan), outages, LOADING_LIMIT) == [
+    assert security.chord_screen(case9, (sol.v_mag, nan), outages) == [
         "non-finite", "non-finite"]
 
 
