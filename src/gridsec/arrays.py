@@ -148,7 +148,7 @@ class Topology:
                  jacobian: JacobianMap, out=()):
         self.bus_index = bus_index  # bus id -> position
         self.labels = labels  # (low bus id, high bus id, circuit) -> branch position
-        self.slack = slack  # position of the first slack bus, None if there is none
+        self.slack = slack  # position of the first slack bus; ``of`` rejects a case with none
         self.pv = pv  # True at PV buses
         self.pq = pq  # True at PQ buses
         self.vset = vset  # voltage setpoint, 1.0 where none
@@ -165,6 +165,8 @@ class Topology:
             labels.setdefault((min(br.from_bus, br.to_bus), max(br.from_bus, br.to_bus),
                                br.circuit), k)
         kinds = [b.kind.value for b in case.buses]
+        if "slack" not in kinds:  # every solve, edit and walk starts from it
+            raise CaseValidationError("no slack bus")
         live = [(k, br) for k, br in enumerate(case.branches) if br.in_service]
         ends = np.array([(k, index[br.from_bus], index[br.to_bus]) for k, br in live], dtype=int)
         stamps = []
@@ -191,7 +193,7 @@ class Topology:
         return cls(
             index,
             labels,
-            kinds.index("slack") if "slack" in kinds else None,
+            kinds.index("slack"),
             pv,
             pq,
             _read_only(np.array([1.0 if b.v_setpoint is None else b.v_setpoint for b in case.buses])),
@@ -221,8 +223,6 @@ class Topology:
         """Position of each in-service branch whose outage islands buses ->
         the positions of those buses, from one walk from the slack
         (``islands``)."""
-        if self.slack is None:
-            raise CaseValidationError("no slack bus")
         tb = self.branches()
         ends = list(zip(tb.pos.tolist(), tb.f.tolist(), tb.t.tolist()))
         return islands(len(self.vset), self.slack, ends)[1]

@@ -57,11 +57,9 @@ def cmd_pv_curve(args):
 
 def cmd_screen(args):
     case = load_case(_resolve(args.case))
-    path = _resolve(args.configs)
-    with open_text(path) as fh:
-        specs = parse_contingency_list(fh.read())
+    specs = _read_list(args.configs)
     if not specs:
-        raise SettingError(f"no configurations to screen in {path}")
+        raise SettingError(f"no configurations to screen in {_resolve(args.configs)}")
     assessments = screen_configurations(case, specs)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("configuration,pi_v,max_flow_delta_mw,category\n")

@@ -118,9 +118,9 @@ def extract_features(solution: PowerFlowSolution, base_case: NetworkCase) -> np.
 def generate_oc(
     case: NetworkCase,
     rng_seed,
-    scale_range=(0.8, 1.05),
+    scale_range=GenerationConfig.scale_range,
     tc: str | None = None,
-    max_rejects: int = 50,
+    max_rejects: int = GenerationConfig.max_rejects,
 ):
     """Draw one converged operating condition.
 

@@ -272,10 +272,7 @@ def reschedule_generation(case: NetworkCase, delta_p: float) -> NetworkCase:
     """
     if delta_p == 0.0:
         return case
-    slack = case.topology.slack
-    if slack is None:
-        raise CaseValidationError("no slack bus")
-    outputs = _dispatch(case.generators, case.buses[slack].id, delta_p)
+    outputs = _dispatch(case.generators, case.buses[case.topology.slack].id, delta_p)
     if not outputs:
         # Only the slack can balance; it does so inside the power flow.
         return case

@@ -16,6 +16,8 @@ which only remove branches; a solve gathers Ybus at those cells and drops
 the off-diagonal ones that are zero, and after a pin it asks
 ``arrays.jacobian_map`` for the pinned masks' map. Each entry equals,
 bit for bit, the same entry selected from the dense 2n x 2n ``dSbus_dV``.
+``mismatch_vector`` is the one residual, the one test of convergence, for
+both NR and the chord: S_bus - S_spec gathered at the map's ``mismatch``.
 Reactive-limit switching is one-way: a PV bus whose generators would exceed
 their Q capability is pinned there as a PQ bus and never switches back to PV
 within the solve. One NR loop, ``_newton``, serves ``solve_powerflow`` and
@@ -93,24 +95,16 @@ def _ybus(tb, n):
     return y.reshape(n, n)
 
 
-def _pin_q(s_spec, is_pv, is_pq, q_load, i, q_gen):
-    """Turn bus ``i`` into a PQ bus whose generators supply ``q_gen`` (pu):
-    rewrites ``s_spec`` and the masks ``is_pv`` and ``is_pq``, which must be
-    the caller's copies."""
-    is_pv[i] = False
-    is_pq[i] = True
-    s_spec[i] = s_spec[i].real + 1j * (q_gen - q_load[i])
-
-
 def calc_injections(ybus, v):
     """Complex bus power injections S = V conj(Y V) in per-unit."""
     return v * np.conj(ybus @ v)
 
 
-def mismatch_vector(ybus, v, s_spec, pvpq, pq):
-    """Stacked [dP at PV+PQ; dQ at PQ] for the current complex voltages."""
-    ds = calc_injections(ybus, v) - s_spec
-    return np.concatenate([ds[pvpq].real, ds[pq].imag])
+def mismatch_vector(s_bus, s_spec, mismatch):
+    """The NR residual [dP at PV+PQ; dQ at PQ] of the injections ``s_bus``
+    (one row per outage on the leading axes) against ``s_spec``, gathered at
+    a ``JacobianMap``'s ``mismatch`` floats."""
+    return (s_bus - s_spec).view(float)[..., mismatch]
 
 
 def _live_map(ybus, jmap: JacobianMap):
@@ -214,15 +208,17 @@ def _newton(topo, inj: Injections, ybus, live, start, tolerance):
             under = q_gen < q_lo
             hits = np.flatnonzero(watch & (over | under))
             for i in hits:
+                # bus i turns PQ, its generators supplying the pinned Q
                 pinned = inj.qg_max[i] if over[i] else inj.qg_min[i]
-                _pin_q(s_spec, is_pv, is_pq, inj.q_load, i, pinned)
+                is_pv[i], is_pq[i] = False, True
+                s_spec[i] = s_spec[i].real + 1j * (pinned - inj.q_load[i])
                 q_limited.append((int(i), pinned))
             if hits.size:
                 y, layout = _live_map(ybus, jacobian_map(layout.flat, layout.rows, layout.cols,
                                                          is_pv, is_pq))
                 watch = is_pv & inj.has_gen
 
-        f = (s_bus - s_spec).view(float)[layout.mismatch]
+        f = mismatch_vector(s_bus, s_spec, layout.mismatch)
         max_mis = float(np.max(np.abs(f))) if f.size else 0.0
         if not math.isfinite(max_mis):
             diagnostic = "non-finite mismatch"
@@ -258,8 +254,6 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
     if tolerance <= 0:
         raise SettingError("tolerance must be positive")
     inj, topo = case.injections, case.topology
-    if topo.slack is None:
-        raise CaseValidationError("no slack bus")
     ybus = build_ybus(case)
     v, *outcome = _newton(topo, inj, ybus, _live_map(ybus, topo.jacobian), start, tolerance)
     p_f, q_f, p_t, q_t, i_f = _branch_flows(case, v)
@@ -342,7 +336,7 @@ def chord_screen(case: NetworkCase, start, outages) -> list:
             i = (ybus @ v[:, :, None])[:, :, 0]
             i[each, ends] += (dy * v[each, ends][:, None, :]).sum(axis=2)
             s_bus = v * np.conj(i)
-            f = (s_bus - inj.s_spec).view(float)[:, layout.mismatch]
+            f = mismatch_vector(s_bus, inj.s_spec, layout.mismatch)
             err = np.abs(f).max(axis=1)
             # an outage's first event settles it: non-finite, then Q near a
             # limit (NR checks from its iterate 1), then convergence
@@ -393,8 +387,6 @@ def trace_pv_curve(case: NetworkCase, monitored_bus: int, step: float) -> PvCurv
     if pos is None:
         raise CaseValidationError(f"no bus {monitored_bus} in case")
     inj, topo, n = case.injections, case.topology, len(case.buses)
-    if topo.slack is None:
-        raise CaseValidationError("no slack bus")
     ybus = _ybus(topo.branches(), n)
     live = _live_map(ybus, topo.jacobian)
     gens = [(i, g) for i, g in enumerate(case.generators) if g.in_service]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import configparser
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -108,6 +108,11 @@ class ExperimentConfig:
         for key in ("init_epochs", "update_epochs", "eval_every"):
             if getattr(self, key) < 1:
                 raise ExperimentError(f"{key} must be >= 1")
+        # a shorter phase has a checkpoint at epoch 0, which no run logs
+        for key, least in (("init_epochs", 2), ("update_epochs", 4)):
+            if getattr(self, key) < least:
+                raise ExperimentError(f"{key} = {getattr(self, key)} is below {least}, "
+                                      f"the fewest epochs whose checkpoints a run logs")
         # an unlogged checkpoint epoch would read as diverged in ``summarize``
         phases = zip(("init", "update"), (self.init_epochs, self.update_epochs),
                      checkpoints(self.init_epochs, self.update_epochs))
@@ -168,7 +173,7 @@ def _ints(text):
 _EXPERIMENT_KEYS = {"init_epochs": int, "update_epochs": int, "eval_every": int,
                     "seeds": _ints, "train_fraction": float, "hidden": _ints,
                     "activation": str}
-_OPTIMIZER_KEYS = ("learning_rate", "momentum", "beta1", "beta2", "eps")
+_OPTIMIZER_KEYS = tuple(f.name for f in fields(OptimizerConfig) if f.name != "algorithm")
 
 
 def _check_keys(section, known):

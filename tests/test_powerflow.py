@@ -18,14 +18,15 @@ from gridsec.model import (
 from gridsec.powerflow import (
     TOLERANCE,
     _live_map,
-    _pin_q,
     build_ybus,
     calc_injections,
+    chord_screen,
     jacobian,
     mismatch_vector,
     solve_powerflow,
     trace_pv_curve,
 )
+from tests.test_security import q_limited
 
 
 def injections(case, sol):
@@ -33,19 +34,29 @@ def injections(case, sol):
     return calc_injections(build_ybus(case), sol.v_mag * np.exp(1j * sol.v_ang)) * case.base_mva
 
 
+def stacked_mismatch(ybus, v, s_spec, pvpq, pq):
+    """Stacked [dP at PV+PQ; dQ at PQ] for the complex voltages ``v``: the
+    tests' oracle of the solver's gathered ``mismatch_vector``."""
+    ds = calc_injections(ybus, v) - s_spec
+    return np.concatenate([ds[pvpq].real, ds[pq].imag])
+
+
 def recompute_max_mismatch(case, solution):
     """Independent mismatch recomputation from the returned voltages.
 
-    Replays the solution's Q-limit pins: those PV buses are PQ with the
-    pinned reactive output.
+    Replays the solution's Q-limit pins from the case's records: each pinned
+    PV bus is PQ, and its net Q injection is the pinned generator output
+    less the Q of the loads at that bus.
     """
-    inj, topo = case.injections, case.topology
-    s_spec, is_pv, is_pq = inj.s_spec.copy(), topo.pv.copy(), topo.pq.copy()
+    topo, index = case.topology, case.bus_index()
+    s_spec, is_pq = case.injections.s_spec.copy(), topo.pq.copy()
     for i, pinned in solution.q_limited:
-        _pin_q(s_spec, is_pv, is_pq, inj.q_load, i, pinned)
+        q_load = sum(l.q_mvar for l in case.loads if index[l.bus] == i) / case.base_mva
+        is_pq[i] = True
+        s_spec[i] = complex(s_spec[i].real, pinned - q_load)
     v = solution.v_mag * np.exp(1j * solution.v_ang)
-    f = mismatch_vector(build_ybus(case), v, s_spec, np.flatnonzero(is_pv | is_pq),
-                        np.flatnonzero(is_pq))
+    f = stacked_mismatch(build_ybus(case), v, s_spec, np.flatnonzero(topo.pv | topo.pq),
+                         np.flatnonzero(is_pq))
     return float(np.max(np.abs(f))) if f.size else 0.0
 
 
@@ -164,17 +175,40 @@ def test_nonconvergence_is_not_an_error(case2):
     assert sol.diagnostic
 
 
-def test_solve_without_slack_is_an_error(case9):
-    """A case built without validation and without a slack bus gets a view,
-    and its solve and PV trace raise instead of referencing a missing slack."""
+def slackless_case9(case9):
+    """case9 built without validation and with its slack bus made PV."""
     buses = tuple(dataclasses.replace(b, kind=BusKind.PV) if b.kind is BusKind.SLACK else b
                   for b in case9.buses)
-    slackless = dataclasses.replace(case9, buses=buses)
-    assert slackless.topology.slack is None
+    return dataclasses.replace(case9, buses=buses)
+
+
+def test_solve_without_slack_is_an_error(case9):
+    """A case built without validation and without a slack bus gets no view,
+    and its solve and PV trace raise instead of referencing a missing slack."""
+    slackless = slackless_case9(case9)
+    with pytest.raises(CaseValidationError, match="no slack bus"):
+        slackless.topology
     with pytest.raises(CaseValidationError, match="no slack bus"):
         solve_powerflow(slackless)
     with pytest.raises(CaseValidationError, match="no slack bus"):
         trace_pv_curve(slackless, 5, 0.1)
+
+
+# branch position 3 is 4-5, which islands nothing; a slackless case has no label map
+@pytest.mark.parametrize("call", [
+    lambda case: case.topology,
+    solve_powerflow,
+    lambda case: trace_pv_curve(case, 5, 0.1),
+    lambda case: apply_outage(case, 3),
+    lambda case: reschedule_generation(case, 10.0),
+    lambda case: chord_screen(case, None, [3]),
+], ids=["topology", "solve_powerflow", "trace_pv_curve", "apply_outage",
+        "reschedule_generation", "chord_screen"])
+def test_every_entry_rejects_a_case_without_slack(case9, call):
+    """``Topology.of`` is the one place that rejects a case with no slack, and
+    every solve, edit and trace reaches it first."""
+    with pytest.raises(CaseValidationError, match="no slack bus"):
+        call(slackless_case9(case9))
 
 
 def test_mismatch_oracle(case9):
@@ -182,6 +216,18 @@ def test_mismatch_oracle(case9):
     assert sol.converged
     assert abs(recompute_max_mismatch(case9, sol) - sol.max_mismatch) <= 1e-12
     assert sol.max_mismatch <= 1e-8
+
+
+def test_mismatch_oracle_sees_a_wrong_pin(case68):
+    """The oracle replays each pin on its own: a pinned Q shifted by 0.01 pu
+    shows as a mismatch far above the solver's tolerance."""
+    tight = q_limited(case68, 0.8)
+    sol = solve_powerflow(tight)
+    assert sol.converged and sol.q_limited
+    assert recompute_max_mismatch(tight, sol) <= TOLERANCE
+    (i, pinned), *rest = sol.q_limited
+    shifted = dataclasses.replace(sol, q_limited=((i, pinned + 0.01), *rest))
+    assert recompute_max_mismatch(tight, shifted) > 1e-6
 
 
 def test_power_balance(case9):
@@ -243,7 +289,7 @@ def test_jacobian_matches_finite_differences(case9):
             va2[pvpq] += x[: len(pvpq)]
             vm2[pq] += x[len(pvpq):]
             v = vm2 * np.exp(1j * va2)
-            return mismatch_vector(ybus, v, s_spec, pvpq, pq)
+            return stacked_mismatch(ybus, v, s_spec, pvpq, pq)
 
         v = vm * np.exp(1j * va)
         jac = reduced_jacobian(case9, v, pvpq, pq)
@@ -348,7 +394,7 @@ def test_jacobian_bit_identical_to_broadcast(case9, case68):
                 want = broadcast_jacobian(ybus, v, pvpq, q_set)
                 got = reduced_jacobian(case, v, pvpq, q_set)
                 assert np.array_equal(got, want)
-                f = mismatch_vector(ybus, v, case.injections.s_spec, pvpq, q_set)
+                f = stacked_mismatch(ybus, v, case.injections.s_spec, pvpq, q_set)
                 assert np.linalg.solve(got, -f).tobytes() == np.linalg.solve(want, -f).tobytes()
 
 
@@ -425,9 +471,9 @@ def scan_jacobian(ybus, v, pvpq, pq):
 
 def test_jacobian_bit_identical_to_scan_oracle(case9, case68):
     """The parsed case's cells cover every edit's Ybus pattern, and the layout
-    gathered from them gives the scanned layout's Jacobian and the loop's
-    mismatch gather gives ``mismatch_vector``, byte for byte, for the case's
-    own masks and for pinned ones."""
+    gathered from them gives the scanned layout's Jacobian and the solver's
+    ``mismatch_vector`` gives the stacked oracle, byte for byte, for the
+    case's own masks and for pinned ones."""
     tc = apply_outage(case68, case68.find_branch("18-42"))
     csc = apply_outage(tc, case68.find_branch("18-49"))
     parallel = parallel_case9()
@@ -454,8 +500,8 @@ def test_jacobian_bit_identical_to_scan_oracle(case9, case68):
                 assert reduced_jacobian(case, v, pvpq, q_set).tobytes() == want.tobytes()
                 jmap = jacobian_map(cells.flat, cells.rows, cells.cols, *masks(n, pvpq, q_set))
                 s_spec = case.injections.s_spec
-                f = (calc_injections(ybus, v) - s_spec).view(float)[jmap.mismatch]
-                assert f.tobytes() == mismatch_vector(ybus, v, s_spec, pvpq, q_set).tobytes()
+                f = mismatch_vector(calc_injections(ybus, v), s_spec, jmap.mismatch)
+                assert f.tobytes() == stacked_mismatch(ybus, v, s_spec, pvpq, q_set).tobytes()
 
 
 def test_jacobian_cells_shared_and_never_stored_by_a_solve(case9, case68):
@@ -507,9 +553,8 @@ def test_q_pin_rebuilds_the_jacobian_layout(case9, monkeypatch):
     assert len(shapes) == sol.iterations
 
 
-def test_q_limit_switching(case9):
-    # a PV bus with a tiny Q ceiling must be pinned at it
-    case = parse_case("""\
+# a PV bus at 2 with a tiny Q ceiling, feeding a load at 3
+PINNED_PV = """\
 format_version: 1
 [BASE]
 100.0
@@ -525,7 +570,12 @@ format_version: 1
 2 50.0 -5.0 5.0 100.0 1
 [LOAD]
 3 80.0 40.0
-""")
+"""
+
+
+def test_q_limit_switching(case9):
+    # a PV bus with a tiny Q ceiling must be pinned at it
+    case = parse_case(PINNED_PV)
     limited = solve_powerflow(case)
     assert limited.converged
     assert limited.q_limited, "expected the PV bus to hit its Q ceiling"
@@ -551,6 +601,17 @@ format_version: 1
     assert q_inj[2] == pytest.approx(-5.0, abs=1e-6)
     assert meshed.v_mag[1] < 1.025 < meshed.v_mag[2]
     assert abs(recompute_max_mismatch(tight, meshed) - meshed.max_mismatch) <= 1e-12
+
+
+def test_q_pin_nets_out_the_bus_load():
+    """A pinned PV bus that also carries a load injects the pinned generator
+    output less the load's Q; no bundled case has a load at a PV bus."""
+    case = parse_case(PINNED_PV.replace("[LOAD]\n", "[LOAD]\n2 10.0 20.0\n"))
+    sol = solve_powerflow(case)
+    assert sol.converged
+    assert [(pos, float(q)) for pos, q in sol.q_limited] == [(1, 0.05)]
+    assert injections(case, sol).imag[1] == pytest.approx(5.0 - 20.0, abs=1e-6)
+    assert abs(recompute_max_mismatch(case, sol) - sol.max_mismatch) <= 1e-12
 
 
 def test_trace_pv_curve_nose_two_bus(case2):

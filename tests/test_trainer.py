@@ -266,6 +266,8 @@ BAD_VALUES = [
     ("[adam]\nlearning-rate = 5", r"\[adam\] learning-rate: unknown key"),
     ("init_epochs = 0", r"init_epochs must be >= 1"),
     ("update_epochs = -4", r"update_epochs must be >= 1"),
+    ("init_epochs = 1\neval_every = 1", r"init_epochs = 1 is below 2, the fewest epochs"),
+    ("update_epochs = 3\neval_every = 1", r"update_epochs = 3 is below 4, the fewest epochs"),
     ("train_fraction = 1.5", r"train_fraction must lie in \(0, 1\)"),
     ("train_fraction = 0", r"train_fraction must lie in \(0, 1\)"),
     ("seeds =", r"seeds must not be empty"),
