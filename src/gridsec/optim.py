@@ -35,14 +35,14 @@ class OptimizerConfig:
             raise OptimizerError(
                 f"unknown algorithm {self.algorithm!r}; valid: {', '.join(ALGORITHMS)}"
             )
-        if not self.learning_rate > 0:
-            raise OptimizerError("learning rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise OptimizerError("learning rate must be positive and finite")
         if not 0.0 <= self.momentum <= 1.0:
             raise OptimizerError("momentum must lie in [0, 1]")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise OptimizerError("beta1 and beta2 must lie in [0, 1)")
-        if not self.eps >= 0:
-            raise OptimizerError("eps must be non-negative")
+        if not 0 <= self.eps < np.inf:
+            raise OptimizerError("eps must be non-negative and finite")
 
 
 def default_config(algorithm: str, **overrides) -> OptimizerConfig:

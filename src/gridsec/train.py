@@ -12,6 +12,9 @@ stay frozen through the update phase.
 from __future__ import annotations
 
 import configparser
+import os
+import pickle
+import signal
 import statistics
 from dataclasses import dataclass, field, fields
 
@@ -100,6 +103,7 @@ class ExperimentConfig:
     activation: str = "relu"
     algorithms: tuple = ALGORITHMS
     overrides: dict = field(default_factory=dict)  # per-algorithm hyperparameters
+    jobs: int | None = None  # training workers; None: see ``resolve_jobs``
 
     def __post_init__(self):
         """Reject a phase length, checkpoint cadence, split, seed list,
@@ -259,10 +263,80 @@ def run_single(cfg: ExperimentConfig, algorithm, seed, splits) -> RunResult:
     return RunResult(algorithm, seed, init_rows + upd_rows)
 
 
+def resolve_jobs(jobs, n_units):
+    """Workers for ``n_units`` runs, at most ``n_units``: ``jobs`` (1..usable
+    CPUs) or, for None, one per usable CPU if BLAS runs one thread
+    (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, is "1"), else 1."""
+    usable = len(os.sched_getaffinity(0))
+    if jobs is None:
+        threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+        jobs = usable if threads == "1" else 1
+    elif not 1 <= jobs <= usable:
+        raise ExperimentError(f"jobs = {jobs} must lie in 1..{usable}, the usable CPUs")
+    return min(jobs, n_units)
+
+
+def _run_units(cfg, units, indices):
+    """(i, True, run) per i of ``indices``, up to the first (i, False, exception)."""
+    done = []
+    for i in indices:
+        try:
+            done.append((i, True, run_single(cfg, *units[i])))
+        except Exception as exc:
+            done.append((i, False, exc))
+            break
+    return done
+
+
+def _train_units(cfg, units, jobs):
+    """``run_single`` over ``units``, unit i on worker i % jobs: this process
+    or an ``os.fork`` child, which pickles its results back over a pipe.
+    Returns them in unit order, or raises the lowest failing unit's error."""
+    children = {}  # pid: (worker, read end of its pipe)
+    try:
+        for worker in range(1, jobs):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    payload = pickle.dumps(_run_units(cfg, units, range(worker, len(units), jobs)))
+                    with os.fdopen(write_fd, "wb") as fh:
+                        fh.write(payload)
+                    status = 0
+                finally:  # skip the parent's cleanup and exit handlers
+                    os._exit(status)
+            os.close(write_fd)
+            children[pid] = (worker, os.fdopen(read_fd, "rb"))
+        done = _run_units(cfg, units, range(0, len(units), jobs))
+        for pid in list(children):
+            worker, fh = children[pid]
+            with fh:
+                payload = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if status != 0:
+                lost = ", ".join(f"{a} seed {s}" for a, s, _ in units[worker::jobs])
+                raise ExperimentError(f"a training worker ended with status {status} "
+                                      f"and no results for {lost}")
+            done += pickle.loads(payload)  # bytes that this worker wrote
+    finally:
+        for pid, (_, fh) in children.items():
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failed = [(i, exc) for i, ok, exc in done if not ok]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return [run for _, _, run in sorted(done, key=lambda d: d[0])]
+
+
 def run_experiment(cfg: ExperimentConfig):
     """All configured algorithms x seeds; identical init and data order per
     seed across algorithms, with the splits made once per seed. Returns
-    {algorithm: [RunResult per seed]}, in config order."""
+    {algorithm: [RunResult per seed]}, in config order, equal at any jobs."""
+    jobs = resolve_jobs(cfg.jobs, len(cfg.seeds) * len(cfg.algorithms))
     try:
         init_ds = load_dataset(cfg.init_dataset)
         update_ds = load_dataset(cfg.update_dataset)
@@ -276,11 +350,13 @@ def run_experiment(cfg: ExperimentConfig):
             train_size(len(ds), cfg.train_fraction)
         except DatasetError as exc:
             raise ExperimentError(f"{path}: {exc}") from None
-    results = {algorithm: [] for algorithm in cfg.algorithms}
+    units = []
     for seed in cfg.seeds:
         splits = standardized_splits(init_ds, update_ds, cfg.train_fraction, seed)
-        for algorithm in cfg.algorithms:
-            results[algorithm].append(run_single(cfg, algorithm, seed, splits))
+        units += [(algorithm, seed, splits) for algorithm in cfg.algorithms]
+    results = {algorithm: [] for algorithm in cfg.algorithms}
+    for run in _train_units(cfg, units, jobs):
+        results[run.algorithm].append(run)
     return results
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from gridsec import mlp
-from gridsec.data import GenerationConfig, build_dataset, split_dataset
+from gridsec.data import GenerationConfig, build_dataset, save_dataset, split_dataset
 from gridsec.mlp import MlpArchitecture
 from gridsec.model import apply_outage, bundled_case_path, scale_loads
 from gridsec.optim import ALGORITHMS, Optimizer, OptimizerConfig
@@ -28,8 +28,7 @@ from gridsec.train import (
     PHASE_UPDATE,
     ExperimentConfig,
     checkpoints,
-    run_single,
-    standardized_splits,
+    run_experiment,
 )
 
 from tests.conftest import CSC_LINES, CSC_LINES_9BUS, TC_LINES
@@ -207,26 +206,26 @@ def test_criterion_5_outage_noses(case9):
 # --- 6. two-phase experiment, seven algorithms ---------------------------------
 
 @pytest.fixture(scope="module")
-def experiment_results(case68):
+def experiment_results(case68, tmp_path_factory):
+    """Both datasets saved as ``gen-dataset`` writes them (their ``repr``
+    round trip is exact), then trained by ``run_experiment`` on its default
+    workers, as ``gridsec train`` runs them."""
     start = time.perf_counter()
     init_cfg = GenerationConfig(
         n_samples=1000, tc_mix=0.0, csc_list=CSC_LINES, seed=100)
     update_cfg = GenerationConfig(
         n_samples=1000, tc_mix=0.30, tc_list=TC_LINES, csc_list=CSC_LINES,
         seed=200)
-    init_ds = build_dataset(case68, init_cfg)
-    update_ds = build_dataset(case68, update_cfg)
+    data_dir = tmp_path_factory.mktemp("criterion6")
     cfg = ExperimentConfig(
-        init_dataset="", update_dataset="",
+        init_dataset=str(data_dir / "init.csv"), update_dataset=str(data_dir / "update.csv"),
         init_epochs=500, update_epochs=1000, eval_every=250,
         seeds=(0, 1, 2), hidden=(64, 32), activation="relu",
     )
-    splits = {seed: standardized_splits(init_ds, update_ds, cfg.train_fraction, seed)
-              for seed in cfg.seeds}
-    results = {
-        alg: [run_single(cfg, alg, seed, splits[seed]) for seed in cfg.seeds]
-        for alg in ALGORITHMS
-    }
+    save_dataset(build_dataset(case68, init_cfg), cfg.init_dataset, init_cfg)
+    save_dataset(build_dataset(case68, update_cfg), cfg.update_dataset, update_cfg)
+    results = run_experiment(cfg)
+    assert list(results) == list(ALGORITHMS)
     return cfg, results, time.perf_counter() - start
 
 

@@ -1,7 +1,10 @@
+import dataclasses
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -9,8 +12,8 @@ import numpy as np
 import pytest
 
 import gridsec
-from gridsec import mlp
-from gridsec.data import Dataset
+from gridsec import mlp, train
+from gridsec.data import Dataset, load_dataset
 from gridsec.errors import ExperimentError
 from gridsec.mlp import MlpArchitecture
 from gridsec.optim import ALGORITHMS, Optimizer, OptimizerConfig, default_config
@@ -21,6 +24,7 @@ from gridsec.train import (
     checkpoints,
     parse_experiment_config,
     read_log,
+    resolve_jobs,
     run_experiment,
     run_phase,
     run_single,
@@ -261,6 +265,8 @@ BAD_VALUES = [
     ("[adam]\nlearning_rate = -1", r"\[adam\] learning rate must be positive"),
     ("[adam]\nlearning_rate = nan", r"\[adam\] learning rate must be positive"),
     ("[adagrad]\neps = nan", r"\[adagrad\] eps must be non-negative"),
+    ("[sgd]\nlearning_rate = inf", r"\[sgd\] learning rate must be positive and finite"),
+    ("[adam]\neps = inf", r"\[adam\] eps must be non-negative and finite"),
     ("[sgd-m]\nmomentum = 2", r"\[sgd-m\] momentum must lie in \[0, 1\]"),
     ("epochs = 10", r"\[experiment\] epochs: unknown key"),
     ("[adam]\nlearning-rate = 5", r"\[adam\] learning-rate: unknown key"),
@@ -354,6 +360,147 @@ def test_run_experiment_rejects_mismatched_columns(tmp_path, update_columns):
     with pytest.raises(ExperimentError,
                        match=re.escape(f"{ip} and {up} have different feature columns")):
         run_experiment(small_config(ip, up))
+
+
+# --- (seed, algorithm) runs on forked workers ---------------------------------
+
+def _two_cpus(monkeypatch):
+    """Two usable CPUs, so that jobs = 2 is valid on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def _no_fork(monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def _grid_config(tmp_path, **kw):
+    """Both blob datasets, 2 seeds x 7 algorithms, relu, and an sgd rate at
+    which seed 1 diverges in the initialization phase."""
+    _, _, ip, up = _save_datasets(tmp_path)
+    return small_config(ip, up, seeds=(0, 1), algorithms=ALGORITHMS, activation="relu",
+                        overrides={"sgd": {"learning_rate": 1e100}}, **kw)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_experiment_is_the_same_at_any_jobs(tmp_path, monkeypatch):
+    """Every run at jobs 1 and 2 equals a direct ``run_single`` loop, the
+    diverged sgd runs included. Results compare by ``repr``, which is exact
+    for floats and, unlike ``==``, equates the diverged rows' nans."""
+    _two_cpus(monkeypatch)
+    cfg = _grid_config(tmp_path)
+    init, update = load_dataset(cfg.init_dataset), load_dataset(cfg.update_dataset)
+    splits = {seed: standardized_splits(init, update, cfg.train_fraction, seed)
+              for seed in cfg.seeds}
+    oracle = {algorithm: [run_single(cfg, algorithm, seed, splits[seed]) for seed in cfg.seeds]
+              for algorithm in ALGORITHMS}
+    assert [run.rows[-1].diverged for run in oracle["sgd"]] == [False, True]
+    assert not any(run.rows[-1].diverged for run in oracle["adam"])
+    for jobs in (1, 2):
+        assert repr(run_experiment(dataclasses.replace(cfg, jobs=jobs))) == repr(oracle)
+    _assert_no_children()
+
+
+def _run_single_failing(monkeypatch, fail):
+    """Make ``train.run_single`` call ``fail(algorithm, seed)`` before each run."""
+    real = train.run_single
+
+    def run_single(cfg, algorithm, seed, splits):
+        fail(algorithm, seed)
+        return real(cfg, algorithm, seed, splits)
+    monkeypatch.setattr(train, "run_single", run_single)
+
+
+@pytest.mark.parametrize("failing,raised", [
+    (("nag-m", "adagrad"), "nag-m"),
+    (("nag", "nag-m"), "nag"),
+])
+def test_a_worker_exception_is_raised_for_the_lowest_failing_unit(tmp_path, monkeypatch,
+                                                                  failing, raised):
+    """At jobs 2, seed 0's nag-m (unit 3) runs in the child, and nag (unit 2)
+    and adagrad (unit 4) in this process. When two fail, the parent raises
+    the lower unit's exception, as jobs 1 would, with its type and message."""
+    _two_cpus(monkeypatch)
+
+    def fail(algorithm, seed):
+        if seed == 0 and algorithm in failing:
+            raise (ValueError if algorithm == raised else KeyError)(f"{algorithm} failed")
+    _run_single_failing(monkeypatch, fail)
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match=f"^{raised} failed$"):
+            run_experiment(_grid_config(tmp_path, jobs=jobs))
+        _assert_no_children()
+
+
+def test_a_killed_worker_is_an_experiment_error(tmp_path, monkeypatch):
+    """A child that dies without sending its results is an error naming its units."""
+    _two_cpus(monkeypatch)
+    parent = os.getpid()
+
+    def fail(algorithm, seed):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+    _run_single_failing(monkeypatch, fail)
+    with pytest.raises(ExperimentError, match=r"^a training worker ended with status -9 and "
+                                              r"no results for sgd-m seed 0, nag-m seed 0, "
+                                              r"adam seed 0, sgd seed 1, "):
+        run_experiment(_grid_config(tmp_path, jobs=2))
+    _assert_no_children()
+
+
+def test_an_interrupted_parent_kills_its_workers(tmp_path, monkeypatch):
+    """An interrupt in this process's own units kills and reaps the child at
+    once, although its run would take a minute."""
+    _two_cpus(monkeypatch)
+    parent = os.getpid()
+
+    def fail(algorithm, seed):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+    _run_single_failing(monkeypatch, fail)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(_grid_config(tmp_path, jobs=2))
+    _assert_no_children()
+    assert time.monotonic() - start < 30
+
+
+@pytest.mark.parametrize("jobs", [0, -1, "usable + 1"])
+def test_bad_jobs_rejected_before_any_load_or_fork(monkeypatch, jobs):
+    _no_fork(monkeypatch)
+    usable = len(os.sched_getaffinity(0))
+    jobs = usable + 1 if jobs == "usable + 1" else jobs
+    cfg = ExperimentConfig(init_dataset="no/such/init.csv",
+                           update_dataset="no/such/update.csv", jobs=jobs)
+    with pytest.raises(ExperimentError, match=rf"^jobs = {jobs} must lie in 1\.\.{usable}, "):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize("env,n_units,want", [
+    ({}, 14, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 14, 1),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 14, 1),
+    ({"OMP_NUM_THREADS": "1"}, 14, 4),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 14, 4),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
+])
+def test_default_jobs_needs_one_blas_thread(monkeypatch, env, n_units, want):
+    """jobs = None is one worker per usable CPU, capped at the unit count,
+    only where each worker's BLAS runs one thread; otherwise 1."""
+    _no_fork(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert resolve_jobs(None, n_units) == want
+    assert resolve_jobs(3, n_units) == min(3, n_units)
 
 
 GOLDEN_LOG = Path(__file__).parent / "data" / "golden_train_log.csv"
