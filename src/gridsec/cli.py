@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 domain error (reported on stderr), 2 usage error
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -115,7 +114,6 @@ def _write_summaries(results, epochs, out_dir):
 def cmd_train(args):
     with open_text(_resolve(args.config)) as fh:
         cfg = train.parse_experiment_config(fh.read())
-    cfg = dataclasses.replace(cfg, jobs=args.jobs)
     os.makedirs(args.out_dir, exist_ok=True)
     results = train.run_experiment(cfg)
     for algorithm, runs in results.items():
@@ -207,8 +205,6 @@ def build_parser():
     p = sub.add_parser("train", help="run the two-phase online-learning experiment")
     p.add_argument("--config", required=True, help="experiment INI file")
     p.add_argument("--out-dir", required=True, help="directory for logs and summaries")
-    p.add_argument("--jobs", type=int, help="training workers (default: one per usable CPU "
-                   "when BLAS runs 1 thread, else 1); the logs are the same at any value")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("report", help="rebuild summary tables from training logs")

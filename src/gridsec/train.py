@@ -103,7 +103,6 @@ class ExperimentConfig:
     activation: str = "relu"
     algorithms: tuple = ALGORITHMS
     overrides: dict = field(default_factory=dict)  # per-algorithm hyperparameters
-    jobs: int | None = None  # training workers; None: see ``resolve_jobs``
 
     def __post_init__(self):
         """Reject a phase length, checkpoint cadence, split, seed list,
@@ -263,17 +262,15 @@ def run_single(cfg: ExperimentConfig, algorithm, seed, splits) -> RunResult:
     return RunResult(algorithm, seed, init_rows + upd_rows)
 
 
-def resolve_jobs(jobs, n_units):
-    """Workers for ``n_units`` runs, at most ``n_units``: ``jobs`` (1..usable
-    CPUs) or, for None, one per usable CPU if BLAS runs one thread
-    (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, is "1"), else 1."""
-    usable = len(os.sched_getaffinity(0))
-    if jobs is None:
-        threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
-        jobs = usable if threads == "1" else 1
-    elif not 1 <= jobs <= usable:
-        raise ExperimentError(f"jobs = {jobs} must lie in 1..{usable}, the usable CPUs")
-    return min(jobs, n_units)
+def resolve_jobs(n_units):
+    """Workers for ``n_units`` runs: one per usable CPU, at most ``n_units``,
+    where BLAS runs one thread (``OPENBLAS_NUM_THREADS``, else
+    ``OMP_NUM_THREADS``, is "1") and the OS reports the usable CPUs
+    (``os.sched_getaffinity``); otherwise 1, with no fork."""
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    if threads != "1" or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_units)
 
 
 def _run_units(cfg, units, indices):
@@ -335,8 +332,8 @@ def _train_units(cfg, units, jobs):
 def run_experiment(cfg: ExperimentConfig):
     """All configured algorithms x seeds; identical init and data order per
     seed across algorithms, with the splits made once per seed. Returns
-    {algorithm: [RunResult per seed]}, in config order, equal at any jobs."""
-    jobs = resolve_jobs(cfg.jobs, len(cfg.seeds) * len(cfg.algorithms))
+    {algorithm: [RunResult per seed]}, in config order, equal at any number
+    of workers (``resolve_jobs``)."""
     try:
         init_ds = load_dataset(cfg.init_dataset)
         update_ds = load_dataset(cfg.update_dataset)
@@ -355,7 +352,7 @@ def run_experiment(cfg: ExperimentConfig):
         splits = standardized_splits(init_ds, update_ds, cfg.train_fraction, seed)
         units += [(algorithm, seed, splits) for algorithm in cfg.algorithms]
     results = {algorithm: [] for algorithm in cfg.algorithms}
-    for run in _train_units(cfg, units, jobs):
+    for run in _train_units(cfg, units, resolve_jobs(len(units))):
         results[run.algorithm].append(run)
     return results
 

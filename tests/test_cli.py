@@ -40,7 +40,7 @@ def test_help_lists_all_subcommands(capsys):
     ("screen", ["--case", "--configs", "--out"]),
     ("gen-dataset", ["--case", "--n", "--seed", "--scale-lo", "--scale-hi",
                      "--tc-mix", "--tc-list", "--csc-list", "--out"]),
-    ("train", ["--config", "--out-dir", "--jobs"]),
+    ("train", ["--config", "--out-dir"]),
     ("report", ["--log-dir", "--out"]),
 ])
 def test_subcommand_help_covers_flags(capsys, command, flags):
@@ -215,10 +215,12 @@ def test_train_reruns_byte_identical(tmp_path, capsys):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="--jobs 2 needs two usable CPUs")
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="2 workers need two usable CPUs")
 def test_train_output_is_the_same_at_any_jobs(tmp_path, capsys):
-    """``gridsec train --jobs 1`` and ``--jobs 2`` write the same bytes, at
-    the BLAS thread count the environment sets, for 2 seeds x 7 algorithms."""
+    """``gridsec train`` at one BLAS thread writes the same bytes on one
+    worker (the process pinned to one CPU) as on one per usable CPU, for
+    2 seeds x 7 algorithms."""
     csc = tmp_path / "csc.txt"
     _write_csc_list(csc)
     ds = tmp_path / "ds.csv"
@@ -229,33 +231,19 @@ def test_train_output_is_the_same_at_any_jobs(tmp_path, capsys):
                    "init_epochs = 20\nupdate_epochs = 20\neval_every = 5\nseeds = 0 1\n"
                    "hidden = 8\n")
     src = str(Path(gridsec.__file__).resolve().parents[1])
-    env = {**os.environ,
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    one_cpu = {min(os.sched_getaffinity(0))}
     outputs = []
-    for jobs in ("1", "2"):
-        out_dir = tmp_path / f"jobs{jobs}"
+    for cpus, preexec in (("one", lambda: os.sched_setaffinity(0, one_cpu)), ("all", None)):
+        out_dir = tmp_path / cpus
         done = subprocess.run([sys.executable, "-m", "gridsec.cli", "train", "--config", str(ini),
-                               "--out-dir", str(out_dir), "--jobs", jobs],
+                               "--out-dir", str(out_dir)], preexec_fn=preexec,
                               env=env, capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stderr
         outputs.append({name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)})
     assert len(outputs[0]) == 7 * 2 + 2  # a log per run and two summaries
     assert outputs[0] == outputs[1]
-
-
-def test_train_bad_jobs(tmp_path, capsys):
-    """``--jobs`` that is not an integer is a usage error; one outside
-    1..usable CPUs is one error line, before the datasets are read."""
-    ini = tmp_path / "exp.ini"
-    ini.write_text("[experiment]\ninit_dataset = no/init.csv\nupdate_dataset = no/update.csv\n")
-    argv = ["train", "--config", str(ini), "--out-dir", str(tmp_path / "train"), "--jobs"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["x"])
-    assert exc.value.code == 2
-    assert "argument --jobs: invalid int value: 'x'" in capsys.readouterr().err
-    code, _, err = run_cli(capsys, *argv, "0")
-    assert code == 1
-    assert err == f"error: jobs = 0 must lie in 1..{len(os.sched_getaffinity(0))}, the usable CPUs\n"
 
 
 def test_report_empty_dir_exit_1(tmp_path, capsys):

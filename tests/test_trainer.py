@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import re
 import signal
@@ -364,23 +363,20 @@ def test_run_experiment_rejects_mismatched_columns(tmp_path, update_columns):
 
 # --- (seed, algorithm) runs on forked workers ---------------------------------
 
-def _two_cpus(monkeypatch):
-    """Two usable CPUs, so that jobs = 2 is valid on any machine."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+def _workers(monkeypatch, n):
+    """Make ``resolve_jobs`` pick ``n`` workers on any machine: ``n`` usable
+    CPUs and BLAS read as pinned. The BLAS already loaded keeps its thread
+    count, so results stay comparable within a test."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
 
 
-def _no_fork(monkeypatch):
-    def fork():
-        raise AssertionError("forked")
-    monkeypatch.setattr(os, "fork", fork)
-
-
-def _grid_config(tmp_path, **kw):
+def _grid_config(tmp_path):
     """Both blob datasets, 2 seeds x 7 algorithms, relu, and an sgd rate at
     which seed 1 diverges in the initialization phase."""
     _, _, ip, up = _save_datasets(tmp_path)
     return small_config(ip, up, seeds=(0, 1), algorithms=ALGORITHMS, activation="relu",
-                        overrides={"sgd": {"learning_rate": 1e100}}, **kw)
+                        overrides={"sgd": {"learning_rate": 1e100}})
 
 
 def _assert_no_children():
@@ -389,10 +385,9 @@ def _assert_no_children():
 
 
 def test_run_experiment_is_the_same_at_any_jobs(tmp_path, monkeypatch):
-    """Every run at jobs 1 and 2 equals a direct ``run_single`` loop, the
+    """Every run on 1 and 2 workers equals a direct ``run_single`` loop, the
     diverged sgd runs included. Results compare by ``repr``, which is exact
     for floats and, unlike ``==``, equates the diverged rows' nans."""
-    _two_cpus(monkeypatch)
     cfg = _grid_config(tmp_path)
     init, update = load_dataset(cfg.init_dataset), load_dataset(cfg.update_dataset)
     splits = {seed: standardized_splits(init, update, cfg.train_fraction, seed)
@@ -402,7 +397,8 @@ def test_run_experiment_is_the_same_at_any_jobs(tmp_path, monkeypatch):
     assert [run.rows[-1].diverged for run in oracle["sgd"]] == [False, True]
     assert not any(run.rows[-1].diverged for run in oracle["adam"])
     for jobs in (1, 2):
-        assert repr(run_experiment(dataclasses.replace(cfg, jobs=jobs))) == repr(oracle)
+        _workers(monkeypatch, jobs)
+        assert repr(run_experiment(cfg)) == repr(oracle)
     _assert_no_children()
 
 
@@ -422,24 +418,24 @@ def _run_single_failing(monkeypatch, fail):
 ])
 def test_a_worker_exception_is_raised_for_the_lowest_failing_unit(tmp_path, monkeypatch,
                                                                   failing, raised):
-    """At jobs 2, seed 0's nag-m (unit 3) runs in the child, and nag (unit 2)
-    and adagrad (unit 4) in this process. When two fail, the parent raises
-    the lower unit's exception, as jobs 1 would, with its type and message."""
-    _two_cpus(monkeypatch)
-
+    """On 2 workers, seed 0's nag-m (unit 3) runs in the child, and nag
+    (unit 2) and adagrad (unit 4) in this process. When two fail, the parent
+    raises the lower unit's exception, as 1 worker would, with its type and
+    message."""
     def fail(algorithm, seed):
         if seed == 0 and algorithm in failing:
             raise (ValueError if algorithm == raised else KeyError)(f"{algorithm} failed")
     _run_single_failing(monkeypatch, fail)
     for jobs in (1, 2):
+        _workers(monkeypatch, jobs)
         with pytest.raises(ValueError, match=f"^{raised} failed$"):
-            run_experiment(_grid_config(tmp_path, jobs=jobs))
+            run_experiment(_grid_config(tmp_path))
         _assert_no_children()
 
 
 def test_a_killed_worker_is_an_experiment_error(tmp_path, monkeypatch):
     """A child that dies without sending its results is an error naming its units."""
-    _two_cpus(monkeypatch)
+    _workers(monkeypatch, 2)
     parent = os.getpid()
 
     def fail(algorithm, seed):
@@ -449,14 +445,14 @@ def test_a_killed_worker_is_an_experiment_error(tmp_path, monkeypatch):
     with pytest.raises(ExperimentError, match=r"^a training worker ended with status -9 and "
                                               r"no results for sgd-m seed 0, nag-m seed 0, "
                                               r"adam seed 0, sgd seed 1, "):
-        run_experiment(_grid_config(tmp_path, jobs=2))
+        run_experiment(_grid_config(tmp_path))
     _assert_no_children()
 
 
 def test_an_interrupted_parent_kills_its_workers(tmp_path, monkeypatch):
     """An interrupt in this process's own units kills and reaps the child at
     once, although its run would take a minute."""
-    _two_cpus(monkeypatch)
+    _workers(monkeypatch, 2)
     parent = os.getpid()
 
     def fail(algorithm, seed):
@@ -466,20 +462,9 @@ def test_an_interrupted_parent_kills_its_workers(tmp_path, monkeypatch):
     _run_single_failing(monkeypatch, fail)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        run_experiment(_grid_config(tmp_path, jobs=2))
+        run_experiment(_grid_config(tmp_path))
     _assert_no_children()
     assert time.monotonic() - start < 30
-
-
-@pytest.mark.parametrize("jobs", [0, -1, "usable + 1"])
-def test_bad_jobs_rejected_before_any_load_or_fork(monkeypatch, jobs):
-    _no_fork(monkeypatch)
-    usable = len(os.sched_getaffinity(0))
-    jobs = usable + 1 if jobs == "usable + 1" else jobs
-    cfg = ExperimentConfig(init_dataset="no/such/init.csv",
-                           update_dataset="no/such/update.csv", jobs=jobs)
-    with pytest.raises(ExperimentError, match=rf"^jobs = {jobs} must lie in 1\.\.{usable}, "):
-        run_experiment(cfg)
 
 
 @pytest.mark.parametrize("env,n_units,want", [
@@ -490,17 +475,29 @@ def test_bad_jobs_rejected_before_any_load_or_fork(monkeypatch, jobs):
     ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 14, 4),
     ({"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
 ])
-def test_default_jobs_needs_one_blas_thread(monkeypatch, env, n_units, want):
-    """jobs = None is one worker per usable CPU, capped at the unit count,
-    only where each worker's BLAS runs one thread; otherwise 1."""
-    _no_fork(monkeypatch)
+def test_workers_need_one_blas_thread(monkeypatch, env, n_units, want):
+    """One worker per usable CPU, capped at the unit count, only where each
+    worker's BLAS runs one thread; otherwise 1."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    assert resolve_jobs(None, n_units) == want
-    assert resolve_jobs(3, n_units) == min(3, n_units)
+    assert resolve_jobs(n_units) == want
+
+
+def test_one_worker_where_the_os_reports_no_usable_cpus(tmp_path, monkeypatch):
+    """Without ``os.sched_getaffinity`` (macOS, Windows) an experiment runs
+    in this process, with no fork."""
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+    def fork():
+        raise AssertionError("forked")
+    monkeypatch.setattr(os, "fork", fork)
+    assert resolve_jobs(14) == 1
+    _, _, ip, up = _save_datasets(tmp_path)
+    assert list(run_experiment(small_config(ip, up))) == ["sgd", "adam"]
 
 
 GOLDEN_LOG = Path(__file__).parent / "data" / "golden_train_log.csv"
