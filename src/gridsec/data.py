@@ -134,6 +134,8 @@ def generate_oc(
     lo, hi = scale_range
     if not 0.0 <= lo <= hi < np.inf:
         raise DatasetError(f"bad scale range [{lo}, {hi}]")
+    if not (hasattr(type(max_rejects), "__index__") and max_rejects >= 0):  # an int or numpy int
+        raise DatasetError(f"max_rejects must be a non-negative integer, not {max_rejects!r}")
     base_p, _ = case.total_load()
     for attempt in range(max_rejects + 1):
         rng = np.random.default_rng((*np.atleast_1d(rng_seed).tolist(), attempt))

@@ -263,12 +263,9 @@ def run_single(cfg: ExperimentConfig, algorithm, seed, splits) -> RunResult:
 
 
 def resolve_jobs(n_units):
-    """Workers for ``n_units`` runs: one per usable CPU, at most ``n_units``,
-    where BLAS runs one thread (``OPENBLAS_NUM_THREADS``, else
-    ``OMP_NUM_THREADS``, is "1") and the OS reports the usable CPUs
-    (``os.sched_getaffinity``); otherwise 1, with no fork."""
-    threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
-    if threads != "1" or not hasattr(os, "sched_getaffinity"):
+    """Workers for ``n_units`` runs: one per usable CPU, at most ``n_units``;
+    1, with no fork, where the OS does not report them (``os.sched_getaffinity``)."""
+    if not hasattr(os, "sched_getaffinity"):
         return 1
     return min(len(os.sched_getaffinity(0)), n_units)
 

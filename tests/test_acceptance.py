@@ -31,7 +31,7 @@ from gridsec.train import (
     run_experiment,
 )
 
-from tests.conftest import CSC_LINES, CSC_LINES_9BUS, TC_LINES
+from tests.conftest import CSC_LINES, CSC_LINES_9BUS, TC_LINES, unpinned_env
 from tests.test_powerflow import recompute_max_mismatch
 
 
@@ -275,8 +275,8 @@ def test_criterion_6_runtime_budget(experiment_results):
 # --- 7. pipeline determinism ---------------------------------------------------
 
 def _run_pipeline(tmp_path, tag):
-    # byte-identical reruns are promised at a fixed BLAS thread count
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    # no BLAS thread-count variable: gridsec pins BLAS to one thread itself
+    env = unpinned_env()
     out_dir = tmp_path / f"out_{tag}"
     out_dir.mkdir()
     case = str(bundled_case_path("case9"))

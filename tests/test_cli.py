@@ -6,12 +6,11 @@ from pathlib import Path
 
 import pytest
 
-import gridsec
 from gridsec.cli import build_parser, main
 from gridsec.model import bundled_case_path
 from gridsec.train import PHASE_INIT, PHASE_UPDATE, LogRow, RunResult, write_log
 
-from tests.conftest import CSC_LINES_9BUS
+from tests.conftest import CSC_LINES_9BUS, unpinned_env
 
 CASE2 = str(bundled_case_path("case2"))
 CASE9 = str(bundled_case_path("case9"))
@@ -218,9 +217,9 @@ def test_train_reruns_byte_identical(tmp_path, capsys):
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="2 workers need two usable CPUs")
 def test_train_output_is_the_same_at_any_jobs(tmp_path, capsys):
-    """``gridsec train`` at one BLAS thread writes the same bytes on one
-    worker (the process pinned to one CPU) as on one per usable CPU, for
-    2 seeds x 7 algorithms."""
+    """``gridsec train``, with no BLAS thread-count variable set, writes the
+    same bytes on one worker (the process pinned to one CPU) as on one per
+    usable CPU, for 2 seeds x 7 algorithms."""
     csc = tmp_path / "csc.txt"
     _write_csc_list(csc)
     ds = tmp_path / "ds.csv"
@@ -230,9 +229,7 @@ def test_train_output_is_the_same_at_any_jobs(tmp_path, capsys):
     ini.write_text(f"[experiment]\ninit_dataset = {ds}\nupdate_dataset = {ds}\n"
                    "init_epochs = 20\nupdate_epochs = 20\neval_every = 5\nseeds = 0 1\n"
                    "hidden = 8\n")
-    src = str(Path(gridsec.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = unpinned_env()
     one_cpu = {min(os.sched_getaffinity(0))}
     outputs = []
     for cpus, preexec in (("one", lambda: os.sched_setaffinity(0, one_cpu)), ("all", None)):
@@ -495,9 +492,7 @@ def test_readme_cli_block_runs(tmp_path):
     root = Path(__file__).resolve().parents[1]
     readme = (root / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    src = str(Path(gridsec.__file__).resolve().parents[1])
-    env = {**os.environ, "GRIDSEC_DATA_DIR": str(root),
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = unpinned_env(GRIDSEC_DATA_DIR=str(root))
     script = f'gridsec() {{ {shlex.quote(sys.executable)} -m gridsec.cli "$@"; }}\n' + block
     done = subprocess.run(["bash", "-e", "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=600)

@@ -1,5 +1,4 @@
 import dataclasses
-import os
 import re
 import subprocess
 import sys
@@ -32,7 +31,7 @@ from gridsec.model import (
 from gridsec.powerflow import solve_powerflow
 from gridsec.security import Label, run_contingency_screen
 
-from tests.conftest import CSC_LINES, TC_LINES
+from tests.conftest import CSC_LINES, TC_LINES, unpinned_env
 from tests.test_security import exhaustive_screen
 
 
@@ -127,6 +126,23 @@ def test_generate_oc_applies_tc(case68):
 def test_generate_oc_bad_range(case68, scale_range):
     with pytest.raises(DatasetError, match="bad scale range"):
         generate_oc(case68, (0, 0), scale_range=scale_range)
+
+
+@pytest.mark.parametrize("max_rejects", [-1, -3, 2.5, "2", None])
+def test_generate_oc_bad_max_rejects(case9, max_rejects):
+    """A negative or non-integer ``max_rejects`` is an error that names it,
+    from ``generate_oc`` and from ``build_dataset``, not a count of draws
+    that were never made or a bare TypeError."""
+    match = f"^max_rejects must be a non-negative integer, not {re.escape(repr(max_rejects))}$"
+    with pytest.raises(DatasetError, match=match):
+        generate_oc(case9, 0, max_rejects=max_rejects)
+    cfg = GenerationConfig(n_samples=1, csc_list=("4-5",), seed=0, max_rejects=max_rejects)
+    with pytest.raises(DatasetError, match=match):
+        build_dataset(case9, cfg)
+
+
+def test_generate_oc_takes_a_numpy_max_rejects(case9):
+    assert generate_oc(case9, 0, max_rejects=np.int64(0))[3] == 0
 
 
 def test_build_dataset_deterministic(case68):
@@ -245,7 +261,6 @@ def test_build_dataset_reads_each_bus_band(case9):
 def test_labelling_does_not_import_scipy():
     """The screen's ranking is numpy only: labelling a sample leaves scipy
     unimported."""
-    src = str(Path(gridsec.__file__).resolve().parent.parent)
     code = (
         "import sys\n"
         "from gridsec.data import GenerationConfig, build_dataset\n"
@@ -255,8 +270,8 @@ def test_labelling_does_not_import_scipy():
         "build_dataset(load_bundled_case('case68'), cfg)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=unpinned_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -420,25 +435,33 @@ def test_load_rejects_bad_feature(tmp_path, value):
 GOLDEN_DATASET = Path(__file__).parent / "data" / "golden_case68_dataset.csv"
 
 
-def test_golden_case68_dataset(tmp_path):
+# Run as ``python -c``: a caller that loads numpy, and so OpenBLAS, before gridsec.
+NUMPY_FIRST = "import sys, numpy; from gridsec.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("blas_env,caller", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, ["-m", "gridsec.cli"]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["-m", "gridsec.cli"]),
+    ({}, ["-m", "gridsec.cli"]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["-c", NUMPY_FIRST]),
+], ids=["1-thread", "2-threads", "unset", "2-threads-numpy-first"])
+def test_golden_case68_dataset(tmp_path, blas_env, caller):
     """A 60-sample case68 ``gridsec gen-dataset`` with 30% TCs and the 8
-    criterion-6 CSCs writes the stored CSV and ``.meta`` byte for byte. The
-    run is a subprocess at one BLAS thread, the condition of the determinism
-    promise. A change to the solver, the screen or the case edits that moves
-    any feature's last digit, or any label, fails here."""
+    criterion-6 CSCs writes the stored CSV and ``.meta`` byte for byte,
+    whatever BLAS thread count the environment asks for, and also where the
+    caller loaded numpy first: gridsec runs BLAS on one thread. A change to
+    the solver, the screen or the case edits that moves any feature's last
+    digit, or any label, fails here."""
     tc_list, csc_list = tmp_path / "tc.txt", tmp_path / "csc.txt"
     tc_list.write_text("\n".join(TC_LINES) + "\n")
     csc_list.write_text("\n".join(CSC_LINES) + "\n")
     out = tmp_path / "ds.csv"
-    src = str(Path(gridsec.__file__).resolve().parent.parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
-        [sys.executable, "-m", "gridsec.cli", "gen-dataset",
+        [sys.executable, *caller, "gen-dataset",
          "--case", str(bundled_case_path("case68")), "--n", "60", "--seed", "300",
          "--tc-mix", "0.3", "--tc-list", str(tc_list), "--csc-list", str(csc_list),
          "--out", str(out)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=unpinned_env(**blas_env),
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == GOLDEN_DATASET.read_bytes()

@@ -1,16 +1,26 @@
-"""Property tests of the solver's reactive-limit switching, of the
-islanding rule of branch outages and of the ranked N-1 screen."""
+"""Property tests of the solver's reactive-limit switching and convergence
+flag, of the islanding rule of branch outages and of the ranked N-1 screen."""
 
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
 from gridsec.data import generate_oc
-from gridsec.model import Branch, Bus, BusKind, NetworkCase
+from gridsec.model import (
+    Branch,
+    Bus,
+    BusKind,
+    NetworkCase,
+    apply_outage,
+    reschedule_generation,
+    scale_loads,
+)
 from gridsec.powerflow import TOLERANCE, solve_powerflow
 
 from tests.test_grid_model import check_outages
-from tests.conftest import CSC_LINES, TC_LINES
+from tests.conftest import CSC_LINES, CSC_LINES_9BUS, TC_LINES
 from tests.test_powerflow import injections, recompute_max_mismatch
 from tests.test_security import check_ranked_screen
 
@@ -49,6 +59,34 @@ def test_q_limit_pins_hold_their_bound(case9, limits, warm):
         assert q_gen == pytest.approx(pinned, abs=10 * TOLERANCE)
 
 
+# a case and no outage or one of its TCs or CSCs
+outaged_cases = st.one_of(
+    st.tuples(st.just("case9"), st.sampled_from((None,) + CSC_LINES_9BUS)),
+    st.tuples(st.just("case68"), st.sampled_from((None,) + TC_LINES + CSC_LINES)),
+)
+
+
+@hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@hypothesis.given(outaged=outaged_cases, scale=st.floats(0.5, 4.0))
+def test_converged_flag_matches_the_recomputed_mismatch(case9, case68, outaged, scale):
+    """Every load scaled by one factor, up to past the nose: a solve that says
+    it converged meets the tolerance on the oracle's recomputed mismatch, and
+    one that says it did not misses it or is non-finite."""
+    name, outage = outaged
+    case = case9 if name == "case9" else case68
+    oc = scale_loads(case, scale)
+    oc = reschedule_generation(oc, oc.total_load()[0] - case.total_load()[0])
+    if outage is not None:
+        oc = apply_outage(oc, oc.find_branch(outage))
+    sol = solve_powerflow(oc)
+    with np.errstate(all="ignore"):  # a diverged iterate may overflow
+        mismatch = recompute_max_mismatch(oc, sol)
+    if sol.converged:
+        assert mismatch <= 10 * TOLERANCE
+    else:
+        assert mismatch > TOLERANCE or not math.isfinite(mismatch)
+
+
 @st.composite
 def multigraphs(draw):
     """Random cases: a random spanning tree plus extra branches, some of them
@@ -76,6 +114,7 @@ def test_bridge_rule_matches_bfs(case):
     check_outages(case)
 
 
+@pytest.mark.usefixtures("blas_threads")
 @hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @hypothesis.given(draw=st.integers(0, 10_000), tc=st.sampled_from((None,) + TC_LINES),
                   bridge=st.sampled_from((None, "11-56", "41-66")), at=st.integers(0, 8))

@@ -384,6 +384,7 @@ def check_ranked_screen(case, sol, csc_list):
     return result
 
 
+@pytest.mark.usefixtures("blas_threads")
 def test_screen_stops_at_first_failure_and_matches_exhaustive(case68):
     # (draw, TC): Secure and Insecure OCs with and without a TC
     draws = [(0, None), (2, None), (1, "18-42"), (3, "38-46"), (39, "54-55")]
@@ -415,6 +416,7 @@ def recorded(monkeypatch, name):
     return results
 
 
+@pytest.mark.usefixtures("blas_threads")
 def test_secure_screen_makes_one_exact_solve(case68, monkeypatch):
     """A Secure OC whose chord accepts every CSC after the first: one exact
     CSC solve, and the all-exact screen's result."""
@@ -448,6 +450,7 @@ def q_limited(case, factor):
         for g in case.generators))
 
 
+@pytest.mark.usefixtures("blas_threads")
 def test_chord_fallbacks_keep_the_exact_screen(case9, case68, monkeypatch):
     """A stress set on which each kind of chord fallback fires: the screen is
     ``==`` to the all-exact ranked screen on every OC."""

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridsec
 from gridsec import mlp, train
@@ -31,6 +33,8 @@ from gridsec.train import (
     summarize,
     write_log,
 )
+
+from tests.conftest import BLAS_VARS, unpinned_env
 
 
 def make_blobs(n, seed, shift=2.0):
@@ -365,10 +369,10 @@ def test_run_experiment_rejects_mismatched_columns(tmp_path, update_columns):
 
 def _workers(monkeypatch, n):
     """Make ``resolve_jobs`` pick ``n`` workers on any machine: ``n`` usable
-    CPUs and BLAS read as pinned. The BLAS already loaded keeps its thread
-    count, so results stay comparable within a test."""
+    CPUs, and no BLAS thread-count variable set."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
 
 
 def _grid_config(tmp_path):
@@ -385,9 +389,10 @@ def _assert_no_children():
 
 
 def test_run_experiment_is_the_same_at_any_jobs(tmp_path, monkeypatch):
-    """Every run on 1 and 2 workers equals a direct ``run_single`` loop, the
-    diverged sgd runs included. Results compare by ``repr``, which is exact
-    for floats and, unlike ``==``, equates the diverged rows' nans."""
+    """Every run on 1 and 2 workers, 2 being one fork, equals a direct
+    ``run_single`` loop, the diverged sgd runs included. Results compare by
+    ``repr``, which is exact for floats and, unlike ``==``, equates the
+    diverged rows' nans."""
     cfg = _grid_config(tmp_path)
     init, update = load_dataset(cfg.init_dataset), load_dataset(cfg.update_dataset)
     splits = {seed: standardized_splits(init, update, cfg.train_fraction, seed)
@@ -396,9 +401,18 @@ def test_run_experiment_is_the_same_at_any_jobs(tmp_path, monkeypatch):
               for algorithm in ALGORITHMS}
     assert [run.rows[-1].diverged for run in oracle["sgd"]] == [False, True]
     assert not any(run.rows[-1].diverged for run in oracle["adam"])
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+    monkeypatch.setattr(os, "fork", counted_fork)
     for jobs in (1, 2):
         _workers(monkeypatch, jobs)
+        forks.clear()
         assert repr(run_experiment(cfg)) == repr(oracle)
+        assert len(forks) == jobs - 1
     _assert_no_children()
 
 
@@ -467,30 +481,57 @@ def test_an_interrupted_parent_kills_its_workers(tmp_path, monkeypatch):
     assert time.monotonic() - start < 30
 
 
-@pytest.mark.parametrize("env,n_units,want", [
-    ({}, 14, 1),
-    ({"OPENBLAS_NUM_THREADS": "2"}, 14, 1),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 14, 1),
-    ({"OMP_NUM_THREADS": "1"}, 14, 4),
-    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 14, 4),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
-])
-def test_workers_need_one_blas_thread(monkeypatch, env, n_units, want):
-    """One worker per usable CPU, capped at the unit count, only where each
-    worker's BLAS runs one thread; otherwise 1."""
+@pytest.mark.parametrize("n_units,want", [(14, 4), (3, 3)])
+def test_one_worker_per_usable_cpu(monkeypatch, n_units, want):
+    """One worker per usable CPU, capped at the unit count, whatever the
+    BLAS thread-count variables say."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
+    for var in BLAS_VARS:
+        monkeypatch.setenv(var, "2")
     assert resolve_jobs(n_units) == want
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(n_units=st.integers(1, 9), cpus=st.integers(1, 3), data=st.data())
+def test_worker_map_is_the_serial_loop(n_units, cpus, data):
+    """Over drawn unit and CPU counts and failing units, the worker map
+    returns what a serial ``run_single`` loop returns, in unit order, or
+    raises the lowest failing unit's exception; no child outlives it."""
+    failing = data.draw(st.sets(st.integers(0, n_units - 1)))
+    units = [(f"algorithm{i}", i, None) for i in range(n_units)]
+
+    def run_single(cfg, algorithm, seed, splits):
+        if seed in failing:
+            raise ValueError(f"unit {seed} failed")
+        return algorithm, seed
+    with pytest.MonkeyPatch.context() as mp:
+        _workers(mp, cpus)
+        mp.setattr(train, "run_single", run_single)
+        jobs = resolve_jobs(n_units)
+        assert jobs == min(cpus, n_units)
+        if failing:
+            with pytest.raises(ValueError, match=f"^unit {min(failing)} failed$"):
+                train._train_units(None, units, jobs)
+        else:
+            assert train._train_units(None, units, jobs) == [unit[:2] for unit in units]
+    _assert_no_children()
+
+
+@pytest.mark.skipif(gridsec.OPENBLAS is None, reason="no bundled OpenBLAS to ask")
+def test_importing_gridsec_pins_one_blas_thread():
+    """Under ``OPENBLAS_NUM_THREADS=2``, a process that imports numpy and
+    then gridsec has numpy's bundled OpenBLAS on one thread."""
+    code = "import numpy, gridsec; print(gridsec.OPENBLAS.scipy_openblas_get_num_threads64_())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=unpinned_env(OPENBLAS_NUM_THREADS="2"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
 
 
 def test_one_worker_where_the_os_reports_no_usable_cpus(tmp_path, monkeypatch):
     """Without ``os.sched_getaffinity`` (macOS, Windows) an experiment runs
     in this process, with no fork."""
     monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
 
     def fork():
         raise AssertionError("forked")
@@ -507,8 +548,7 @@ GOLDEN_LOG_TANH = Path(__file__).parent / "data" / "golden_train_log_tanh.csv"
 def _golden_run_log(tmp_path, activation="relu"):
     """The ``write_log`` bytes of every run of a 7-algorithm, 2-seed
     ``gridsec train`` on the blob datasets with ``activation``, in config
-    order. The run is a subprocess at one BLAS thread, the condition of the
-    determinism promise."""
+    order, from a subprocess."""
     _, _, ip, up = _save_datasets(tmp_path)
     ini = tmp_path / "exp.ini"
     ini.write_text(f"""\
@@ -523,13 +563,10 @@ hidden = 8 4
 activation = {activation}
 """)
     out_dir = tmp_path / "train"
-    src = str(Path(gridsec.__file__).resolve().parent.parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "gridsec.cli", "train", "--config", str(ini),
          "--out-dir", str(out_dir)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=unpinned_env(),
     )
     assert proc.returncode == 0, proc.stderr
     return b"".join((out_dir / f"{algorithm}_seed{seed}.log.csv").read_bytes()
