@@ -481,13 +481,24 @@ def test_an_interrupted_parent_kills_its_workers(tmp_path, monkeypatch):
     assert time.monotonic() - start < 30
 
 
-@pytest.mark.parametrize("n_units,want", [(14, 4), (3, 3)])
-def test_one_worker_per_usable_cpu(monkeypatch, n_units, want):
+@pytest.mark.parametrize("env,n_units,want", [
+    ({}, 14, 4),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 14, 4),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 14, 4),
+    ({"OMP_NUM_THREADS": "1"}, 14, 4),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 14, 4),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
+    (dict.fromkeys(BLAS_VARS, "2"), 14, 4),
+])
+def test_workers_need_one_blas_thread(monkeypatch, env, n_units, want):
     """One worker per usable CPU, capped at the unit count, whatever the
-    BLAS thread-count variables say."""
+    BLAS thread-count variables say: importing gridsec pins each worker's
+    BLAS to one thread."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     for var in BLAS_VARS:
-        monkeypatch.setenv(var, "2")
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
     assert resolve_jobs(n_units) == want
 
 
