@@ -8,7 +8,7 @@ warm-start from the OC's solution (fewer Newton-Raphson iterations than a
 flat start, the same labels) and it ranks the CSCs by that solution's flows.
 ``build_dataset`` checks its config once (a CSC or TC that is out of service
 or listed twice, a TC that islands the base network and a branch that is
-both a TC and a CSC are rejected), then labels the samples in one loop.
+both a TC and a CSC are rejected), then maps its samples over ``workers.map_units``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import DatasetError, open_text
 from .model import NetworkCase, apply_outage, reschedule_generation, scale_loads
 from .powerflow import PowerFlowSolution, solve_powerflow
 from .security import Label, run_contingency_screen
+from .workers import map_units
 
 __all__ = [
     "GenerationConfig", "Dataset", "generate_oc", "sample_tcs",
@@ -171,26 +172,28 @@ def build_dataset(case: NetworkCase, config: GenerationConfig) -> Dataset:
     if not config.csc_list:
         raise DatasetError("no contingencies configured")
     _check_lists(case, config)
-    names = feature_names(case)
     tcs = sample_tcs(config)
-    x = np.empty((config.n_samples, len(names)))
-    y = np.empty(config.n_samples, dtype=np.int64)
+
+    def label(i):  # sample i's (row, class, rejected draws), from (seed, i), tcs[i], run alone
+        oc, solution, _, rejects = generate_oc(case, (config.seed, i), run.scale_range,
+                                               tc=tcs[i], max_rejects=config.max_rejects)
+        insecure = run_contingency_screen(oc, solution, config.csc_list).label is Label.INSECURE
+        return extract_features(solution, case), insecure, rejects
+
+    def lost(status, samples):  # a worker that ended without results
+        return DatasetError(f"a labelling worker ended with status {status} and no results "
+                            f"for samples {', '.join(map(str, samples))}")
     run = config
     for widenings in range(4):  # one pass, then up to 3 widened ones
         if widenings:
             hi = round(run.scale_range[1] + 0.05, 10)
             run = replace(config, scale_range=(config.scale_range[0], hi))
-        rejections = 0
-        for i, tc in enumerate(tcs):
-            oc, solution, _, rejects = generate_oc(
-                case, (config.seed, i), run.scale_range, tc=tc, max_rejects=config.max_rejects,
-            )
-            rejections += rejects
-            x[i] = extract_features(solution, case)
-            y[i] = run_contingency_screen(oc, solution, config.csc_list).label is Label.INSECURE
+        rows, classes, rejects = zip(*map_units(label, range(config.n_samples), lost))
+        y = np.array(classes, dtype=np.int64)
         if y.any() or len(y) < 2:
             break
-    return Dataset(x, y, names, provenance=run.digest(), rejections=rejections,
+    return Dataset(np.array(rows, dtype=float), y, feature_names(case),
+                   provenance=run.digest(), rejections=sum(rejects),
                    widened_scale_hi=run.scale_range[1] if widenings else None)
 
 

@@ -3,18 +3,15 @@
 A run trains a fresh model on the initialization dataset, then resumes the
 same parameters *and optimizer state* on the update dataset: moments,
 momentum, and the step counter all carry across the phase boundary, because
-``run_single`` hands the one ``Optimizer`` object from the first phase to the
-second.
-Standardization statistics come from the initialization training split and
-stay frozen through the update phase.
+``run_single`` hands the one ``Optimizer`` object from the first phase to
+the second. Standardization statistics come from the initialization
+training split and stay frozen through the update phase. An experiment's
+(algorithm, seed) runs are mapped over ``workers.map_units``.
 """
 
 from __future__ import annotations
 
 import configparser
-import os
-import pickle
-import signal
 import statistics
 from dataclasses import dataclass, field, fields
 
@@ -25,6 +22,7 @@ from .data import Dataset, load_dataset, split_dataset, train_size
 from .errors import DatasetError, ExperimentError, OptimizerError, open_text
 from .mlp import MlpArchitecture
 from .optim import ALGORITHMS, Optimizer, OptimizerConfig, default_config
+from .workers import map_units
 
 PHASE_INIT = "Initialization"
 PHASE_UPDATE = "Update"
@@ -262,75 +260,11 @@ def run_single(cfg: ExperimentConfig, algorithm, seed, splits) -> RunResult:
     return RunResult(algorithm, seed, init_rows + upd_rows)
 
 
-def resolve_jobs(n_units):
-    """Workers for ``n_units`` runs: one per usable CPU, at most ``n_units``;
-    1, with no fork, where the OS does not report them (``os.sched_getaffinity``)."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_units)
-
-
-def _run_units(cfg, units, indices):
-    """(i, True, run) per i of ``indices``, up to the first (i, False, exception)."""
-    done = []
-    for i in indices:
-        try:
-            done.append((i, True, run_single(cfg, *units[i])))
-        except Exception as exc:
-            done.append((i, False, exc))
-            break
-    return done
-
-
-def _train_units(cfg, units, jobs):
-    """``run_single`` over ``units``, unit i on worker i % jobs: this process
-    or an ``os.fork`` child, which pickles its results back over a pipe.
-    Returns them in unit order, or raises the lowest failing unit's error."""
-    children = {}  # pid: (worker, read end of its pipe)
-    try:
-        for worker in range(1, jobs):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(read_fd)
-                    payload = pickle.dumps(_run_units(cfg, units, range(worker, len(units), jobs)))
-                    with os.fdopen(write_fd, "wb") as fh:
-                        fh.write(payload)
-                    status = 0
-                finally:  # skip the parent's cleanup and exit handlers
-                    os._exit(status)
-            os.close(write_fd)
-            children[pid] = (worker, os.fdopen(read_fd, "rb"))
-        done = _run_units(cfg, units, range(0, len(units), jobs))
-        for pid in list(children):
-            worker, fh = children[pid]
-            with fh:
-                payload = fh.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            if status != 0:
-                lost = ", ".join(f"{a} seed {s}" for a, s, _ in units[worker::jobs])
-                raise ExperimentError(f"a training worker ended with status {status} "
-                                      f"and no results for {lost}")
-            done += pickle.loads(payload)  # bytes that this worker wrote
-    finally:
-        for pid, (_, fh) in children.items():
-            fh.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    failed = [(i, exc) for i, ok, exc in done if not ok]
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-    return [run for _, _, run in sorted(done, key=lambda d: d[0])]
-
-
 def run_experiment(cfg: ExperimentConfig):
     """All configured algorithms x seeds; identical init and data order per
-    seed across algorithms, with the splits made once per seed. Returns
-    {algorithm: [RunResult per seed]}, in config order, equal at any number
-    of workers (``resolve_jobs``)."""
+    seed across algorithms, with the splits made once per seed, and the runs
+    mapped over ``workers.map_units``. Returns {algorithm: [RunResult per
+    seed]}, in config order, equal at any number of workers."""
     try:
         init_ds = load_dataset(cfg.init_dataset)
         update_ds = load_dataset(cfg.update_dataset)
@@ -348,8 +282,12 @@ def run_experiment(cfg: ExperimentConfig):
     for seed in cfg.seeds:
         splits = standardized_splits(init_ds, update_ds, cfg.train_fraction, seed)
         units += [(algorithm, seed, splits) for algorithm in cfg.algorithms]
+
+    def lost(status, runs):  # a worker that ended without results
+        return ExperimentError(f"a training worker ended with status {status} and no results "
+                               f"for {', '.join(f'{a} seed {s}' for a, s, _ in runs)}")
     results = {algorithm: [] for algorithm in cfg.algorithms}
-    for run in _train_units(cfg, units, resolve_jobs(len(units))):
+    for run in map_units(lambda unit: run_single(cfg, *unit), units, lost):
         results[run.algorithm].append(run)
     return results
 

@@ -27,6 +27,31 @@ def case68():
     return load_bundled_case("case68")
 
 
+def use_cpus(monkeypatch, n):
+    """Make ``workers.resolve_jobs`` pick up to ``n`` workers on any machine:
+    ``os.sched_getaffinity`` reports ``n`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """A list that gains one entry per ``os.fork`` this process makes."""
+    made = []
+    fork = os.fork
+
+    def counted_fork():
+        made.append(None)
+        return fork()
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return made
+
+
 def unpinned_env(**extra):
     """This process's environment for a ``gridsec`` subprocess: ``src`` on
     PYTHONPATH and no BLAS thread-count variable (importing gridsec here set

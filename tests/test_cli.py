@@ -243,6 +243,28 @@ def test_train_output_is_the_same_at_any_jobs(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="2 workers need two usable CPUs")
+def test_gen_dataset_output_is_the_same_at_any_jobs(tmp_path):
+    """``gridsec gen-dataset``, with no BLAS thread-count variable set, writes
+    the same CSV and ``.meta`` on one worker (the process pinned to one CPU)
+    as on one per usable CPU."""
+    csc = tmp_path / "csc.txt"
+    _write_csc_list(csc)
+    env = unpinned_env()
+    one_cpu = {min(os.sched_getaffinity(0))}
+    outputs = []
+    for cpus, preexec in (("one", lambda: os.sched_setaffinity(0, one_cpu)), ("all", None)):
+        ds = tmp_path / f"{cpus}.csv"
+        done = subprocess.run([sys.executable, "-m", "gridsec.cli", "gen-dataset", "--case", CASE9,
+                               "--n", "40", "--seed", "7", "--csc-list", str(csc),
+                               "--out", str(ds)], preexec_fn=preexec,
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        outputs.append((ds.read_bytes(), Path(f"{ds}.meta").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_report_empty_dir_exit_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "report", "--log-dir", str(tmp_path))
     assert code == 1

@@ -1,7 +1,10 @@
 import dataclasses
 import re
+import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +34,7 @@ from gridsec.model import (
 from gridsec.powerflow import solve_powerflow
 from gridsec.security import Label, run_contingency_screen
 
-from tests.conftest import CSC_LINES, TC_LINES, unpinned_env
+from tests.conftest import CSC_LINES, TC_LINES, assert_no_children, unpinned_env, use_cpus
 from tests.test_security import exhaustive_screen
 
 
@@ -466,3 +469,99 @@ def test_golden_case68_dataset(tmp_path, blas_env, caller):
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == GOLDEN_DATASET.read_bytes()
     assert Path(f"{out}.meta").read_bytes() == Path(f"{GOLDEN_DATASET}.meta").read_bytes()
+
+
+# --- samples on forked workers -----------------------------------------------
+
+GUARD_CSCS = ("4-5", "7-8", "6-9")
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+def test_one_sample_never_forks(case9, monkeypatch, forks, cpus):
+    """A one-sample dataset, such as a benchmark label op, is labelled in
+    this process at any CPU count: no fork, no pipe, no pickling."""
+    use_cpus(monkeypatch, cpus)
+    ds = build_dataset(case9, GenerationConfig(n_samples=1, csc_list=GUARD_CSCS, seed=4))
+    assert len(ds) == 1
+    assert forks == []
+
+
+@pytest.mark.parametrize("case_name, cfg, passes", [
+    ("case68", GenerationConfig(n_samples=60, tc_mix=0.3, tc_list=TC_LINES,
+                                csc_list=CSC_LINES, seed=300), 1),  # the golden dataset's
+    ("case9", GenerationConfig(n_samples=12, scale_range=(0.5, 0.6), csc_list=GUARD_CSCS,
+                               seed=1), 4),  # widened 3 times
+    ("case9", GenerationConfig(n_samples=12, scale_range=(0.9, 1.0), csc_list=GUARD_CSCS,
+                               seed=1), 1),  # all Insecure
+], ids=["golden", "guard-widens", "guard-all-insecure"])
+def test_build_dataset_is_the_same_at_any_jobs(request, monkeypatch, forks, case_name, cfg,
+                                               passes):
+    """On 1 worker and on 2, 2 being one fork per pass, a dataset has the
+    same bits, labels, rejections, provenance and widened bound, every
+    widening pass included."""
+    case = request.getfixturevalue(case_name)
+    built = []
+    for jobs in (1, 2):
+        use_cpus(monkeypatch, jobs)
+        forks.clear()
+        ds = build_dataset(case, cfg)
+        assert len(forks) == (jobs - 1) * passes
+        built.append((ds.x.tobytes(), ds.y.tolist(), ds.rejections, ds.provenance,
+                      ds.widened_scale_hi))
+    assert built[0] == built[1]
+    assert_no_children()
+
+
+def test_a_worker_exhaustion_is_raised_for_the_lowest_sample(case9, monkeypatch):
+    """On 2 workers, sample 1 runs in the child and sample 2 in this process;
+    both exhaust their draws, after 2 and 3 of them. The parent raises
+    sample 1's error, as 1 worker does."""
+    draw = gridsec.data.generate_oc
+
+    def exhausting(case, rng_seed, scale_range, tc=None, max_rejects=50):
+        i = rng_seed[1]
+        if i in (1, 2):  # no draw at 6x load converges
+            return draw(case, rng_seed, (6.0, 6.0), tc=tc, max_rejects=i)
+        return draw(case, rng_seed, scale_range, tc=tc, max_rejects=max_rejects)
+    monkeypatch.setattr(gridsec.data, "generate_oc", exhausting)
+    cfg = GenerationConfig(n_samples=6, csc_list=GUARD_CSCS, seed=0)
+    for jobs in (1, 2):
+        use_cpus(monkeypatch, jobs)
+        with pytest.raises(DatasetError, match="^infeasible generation config: 2 draws in a row"):
+            build_dataset(case9, cfg)
+        assert_no_children()
+
+
+def test_a_killed_labelling_worker_is_a_dataset_error(case9, monkeypatch):
+    """A child that dies without sending its rows is an error naming its samples."""
+    use_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    draw = gridsec.data.generate_oc
+
+    def killed(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return draw(*args, **kwargs)
+    monkeypatch.setattr(gridsec.data, "generate_oc", killed)
+    with pytest.raises(DatasetError, match=r"^a labelling worker ended with status -9 and "
+                                           r"no results for samples 1, 3, 5$"):
+        build_dataset(case9, GenerationConfig(n_samples=6, csc_list=GUARD_CSCS, seed=0))
+    assert_no_children()
+
+
+def test_an_interrupted_parent_kills_its_labelling_worker(case9, monkeypatch):
+    """An interrupt in this process's own samples kills and reaps the child
+    at once, although its sample would take a minute."""
+    use_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def slow(*args, **kwargs):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+    monkeypatch.setattr(gridsec.data, "generate_oc", slow)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        build_dataset(case9, GenerationConfig(n_samples=4, csc_list=GUARD_CSCS, seed=0))
+    assert_no_children()
+    assert time.monotonic() - start < 30

@@ -1,5 +1,6 @@
 """Property tests of the solver's reactive-limit switching and convergence
-flag, of the islanding rule of branch outages and of the ranked N-1 screen."""
+flag, of the chord screen's accepted outages, of the islanding rule of
+branch outages and of the ranked N-1 screen."""
 
 import dataclasses
 import math
@@ -17,7 +18,8 @@ from gridsec.model import (
     reschedule_generation,
     scale_loads,
 )
-from gridsec.powerflow import TOLERANCE, solve_powerflow
+from gridsec.powerflow import TOLERANCE, chord_screen, solve_powerflow
+from gridsec.security import check_limits
 
 from tests.test_grid_model import check_outages
 from tests.conftest import CSC_LINES, CSC_LINES_9BUS, TC_LINES
@@ -85,6 +87,40 @@ def test_converged_flag_matches_the_recomputed_mismatch(case9, case68, outaged, 
         assert mismatch <= 10 * TOLERANCE
     else:
         assert mismatch > TOLERANCE or not math.isfinite(mismatch)
+
+
+# a case, a load scale up to past its nose (about 3.0 on case9, 1.35 on
+# case68), an OC topology change or none, and a subset of its CSCs in any order
+screened_ocs = st.one_of(
+    st.tuples(st.just("case9"), st.floats(0.5, 3.5), st.just(None),
+              st.lists(st.sampled_from(CSC_LINES_9BUS), min_size=1, unique=True)),
+    st.tuples(st.just("case68"), st.floats(0.5, 1.7), st.sampled_from((None,) + TC_LINES),
+              st.lists(st.sampled_from(CSC_LINES), min_size=1, unique=True)),
+)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(screened=screened_ocs)
+def test_chord_accepts_only_exactly_secure_outages(case9, case68, screened):
+    """Every outage the chord screen accepts converges under the exact
+    solver from the same start, the OC's solution or a flat start where the
+    OC diverged, with no limit violation: the chord may decline a secure
+    outage, never accept an insecure one."""
+    name, scale, tc, cscs = screened
+    case = case9 if name == "case9" else case68
+    oc = scale_loads(case, scale)
+    oc = reschedule_generation(oc, oc.total_load()[0] - case.total_load()[0])
+    if tc is not None:
+        oc = apply_outage(oc, oc.find_branch(tc))
+    sol = solve_powerflow(oc)
+    start = (sol.v_mag, sol.v_ang) if sol.converged else None
+    outages = [k for k in map(oc.find_branch, cscs) if k not in oc.topology.cuts]
+    for k, outcome in zip(outages, chord_screen(oc, start, outages)):
+        if outcome == "accepted":
+            outaged = apply_outage(oc, k)
+            exact = solve_powerflow(outaged, start)
+            assert exact.converged, oc.branches[k].label()
+            assert check_limits(exact, outaged) == [], oc.branches[k].label()
 
 
 @st.composite

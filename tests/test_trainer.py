@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridsec
-from gridsec import mlp, train
+from gridsec import mlp, train, workers
 from gridsec.data import Dataset, load_dataset
 from gridsec.errors import ExperimentError
 from gridsec.mlp import MlpArchitecture
@@ -25,7 +25,6 @@ from gridsec.train import (
     checkpoints,
     parse_experiment_config,
     read_log,
-    resolve_jobs,
     run_experiment,
     run_phase,
     run_single,
@@ -33,8 +32,9 @@ from gridsec.train import (
     summarize,
     write_log,
 )
+from gridsec.workers import resolve_jobs
 
-from tests.conftest import BLAS_VARS, unpinned_env
+from tests.conftest import BLAS_VARS, assert_no_children, unpinned_env, use_cpus
 
 
 def make_blobs(n, seed, shift=2.0):
@@ -367,14 +367,6 @@ def test_run_experiment_rejects_mismatched_columns(tmp_path, update_columns):
 
 # --- (seed, algorithm) runs on forked workers ---------------------------------
 
-def _workers(monkeypatch, n):
-    """Make ``resolve_jobs`` pick ``n`` workers on any machine: ``n`` usable
-    CPUs, and no BLAS thread-count variable set."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    for var in BLAS_VARS:
-        monkeypatch.delenv(var, raising=False)
-
-
 def _grid_config(tmp_path):
     """Both blob datasets, 2 seeds x 7 algorithms, relu, and an sgd rate at
     which seed 1 diverges in the initialization phase."""
@@ -383,12 +375,7 @@ def _grid_config(tmp_path):
                         overrides={"sgd": {"learning_rate": 1e100}})
 
 
-def _assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_run_experiment_is_the_same_at_any_jobs(tmp_path, monkeypatch):
+def test_run_experiment_is_the_same_at_any_jobs(tmp_path, monkeypatch, forks):
     """Every run on 1 and 2 workers, 2 being one fork, equals a direct
     ``run_single`` loop, the diverged sgd runs included. Results compare by
     ``repr``, which is exact for floats and, unlike ``==``, equates the
@@ -401,19 +388,12 @@ def test_run_experiment_is_the_same_at_any_jobs(tmp_path, monkeypatch):
               for algorithm in ALGORITHMS}
     assert [run.rows[-1].diverged for run in oracle["sgd"]] == [False, True]
     assert not any(run.rows[-1].diverged for run in oracle["adam"])
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(None)
-        return fork()
-    monkeypatch.setattr(os, "fork", counted_fork)
     for jobs in (1, 2):
-        _workers(monkeypatch, jobs)
+        use_cpus(monkeypatch, jobs)
         forks.clear()
         assert repr(run_experiment(cfg)) == repr(oracle)
         assert len(forks) == jobs - 1
-    _assert_no_children()
+    assert_no_children()
 
 
 def _run_single_failing(monkeypatch, fail):
@@ -441,15 +421,15 @@ def test_a_worker_exception_is_raised_for_the_lowest_failing_unit(tmp_path, monk
             raise (ValueError if algorithm == raised else KeyError)(f"{algorithm} failed")
     _run_single_failing(monkeypatch, fail)
     for jobs in (1, 2):
-        _workers(monkeypatch, jobs)
+        use_cpus(monkeypatch, jobs)
         with pytest.raises(ValueError, match=f"^{raised} failed$"):
             run_experiment(_grid_config(tmp_path))
-        _assert_no_children()
+        assert_no_children()
 
 
 def test_a_killed_worker_is_an_experiment_error(tmp_path, monkeypatch):
     """A child that dies without sending its results is an error naming its units."""
-    _workers(monkeypatch, 2)
+    use_cpus(monkeypatch, 2)
     parent = os.getpid()
 
     def fail(algorithm, seed):
@@ -460,13 +440,13 @@ def test_a_killed_worker_is_an_experiment_error(tmp_path, monkeypatch):
                                               r"no results for sgd-m seed 0, nag-m seed 0, "
                                               r"adam seed 0, sgd seed 1, "):
         run_experiment(_grid_config(tmp_path))
-    _assert_no_children()
+    assert_no_children()
 
 
 def test_an_interrupted_parent_kills_its_workers(tmp_path, monkeypatch):
     """An interrupt in this process's own units kills and reaps the child at
     once, although its run would take a minute."""
-    _workers(monkeypatch, 2)
+    use_cpus(monkeypatch, 2)
     parent = os.getpid()
 
     def fail(algorithm, seed):
@@ -477,7 +457,7 @@ def test_an_interrupted_parent_kills_its_workers(tmp_path, monkeypatch):
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         run_experiment(_grid_config(tmp_path))
-    _assert_no_children()
+    assert_no_children()
     assert time.monotonic() - start < 30
 
 
@@ -505,27 +485,34 @@ def test_workers_need_one_blas_thread(monkeypatch, env, n_units, want):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(n_units=st.integers(1, 9), cpus=st.integers(1, 3), data=st.data())
 def test_worker_map_is_the_serial_loop(n_units, cpus, data):
-    """Over drawn unit and CPU counts and failing units, the worker map
-    returns what a serial ``run_single`` loop returns, in unit order, or
-    raises the lowest failing unit's exception; no child outlives it."""
+    """Over drawn unit and CPU counts and failing units, ``workers.map_units``
+    returns what a serial loop returns, in unit order, with unit i run by
+    worker i % jobs, worker 0 being this process; or it raises the lowest
+    failing unit's exception. No child outlives it."""
     failing = data.draw(st.sets(st.integers(0, n_units - 1)))
-    units = [(f"algorithm{i}", i, None) for i in range(n_units)]
+    units = [f"unit {i}" for i in range(n_units)]
 
-    def run_single(cfg, algorithm, seed, splits):
-        if seed in failing:
-            raise ValueError(f"unit {seed} failed")
-        return algorithm, seed
+    def fn(unit):
+        if int(unit.split()[1]) in failing:
+            raise ValueError(f"{unit} failed")
+        return unit, os.getpid()
+
+    def lost(status, units):
+        return AssertionError(f"a worker ended with status {status}")
     with pytest.MonkeyPatch.context() as mp:
-        _workers(mp, cpus)
-        mp.setattr(train, "run_single", run_single)
+        use_cpus(mp, cpus)
         jobs = resolve_jobs(n_units)
         assert jobs == min(cpus, n_units)
         if failing:
             with pytest.raises(ValueError, match=f"^unit {min(failing)} failed$"):
-                train._train_units(None, units, jobs)
+                workers.map_units(fn, units, lost)
         else:
-            assert train._train_units(None, units, jobs) == [unit[:2] for unit in units]
-    _assert_no_children()
+            done = workers.map_units(fn, units, lost)
+            assert [unit for unit, _ in done] == units
+            pids = [pid for _, pid in done]
+            assert pids[0] == os.getpid() and len(set(pids)) == jobs
+            assert pids == [pids[i % jobs] for i in range(n_units)]
+    assert_no_children()
 
 
 @pytest.mark.skipif(gridsec.OPENBLAS is None, reason="no bundled OpenBLAS to ask")
