@@ -159,7 +159,9 @@ def cmd_report(args):
             if missing:
                 raise ExperimentError(f"{seen[run.algorithm, run.seed]}: no {phase} row at "
                                       f"checkpoint epoch {missing[0]}")
-    for path in _write_summaries(by_alg, epochs, args.out or args.log_dir):
+    out_dir = args.out or args.log_dir
+    os.makedirs(out_dir, exist_ok=True)
+    for path in _write_summaries(by_alg, epochs, out_dir):
         print(f"wrote {path}")
     return 0
 

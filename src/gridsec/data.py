@@ -9,6 +9,7 @@ flat start, the same labels) and it ranks the CSCs by that solution's flows.
 ``build_dataset`` checks its config once (a CSC or TC that is out of service
 or listed twice, a TC that islands the base network and a branch that is
 both a TC and a CSC are rejected), then maps its samples over ``workers.map_units``.
+Train/test splits and their standardization are made in ``train.standardized_splits``.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .workers import map_units
 
 __all__ = [
     "GenerationConfig", "Dataset", "generate_oc", "sample_tcs",
-    "extract_features", "feature_names", "build_dataset", "split_dataset",
-    "train_size", "save_dataset", "load_dataset",
+    "extract_features", "feature_names", "build_dataset",
+    "save_dataset", "load_dataset",
 ]
 
 
@@ -238,27 +239,6 @@ def _check_lists(case: NetworkCase, config: GenerationConfig):
             raise DatasetError(f"TC {tc} from the TC list islands the network")
         if k in cscs:
             raise DatasetError(f"branch {tc} is both a TC and a CSC ({cscs[k]})")
-
-
-def train_size(n_samples: int, train_fraction: float) -> int:
-    """Samples on the train side of a split; raises ``DatasetError`` when
-    either side would be empty."""
-    if not 0.0 < train_fraction < 1.0:
-        raise DatasetError("train_fraction must be in (0, 1)")
-    n_train = int(train_fraction * n_samples)
-    if not 0 < n_train < n_samples:
-        side = "train" if n_train == 0 else "test"
-        raise DatasetError(f"{n_samples} samples at train_fraction {train_fraction} "
-                           f"leave the {side} split empty")
-    return n_train
-
-
-def split_dataset(ds: Dataset, train_fraction: float, seed: int):
-    """Seeded shuffle then partition into (train, test), neither empty."""
-    n_train = train_size(len(ds), train_fraction)
-    order = np.random.default_rng(seed).permutation(len(ds))
-    return tuple(Dataset(ds.x[idx], ds.y[idx], ds.feature_names, ds.provenance)
-                 for idx in (order[:n_train], order[n_train:]))
 
 
 def save_dataset(ds: Dataset, path, config: GenerationConfig | None = None):

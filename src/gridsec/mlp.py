@@ -129,20 +129,3 @@ def evaluate(theta, arch, x, y):
     loss = _cross_entropy(probs, y)
     accuracy = float(np.mean(np.argmax(probs, axis=1) == y))
     return {"accuracy": accuracy, "loss": loss}
-
-
-@dataclass(frozen=True)
-class StandardizationStats:
-    mean: np.ndarray
-    std: np.ndarray  # zero-variance features pinned to 1
-
-    def apply(self, x):
-        return (np.asarray(x, dtype=float) - self.mean) / self.std
-
-
-def fit_standardization(x) -> StandardizationStats:
-    x = np.asarray(x, dtype=float)
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    std = np.where(std > 0.0, std, 1.0)
-    return StandardizationStats(mean=mean, std=std)

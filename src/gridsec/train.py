@@ -4,9 +4,10 @@ A run trains a fresh model on the initialization dataset, then resumes the
 same parameters *and optimizer state* on the update dataset: moments,
 momentum, and the step counter all carry across the phase boundary, because
 ``run_single`` hands the one ``Optimizer`` object from the first phase to
-the second. Standardization statistics come from the initialization
-training split and stay frozen through the update phase. An experiment's
-(algorithm, seed) runs are mapped over ``workers.map_units``.
+the second. ``standardized_splits`` alone splits the datasets, and it
+standardizes every split with the initialization training split's statistics,
+frozen through the update phase. An experiment's (algorithm, seed) runs are
+mapped over ``workers.map_units``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import mlp
-from .data import Dataset, load_dataset, split_dataset, train_size
+from .data import Dataset, load_dataset
 from .errors import DatasetError, ExperimentError, OptimizerError, open_text
 from .mlp import MlpArchitecture
 from .optim import ALGORITHMS, Optimizer, OptimizerConfig, default_config
@@ -229,15 +230,33 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
     )
 
 
+def train_size(n_samples: int, train_fraction: float) -> int:
+    """Samples on the train side of a split; raises ``DatasetError`` when
+    either side would be empty."""
+    if not 0.0 < train_fraction < 1.0:
+        raise DatasetError("train_fraction must be in (0, 1)")
+    n_train = int(train_fraction * n_samples)
+    if not 0 < n_train < n_samples:
+        side = "train" if n_train == 0 else "test"
+        raise DatasetError(f"{n_samples} samples at train_fraction {train_fraction} "
+                           f"leave the {side} split empty")
+    return n_train
+
+
 def standardized_splits(init_ds: Dataset, update_ds: Dataset, fraction, seed):
-    """Split both datasets and standardize everything with the
-    initialization-phase training statistics. Returns (x, y) for the
-    initialization train and test splits, then the update ones."""
-    splits = (*split_dataset(init_ds, fraction, seed),
-              *split_dataset(update_ds, fraction, seed))
-    xys = [ds.matrix() for ds in splits]
-    stats = mlp.fit_standardization(xys[0][0])
-    return tuple((stats.apply(x), y) for x, y in xys)
+    """Shuffle each dataset by ``seed`` and partition it into (train, test),
+    neither empty, then standardize every split with the initialization
+    train split's mean and std (a zero std pinned to 1). Returns (x, y) for
+    the initialization train and test splits, then the update ones."""
+    splits = []
+    for ds in (init_ds, update_ds):
+        n_train = train_size(len(ds), fraction)
+        order = np.random.default_rng(seed).permutation(len(ds))
+        splits += [(ds.x[idx], ds.y[idx]) for idx in (order[:n_train], order[n_train:])]
+    mean = splits[0][0].mean(axis=0)
+    std = splits[0][0].std(axis=0)
+    std = np.where(std > 0.0, std, 1.0)
+    return tuple(((x - mean) / std, y) for x, y in splits)
 
 
 def run_single(cfg: ExperimentConfig, algorithm, seed, splits) -> RunResult:

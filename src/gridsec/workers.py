@@ -7,11 +7,11 @@ import signal
 
 
 def resolve_jobs(n_units):
-    """Workers for ``n_units`` units: one per usable CPU, at most ``n_units``;
+    """Workers for ``n_units`` units: one per usable CPU, at most ``n_units`` but at least 1;
     1, with no fork, where the OS does not report them (``os.sched_getaffinity``)."""
     if not hasattr(os, "sched_getaffinity"):
         return 1
-    return min(len(os.sched_getaffinity(0)), n_units)
+    return max(1, min(len(os.sched_getaffinity(0)), n_units))
 
 
 def _run(fn, units, indices):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from gridsec import mlp
-from gridsec.data import GenerationConfig, build_dataset, save_dataset, split_dataset
+from gridsec.data import GenerationConfig, build_dataset, save_dataset
 from gridsec.mlp import MlpArchitecture
 from gridsec.model import apply_outage, bundled_case_path, scale_loads
 from gridsec.optim import ALGORITHMS, Optimizer, OptimizerConfig
@@ -29,6 +29,7 @@ from gridsec.train import (
     ExperimentConfig,
     checkpoints,
     run_experiment,
+    standardized_splits,
 )
 
 from tests.conftest import CSC_LINES, CSC_LINES_9BUS, TC_LINES, unpinned_env
@@ -337,8 +338,8 @@ def test_criterion_8_split_and_tc_counts(case68):
     rng = np.random.default_rng(0)
     ds = Dataset(rng.normal(size=(4000, 2)), (np.arange(4000) % 3 == 0).astype(np.int64),
                  ["a", "b"])
-    train, test = split_dataset(ds, 0.6, seed=0)
-    ok = len(train) == 2400 and len(test) == 1600
+    (_, y_train), (_, y_test), _, _ = standardized_splits(ds, ds, 0.6, seed=0)
+    ok = len(y_train) == 2400 and len(y_test) == 1600
 
     cfg = GenerationConfig(n_samples=20, tc_mix=0.30, tc_list=TC_LINES,
                            csc_list=CSC_LINES, seed=5)

@@ -194,8 +194,7 @@ def test_train_and_report_pipeline(tmp_path, capsys):
     # algorithm + 2 init checkpoints + 4 update checkpoints
     assert len(header.split(",")) == 7
 
-    report_dir = tmp_path / "report"
-    report_dir.mkdir()
+    report_dir = tmp_path / "report" / "new"  # made by report, as train makes its out dir
     code, _, _ = run_cli(capsys, "report", "--log-dir", str(out_dir),
                          "--out", str(report_dir))
     assert code == 0

@@ -21,7 +21,6 @@ from gridsec.data import (
     load_dataset,
     sample_tcs,
     save_dataset,
-    split_dataset,
 )
 from gridsec.errors import DatasetError
 from gridsec.model import (
@@ -33,6 +32,7 @@ from gridsec.model import (
 )
 from gridsec.powerflow import solve_powerflow
 from gridsec.security import Label, run_contingency_screen
+from gridsec.train import standardized_splits
 
 from tests.conftest import CSC_LINES, TC_LINES, assert_no_children, unpinned_env, use_cpus
 from tests.test_security import exhaustive_screen
@@ -292,33 +292,43 @@ def _synthetic_dataset(n):
 
 
 def test_split_sizes_exact():
-    train, test = split_dataset(_synthetic_dataset(4000), 0.6, seed=0)
-    assert len(train) == 2400
-    assert len(test) == 1600
+    ds = _synthetic_dataset(4000)
+    splits = standardized_splits(ds, ds, 0.6, seed=0)
+    assert [len(y) for _, y in splits] == [2400, 1600, 2400, 1600]
+    assert [x.shape for x, _ in splits] == [(2400, 3), (1600, 3), (2400, 3), (1600, 3)]
 
 
 def test_split_is_a_partition():
     ds = _synthetic_dataset(50)
     ds.x[:, 0] = np.arange(50)  # tag each sample
-    train, test = split_dataset(ds, 0.5, seed=3)
-    tags = sorted(np.concatenate([train.x[:, 0], test.x[:, 0]]).tolist())
+    # an all-zero initialization dataset has mean 0 and std 1 (pinned), so
+    # the update splits of ``ds`` come back unscaled
+    zeros = Dataset(np.zeros_like(ds.x), ds.y, ds.feature_names)
+    _, _, (x_train, y_train), (x_test, y_test) = standardized_splits(zeros, ds, 0.5, seed=3)
+    tags = sorted(np.concatenate([x_train[:, 0], x_test[:, 0]]).tolist())
     assert tags == [float(i) for i in range(50)]
-    assert len(train) == len(test) == 25
-    for part in (train, test):  # each row keeps its own label
-        assert part.y.tolist() == ds.y[part.x[:, 0].astype(int)].tolist()
+    assert len(y_train) == len(y_test) == 25
+    for x, y in ((x_train, y_train), (x_test, y_test)):  # each row keeps its own label
+        assert y.tolist() == ds.y[x[:, 0].astype(int)].tolist()
+        assert np.array_equal(x, ds.x[x[:, 0].astype(int)])
 
 
 def test_split_deterministic():
     ds = _synthetic_dataset(100)
-    a_train, _ = split_dataset(ds, 0.6, seed=5)
-    b_train, _ = split_dataset(ds, 0.6, seed=5)
-    assert np.array_equal(a_train.x, b_train.x)
-    assert np.array_equal(a_train.y, b_train.y)
+    update = _synthetic_dataset(60)
+    a = standardized_splits(ds, update, 0.6, seed=5)
+    b = standardized_splits(ds, update, 0.6, seed=5)
+    for (xa, ya), (xb, yb) in zip(a, b, strict=True):
+        assert np.array_equal(xa, xb)
+        assert np.array_equal(ya, yb)
 
 
 def test_split_rejects_bad_fraction():
-    with pytest.raises(DatasetError):
-        split_dataset(_synthetic_dataset(10), 1.0, seed=0)
+    ds = _synthetic_dataset(10)
+    with pytest.raises(DatasetError, match=r"train_fraction must be in \(0, 1\)"):
+        standardized_splits(ds, ds, 1.0, seed=0)
+    with pytest.raises(DatasetError, match="3 samples at train_fraction 0.2 leave the train"):
+        standardized_splits(ds, _synthetic_dataset(3), 0.2, seed=0)
 
 
 def test_matrix_class_indices():

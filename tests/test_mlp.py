@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gridsec.data import Dataset
 from gridsec.mlp import (
     MlpArchitecture,
     _forward_pass,
     evaluate,
-    fit_standardization,
     init_params,
     loss_and_gradient,
     unpack,
 )
+from gridsec.train import standardized_splits
 
 
 def small_arch(activation="tanh"):
@@ -162,16 +163,22 @@ def test_evaluate_matches_loss_and_predict(activation):
 
 
 def test_standardization_round_trip():
+    """``standardized_splits`` centres and scales the initialization train split
+    to mean 0 and std 1 per column, and a zero-variance column's std is
+    pinned to 1, so the update split reads that column shifted, not scaled."""
     rng = np.random.default_rng(6)
     x = rng.normal(3.0, 2.0, size=(200, 7))
     x[:, 3] = 5.0  # constant column
-    stats = fit_standardization(x)
-    z = stats.apply(x)
+    update = x.copy()
+    update[:, 3] = 7.0
+    (z, _), _, (z_update, _), _ = standardized_splits(
+        Dataset(x, np.arange(200) % 2, list("abcdefg")),
+        Dataset(update, np.arange(200) % 2, list("abcdefg")), 0.5, seed=0)
     assert np.allclose(z.mean(axis=0), 0.0, atol=1e-9)
     live = [c for c in range(7) if c != 3]
     assert np.allclose(z[:, live].std(axis=0), 1.0, atol=1e-9)
-    assert np.allclose(z[:, 3], 0.0, atol=1e-12)
-    assert stats.std[3] == 1.0  # zero-variance columns are pinned
+    assert np.all(z[:, 3] == 0.0)
+    assert np.all(z_update[:, 3] == 2.0)  # (7 - 5) / 1: zero-variance columns are pinned
 
 
 def _expression_loss_and_gradient(theta, arch, x, y):

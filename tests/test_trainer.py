@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import gridsec
 from gridsec import mlp, train, workers
 from gridsec.data import Dataset, load_dataset
-from gridsec.errors import ExperimentError
+from gridsec.errors import DatasetError, ExperimentError
 from gridsec.mlp import MlpArchitecture
 from gridsec.optim import ALGORITHMS, Optimizer, OptimizerConfig, default_config
 from gridsec.train import (
@@ -164,6 +165,57 @@ def test_initialization_divergence_skips_the_update_phase(tmp_path):
     assert table == [["sgd"] + ["div"] * 6]
     write_log(tmp_path / "sgd.log.csv", run)
     assert len(read_log(tmp_path / "sgd.log.csv").rows) == len(run.rows)
+
+
+def _reference_splits(init_ds, update_ds, fraction, seed):
+    """``standardized_splits`` as three steps: each dataset shuffled and
+    partitioned into (train, test) ``Dataset``s, mean and std (a zero std
+    pinned to 1) fitted on the initialization train split, and every split
+    standardized with them."""
+    parts = []
+    for ds in (init_ds, update_ds):
+        n_train = int(fraction * len(ds))
+        if not 0 < n_train < len(ds):
+            return None
+        order = np.random.default_rng(seed).permutation(len(ds))
+        parts += [Dataset(ds.x[idx], ds.y[idx], ds.feature_names)
+                  for idx in (order[:n_train], order[n_train:])]
+    xys = [part.matrix() for part in parts]
+    x = np.asarray(xys[0][0], dtype=float)
+    mean, std = x.mean(axis=0), x.std(axis=0)
+    std = np.where(std > 0.0, std, 1.0)
+    return [((np.asarray(x, dtype=float) - mean) / std, y) for x, y in xys]
+
+
+@st.composite
+def _datasets(draw, width):
+    """A dataset of ``width`` columns, some of them constant."""
+    n = draw(st.integers(1, 40))
+    x = draw(arrays(np.float64, (n, width), elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    for col in draw(st.sets(st.integers(0, width - 1), max_size=width)):
+        x[:, col] = draw(st.floats(-1e3, 1e3, allow_subnormal=False))
+    y = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    return Dataset(x, y, [f"f{c}" for c in range(width)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(width=st.integers(1, 6), fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**32),
+       data=st.data())
+def test_standardized_splits_match_the_reference_bit_for_bit(width, fraction, seed, data):
+    """Over drawn sizes, widths, fractions, seeds and constant columns,
+    ``standardized_splits`` returns the reference's four (x, y) splits byte
+    for byte, or raises ``DatasetError`` where the reference has an empty side."""
+    init_ds, update_ds = data.draw(_datasets(width)), data.draw(_datasets(width))
+    want = _reference_splits(init_ds, update_ds, fraction, seed)
+    if want is None:
+        with pytest.raises(DatasetError, match="split empty$"):
+            standardized_splits(init_ds, update_ds, fraction, seed)
+        return
+    got = standardized_splits(init_ds, update_ds, fraction, seed)
+    assert len(got) == 4
+    for (x, y), (want_x, want_y) in zip(got, want):
+        assert x.dtype == want_x.dtype and x.shape == want_x.shape
+        assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
 
 
 @pytest.mark.parametrize("algorithm", ["sgd-m", "nag", "nag-m", "adagrad", "adam", "nadam"])
@@ -483,13 +535,14 @@ def test_workers_need_one_blas_thread(monkeypatch, env, n_units, want):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(n_units=st.integers(1, 9), cpus=st.integers(1, 3), data=st.data())
+@given(n_units=st.integers(0, 9), cpus=st.integers(1, 3), data=st.data())
 def test_worker_map_is_the_serial_loop(n_units, cpus, data):
     """Over drawn unit and CPU counts and failing units, ``workers.map_units``
     returns what a serial loop returns, in unit order, with unit i run by
     worker i % jobs, worker 0 being this process; or it raises the lowest
-    failing unit's exception. No child outlives it."""
-    failing = data.draw(st.sets(st.integers(0, n_units - 1)))
+    failing unit's exception. No units make one worker, this process, and
+    an empty list. No child outlives it."""
+    failing = data.draw(st.sets(st.integers(0, n_units - 1))) if n_units else set()
     units = [f"unit {i}" for i in range(n_units)]
 
     def fn(unit):
@@ -502,7 +555,7 @@ def test_worker_map_is_the_serial_loop(n_units, cpus, data):
     with pytest.MonkeyPatch.context() as mp:
         use_cpus(mp, cpus)
         jobs = resolve_jobs(n_units)
-        assert jobs == min(cpus, n_units)
+        assert jobs == max(1, min(cpus, n_units))
         if failing:
             with pytest.raises(ValueError, match=f"^unit {min(failing)} failed$"):
                 workers.map_units(fn, units, lost)
@@ -510,7 +563,7 @@ def test_worker_map_is_the_serial_loop(n_units, cpus, data):
             done = workers.map_units(fn, units, lost)
             assert [unit for unit, _ in done] == units
             pids = [pid for _, pid in done]
-            assert pids[0] == os.getpid() and len(set(pids)) == jobs
+            assert pids[:1] == [os.getpid()][:n_units] and len(set(pids)) == min(jobs, n_units)
             assert pids == [pids[i % jobs] for i in range(n_units)]
     assert_no_children()
 
