@@ -31,22 +31,14 @@ from .model import (
     parse_case,
 )
 from .powerflow import build_ybus, solve_powerflow, trace_pv_curve
-from .security import (
-    Category,
-    Label,
-    check_limits,
-    classify_configuration,
-    compute_piv,
-    run_contingency_screen,
-)
+from .security import Category, Label, check_limits, compute_piv, run_contingency_screen
 
 __all__ = [
     "GridSecError",
     "Branch", "Bus", "BusKind", "Generator", "Load", "NetworkCase",
     "apply_outage", "load_bundled_case", "load_case", "parse_case",
     "build_ybus", "solve_powerflow", "trace_pv_curve",
-    "Category", "Label", "check_limits",
-    "classify_configuration", "compute_piv", "run_contingency_screen",
+    "Category", "Label", "check_limits", "compute_piv", "run_contingency_screen",
 ]
 
 __version__ = "0.1.0"

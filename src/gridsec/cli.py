@@ -195,10 +195,13 @@ def build_parser():
     p = sub.add_parser("gen-dataset", help="generate a labeled OC dataset")
     p.add_argument("--case", required=True, help="case file path")
     p.add_argument("--n", required=True, type=int, help="number of samples")
-    p.add_argument("--seed", type=int, default=0, help="generation seed")
-    p.add_argument("--scale-lo", type=float, default=0.8, help="lower load-scale bound")
-    p.add_argument("--scale-hi", type=float, default=1.05, help="upper load-scale bound")
-    p.add_argument("--tc-mix", type=float, default=0.0, help="fraction of samples with a TC")
+    defaults = data.GenerationConfig
+    lo, hi = defaults.scale_range
+    p.add_argument("--seed", type=int, default=defaults.seed, help="generation seed")
+    p.add_argument("--scale-lo", type=float, default=lo, help="lower load-scale bound")
+    p.add_argument("--scale-hi", type=float, default=hi, help="upper load-scale bound")
+    p.add_argument("--tc-mix", type=float, default=defaults.tc_mix,
+                   help="fraction of samples with a TC")
     p.add_argument("--tc-list", help="file listing TC branch labels")
     p.add_argument("--csc-list", required=True, help="file listing CSC branch labels")
     p.add_argument("--out", required=True, help="output dataset CSV")

@@ -197,8 +197,8 @@ def apply_outage(case: NetworkCase, branch_index: int) -> NetworkCase:
     """Return a copy of the case with one branch switched out.
 
     Raises ``IslandingError`` when the outage disconnects buses from the
-    slack; the caller decides how to treat that (screening labels it
-    Insecure).
+    slack; package code reads ``case.topology.cuts`` first, so only an
+    outside caller meets it.
     """
     if not 0 <= branch_index < len(case.branches):
         raise CaseValidationError(f"branch index {branch_index} out of range")

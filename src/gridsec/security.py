@@ -9,6 +9,11 @@ Secure/Insecure label. A contingency fails on islanding, divergence, a bus
 voltage outside that bus's ``[v_min, v_max]`` band from the case file, or a
 branch loaded above ``LOADING_LIMIT`` of its rating.
 
+``screen_configurations`` solves each candidate outage from a flat start
+and builds every record through ``categorize``: an outage in
+``case.topology.cuts`` islands buses and gets no solve, and it and a
+diverging outage read PI_V and flow change ``inf``, hence CSC.
+
 The N-1 screen stops at the first contingency that fails, since that one
 decides the Insecure label. It screens in the DC contingency-selection order
 (Ejebe & Wollenberg, "Automatic Contingency Selection", IEEE Trans. PAS
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridSecError, IslandingError
+from .errors import GridSecError
 from .model import NetworkCase, apply_outage
 from .powerflow import LOADING_LIMIT, PowerFlowSolution, chord_screen, solve_powerflow
 
@@ -92,19 +97,15 @@ class ScreenResult:
     first_failure: str | None = None
 
 
-def _check_solutions(pre, post):
-    if not pre.converged or not post.converged:
-        raise GridSecError("performance index needs converged pre and post solutions")
-    if pre.v_mag.shape != post.v_mag.shape:
-        raise GridSecError("pre and post solutions have different bus counts")
-
-
 def compute_piv(pre: PowerFlowSolution, post: PowerFlowSolution) -> float:
     """Sum of squared post-vs-pre voltage deviations: PI_V with w = 1, n = 1.
 
     Each bus contributes 0.5 * (dV / PIV_DV_LIMIT)^2.
     """
-    _check_solutions(pre, post)
+    if not pre.converged or not post.converged:
+        raise GridSecError("performance index needs converged pre and post solutions")
+    if pre.v_mag.shape != post.v_mag.shape:
+        raise GridSecError("pre and post solutions have different bus counts")
     return float(np.sum(0.5 * ((post.v_mag - pre.v_mag) / PIV_DV_LIMIT) ** 2))
 
 
@@ -123,22 +124,6 @@ def categorize(pi_v: float, flow_delta_mw: float) -> Category:
     if flow_delta_mw < TC_FLOW_DELTA_MW:
         return Category.TC
     return Category.CSC
-
-
-def classify_configuration(
-    pre: PowerFlowSolution,
-    post: PowerFlowSolution,
-    post_case: NetworkCase,
-    configuration: str,
-) -> ConfigurationAssessment:
-    pi_v = compute_piv(pre, post)
-    delta = max_flow_delta_mw(pre, post, post_case)
-    return ConfigurationAssessment(
-        configuration=configuration,
-        pi_v=pi_v,
-        max_flow_delta_mw=delta,
-        category=categorize(pi_v, delta),
-    )
 
 
 def check_limits(solution: PowerFlowSolution, case: NetworkCase) -> list:
@@ -273,24 +258,22 @@ def parse_contingency_list(text: str) -> list:
 
 def screen_configurations(case: NetworkCase, config_specs) -> list:
     """Assess and categorize a list of candidate branch outages at the base
-    operating point; results sorted by descending PI_V. Every solve starts
-    flat."""
+    operating point; results sorted by descending PI_V, ties in list order.
+    Every solve starts flat. An islanding outage (no solve) or a diverging
+    one reads PI_V and flow change ``inf``, which ``categorize`` calls CSC."""
     base = solve_powerflow(case)
     if not base.converged:
         raise GridSecError("base case did not converge")
+    cuts = case.topology.cuts
     assessments = []
     for spec in config_specs:
         index = case.find_branch(spec)
-        try:
+        pi_v = delta = float("inf")
+        if index not in cuts:
             outaged = apply_outage(case, index)
-        except IslandingError:
-            post = None
-        else:
             post = solve_powerflow(outaged)
-        if post is None or not post.converged:  # islanded or diverged
-            assessments.append(
-                ConfigurationAssessment(spec, float("inf"), float("inf"), Category.CSC)
-            )
-        else:
-            assessments.append(classify_configuration(base, post, outaged, spec))
+            if post.converged:
+                pi_v = compute_piv(base, post)
+                delta = max_flow_delta_mw(base, post, outaged)
+        assessments.append(ConfigurationAssessment(spec, pi_v, delta, categorize(pi_v, delta)))
     return sorted(assessments, key=lambda a: -a.pi_v)

@@ -234,7 +234,7 @@ def train_size(n_samples: int, train_fraction: float) -> int:
     """Samples on the train side of a split; raises ``DatasetError`` when
     either side would be empty."""
     if not 0.0 < train_fraction < 1.0:
-        raise DatasetError("train_fraction must be in (0, 1)")
+        raise DatasetError("train_fraction must lie in (0, 1)")
     n_train = int(train_fraction * n_samples)
     if not 0 < n_train < n_samples:
         side = "train" if n_train == 0 else "test"

@@ -325,7 +325,7 @@ def test_split_deterministic():
 
 def test_split_rejects_bad_fraction():
     ds = _synthetic_dataset(10)
-    with pytest.raises(DatasetError, match=r"train_fraction must be in \(0, 1\)"):
+    with pytest.raises(DatasetError, match=r"train_fraction must lie in \(0, 1\)"):
         standardized_splits(ds, ds, 1.0, seed=0)
     with pytest.raises(DatasetError, match="3 samples at train_fraction 0.2 leave the train"):
         standardized_splits(ds, _synthetic_dataset(3), 0.2, seed=0)

@@ -17,7 +17,6 @@ from gridsec.security import (
     Violation,
     categorize,
     check_limits,
-    classify_configuration,
     compute_piv,
     max_flow_delta_mw,
     parse_contingency_list,
@@ -78,18 +77,42 @@ def test_categorize_decision_table(piv, flow, expected):
     assert categorize(piv, flow) is expected
 
 
-def test_classify_configuration_on_network(case68):
-    pre = solve_powerflow(case68)
-    spec = "47-53"
-    idx = next(k for k, b in enumerate(case68.branches) if b.label() == spec)
-    post_case = apply_outage(case68, idx)
-    post = solve_powerflow(post_case)
-    assert pre.converged and post.converged
-    result = classify_configuration(pre, post, post_case, spec)
-    assert result.pi_v > 0.1
-    assert result.category in (Category.TC, Category.CSC)
-    assert result.max_flow_delta_mw == pytest.approx(
-        max_flow_delta_mw(pre, post, post_case))
+def test_screen_rows_are_their_flat_start_solves(case9, case68):
+    """Over every branch of case9 and case68, listed in a shuffled order:
+    each row of ``screen_configurations`` is ``compute_piv``,
+    ``max_flow_delta_mw`` and ``categorize`` of that branch's flat-start
+    solve, an islanding or diverging outage reads (inf, inf, CSC), and rows
+    fall by PI_V with ties in list order."""
+    inf = float("inf")
+    kinds = []
+    for case in (case9, case68):
+        base = solve_powerflow(case)
+        order = np.random.default_rng(0).permutation(len(case.branches)).tolist()
+        specs = [case.branches[k].label() for k in order]
+        expected = {}
+        for k, spec in zip(order, specs):
+            if k in case.topology.cuts:
+                with pytest.raises(IslandingError):
+                    apply_outage(case, k)
+                kinds.append("islanding")
+                expected[spec] = (inf, inf, Category.CSC)
+                continue
+            outaged = apply_outage(case, k)
+            post = solve_powerflow(outaged)
+            if not post.converged:
+                kinds.append("diverging")
+                expected[spec] = (inf, inf, Category.CSC)
+                continue
+            pi_v, delta = compute_piv(base, post), max_flow_delta_mw(base, post, outaged)
+            expected[spec] = (pi_v, delta, categorize(pi_v, delta))
+        rows = screen_configurations(case, specs)
+        assert sorted(r.configuration for r in rows) == sorted(specs)
+        for r in rows:
+            assert (r.pi_v, r.max_flow_delta_mw, r.category) == expected[r.configuration]
+        for r, s in zip(rows, rows[1:]):
+            assert r.pi_v > s.pi_v or (r.pi_v == s.pi_v and specs.index(r.configuration)
+                                       < specs.index(s.configuration))
+    assert "islanding" in kinds and "diverging" in kinds
 
 
 def banded(case, bands):
