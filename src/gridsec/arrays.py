@@ -15,11 +15,22 @@ contingency ranking and the feature layout index branches by
 edits hand the new case the parts they leave unchanged, the label map and
 the Jacobian map among them. One walk from the slack (``islands``) finds
 the buses a case leaves disconnected and the buses each outage cuts off.
+
+``Topology.of`` also makes one memo per parsed case, which every edit
+shares: small read-only values that a topology alone fixes, keyed by its
+outage set (order-free) and a query (``Topology.recall``). Package code
+keeps three kinds there: a topology's ``cuts``, the contingency ranking's
+LODF columns (``security.predicted_loading``) and a screen's resolved CSC
+positions. Labelling reaches at most 3 x (TCs + 1) entries, each no larger
+than one float per in-service branch and CSC; no Ybus, branch table or
+Jacobian is kept there. A case also caches its feature layout
+(``measurement_layout``), which its loads and in-service branches fix.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -145,7 +156,7 @@ class Topology:
     in ``out``."""
 
     def __init__(self, bus_index, labels, slack, pv, pq, vset, v_limits, table: BranchTable,
-                 jacobian: JacobianMap, out=()):
+                 jacobian: JacobianMap, memo: dict, out=()):
         self.bus_index = bus_index  # bus id -> position
         self.labels = labels  # (low bus id, high bus id, circuit) -> branch position
         self.slack = slack  # position of the first slack bus; ``of`` rejects a case with none
@@ -155,6 +166,7 @@ class Topology:
         self.v_limits = v_limits  # (2, n): each bus's v_min, then its v_max
         self.table = table
         self.jacobian = jacobian  # shared by every edit, as labels is
+        self.memo = memo  # (frozenset of out, query) -> value; shared by every edit
         self.out = out
 
     @classmethod
@@ -200,12 +212,13 @@ class Topology:
             _read_only(np.array([[b.v_min for b in case.buses], [b.v_max for b in case.buses]])),
             BranchTable(*(_read_only(c) for c in columns)),
             jmap,
+            {},
         )
 
     def without(self, k) -> Topology:
         """This topology with the branch at position ``k`` switched out."""
         return Topology(self.bus_index, self.labels, self.slack, self.pv, self.pq, self.vset,
-                        self.v_limits, self.table, self.jacobian, self.out + (k,))
+                        self.v_limits, self.table, self.jacobian, self.memo, self.out + (k,))
 
     def branches(self) -> BranchTable:
         """The in-service rows of ``table``. Dropping rows, rather than
@@ -218,14 +231,62 @@ class Topology:
             keep &= self.table.pos != k
         return BranchTable(*(_read_only(c[keep]) for c in self.table))
 
+    def recall(self, query, make):
+        """The memo's value for this topology's outage set and ``query``, a
+        hashable tuple that names its kind first; ``make()`` computes it the
+        first time. Only small read-only values that the topology alone
+        fixes belong there."""
+        key = (frozenset(self.out), query)
+        try:
+            return self.memo[key]
+        except KeyError:
+            value = self.memo[key] = make()
+            return value
+
     @cached_property
-    def cuts(self) -> dict:
-        """Position of each in-service branch whose outage islands buses ->
-        the positions of those buses, from one walk from the slack
-        (``islands``)."""
+    def cuts(self) -> MappingProxyType:
+        """Read-only: position of each in-service branch whose outage islands
+        buses -> the positions of those buses, from one walk from the slack
+        (``islands``) per outage set."""
+        return self.recall(("cuts",), self._walk)
+
+    def _walk(self):
         tb = self.branches()
         ends = list(zip(tb.pos.tolist(), tb.f.tolist(), tb.t.tolist()))
-        return islands(len(self.vset), self.slack, ends)[1]
+        cuts = islands(len(self.vset), self.slack, ends)[1]
+        return MappingProxyType({k: tuple(buses) for k, buses in cuts.items()})
+
+
+# The measurement layout in column order: (feature name prefix,
+# ``PowerFlowSolution`` field, True for a block over load buses, False for one
+# over in-service branches).
+MEASUREMENTS = (
+    ("vm_bus", "v_mag", True),
+    ("va_bus", "v_ang", True),
+    ("imag_br", "i_from", False),
+    ("pf_br", "p_from", False),
+    ("qf_br", "q_from", False),
+)
+
+
+class FeatureLayout(NamedTuple):
+    """A case's features: their names in column order, each bus block by
+    load bus id and each branch block by in-service branch, and the
+    positions of the buses that carry load, by ascending id."""
+
+    names: tuple
+    load_pos: np.ndarray
+
+
+def measurement_layout(case) -> FeatureLayout:
+    """``case``'s ``MEASUREMENTS`` blocks over its load buses and its
+    in-service branches."""
+    load_ids = sorted({l.bus for l in case.loads})
+    labels = [case.branches[k].label() for k in case.branch_table.pos.tolist()]
+    names = tuple(f"{prefix}{key}" for prefix, _, by_bus in MEASUREMENTS
+                  for key in (load_ids if by_bus else labels))
+    index = case.topology.bus_index
+    return FeatureLayout(names, _read_only(np.array([index[i] for i in load_ids], dtype=int)))
 
 
 def _bus_sums(n, base_mva, gen_bus, p_gen, load_bus, p_load, q_load):

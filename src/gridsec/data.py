@@ -2,10 +2,13 @@
 
 An operating condition (OC) is a load-scaled, optionally topology-changed
 copy of the base case with its converged power-flow solution. Each OC is one
-classifier sample: a row of measurements in ``_LAYOUT``'s order, classed by
-screening the OC against the CSC list. The screen's post-contingency solves
-warm-start from the OC's solution (fewer Newton-Raphson iterations than a
-flat start, the same labels) and it ranks the CSCs by that solution's flows.
+classifier sample: a row of measurements in ``arrays.MEASUREMENTS``' order,
+classed by screening the OC against the CSC list. The feature names and the
+load-bus positions that a row reads are made once per base case
+(``NetworkCase.feature_layout``), not once per sample. The screen's
+post-contingency solves warm-start from the OC's solution (fewer
+Newton-Raphson iterations than a flat start, the same labels) and it ranks
+the CSCs by that solution's flows.
 ``build_dataset`` checks its config once (a CSC or TC that is out of service
 or listed twice, a TC that islands the base network and a branch that is
 both a TC and a CSC are rejected), then maps its samples over ``workers.map_units``.
@@ -20,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .arrays import MEASUREMENTS
 from .errors import DatasetError, open_text
 from .model import NetworkCase, apply_outage, reschedule_generation, scale_loads
 from .powerflow import PowerFlowSolution, solve_powerflow
@@ -79,31 +83,11 @@ class Dataset:
         return len(self.y)
 
 
-def _load_bus_positions(case: NetworkCase):
-    """Positions of buses that carry load in the base case, ascending id."""
-    idx = case.bus_index()
-    load_ids = sorted({l.bus for l in case.loads})
-    return [idx[i] for i in load_ids], load_ids
-
-
-# The measurement layout in column order: (name prefix, ``PowerFlowSolution``
-# field, True for a block over load buses, False for one over branches).
-_LAYOUT = (
-    ("vm_bus", "v_mag", True),
-    ("va_bus", "v_ang", True),
-    ("imag_br", "i_from", False),
-    ("pf_br", "p_from", False),
-    ("qf_br", "q_from", False),
-)
-
-
 def feature_names(case: NetworkCase) -> list:
-    """Measurement layout fixed by the base topology: ``_LAYOUT``'s blocks,
-    each bus block by load bus id, each branch block by in-service branch."""
-    _, load_ids = _load_bus_positions(case)
-    labels = [case.branches[k].label() for k in case.branch_table.pos.tolist()]
-    return [f"{prefix}{key}" for prefix, _, by_bus in _LAYOUT
-            for key in (load_ids if by_bus else labels)]
+    """Measurement layout fixed by the base topology, a new list per call:
+    ``MEASUREMENTS``' blocks, each bus block by load bus id, each branch
+    block by in-service branch."""
+    return list(case.feature_layout.names)
 
 
 def extract_features(solution: PowerFlowSolution, base_case: NetworkCase) -> np.ndarray:
@@ -111,10 +95,9 @@ def extract_features(solution: PowerFlowSolution, base_case: NetworkCase) -> np.
     service in the base case contribute 0.0, keeping the width fixed."""
     if not solution.converged:
         raise DatasetError("cannot extract features from a non-converged solution")
-    pos, _ = _load_bus_positions(base_case)
-    live = base_case.branch_table.pos
+    pos, live = base_case.feature_layout.load_pos, base_case.branch_table.pos
     return np.concatenate([getattr(solution, field)[pos if by_bus else live]
-                           for _, field, by_bus in _LAYOUT])
+                           for _, field, by_bus in MEASUREMENTS])
 
 
 def generate_oc(

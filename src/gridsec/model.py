@@ -4,10 +4,11 @@ All quantities are carried in physical units (MW, MVar, kV) except branch
 impedances, which are per-unit on the system MVA base. Cases are immutable
 values: every edit returns a new ``NetworkCase``. Each case caches the
 read-only arrays that the solver reads (``topology``, ``branch_table`` and
-``injections``, see ``arrays``); an edit hands the new case those that it
-leaves unchanged. Connectivity has one source, a walk from the slack
-(``arrays.islands``): validation reads the buses it misses, and an outage
-the buses it cuts off.
+``injections``, see ``arrays``) and its ``feature_layout``; an edit hands
+the new case those of the first three that it leaves unchanged, and every
+edit shares the parsed case's memo (``Topology.recall``). Connectivity has
+one source, a walk from the slack (``arrays.islands``): validation reads
+the buses it misses, and an outage the buses it cuts off.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
 
-from .arrays import Topology, bus_injections, islands
+from .arrays import Topology, bus_injections, islands, measurement_layout
 from .errors import (
     CaseFormatError,
     CaseValidationError,
@@ -90,6 +91,7 @@ class NetworkCase:
     topology = cached_property(Topology.of)
     branch_table = cached_property(lambda self: self.topology.branches())  # in-service rows
     injections = cached_property(bus_injections)
+    feature_layout = cached_property(measurement_layout)  # for datasets made from this case
 
     def bus_index(self):
         """Read-only map bus id -> position in ``buses``."""

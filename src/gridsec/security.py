@@ -32,7 +32,11 @@ failure, is decided by the exact solver as before, so the screen's result
 does not depend on the chord's bits. The limit check, the flow-change rule
 and the ranking read the bus voltage bands, the in-service branches, their
 ratings and their DC susceptances from the case's cached arrays
-(``case.topology`` and ``case.branch_table``).
+(``case.topology`` and ``case.branch_table``). What the topology alone fixes
+is made once per outage set, in the memo that every edit of a parsed case
+shares (``Topology.recall``): the ranking's LODF columns, hence the B' solve,
+and the screen's in-service CSC positions. Only the flows are per OC, so
+every predicted loading is the same float as a fresh computation's.
 """
 
 from __future__ import annotations
@@ -159,13 +163,33 @@ def check_limits(solution: PowerFlowSolution, case: NetworkCase) -> list:
 def predicted_loading(case: NetworkCase, p_from, outages) -> np.ndarray:
     """DC estimate of each outage's worst post-outage branch loading.
 
-    For each in-service, non-islanding branch position ``k`` in ``outages``,
+    For each in-service branch position ``k`` in ``outages``,
     ``max_l |p_l + LODF_lk p_k| / rating_l`` over the other in-service
     branches ``l``, where ``p_from`` holds the pre-outage active flows (MW,
     by branch position). The PTDF columns of all outages come from one solve
     of the slack-grounded DC susceptance matrix B' with one right-hand side
-    per outage, and ``LODF_lk = PTDF_lk / (1 - PTDF_kk)``.
+    per outage, and ``LODF_lk = PTDF_lk / (1 - PTDF_kk)``. The LODF columns
+    depend on the topology only, so they are made once per outage set and
+    outage list (``Topology.recall``). An islanding outage has no LODF and
+    raises ``GridSecError``.
     """
+    rows, cols, lodf = case.topology.recall(("lodf", tuple(outages)),
+                                            lambda: _lodf(case, outages))
+    tb = case.branch_table
+    p = p_from[tb.pos]
+    post = p[:, None] + lodf * p[rows]
+    post[rows, cols] = 0.0  # the outaged branch itself carries nothing
+    return np.max(np.abs(post) / tb.rating[:, None], axis=0)
+
+
+def _lodf(case: NetworkCase, outages):
+    """``predicted_loading``'s table rows of ``outages``, their column
+    numbers and the (branches, outages) LODF columns, read-only."""
+    cuts = case.topology.cuts
+    for k in outages:
+        if k in cuts:
+            raise GridSecError(f"no predicted loading for branch {case.branches[k].label()}: "
+                               "its outage islands buses")
     tb = case.branch_table
     n = len(case.buses)
     # B' summed branch by branch into Ybus's flat cells: diagonals, then off-diagonals
@@ -185,10 +209,10 @@ def predicted_loading(case: NetworkCase, p_from, outages) -> np.ndarray:
     rhs[slack] = 0.0
     theta = np.linalg.solve(b, rhs)
     ptdf = tb.b_dc[:, None] * (theta[tb.f] - theta[tb.t])
-    p = p_from[tb.pos]
-    post = p[:, None] + ptdf / (1.0 - ptdf[rows, cols]) * p[rows]
-    post[rows, cols] = 0.0  # the outaged branch itself carries nothing
-    return np.max(np.abs(post) / tb.rating[:, None], axis=0)
+    lodf = ptdf / (1.0 - ptdf[rows, cols])
+    for a in (rows, cols, lodf):
+        a.setflags(write=False)
+    return rows, cols, lodf
 
 
 def run_contingency_screen(case: NetworkCase, solution: PowerFlowSolution,
@@ -212,9 +236,8 @@ def run_contingency_screen(case: NetworkCase, solution: PowerFlowSolution,
         raise GridSecError("no contingencies configured")
     if not solution.converged:
         raise GridSecError("the screen needs the operating condition's converged solution")
-    live = case.branch_table.pos
-    pending = [(name, case.find_branch(name)) for name in csc_list]
-    pending = [(name, k) for name, k in pending if k in live]
+    pending = case.topology.recall(("pending", tuple(csc_list)),
+                                   lambda: _in_service(case, csc_list))
     if not pending:
         raise GridSecError(
             f"no contingency left to screen: {', '.join(csc_list)} already out of service")
@@ -244,6 +267,13 @@ def run_contingency_screen(case: NetworkCase, solution: PowerFlowSolution,
         if not result.secure:
             return ScreenResult(label=Label.INSECURE, details=details, first_failure=name)
     return ScreenResult(label=Label.SECURE, details=details)
+
+
+def _in_service(case: NetworkCase, names) -> tuple:
+    """(name, branch position) of each listed branch in service in ``case``."""
+    live = case.branch_table.pos
+    found = [(name, case.find_branch(name)) for name in names]
+    return tuple((name, k) for name, k in found if k in live)
 
 
 def parse_contingency_list(text: str) -> list:

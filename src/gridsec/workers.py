@@ -36,7 +36,12 @@ def map_units(fn, units, lost):
     try:
         for worker in range(1, jobs):
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # EAGAIN, ENOMEM: no child holds the pipe
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
             if pid == 0:
                 status = 1
                 try:

@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import signal
@@ -565,6 +566,32 @@ def test_worker_map_is_the_serial_loop(n_units, cpus, data):
             pids = [pid for _, pid in done]
             assert pids[:1] == [os.getpid()][:n_units] and len(set(pids)) == min(jobs, n_units)
             assert pids == [pids[i % jobs] for i in range(n_units)]
+    assert_no_children()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count")
+@pytest.mark.parametrize("cpus,good_forks", [(2, 0), (3, 1)], ids=["first-fork", "second-fork"])
+def test_a_failed_fork_closes_its_pipe(monkeypatch, cpus, good_forks):
+    """When ``os.fork`` raises (EAGAIN, ENOMEM), the error propagates, both
+    ends of that worker's pipe are closed, and a worker forked before it is
+    killed and reaped: the process holds as many descriptors as before."""
+    fork = os.fork
+    made = []
+
+    def failing_fork():
+        if len(made) == good_forks:
+            raise BlockingIOError(errno.EAGAIN, "fork refused")
+        made.append(None)
+        return fork()
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        made.clear()
+        with pytest.raises(BlockingIOError, match="fork refused"):
+            workers.map_units(str, range(cpus), lambda status, units: AssertionError(status))
+        assert len(made) == good_forks
+    assert len(os.listdir("/proc/self/fd")) == before
     assert_no_children()
 
 
