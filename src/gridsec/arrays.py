@@ -10,11 +10,13 @@ spec from them, builds Ybus and branch flows from the table's stamps and
 gathers its Jacobian's layout from the map that ``Topology.of`` makes once
 per parsed case; the solver, the limit check, the flow-change rule, the
 contingency ranking and the feature layout index branches by
-``NetworkCase.branch_table.pos``. A case caches its ``topology``,
-``branch_table`` and ``injections`` (``bus_injections``), and ``model``'s
-edits hand the new case the parts they leave unchanged, the label map and
-the Jacobian map among them. One walk from the slack (``islands``) finds
-the buses a case leaves disconnected and the buses each outage cuts off.
+``NetworkCase.branch_table.pos``, and ``BranchTable.rows`` maps positions
+back to rows, rejecting one that is out of service. A case caches its
+``topology``, ``branch_table`` and ``injections`` (``bus_injections``), and
+``model``'s edits hand the new case the parts they leave unchanged, the
+label map and the Jacobian map among them. One walk from the slack
+(``islands``) finds the buses a case leaves disconnected and the buses each
+outage cuts off.
 
 ``Topology.of`` also makes one memo per parsed case, which every edit
 shares: small read-only values that a topology alone fixes, keyed by its
@@ -35,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CaseValidationError
+from .errors import CaseValidationError, GridSecError
 
 
 def _read_only(a):
@@ -56,6 +58,20 @@ class BranchTable(NamedTuple):
     rating: np.ndarray  # mva_rating, MVA
     cells: np.ndarray  # (branches, 4): the ff, tt, ft and tf cells
     stamps: np.ndarray  # (branches, 4): y_ff, y_tt, y_ft, y_tf (= y_ft: the tap is real)
+
+    def rows(self, positions, branches) -> np.ndarray:
+        """The table rows of the branch positions ``positions``. A position
+        that is not in service, which would otherwise read the next row, is
+        a ``GridSecError`` naming its branch in ``branches``."""
+        positions = np.asarray(positions, dtype=int)
+        rows = np.searchsorted(self.pos, positions)
+        found = rows < len(self.pos)
+        found[found] = self.pos[rows[found]] == positions[found]
+        if not found.all():
+            k = int(positions[~found][0])
+            name = branches[k].label() if 0 <= k < len(branches) else f"position {k}"
+            raise GridSecError(f"branch {name} is not in service")
+        return rows
 
 
 class Injections(NamedTuple):

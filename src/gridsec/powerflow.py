@@ -16,6 +16,11 @@ which only remove branches; a solve gathers Ybus at those cells and drops
 the off-diagonal ones that are zero, and after a pin it asks
 ``arrays.jacobian_map`` for the pinned masks' map. Each entry equals,
 bit for bit, the same entry selected from the dense 2n x 2n ``dSbus_dV``.
+These live maps are kept in a dict by PV mask (on one Ybus the PV mask
+fixes the PQ mask), which lives as long as its Ybus: one solve in
+``solve_powerflow``, every step of a curve in ``trace_pv_curve``, whose
+steps each restart from the case's masks and so re-pin the same buses.
+The Jacobian's values, its LU solve and the mismatch stay per iteration.
 ``mismatch_vector`` is the one residual, the one test of convergence, for
 both NR and the chord: S_bus - S_spec gathered at the map's ``mismatch``.
 Reactive-limit switching is one-way: a PV bus whose generators would exceed
@@ -27,7 +32,8 @@ exception: downstream screening treats a diverged post-contingency solve as
 an Insecure label. ``chord_screen`` checks many branch outages of one case at once by
 chord iterations on its inverted Jacobian, with a low-rank correction per
 outage; it only ever accepts an outage as clearly secure, and leaves every
-other to ``solve_powerflow``.
+other to ``solve_powerflow``. It and ``security.predicted_loading`` find an
+outage's table row through ``outage_rows``.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import Injections, JacobianMap, _bus_sums, jacobian_map
-from .errors import CaseValidationError, InfeasibleError, SettingError
+from .errors import CaseValidationError, GridSecError, InfeasibleError, SettingError
 from .model import NetworkCase, _dispatch
 
 
@@ -181,15 +187,18 @@ def _first_iterate(topo, start):
     return np.where(topo.pq, vm, topo.vset), va - va[topo.slack]
 
 
-def _newton(topo, inj: Injections, ybus, live, start, tolerance):
-    """``solve_powerflow``'s NR loop on ``topo``'s bus spec, ``inj``, Ybus and
-    ``live``, its ``_live_map``. Returns the last iterate's complex voltages,
-    then the solution's fields from ``converged`` on."""
+def _newton(topo, inj: Injections, ybus, maps, start, tolerance):
+    """``solve_powerflow``'s NR loop on ``topo``'s bus spec, ``inj`` and Ybus.
+    ``maps`` holds the ``_live_map`` of each PV mask, by ``is_pv.tobytes()``,
+    for this Ybus; the loop adds the masks it meets. Returns the last
+    iterate's complex voltages, then the solution's fields from
+    ``converged`` on."""
     s_spec, is_pv, is_pq = inj.s_spec.copy(), topo.pv.copy(), topo.pq.copy()
     vm, va = _first_iterate(topo, start)
-
-    # the solve's masks are the parsed case's until a pin
-    y, layout = live
+    key = is_pv.tobytes()
+    if key not in maps:
+        maps[key] = _live_map(ybus, topo.jacobian)
+    y, layout = maps[key]
     watch = is_pv & inj.has_gen  # the PV buses whose Q limits are checked
     q_hi, q_lo = inj.qg_max + 1e-9, inj.qg_min - 1e-9
     q_limited = []
@@ -214,12 +223,17 @@ def _newton(topo, inj: Injections, ybus, live, start, tolerance):
                 s_spec[i] = s_spec[i].real + 1j * (pinned - inj.q_load[i])
                 q_limited.append((int(i), pinned))
             if hits.size:
-                y, layout = _live_map(ybus, jacobian_map(layout.flat, layout.rows, layout.cols,
-                                                         is_pv, is_pq))
+                # within one Ybus the PV mask fixes the PQ mask: the pinned
+                # buses are the PV buses no longer in it
+                key = is_pv.tobytes()
+                if key not in maps:
+                    maps[key] = _live_map(ybus, jacobian_map(layout.flat, layout.rows, layout.cols,
+                                                             is_pv, is_pq))
+                y, layout = maps[key]
                 watch = is_pv & inj.has_gen
 
         f = mismatch_vector(s_bus, s_spec, layout.mismatch)
-        max_mis = float(np.max(np.abs(f))) if f.size else 0.0
+        max_mis = float(np.abs(f).max()) if f.size else 0.0
         if not math.isfinite(max_mis):
             diagnostic = "non-finite mismatch"
             break
@@ -255,9 +269,21 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
         raise SettingError("tolerance must be positive")
     inj, topo = case.injections, case.topology
     ybus = build_ybus(case)
-    v, *outcome = _newton(topo, inj, ybus, _live_map(ybus, topo.jacobian), start, tolerance)
+    v, *outcome = _newton(topo, inj, ybus, {}, start, tolerance)
     p_f, q_f, p_t, q_t, i_f = _branch_flows(case, v)
     return PowerFlowSolution(np.abs(v), np.angle(v), p_f, q_f, p_t, q_t, i_f, *outcome)
+
+
+def outage_rows(case: NetworkCase, outages, what) -> np.ndarray:
+    """The branch table rows of ``outages``, branch positions that must be in
+    service (``BranchTable.rows``) and island no bus; ``what`` names the
+    result that an islanding outage has none of."""
+    cuts = case.topology.cuts
+    for k in outages:
+        if k in cuts:
+            raise GridSecError(f"no {what} for branch {case.branches[k].label()}: "
+                               "its outage islands buses")
+    return case.branch_table.rows(outages, case.branches)
 
 
 def chord_screen(case: NetworkCase, start, outages) -> list:
@@ -280,8 +306,10 @@ def chord_screen(case: NetworkCase, start, outages) -> list:
     ``MARGIN_BAND``; else ``"non-finite"``, ``"q-limit"`` (a watched PV bus
     within ``Q_BAND`` of a Q limit at an iterate), ``"no-convergence"`` or
     ``"band"``. Only the exact solver may decide an outage not accepted.
+    An outage that is out of service or islands buses is a ``GridSecError``.
     """
     inj, topo, tb, k = case.injections, case.topology, case.branch_table, len(outages)
+    rows = outage_rows(case, outages, "chord screen")
     ybus = build_ybus(case)
     vm, va = _first_iterate(topo, start)
     v = vm * np.exp(1j * va)
@@ -289,7 +317,6 @@ def chord_screen(case: NetworkCase, start, outages) -> list:
     j0 = jacobian(layout, y, v, calc_injections(ybus, v))
     # each outage's Ybus change on its end buses [f, t], and the Jacobian's at
     # the start (dS/dVa, dS/dVm as in jacobian()) on rows P_f P_t Q_f Q_t
-    rows = np.searchsorted(tb.pos, outages)
     each, ends = np.arange(k)[:, None], np.stack([tb.f[rows], tb.t[rows]], axis=1)
     dy = -tb.stamps[rows][:, [0, 2, 3, 1]].reshape(k, 2, 2)
     tm = v[ends][:, :, None] * np.conj(dy * v[ends][:, None, :])
@@ -376,8 +403,9 @@ def trace_pv_curve(case: NetworkCase, monitored_bus: int, step: float) -> PvCurv
     multiplier, which is rounded to 12 decimals.
 
     A curve builds its branch table and Ybus once, and keeps them off
-    ``case`` (a study stores many outaged cases); a step makes only its
-    ``Injections`` for ``_newton``: no case, no branch flows.
+    ``case`` (a study stores many outaged cases), and maps each PV mask its
+    steps pin only once; a step makes only its ``Injections`` for
+    ``_newton``: no case, no branch flows.
     """
     if not 0.0 < step < np.inf:
         raise SettingError("step must be positive and finite")
@@ -388,7 +416,7 @@ def trace_pv_curve(case: NetworkCase, monitored_bus: int, step: float) -> PvCurv
         raise CaseValidationError(f"no bus {monitored_bus} in case")
     inj, topo, n = case.injections, case.topology, len(case.buses)
     ybus = _ybus(topo.branches(), n)
-    live = _live_map(ybus, topo.jacobian)
+    maps = {}  # every step's live maps, by PV mask
     gens = [(i, g) for i, g in enumerate(case.generators) if g.in_service]
     gen_bus = np.array([topo.bus_index[g.bus] for _, g in gens], dtype=int)
     load_bus = np.array([topo.bus_index[l.bus] for l in case.loads], dtype=int)
@@ -403,7 +431,7 @@ def trace_pv_curve(case: NetworkCase, monitored_bus: int, step: float) -> PvCurv
         s_spec, q_pu = _bus_sums(n, case.base_mva, gen_bus, [p_gen.get(i, g.p_mw) for i, g in gens],
                                  load_bus, p_load * scale, q_load * scale)
         v, converged, *_ = _newton(topo, Injections(s_spec, inj.qg_min, inj.qg_max, q_pu, inj.has_gen),
-                                   ybus, live, warm, TOLERANCE)
+                                   ybus, maps, warm, TOLERANCE)
         if not converged:
             break
         v_mag = np.abs(v)

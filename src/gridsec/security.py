@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import GridSecError
 from .model import NetworkCase, apply_outage
-from .powerflow import LOADING_LIMIT, PowerFlowSolution, chord_screen, solve_powerflow
+from .powerflow import LOADING_LIMIT, PowerFlowSolution, chord_screen, outage_rows, solve_powerflow
 
 PIV_THRESHOLD = 0.1
 PIV_DV_LIMIT = 0.05  # acceptable per-bus voltage deviation, per-unit
@@ -170,8 +170,8 @@ def predicted_loading(case: NetworkCase, p_from, outages) -> np.ndarray:
     of the slack-grounded DC susceptance matrix B' with one right-hand side
     per outage, and ``LODF_lk = PTDF_lk / (1 - PTDF_kk)``. The LODF columns
     depend on the topology only, so they are made once per outage set and
-    outage list (``Topology.recall``). An islanding outage has no LODF and
-    raises ``GridSecError``.
+    outage list (``Topology.recall``). An islanding outage has no LODF, and
+    it and an out-of-service one raise ``GridSecError`` (``outage_rows``).
     """
     rows, cols, lodf = case.topology.recall(("lodf", tuple(outages)),
                                             lambda: _lodf(case, outages))
@@ -185,17 +185,12 @@ def predicted_loading(case: NetworkCase, p_from, outages) -> np.ndarray:
 def _lodf(case: NetworkCase, outages):
     """``predicted_loading``'s table rows of ``outages``, their column
     numbers and the (branches, outages) LODF columns, read-only."""
-    cuts = case.topology.cuts
-    for k in outages:
-        if k in cuts:
-            raise GridSecError(f"no predicted loading for branch {case.branches[k].label()}: "
-                               "its outage islands buses")
     tb = case.branch_table
+    rows = outage_rows(case, outages, "predicted loading")
     n = len(case.buses)
     # B' summed branch by branch into Ybus's flat cells: diagonals, then off-diagonals
     b = np.bincount(tb.cells.T.ravel(), np.concatenate([tb.b_dc, tb.b_dc, -tb.b_dc, -tb.b_dc]),
                     minlength=n * n).reshape(n, n)
-    rows = np.searchsorted(tb.pos, outages)  # table rows of the outaged branches
     cols = np.arange(len(rows))
     # a unit transfer from each outaged branch's from bus to its to bus
     rhs = np.zeros((n, len(rows)))

@@ -1,6 +1,9 @@
+import json
 import os
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gridsec
@@ -10,6 +13,9 @@ TC_LINES = ("17-43", "18-42", "24-68", "38-46", "43-44", "47-48", "47-53", "54-5
 CSC_LINES = ("18-49", "21-22", "30-61", "36-61", "40-41", "40-48", "41-42", "67-68")
 CSC_LINES_9BUS = ("4-5", "7-8", "6-9")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# The numpy build on which the byte-exact goldens in tests/data were last
+# read byte for byte: a new numpy or BLAS release may move their last digits.
+GOLDEN_BUILD = Path(__file__).parent / "data" / "golden_build.json"
 
 
 @pytest.fixture(scope="session")
@@ -50,6 +56,27 @@ def forks(monkeypatch):
         return fork()
     monkeypatch.setattr(os, "fork", counted_fork)
     return made
+
+
+def numpy_build():
+    """This process's numpy build, with the keys of ``GOLDEN_BUILD``."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):  # an older numpy has no mode="dicts"
+        blas = "unknown"
+    return {"numpy": np.__version__, "blas": blas, "python": platform.python_version(),
+            "machine": platform.machine()}
+
+
+def assert_golden(got: bytes, path: Path):
+    """``got`` is the golden file ``path`` byte for byte; a failure names the
+    numpy build the goldens were recorded on and the one running, without
+    diffing the bytes."""
+    if got != path.read_bytes():
+        recorded = json.loads(GOLDEN_BUILD.read_text(encoding="utf-8"))
+        pytest.fail(f"{path.name} differs; goldens recorded on {recorded}, running on "
+                    f"{numpy_build()}", pytrace=False)
 
 
 def unpinned_env(**extra):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 import os
 import signal
@@ -34,7 +35,16 @@ from gridsec.powerflow import solve_powerflow
 from gridsec.security import Label, run_contingency_screen
 from gridsec.train import standardized_splits
 
-from tests.conftest import CSC_LINES, TC_LINES, assert_no_children, unpinned_env, use_cpus
+from tests.conftest import (
+    CSC_LINES,
+    GOLDEN_BUILD,
+    TC_LINES,
+    assert_golden,
+    assert_no_children,
+    numpy_build,
+    unpinned_env,
+    use_cpus,
+)
 from tests.test_security import exhaustive_screen
 
 
@@ -477,8 +487,19 @@ def test_golden_case68_dataset(tmp_path, blas_env, caller):
         capture_output=True, text=True, env=unpinned_env(**blas_env),
     )
     assert proc.returncode == 0, proc.stderr
-    assert out.read_bytes() == GOLDEN_DATASET.read_bytes()
-    assert Path(f"{out}.meta").read_bytes() == Path(f"{GOLDEN_DATASET}.meta").read_bytes()
+    assert_golden(out.read_bytes(), GOLDEN_DATASET)
+    assert_golden(Path(f"{out}.meta").read_bytes(), Path(f"{GOLDEN_DATASET}.meta"))
+
+
+def test_a_golden_mismatch_names_both_numpy_builds():
+    """Bytes that differ from a golden fail with the build the goldens were
+    recorded on and the running one, so a new numpy wheel reads as one."""
+    recorded = json.loads(GOLDEN_BUILD.read_text(encoding="utf-8"))
+    assert recorded.keys() == numpy_build().keys()
+    assert_golden(GOLDEN_DATASET.read_bytes(), GOLDEN_DATASET)
+    with pytest.raises(pytest.fail.Exception) as failed:
+        assert_golden(b"", GOLDEN_DATASET)
+    assert f"recorded on {recorded}, running on {numpy_build()}" in str(failed.value)
 
 
 # --- samples on forked workers -----------------------------------------------

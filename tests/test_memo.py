@@ -96,6 +96,32 @@ def test_predicted_loading_rejects_an_islanding_outage(case68):
     assert predicted_loading(case68, p, others).shape == (2,)
 
 
+def test_predicted_loading_rejects_an_outage_out_of_service(case68):
+    """A branch already out has no table row: ``predicted_loading`` names it
+    instead of reading the next in-service branch's loading."""
+    k = case68.find_branch("17-43")
+    oc = apply_outage(case68, k)
+    p = solve_powerflow(oc).p_from
+    assert predicted_loading(oc, p, [k + 1]) == pytest.approx([1.51205193])
+    for outages in ([k], [k + 1, k]):
+        with pytest.raises(GridSecError, match="branch 17-43 is not in service"):
+            predicted_loading(oc, p, outages)
+
+
+def test_branch_rows_are_in_service_positions_only(case9):
+    """``BranchTable.rows`` maps in-service positions to table rows, and
+    names the first listed position that has none."""
+    k = case9.find_branch("4-6")
+    tb = apply_outage(case9, k).branch_table
+    live = tb.pos.tolist()
+    assert tb.rows(live, case9.branches).tolist() == list(range(len(live)))
+    assert tb.rows([], case9.branches).tolist() == []
+    for bad, name in ((k, "4-6"), (len(case9.branches), f"position {len(case9.branches)}"),
+                      (-1, "position -1")):
+        with pytest.raises(GridSecError, match=f"branch {name} is not in service"):
+            tb.rows([live[0], bad], case9.branches)
+
+
 def _arrays(value):
     """Every numpy array in a memo value, through tuples and mappings."""
     if isinstance(value, np.ndarray):

@@ -6,7 +6,7 @@ import pytest
 
 from gridsec import powerflow
 from gridsec.arrays import jacobian_map
-from gridsec.errors import CaseValidationError, IslandingError
+from gridsec.errors import CaseValidationError, GridSecError, IslandingError
 from gridsec.model import (
     BusKind,
     apply_outage,
@@ -702,6 +702,61 @@ def test_trace_matches_the_composed_steps_with_shared_buses(case9):
     nose = reschedule_generation(case, (points[-1][0] - 1.0) * case.total_load()[0])
     assert nose.generators[2].p_mw == 45.0  # the clamp path ran
     assert_trace_is_composed(case, 5, 0.02)
+
+
+def q_bound_case9(case9):
+    """case9 with bus 3's generator floored at -8 MVar, which it is under on
+    the first load steps only, and bus 2's capped at 30 MVar, which it is
+    over from a scale of about 1.25 on."""
+    slack, g2, g3 = case9.generators
+    return dataclasses.replace(case9, generators=(slack, dataclasses.replace(g2, q_max=30.0),
+                                                   dataclasses.replace(g3, q_min=-8.0)))
+
+
+def test_a_curve_maps_each_pinned_mask_once(case9, monkeypatch):
+    """A curve's steps share their pinned Jacobian maps: each distinct PV
+    mask is mapped once per curve, and two masks that pin as many buses
+    (bus 3 alone on the first steps, bus 2 alone later) stay apart."""
+    case = q_bound_case9(case9)
+    pv = case.topology.pv
+    pinned = []
+
+    def recording(flat, rows, cols, is_pv, is_pq):
+        pinned.append(tuple(np.flatnonzero(pv & ~is_pv).tolist()))
+        return jacobian_map(flat, rows, cols, is_pv, is_pq)
+
+    monkeypatch.setattr(powerflow, "jacobian_map", recording)
+    trace_pv_curve(case, 5, 0.05)
+    assert pinned == [(2,), (1,), (1, 2)]  # bus positions
+    monkeypatch.undo()
+    assert_trace_is_composed(case, 5, 0.05)
+
+
+def test_curves_on_two_topologies_share_no_map(case9):
+    """Curves on two Ybus that pin the same bus, one after the other: each
+    curve's maps are its own."""
+    case = q_bound_case9(case9)
+    outaged = apply_outage(case, case.find_branch("4-6"))
+    for c in (case, outaged, case):
+        assert_trace_is_composed(c, 5, 0.05)
+
+
+def test_chord_rejects_an_outage_out_of_service_or_islanding(case68):
+    """The chord reads an outage's table row through ``BranchTable.rows``:
+    a branch already out is named in an error, not answered for by the next
+    in-service branch, and so is one whose outage islands buses."""
+    k = case68.find_branch("54-55")
+    oc = apply_outage(case68, k)
+    sol = solve_powerflow(oc)
+    start = (sol.v_mag, sol.v_ang)
+    assert chord_screen(oc, start, [k + 1]) == ["accepted"]
+    for outages in ([k], [k + 1, k]):
+        with pytest.raises(GridSecError, match="branch 54-55 is not in service"):
+            chord_screen(oc, start, outages)
+    island = case68.find_branch("11-56")
+    assert island in oc.topology.cuts
+    with pytest.raises(GridSecError, match="no chord screen for branch 11-56: its outage islands"):
+        chord_screen(oc, start, [k + 1, island])
 
 
 def test_trace_leaves_its_case_as_it_found_it(case68):

@@ -36,7 +36,7 @@ from gridsec.train import (
 )
 from gridsec.workers import resolve_jobs
 
-from tests.conftest import BLAS_VARS, assert_no_children, unpinned_env, use_cpus
+from tests.conftest import BLAS_VARS, assert_golden, assert_no_children, unpinned_env, use_cpus
 
 
 def make_blobs(n, seed, shift=2.0):
@@ -655,10 +655,10 @@ def test_golden_training_log(tmp_path):
     """Every logged loss and accuracy of all 7 algorithms equals the stored
     log byte for byte: a change to the training step that moves any
     parameter moves the ``loss`` column's 10 significant digits."""
-    assert _golden_run_log(tmp_path) == GOLDEN_LOG.read_bytes()
+    assert_golden(_golden_run_log(tmp_path), GOLDEN_LOG)
 
 
 def test_golden_training_log_tanh(tmp_path):
     """The same for tanh hidden layers, whose derivative the backward pass
     takes from the activations."""
-    assert _golden_run_log(tmp_path, "tanh") == GOLDEN_LOG_TANH.read_bytes()
+    assert_golden(_golden_run_log(tmp_path, "tanh"), GOLDEN_LOG_TANH)
