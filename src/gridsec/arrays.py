@@ -59,19 +59,26 @@ class BranchTable(NamedTuple):
     cells: np.ndarray  # (branches, 4): the ff, tt, ft and tf cells
     stamps: np.ndarray  # (branches, 4): y_ff, y_tt, y_ft, y_tf (= y_ft: the tap is real)
 
+    def in_service(self, positions) -> np.ndarray:
+        """Whether each of the branch positions ``positions`` is in service,
+        that is, has a row in the table."""
+        positions = np.asarray(positions, dtype=int)
+        rows = np.searchsorted(self.pos, positions)
+        found = rows < len(self.pos)
+        found[found] = self.pos[rows[found]] == positions[found]
+        return found
+
     def rows(self, positions, branches) -> np.ndarray:
         """The table rows of the branch positions ``positions``. A position
         that is not in service, which would otherwise read the next row, is
         a ``GridSecError`` naming its branch in ``branches``."""
         positions = np.asarray(positions, dtype=int)
-        rows = np.searchsorted(self.pos, positions)
-        found = rows < len(self.pos)
-        found[found] = self.pos[rows[found]] == positions[found]
+        found = self.in_service(positions)
         if not found.all():
             k = int(positions[~found][0])
             name = branches[k].label() if 0 <= k < len(branches) else f"position {k}"
             raise GridSecError(f"branch {name} is not in service")
-        return rows
+        return np.searchsorted(self.pos, positions)
 
 
 class Injections(NamedTuple):

@@ -197,11 +197,10 @@ def sample_tcs(config: GenerationConfig) -> list:
 def _positions(case: NetworkCase, names, kind):
     """Branch position -> label for a CSC or TC list; a branch that is out of
     service, or listed twice under either orientation, is a ``DatasetError``."""
-    live = set(case.branch_table.pos.tolist())
+    ks = [case.find_branch(name) for name in names]
     found = {}
-    for name in names:
-        k = case.find_branch(name)
-        if k not in live:
+    for name, k, live in zip(names, ks, case.branch_table.in_service(ks).tolist()):
+        if not live:
             raise DatasetError(f"{kind} {name} from the {kind} list is already out of service")
         if k in found:
             raise DatasetError(f"{kind} {name} from the {kind} list repeats {found[k]}")

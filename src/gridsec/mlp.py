@@ -3,6 +3,14 @@ and exact backpropagation gradients, taken from the activations alone, over
 a flat parameter vector that ``unpack`` alone slices.
 
 Class index 0 is Secure, 1 is Insecure; argmax ties resolve to index 0.
+
+A pass writes only arrays it allocated: each hidden activation and the
+softmax overwrite their layer's fresh matmul output, the cross-entropy logs
+its fancy-indexed copy of the true-class probabilities, and the backward
+pass turns the probabilities into the output error. ``theta`` and the batch
+are only read. Every element keeps its whole-array expression and order
+(``np.add.reduce(p) / n`` is ``np.mean``'s own sum and division), so losses
+and gradients equal the expression form bit for bit.
 """
 
 from __future__ import annotations
@@ -10,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+_TINY = np.finfo(float).tiny  # guards log(0) under a saturated softmax
 
 
 @dataclass(frozen=True)
@@ -54,41 +64,29 @@ def init_params(arch: MlpArchitecture, seed: int) -> np.ndarray:
     return theta
 
 
-def _activate(z, activation):
-    if activation == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
-
-
-def _activate_grad(a, activation):
-    """The derivative at the pre-activation, read from the activation ``a``:
-    relu's ``a > 0`` holds exactly where its input is positive (a bool mask,
-    multiplied as 0 and 1), and tanh's ``a`` is ``tanh`` of its input."""
-    if activation == "relu":
-        return a > 0.0
-    return 1.0 - a ** 2
-
-
-def _forward_pass(theta, arch, x):
-    """Activations of every layer: the input first, the class probabilities
-    last."""
+def _forward_pass(pairs, arch, x):
+    """Activations of every layer for the (W, b) ``pairs`` of ``unpack``:
+    the input first, the class probabilities last."""
     a = np.atleast_2d(np.asarray(x, dtype=float))
     if a.shape[1] != arch.layer_sizes[0]:
         raise ValueError(
             f"input width {a.shape[1]} does not match model width {arch.layer_sizes[0]}"
         )
-    pairs = unpack(theta, arch)
     activations = [a]
+    last = len(pairs) - 1
     for li, (w, b) in enumerate(pairs):
-        z = activations[-1] @ w
+        z = activations[-1] @ w  # a fresh array, so each step below writes into it
         z += b
-        if li < len(pairs) - 1:
-            a = _activate(z, arch.activation)
-        else:
-            shifted = z - z.max(axis=1, keepdims=True)
-            expz = np.exp(shifted)
-            a = expz / expz.sum(axis=1, keepdims=True)
-        activations.append(a)
+        if li < last:
+            if arch.activation == "relu":
+                np.maximum(z, 0.0, out=z)
+            else:
+                np.tanh(z, out=z)
+        else:  # softmax, shifted by the row maximum
+            z -= z.max(axis=1, keepdims=True)
+            np.exp(z, out=z)
+            z /= np.add.reduce(z, axis=1, keepdims=True)
+        activations.append(z)
     return activations
 
 
@@ -96,36 +94,45 @@ def _cross_entropy(probs, y):
     """Mean cross-entropy of integer labels ``y`` under ``probs``."""
     if y.size == 0:
         raise ValueError("empty batch")
-    eps = np.finfo(float).tiny  # guards log(0) under a saturated softmax
-    return float(-np.mean(np.log(probs[np.arange(probs.shape[0]), y] + eps)))
+    p = probs[np.arange(probs.shape[0]), y]  # a copy: ``probs`` is left as it was
+    p += _TINY
+    np.log(p, out=p)
+    return float(-(np.add.reduce(p) / p.size))  # np.mean's sum and division
 
 
 def loss_and_gradient(theta: np.ndarray, arch: MlpArchitecture, x, y):
     """Mean cross-entropy over the batch and its exact gradient in theta."""
     y = np.asarray(y, dtype=int)
-    activations = _forward_pass(theta, arch, x)
+    pairs = unpack(theta, arch)
+    activations = _forward_pass(pairs, arch, x)
     probs = activations[-1]
     loss = _cross_entropy(probs, y)
 
     n = probs.shape[0]
     grad = np.empty_like(theta)
-    weights = unpack(theta, arch)
+    grads = unpack(grad, arch)
     delta = probs  # the output error overwrites the probabilities, now unused
     delta[np.arange(n), y] -= 1.0
     delta /= n
-    for li, (grad_w, grad_b) in reversed(list(enumerate(unpack(grad, arch)))):
+    for li in range(len(pairs) - 1, -1, -1):
+        grad_w, grad_b = grads[li]
         np.matmul(activations[li].T, delta, out=grad_w)
-        np.sum(delta, axis=0, out=grad_b)
+        np.add.reduce(delta, axis=0, out=grad_b)
         if li > 0:
-            delta = delta @ weights[li][0].T
-            delta *= _activate_grad(activations[li], arch.activation)
+            delta = delta @ pairs[li][0].T
+            a = activations[li]
+            # the derivative at the pre-activation, read from the activation:
+            # relu's ``a > 0`` holds exactly where its input is positive (a
+            # bool mask, multiplied as 0 and 1, so a negative delta gives
+            # -0.0), and tanh's ``a`` is ``tanh`` of its input
+            delta *= a > 0.0 if arch.activation == "relu" else 1.0 - a ** 2
     return loss, grad
 
 
 def evaluate(theta, arch, x, y):
     """{'accuracy', 'loss'} on a labeled set, from one forward pass."""
     y = np.asarray(y, dtype=int)
-    probs = _forward_pass(theta, arch, x)[-1]
+    probs = _forward_pass(unpack(theta, arch), arch, x)[-1]
     loss = _cross_entropy(probs, y)
     accuracy = float(np.mean(np.argmax(probs, axis=1) == y))
     return {"accuracy": accuracy, "loss": loss}

@@ -74,7 +74,7 @@ class Optimizer:
             raise OptimizerError(
                 f"gradient shape {g.shape} does not match parameters {theta.shape}"
             )
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             bad = int(np.flatnonzero(~np.isfinite(g))[0])
             raise OptimizerError(f"non-finite gradient at coordinate {bad}")
         return g

@@ -266,9 +266,9 @@ def run_contingency_screen(case: NetworkCase, solution: PowerFlowSolution,
 
 def _in_service(case: NetworkCase, names) -> tuple:
     """(name, branch position) of each listed branch in service in ``case``."""
-    live = case.branch_table.pos
     found = [(name, case.find_branch(name)) for name in names]
-    return tuple((name, k) for name, k in found if k in live)
+    live = case.branch_table.in_service([k for _, k in found])
+    return tuple(pair for pair, ok in zip(found, live) if ok)
 
 
 def parse_contingency_list(text: str) -> list:

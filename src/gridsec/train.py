@@ -65,12 +65,13 @@ def run_phase(theta, arch, optimizer, train_xy, test_xy, phase, epochs, eval_eve
     grad_fn = lambda t: mlp.loss_and_gradient(t, arch, x_train, y_train)[1]
     logged = _eval_every_hits(epochs, eval_every)
     rows = []
-    # a diverging run overflows on its way to the diverged row, which records it
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a diverging run overflows, or divides by a zero eps, on its way to the
+    # diverged row, which records it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(1, epochs + 1):
             try:
                 optimizer.step(theta, grad_fn)
-                finite = np.all(np.isfinite(theta))
+                finite = np.isfinite(theta).all()
             except OptimizerError:  # the gradient has theta's shape: it is not finite
                 finite = False
             if not finite:

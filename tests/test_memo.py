@@ -109,11 +109,15 @@ def test_predicted_loading_rejects_an_outage_out_of_service(case68):
 
 
 def test_branch_rows_are_in_service_positions_only(case9):
-    """``BranchTable.rows`` maps in-service positions to table rows, and
-    names the first listed position that has none."""
+    """``BranchTable.in_service`` tells which positions have a table row,
+    ``BranchTable.rows`` maps in-service positions to their rows, and names
+    the first listed position that has none."""
     k = case9.find_branch("4-6")
     tb = apply_outage(case9, k).branch_table
     live = tb.pos.tolist()
+    every = list(range(-1, len(case9.branches) + 1))
+    assert tb.in_service(every).tolist() == [p in live for p in every]
+    assert tb.in_service([]).tolist() == []
     assert tb.rows(live, case9.branches).tolist() == list(range(len(live)))
     assert tb.rows([], case9.branches).tolist() == []
     for bad, name in ((k, "4-6"), (len(case9.branches), f"position {len(case9.branches)}"),

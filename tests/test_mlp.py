@@ -23,7 +23,7 @@ def small_arch(activation="tanh"):
 
 
 def probabilities(theta, arch, x):
-    return _forward_pass(theta, arch, x)[-1]
+    return _forward_pass(unpack(theta, arch), arch, x)[-1]
 
 
 def predicted_classes(theta, arch, x):
@@ -181,12 +181,9 @@ def test_standardization_round_trip():
     assert np.all(z_update[:, 3] == 2.0)  # (7 - 5) / 1: zero-variance columns are pinned
 
 
-def _expression_loss_and_gradient(theta, arch, x, y):
-    """Forward pass and backpropagation as whole-array expressions, one
-    fresh array per operation, with each activation's derivative taken from
-    the cached pre-activations ``zs``: the oracle for ``loss_and_gradient``,
-    which reads it from the activations."""
-    pairs = unpack(theta, arch)
+def _expression_forward(pairs, arch, x):
+    """The pre-activations ``zs`` and the activations of every layer, as
+    whole-array expressions, one fresh array per operation."""
     zs, activations = [], [x]
     for li, (w, b) in enumerate(pairs):
         z = activations[-1] @ w + b
@@ -198,9 +195,23 @@ def _expression_loss_and_gradient(theta, arch, x, y):
             expz = np.exp(shifted)
             a = expz / expz.sum(axis=1, keepdims=True)
         activations.append(a)
+    return zs, activations
+
+
+def _expression_loss(probs, y):
+    n = probs.shape[0]
+    return float(-np.mean(np.log(probs[np.arange(n), y] + np.finfo(float).tiny)))
+
+
+def _expression_loss_and_gradient(theta, arch, x, y):
+    """Forward pass and backpropagation as whole-array expressions, with each
+    activation's derivative taken from the cached pre-activations ``zs``: the
+    oracle for ``loss_and_gradient``, which reads it from the activations."""
+    pairs = unpack(theta, arch)
+    zs, activations = _expression_forward(pairs, arch, x)
     probs = activations[-1]
     n = probs.shape[0]
-    loss = float(-np.mean(np.log(probs[np.arange(n), y] + np.finfo(float).tiny)))
+    loss = _expression_loss(probs, y)
 
     grad = np.zeros_like(theta)
     grad_pairs = unpack(grad, arch)
@@ -258,3 +269,42 @@ def test_loss_and_gradient_bits_equal_the_pre_activation_oracle(
         loss_ref, grad_ref = _expression_loss_and_gradient(theta, arch, x, y)
     assert np.float64(loss).tobytes() == np.float64(loss_ref).tobytes()
     assert grad.tobytes() == grad_ref.tobytes()
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_evaluate_equals_the_expression_oracle(activation):
+    """Loss and accuracy equal the expression form's bit for bit, on a batch
+    with a saturated softmax row (its true class's probability is 0.0, so
+    the loss reads ``log(tiny)``) and an exact tie, which counts as class 0."""
+    arch = small_arch(activation)
+    theta = init_params(arch, seed=3)  # zero biases: a zero row ties
+    unpack(theta, arch)[-1][0][...] *= 1e4
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(12, 4))
+    x[0] = 0.0
+    x[1] *= 1e3
+    y = rng.integers(0, 2, size=12)
+    probs = _expression_forward(unpack(theta, arch), arch, x)[1][-1]
+    y[0] = 1
+    y[1] = np.argmin(probs[1])
+    assert probs[0, 0] == probs[0, 1] and probs[1, y[1]] == 0.0
+    stats = evaluate(theta, arch, x, y)
+    assert np.float64(stats["loss"]).tobytes() == np.float64(_expression_loss(probs, y)).tobytes()
+    assert stats["accuracy"] == float(np.mean(np.argmax(probs, axis=1) == y))
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_the_in_place_pass_writes_only_its_own_arrays(activation):
+    """The forward pass writes each activation into its fresh matmul output,
+    and the backward pass overwrites only the probabilities: ``theta``,
+    ``x`` and ``y`` come back byte-identical. Non-zero biases, so a softmax
+    shift written into theta's output biases would show."""
+    arch = small_arch(activation)
+    rng = np.random.default_rng(11)
+    theta = init_params(arch, seed=11) + rng.normal(scale=0.1, size=arch.n_params)
+    x = rng.normal(size=(10, 4))
+    y = rng.integers(0, 2, size=10)
+    before = theta.tobytes(), x.tobytes(), y.tobytes()
+    loss_and_gradient(theta, arch, x, y)
+    evaluate(theta, arch, x, y)
+    assert (theta.tobytes(), x.tobytes(), y.tobytes()) == before

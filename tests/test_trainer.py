@@ -168,6 +168,21 @@ def test_initialization_divergence_skips_the_update_phase(tmp_path):
     assert len(read_log(tmp_path / "sgd.log.csv").rows) == len(run.rows)
 
 
+@pytest.mark.parametrize("algorithm", ["adagrad", "nadam"])
+def test_a_zero_eps_run_diverges_without_a_warning(algorithm):
+    """eps = 0 is a valid setting, but a constant feature column standardizes
+    to zeros, so its weights get an exactly zero gradient and a first step of
+    -lr / 0 * 0. The diverged row at epoch 1 is the run's one record of it:
+    pytest turns a RuntimeWarning on stderr into an error."""
+    blobs = make_blobs(60, 0)
+    x = np.column_stack([blobs.x, np.full(60, 5.0)])
+    ds = Dataset(x, blobs.y, ["a", "b", "c", "constant"])
+    cfg = small_config("init.csv", "update.csv", algorithms=(algorithm,), activation="relu",
+                       overrides={algorithm: {"eps": 0.0}})
+    run = run_single(cfg, algorithm, 0, standardized_splits(ds, ds, 0.6, 0))
+    assert [(r.phase, r.epoch, r.diverged) for r in run.rows] == [(PHASE_INIT, 1, True)]
+
+
 def _reference_splits(init_ds, update_ds, fraction, seed):
     """``standardized_splits`` as three steps: each dataset shuffled and
     partitioned into (train, test) ``Dataset``s, mean and std (a zero std
