@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from types import MappingProxyType
 
 from .arrays import Topology, bus_injections, islands, measurement_layout
@@ -26,6 +27,13 @@ from .errors import (
     IslandingError,
     open_text,
 )
+
+
+def _total(values):
+    """The floats ``values`` added left to right: Python 3.12's ``sum``
+    compensates its rounding (gh-100425) and so moves the last bits of the
+    load and capacity totals that rescheduling divides by."""
+    return reduce(operator.add, values, 0.0)
 
 
 class BusKind(enum.Enum):
@@ -99,7 +107,7 @@ class NetworkCase:
 
     def total_load(self):
         """(P_MW, Q_MVar) summed over all loads."""
-        return (sum(l.p_mw for l in self.loads), sum(l.q_mvar for l in self.loads))
+        return (_total(l.p_mw for l in self.loads), _total(l.q_mvar for l in self.loads))
 
     def find_branch(self, spec):
         """Resolve a ``from-to[:circuit]`` label to a branch index.
@@ -187,7 +195,7 @@ def validate_case(case: NetworkCase):
     missed, _ = islands(len(ids), index[slacks[0]], ends)
     if missed:
         raise CaseValidationError(f"disconnected bus {min(ids[p] for p in missed)}")
-    capacity = sum(g.p_max for g in case.generators if g.in_service)
+    capacity = _total(g.p_max for g in case.generators if g.in_service)
     p_load, _ = case.total_load()
     if capacity < 1.05 * p_load:
         raise CaseValidationError(
@@ -245,7 +253,7 @@ def _dispatch(gens, slack_id, delta_p) -> dict:
     remaining = float(delta_p)
     active = set(movable)
     while abs(remaining) > 1e-12 and active:
-        cap = sum(gens[i].p_max for i in active)
+        cap = _total(gens[i].p_max for i in active)
         moved = 0.0
         pinned = set()
         for i in active:

@@ -10,7 +10,7 @@ gradient value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -47,11 +47,27 @@ class OptimizerConfig:
 
 def default_config(algorithm: str, **overrides) -> OptimizerConfig:
     """Conventional defaults: lr 0.01 for the constant-rate family, lr 0.001
-    with beta1 0.9 / beta2 0.999 for adam and nadam, lr 0.01 for adagrad."""
+    with beta1 0.9 / beta2 0.999 for adam and nadam, lr 0.01 for adagrad.
+    ``overrides`` may set only the algorithm's ``SETTINGS``: any other key is
+    an ``OptimizerError`` naming it, not a silently ignored setting."""
     lr = 0.001 if algorithm in ("adam", "nadam") else 0.01
-    params = {"algorithm": algorithm, "learning_rate": lr}
-    params.update(overrides)
-    return OptimizerConfig(**params)
+    cfg = OptimizerConfig(algorithm, lr)
+    for key in overrides:
+        if key not in SETTINGS[algorithm]:
+            if key not in {f.name for f in fields(OptimizerConfig)}:
+                raise OptimizerError(f"{key}: unknown key")
+            raise OptimizerError(f"{key}: {algorithm} does not read it; it reads "
+                                 f"{', '.join(SETTINGS[algorithm])}")
+    return replace(cfg, **overrides)
+
+
+# the OptimizerConfig fields that each algorithm's rule in Optimizer.step reads
+SETTINGS = {
+    "sgd": ("learning_rate",),
+    **dict.fromkeys(("sgd-m", "nag", "nag-m"), ("learning_rate", "momentum")),
+    "adagrad": ("learning_rate", "eps"),
+    **dict.fromkeys(("adam", "nadam"), ("learning_rate", "beta1", "beta2", "eps")),
+}
 
 
 class Optimizer:

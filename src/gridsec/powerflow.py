@@ -8,18 +8,19 @@ from the table's flat ``cells`` and ``stamps``, and the branch flows, and the
 bus spec is read from the topology: the slack position and the ``pv``/``pq``
 masks. A solve copies only the three arrays a Q-limit pin rewrites,
 ``s_spec``, ``pv`` and ``pq``.
-Each NR iteration evaluates the Jacobian only at Ybus's nonzero cells (and
-its diagonal) and scatters the values into the reduced ``pvpq``/``pq``
-matrix. The cells and their scatter map are one ``arrays.JacobianMap``
-(``Topology.jacobian``), made once per parsed case and shared by its edits,
-which only remove branches; a solve gathers Ybus at those cells and drops
-the off-diagonal ones that are zero, and after a pin it asks
-``arrays.jacobian_map`` for the pinned masks' map. Each entry equals,
-bit for bit, the same entry selected from the dense 2n x 2n ``dSbus_dV``.
-These live maps are kept in a dict by PV mask (on one Ybus the PV mask
-fixes the PQ mask), which lives as long as its Ybus: one solve in
-``solve_powerflow``, every step of a curve in ``trace_pv_curve``, whose
-steps each restart from the case's masks and so re-pin the same buses.
+Each NR iteration evaluates the Jacobian only at the parsed case's Ybus
+cells (its branches' and the diagonal) and scatters the values into the
+reduced ``pvpq``/``pq`` matrix. The cells and their scatter map are one
+``arrays.JacobianMap`` (``Topology.jacobian``), made once per parsed case
+and shared by its edits, which only remove branches; a solve gathers Ybus
+at those cells once and scatters every one of them as it is: a cell whose
+branches are all out writes a zero. After a pin it asks ``arrays.jacobian_map`` for the pinned
+masks' map of the same cells. Each entry equals, bit for bit, the same
+entry selected from the dense 2n x 2n ``dSbus_dV``. The pinned maps are
+kept in a dict by PV mask (on one Ybus the PV mask fixes the PQ mask),
+which lives as long as its Ybus: one solve in ``solve_powerflow``, every
+step of a curve in ``trace_pv_curve``, whose steps each restart from the
+case's masks and so re-pin the same buses.
 The Jacobian's values, its LU solve and the mismatch stay per iteration.
 ``mismatch_vector`` is the one residual, the one test of convergence, for
 both NR and the chord: S_bus - S_spec gathered at the map's ``mismatch``.
@@ -113,23 +114,6 @@ def mismatch_vector(s_bus, s_spec, mismatch):
     return (s_bus - s_spec).view(float)[..., mismatch]
 
 
-def _live_map(ybus, jmap: JacobianMap):
-    """Ybus at ``jmap``'s cells, the first n of which are the diagonal, and
-    ``jmap`` without the off-diagonal cells where Ybus is zero.
-
-    ``jmap``'s cells are the parsed case's, which cover this case's Ybus. It
-    keeps every diagonal cell, so a bus's diagonal terms have a place even
-    where its Ybus entry is zero; a cell whose branches are all out scatters
-    nothing.
-    """
-    y = ybus.ravel()[jmap.flat]
-    keep = y != 0
-    keep[:len(ybus)] = True
-    sel = np.concatenate([keep] * 4)[jmap.src]
-    return y, JacobianMap(jmap.flat, jmap.rows, jmap.cols, jmap.pvpq, jmap.pq, jmap.src[sel],
-                          jmap.dest[sel], jmap.m, jmap.mismatch)
-
-
 def jacobian(layout: JacobianMap, y, v, s_bus):
     """Analytic polar Jacobian of the mismatch vector, reduced to ``layout``'s
     ``pvpq``/``pq`` rows and columns, from Ybus at its cells, ``y``.
@@ -189,16 +173,15 @@ def _first_iterate(topo, start):
 
 def _newton(topo, inj: Injections, ybus, maps, start, tolerance):
     """``solve_powerflow``'s NR loop on ``topo``'s bus spec, ``inj`` and Ybus.
-    ``maps`` holds the ``_live_map`` of each PV mask, by ``is_pv.tobytes()``,
-    for this Ybus; the loop adds the masks it meets. Returns the last
-    iterate's complex voltages, then the solution's fields from
-    ``converged`` on."""
+    ``maps`` holds the ``JacobianMap`` of each pinned PV mask, by
+    ``is_pv.tobytes()``, for this Ybus; the loop adds the masks it meets.
+    Every map has the case's cells, so Ybus is gathered at them once.
+    Returns the last iterate's complex voltages, then the solution's fields
+    from ``converged`` on."""
     s_spec, is_pv, is_pq = inj.s_spec.copy(), topo.pv.copy(), topo.pq.copy()
     vm, va = _first_iterate(topo, start)
-    key = is_pv.tobytes()
-    if key not in maps:
-        maps[key] = _live_map(ybus, topo.jacobian)
-    y, layout = maps[key]
+    layout = topo.jacobian
+    y = ybus.ravel()[layout.flat]
     watch = is_pv & inj.has_gen  # the PV buses whose Q limits are checked
     q_hi, q_lo = inj.qg_max + 1e-9, inj.qg_min - 1e-9
     q_limited = []
@@ -227,9 +210,8 @@ def _newton(topo, inj: Injections, ybus, maps, start, tolerance):
                 # buses are the PV buses no longer in it
                 key = is_pv.tobytes()
                 if key not in maps:
-                    maps[key] = _live_map(ybus, jacobian_map(layout.flat, layout.rows, layout.cols,
-                                                             is_pv, is_pq))
-                y, layout = maps[key]
+                    maps[key] = jacobian_map(layout.flat, layout.rows, layout.cols, is_pv, is_pq)
+                layout = maps[key]
                 watch = is_pv & inj.has_gen
 
         f = mismatch_vector(s_bus, s_spec, layout.mismatch)
@@ -313,7 +295,8 @@ def chord_screen(case: NetworkCase, start, outages) -> list:
     ybus = build_ybus(case)
     vm, va = _first_iterate(topo, start)
     v = vm * np.exp(1j * va)
-    y, layout = _live_map(ybus, topo.jacobian)
+    layout = topo.jacobian
+    y = ybus.ravel()[layout.flat]
     j0 = jacobian(layout, y, v, calc_injections(ybus, v))
     # each outage's Ybus change on its end buses [f, t], and the Jacobian's at
     # the start (dS/dVa, dS/dVm as in jacobian()) on rows P_f P_t Q_f Q_t
@@ -416,7 +399,7 @@ def trace_pv_curve(case: NetworkCase, monitored_bus: int, step: float) -> PvCurv
         raise CaseValidationError(f"no bus {monitored_bus} in case")
     inj, topo, n = case.injections, case.topology, len(case.buses)
     ybus = _ybus(topo.branches(), n)
-    maps = {}  # every step's live maps, by PV mask
+    maps = {}  # every step's pinned maps, by PV mask
     gens = [(i, g) for i, g in enumerate(case.generators) if g.in_service]
     gen_bus = np.array([topo.bus_index[g.bus] for _, g in gens], dtype=int)
     load_bus = np.array([topo.bus_index[l.bus] for l in case.loads], dtype=int)

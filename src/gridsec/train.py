@@ -46,8 +46,11 @@ class RunResult:
     rows: list
 
     def accuracy_at(self, phase, epoch, split="train"):
+        """The ``split`` accuracy logged at ``phase`` and ``epoch``; nan where
+        the run logged no row or diverged, whose accuracies are the argmax of
+        non-finite probabilities."""
         for row in self.rows:
-            if row.phase == phase and row.epoch == epoch:
+            if row.phase == phase and row.epoch == epoch and not row.diverged:
                 return row.test_accuracy if split == "test" else row.train_accuracy
         return float("nan")
 
@@ -106,8 +109,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Reject a phase length, checkpoint cadence, split, seed list,
-        algorithm list, network shape, activation or optimizer setting, or
-        settings for an unused algorithm, before any dataset loads."""
+        algorithm list, network shape, activation or optimizer setting, a
+        setting its algorithm does not read (``optim.SETTINGS``), or settings
+        for an unused algorithm, before any dataset loads."""
         for key in ("init_epochs", "update_epochs", "eval_every"):
             if getattr(self, key) < 1:
                 raise ExperimentError(f"{key} must be >= 1")

@@ -1,5 +1,7 @@
+import builtins
 import dataclasses
 import json
+import math
 import re
 import os
 import signal
@@ -28,10 +30,11 @@ from gridsec.model import (
     BusKind,
     apply_outage,
     bundled_case_path,
+    load_bundled_case,
     reschedule_generation,
     scale_loads,
 )
-from gridsec.powerflow import solve_powerflow
+from gridsec.powerflow import solve_powerflow, trace_pv_curve
 from gridsec.security import Label, run_contingency_screen
 from gridsec.train import standardized_splits
 
@@ -167,6 +170,43 @@ def test_build_dataset_deterministic(case68):
     xb, yb = b.matrix()
     assert np.array_equal(xa, xb)
     assert np.array_equal(ya, yb)
+
+
+def compensated_sum(iterable, start=0):
+    """An emulation of ``sum`` as from Python 3.12 (CPython gh-100425): it
+    adds ints exactly, then floats by Neumaier's compensated summation, and
+    adds the compensation once at the end when it is finite and nonzero.
+    Anything else it adds as Python before 3.12 does."""
+    total, c = start, 0.0
+    for x in iterable:
+        if isinstance(total, float) and isinstance(x, float):
+            t = total + x
+            c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        else:
+            total = total + x
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_totals_and_datasets_do_not_move_with_pythons_sum(monkeypatch):
+    """The load and capacity totals that rescheduling reads are left folds:
+    under Python 3.12's compensated ``sum`` case68's total load, a small
+    dataset and a PV curve keep every bit."""
+    cfg = GenerationConfig(n_samples=12, tc_mix=0.25, tc_list=TC_LINES,
+                           csc_list=CSC_LINES, seed=42)
+    use_cpus(monkeypatch, 1)
+
+    def outputs():
+        case = load_bundled_case("case68")
+        x, y = build_dataset(case, cfg).matrix()
+        return repr(case.total_load()), x.tobytes(), y.tobytes(), repr(
+            trace_pv_curve(case, 8, 0.05).points)
+
+    want = outputs()
+    loads = [l.p_mw for l in load_bundled_case("case68").loads]
+    assert compensated_sum(loads) != sum(loads)  # the emulation moves case68's load
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert outputs() == want
 
 
 def tc_columns(case, tc):

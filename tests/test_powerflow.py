@@ -17,7 +17,6 @@ from gridsec.model import (
 )
 from gridsec.powerflow import (
     TOLERANCE,
-    _live_map,
     build_ybus,
     calc_injections,
     chord_screen,
@@ -267,9 +266,8 @@ def reduced_jacobian(case, v, pvpq, pq):
     solve gathers from the case view's cells."""
     ybus = build_ybus(case)
     cells = case.topology.jacobian
-    y, layout = _live_map(ybus, jacobian_map(cells.flat, cells.rows, cells.cols,
-                                             *masks(len(v), pvpq, pq)))
-    return jacobian(layout, y, v, calc_injections(ybus, v))
+    layout = jacobian_map(cells.flat, cells.rows, cells.cols, *masks(len(v), pvpq, pq))
+    return jacobian(layout, ybus.ravel()[cells.flat], v, calc_injections(ybus, v))
 
 
 def test_jacobian_matches_finite_differences(case9):
@@ -432,12 +430,14 @@ def test_jacobian_zero_ybus_diagonal():
         assert want[0, 0] != 0
 
 
-def scan_jacobian(ybus, v, pvpq, pq):
-    """The reduced Jacobian on a layout scanned from ``ybus != 0`` and mapped
-    from the index sets at every call, as each solve once made it: the
-    bit-for-bit oracle of the layout gathered from the case view's cells."""
+def scan_jacobian(ybus, pattern, v, pvpq, pq):
+    """The reduced Jacobian of ``ybus`` on a layout scanned from
+    ``pattern != 0`` (and the diagonal) and mapped from the index sets at
+    every call, as each solve once made it from its own Ybus: with the
+    parsed case's Ybus as ``pattern``, the bit-for-bit oracle of the layout
+    gathered from the case view's cells."""
     n = len(ybus)
-    nonzero = ybus != 0
+    nonzero = pattern != 0
     np.fill_diagonal(nonzero, True)
     flat = np.flatnonzero(nonzero)
     rows, cols = np.divmod(flat, n)
@@ -470,17 +470,22 @@ def scan_jacobian(ybus, v, pvpq, pq):
 
 
 def test_jacobian_bit_identical_to_scan_oracle(case9, case68):
-    """The parsed case's cells cover every edit's Ybus pattern, and the layout
-    gathered from them gives the scanned layout's Jacobian and the solver's
-    ``mismatch_vector`` gives the stacked oracle, byte for byte, for the
-    case's own masks and for pinned ones."""
+    """The parsed case's cells cover every edit's Ybus pattern. The layout
+    gathered from them gives, byte for byte, the Jacobian scanned from the
+    parsed case's Ybus pattern, and the solver's ``mismatch_vector`` the
+    stacked oracle, for the case's own masks and for pinned ones. On an
+    edit's own pattern the scan leaves out the cells of its outaged
+    branches, where the gathered layout writes zeros of either sign: the
+    two Jacobians are equal and their solves byte-identical."""
     tc = apply_outage(case68, case68.find_branch("18-42"))
     csc = apply_outage(tc, case68.find_branch("18-49"))
     parallel = parallel_case9()
     one_circuit = apply_outage(parallel, parallel.find_branch("4-5:2"))
     assert build_ybus(one_circuit)[3, 4] != 0
+    cancelled = cancelled_diagonal_case()
     rng = np.random.default_rng(14)
-    for case in (case9, case68, csc, one_circuit, cancelled_diagonal_case()):
+    for case, parsed in ((case9, case9), (case68, case68), (csc, case68),
+                         (one_circuit, parallel), (cancelled, cancelled)):
         ybus = build_ybus(case)
         n = len(case.buses)
         cells = case.topology.jacobian
@@ -496,12 +501,16 @@ def test_jacobian_bit_identical_to_scan_oracle(case9, case68):
                      * np.exp(1j * (sol.v_ang + rng.uniform(-0.1, 0.1, n))))
         for v in (sol.v_mag * np.exp(1j * sol.v_ang), perturbed):
             for q_set in (pq, pinned):
-                want = scan_jacobian(ybus, v, pvpq, q_set)
-                assert reduced_jacobian(case, v, pvpq, q_set).tobytes() == want.tobytes()
+                got = reduced_jacobian(case, v, pvpq, q_set)
+                want = scan_jacobian(ybus, build_ybus(parsed), v, pvpq, q_set)
+                assert got.tobytes() == want.tobytes()
                 jmap = jacobian_map(cells.flat, cells.rows, cells.cols, *masks(n, pvpq, q_set))
                 s_spec = case.injections.s_spec
                 f = mismatch_vector(calc_injections(ybus, v), s_spec, jmap.mismatch)
                 assert f.tobytes() == stacked_mismatch(ybus, v, s_spec, pvpq, q_set).tobytes()
+                own = scan_jacobian(ybus, ybus, v, pvpq, q_set)
+                assert np.array_equal(got, own)
+                assert np.linalg.solve(got, -f).tobytes() == np.linalg.solve(own, -f).tobytes()
 
 
 def test_jacobian_cells_shared_and_never_stored_by_a_solve(case9, case68):
@@ -653,27 +662,31 @@ def test_outage_noses_never_exceed_base(case9):
 def composed_trace(case, bus, step):
     """The PV trace as one case per load step: ``scale_loads``, then
     ``reschedule_generation``, then ``solve_powerflow`` warm-started from
-    the last point's solution. Returns the converged points."""
+    the last point's solution. Returns the converged points and the bus
+    positions their solves pinned at a Q limit."""
     pos = case.bus_index()[bus]
     base_p, _ = case.total_load()
-    points, warm, scale = [], None, 1.0
+    points, pinned, warm, scale = [], set(), None, 1.0
     while scale <= 50.0 + 1e-12:
         oc = reschedule_generation(scale_loads(case, scale), (scale - 1.0) * base_p)
         sol = solve_powerflow(oc, warm)
         if not sol.converged:
             break
         points.append((scale, float(sol.v_mag[pos])))
+        pinned |= {i for i, _ in sol.q_limited}
         warm = (sol.v_mag, sol.v_ang)
         scale = round(scale + step, 12)
-    return points
+    return points, pinned
 
 
 def assert_trace_is_composed(case, bus, step):
-    points = composed_trace(case, bus, step)
+    """The curve equals the composed steps; returns the buses they pinned."""
+    points, pinned = composed_trace(case, bus, step)
     curve = trace_pv_curve(case, bus, step)
     assert len(points) > 1
     assert repr(curve.points) == repr(points)
     assert curve.nose_scale == points[-1][0]
+    return pinned
 
 
 def test_trace_matches_the_composed_steps_case9(case9):
@@ -698,7 +711,7 @@ def test_trace_matches_the_composed_steps_with_shared_buses(case9):
              dataclasses.replace(case9.loads[0], p_mw=0.7, q_mvar=0.3))
     loads = case9.loads[:1] + extra + case9.loads[1:]
     case = dataclasses.replace(case9, generators=(slack, g2, small, g3, spare), loads=loads)
-    points = composed_trace(case, 5, 0.02)
+    points, _ = composed_trace(case, 5, 0.02)
     nose = reschedule_generation(case, (points[-1][0] - 1.0) * case.total_load()[0])
     assert nose.generators[2].p_mw == 45.0  # the clamp path ran
     assert_trace_is_composed(case, 5, 0.02)
@@ -730,6 +743,17 @@ def test_a_curve_maps_each_pinned_mask_once(case9, monkeypatch):
     assert pinned == [(2,), (1,), (1, 2)]  # bus positions
     monkeypatch.undo()
     assert_trace_is_composed(case, 5, 0.05)
+
+
+@pytest.mark.parametrize("outage", ["4-6", "8-9"])
+def test_trace_matches_the_composed_steps_pinned_on_an_outaged_base(case9, outage):
+    """A curve on an outaged base whose steps pin Q limits: the pinned maps
+    hold the parsed case's cells, the outaged branch's included, and those
+    scatter zeros that leave every point bit-identical."""
+    case = q_bound_case9(case9)
+    outaged = apply_outage(case, case.find_branch(outage))
+    assert outaged.topology.jacobian is case.topology.jacobian
+    assert 1 in assert_trace_is_composed(outaged, 5, 0.05)  # bus 2 pins at its cap
 
 
 def test_curves_on_two_topologies_share_no_map(case9):

@@ -410,6 +410,53 @@ def test_run_experiment_checks_code_built_config(tmp_path):
     assert "div" not in rows[0]
 
 
+# the OptimizerConfig fields each algorithm's update rule reads
+READS = {"sgd": ("learning_rate",), "sgd-m": ("learning_rate", "momentum"),
+         "nag": ("learning_rate", "momentum"), "nag-m": ("learning_rate", "momentum"),
+         "adagrad": ("learning_rate", "eps"), "adam": ("learning_rate", "beta1", "beta2", "eps"),
+         "nadam": ("learning_rate", "beta1", "beta2", "eps")}
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("key", ["learning_rate", "momentum", "beta1", "beta2", "eps"])
+def test_a_setting_the_algorithm_does_not_read_is_an_error(algorithm, key):
+    """``[sgd] momentum = 0.3`` would change nothing: every optimizer field
+    that an algorithm's update rule does not read is an error naming the
+    section and the key, in a config file and in a config built in code,
+    and every field it reads is taken."""
+    text = ("[experiment]\ninit_dataset = a\nupdate_dataset = b\n"
+            f"algorithms = {algorithm}\n[{algorithm}]\n{key} = 0.3\n")
+    if key in READS[algorithm]:
+        cfg = parse_experiment_config(text)
+        assert getattr(cfg.optimizer_config(algorithm), key) == 0.3
+        return
+    message = rf"\[{algorithm}\] {key}: {algorithm} does not read it"
+    with pytest.raises(ExperimentError, match=message):
+        parse_experiment_config(text)
+    with pytest.raises(ExperimentError, match=message):
+        small_config("a", "b", algorithms=(algorithm,), overrides={algorithm: {key: 0.3}})
+
+
+def test_a_diverged_row_summarizes_as_div(tmp_path):
+    """A run whose loss turns non-finite at a logged epoch writes its
+    diverged row with the accuracies of nan probabilities, which are
+    numbers; the summaries that ``train`` writes and those that ``report``
+    writes from the log both read div there."""
+    golden = str(Path(__file__).parent / "data" / "golden_case68_dataset.csv")
+    cfg = small_config(golden, golden, init_epochs=2, update_epochs=4, eval_every=1,
+                       hidden=(64, 32), activation="relu", algorithms=("sgd",),
+                       overrides={"sgd": {"learning_rate": 1e300}})
+    results = run_experiment(cfg)
+    run = results["sgd"][0]
+    assert [(r.phase, r.epoch, r.diverged) for r in run.rows] == [(PHASE_INIT, 1, True)]
+    assert np.isfinite(run.rows[0].train_accuracy)
+    write_log(tmp_path / "sgd.log.csv", run)
+    epochs = checkpoints(cfg.init_epochs, cfg.update_epochs)
+    for logged in (results, {"sgd": [read_log(tmp_path / "sgd.log.csv")]}):
+        for split in ("train", "test"):
+            assert summarize(logged, epochs, split)[1] == [["sgd"] + ["div"] * 6]
+
+
 def _blobs_with_columns(names):
     """Blob samples cut or padded to one feature per name in ``names``."""
     blobs = make_blobs(20, 0)
