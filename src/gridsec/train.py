@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import configparser
 import statistics
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import mlp
 from .data import Dataset, load_dataset
 from .errors import DatasetError, ExperimentError, OptimizerError, open_text
 from .mlp import MlpArchitecture
-from .optim import ALGORITHMS, Optimizer, OptimizerConfig, default_config
+from .optim import ALGORITHMS, SETTINGS, Optimizer, OptimizerConfig, default_config
 from .workers import map_units
 
 PHASE_INIT = "Initialization"
@@ -180,7 +180,6 @@ def _ints(text):
 _EXPERIMENT_KEYS = {"init_epochs": int, "update_epochs": int, "eval_every": int,
                     "seeds": _ints, "train_fraction": float, "hidden": _ints,
                     "activation": str}
-_OPTIMIZER_KEYS = tuple(f.name for f in fields(OptimizerConfig) if f.name != "algorithm")
 
 
 def _check_keys(section, known):
@@ -221,9 +220,11 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
             continue
         if section not in ALGORITHMS:
             raise ExperimentError(f"unknown config section [{section}]")
-        _check_keys(parser[section], _OPTIMIZER_KEYS)
+        # a key the algorithm does not read passes unconverted, so that
+        # ``default_config`` names it before any value is read
         overrides[section] = {
-            key: _read(parser[section], key, float) for key in parser[section]
+            key: _read(parser[section], key, float) if key in SETTINGS[section]
+            else parser[section][key] for key in parser[section]
         }
     return ExperimentConfig(
         init_dataset=exp["init_dataset"],
