@@ -1,22 +1,22 @@
 """Read-only numpy arrays derived from a ``NetworkCase``, built once per case.
 
-These arrays are the one source of a case's network layout: the bus index,
-the branch-label map, the bus arrays (voltage setpoints, each bus's voltage
-limits, the slack position and read-only PV and PQ masks), the in-service
-branch table with its pi stamps (the one copy of each branch admittance),
-flat Ybus cells, DC susceptances and ratings, the Newton-Raphson Jacobian's
-cells and map, and the per-bus injection sums. The solver reads its bus
-spec from them, builds Ybus and branch flows from the table's stamps and
-gathers its Jacobian's layout from the map that ``Topology.of`` makes once
-per parsed case; the solver, the limit check, the flow-change rule, the
-contingency ranking and the feature layout index branches by
-``NetworkCase.branch_table.pos``, and ``BranchTable.rows`` maps positions
-back to rows, rejecting one that is out of service. A case caches its
-``topology``, ``branch_table`` and ``injections`` (``bus_injections``), and
-``model``'s edits hand the new case the parts they leave unchanged, the
-label map and the Jacobian map among them. One walk from the slack
-(``islands``) finds the buses a case leaves disconnected and the buses each
-outage cuts off.
+These arrays are the one source of a case's network layout. ``Topology.of``
+builds, once per parsed case, what no edit changes: the bus index, the
+branch-label map, the bus arrays (voltage setpoints and limits, the slack
+position, PV and PQ masks, the bus positions of the in-service generators
+and of the loads, each bus's summed generator Q bounds), the branch table
+with its pi stamps (the one copy of each branch admittance), Ybus cells, DC
+susceptances and ratings, and the Newton-Raphson Jacobian's cells and map.
+``Injections`` holds what an operating condition changes: the per-bus net
+injection and load Q (``bus_injections``). A case caches its ``topology``,
+``branch_table`` and ``injections``, and ``model``'s edits hand the new case
+those they leave unchanged; an outage only extends a topology's ``out``. A
+``Topology`` is a named tuple, so nothing can be stored on one. The solver,
+the limit check, the flow-change rule, the contingency ranking and the
+feature layout index branches by ``NetworkCase.branch_table.pos``, and
+``BranchTable.rows`` maps positions back to rows, rejecting one that is out
+of service. One walk from the slack (``islands``) finds the buses a case
+leaves disconnected and the buses each outage cuts off.
 
 ``Topology.of`` also makes one memo per parsed case, which every edit
 shares: small read-only values that a topology alone fixes, keyed by its
@@ -31,7 +31,6 @@ Jacobian is kept there. A case also caches its feature layout
 
 from __future__ import annotations
 
-from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -82,13 +81,11 @@ class BranchTable(NamedTuple):
 
 
 class Injections(NamedTuple):
-    """Per-bus sums over in-service generators and over loads, per-unit."""
+    """What an operating condition changes: per-bus sums over in-service
+    generators and over loads, per-unit."""
 
     s_spec: np.ndarray  # complex net injection
-    qg_min: np.ndarray  # generator Q bounds
-    qg_max: np.ndarray
     q_load: np.ndarray
-    has_gen: np.ndarray
 
 
 class JacobianMap(NamedTuple):
@@ -173,24 +170,26 @@ def islands(n, root, ends):
     return missed, cuts
 
 
-class Topology:
-    """Bus arrays, branch labels, the branch table and the Jacobian map of
-    the case that was parsed or built, with the positions outaged since then
-    in ``out``."""
+class Topology(NamedTuple):
+    """Bus arrays, branch labels, the generator and load layout, the branch
+    table and the Jacobian map of the case that was parsed or built, which
+    every edit shares, and the positions outaged since then, ``out``."""
 
-    def __init__(self, bus_index, labels, slack, pv, pq, vset, v_limits, table: BranchTable,
-                 jacobian: JacobianMap, memo: dict, out=()):
-        self.bus_index = bus_index  # bus id -> position
-        self.labels = labels  # (low bus id, high bus id, circuit) -> branch position
-        self.slack = slack  # position of the first slack bus; ``of`` rejects a case with none
-        self.pv = pv  # True at PV buses
-        self.pq = pq  # True at PQ buses
-        self.vset = vset  # voltage setpoint, 1.0 where none
-        self.v_limits = v_limits  # (2, n): each bus's v_min, then its v_max
-        self.table = table
-        self.jacobian = jacobian  # shared by every edit, as labels is
-        self.memo = memo  # (frozenset of out, query) -> value; shared by every edit
-        self.out = out
+    bus_index: dict  # bus id -> position
+    labels: dict  # (low bus id, high bus id, circuit) -> branch position
+    slack: int  # position of the first slack bus; ``of`` rejects a case with none
+    pv: np.ndarray  # True at PV buses
+    pq: np.ndarray  # True at PQ buses
+    vset: np.ndarray  # voltage setpoint, 1.0 where none
+    v_limits: np.ndarray  # (2, n): each bus's v_min, then its v_max
+    gen_bus: np.ndarray  # bus position of each in-service generator, in case order
+    load_bus: np.ndarray  # bus position of each load
+    q_limits: np.ndarray  # (2, n): per-unit sums of each bus's generators' q_min, then q_max
+    has_gen: np.ndarray  # True at buses with an in-service generator
+    table: BranchTable
+    jacobian: JacobianMap  # shared by every edit, as labels is
+    memo: dict  # (frozenset of out, query) -> value; shared by every edit
+    out: tuple = ()
 
     @classmethod
     def of(cls, case) -> Topology:
@@ -216,8 +215,8 @@ class Topology:
         cells = np.stack([f * (n + 1), t * (n + 1), f * n + t, t * n + f], axis=1)
         columns = (pos, f, t, *dc.reshape(-1, 2).T, cells,
                    np.array(stamps, dtype=complex).reshape(-1, 3)[:, [0, 1, 2, 2]])
-        pv = _read_only(np.array([k == "pv" for k in kinds], dtype=bool))
-        pq = _read_only(np.array([k == "pq" for k in kinds], dtype=bool))
+        pv = np.array([k == "pv" for k in kinds], dtype=bool)
+        pq = np.array([k == "pq" for k in kinds], dtype=bool)
         stamped = np.zeros(n * n, dtype=bool)
         stamped[cells[:, 2:]] = True  # the ft and tf cells
         stamped[::n + 1] = False
@@ -225,23 +224,22 @@ class Topology:
         jmap = jacobian_map(flat, *np.divmod(flat, n), pv, pq)
         for a in jmap[:7] + jmap[8:]:  # every array; m is an int
             _read_only(a)
-        return cls(
-            index,
-            labels,
-            kinds.index("slack"),
-            pv,
-            pq,
-            _read_only(np.array([1.0 if b.v_setpoint is None else b.v_setpoint for b in case.buses])),
-            _read_only(np.array([[b.v_min for b in case.buses], [b.v_max for b in case.buses]])),
-            BranchTable(*(_read_only(c) for c in columns)),
-            jmap,
-            {},
-        )
+        gens = [g for g in case.generators if g.in_service]
+        gen_bus = np.array([index[g.bus] for g in gens], dtype=int)
+        q_limits = np.zeros((2, n))
+        # np.add.at sums the units of a bus in case order
+        np.add.at(q_limits[0], gen_bus, [g.q_min for g in gens])
+        np.add.at(q_limits[1], gen_bus, [g.q_max for g in gens])
+        buses = (pv, pq, np.array([1.0 if b.v_setpoint is None else b.v_setpoint for b in case.buses]),
+                 np.array([[b.v_min for b in case.buses], [b.v_max for b in case.buses]]),
+                 gen_bus, np.array([index[l.bus] for l in case.loads], dtype=int),
+                 q_limits / case.base_mva, np.bincount(gen_bus, minlength=n) > 0)
+        return cls(index, labels, kinds.index("slack"), *map(_read_only, buses),
+                   BranchTable(*map(_read_only, columns)), jmap, {})
 
     def without(self, k) -> Topology:
         """This topology with the branch at position ``k`` switched out."""
-        return Topology(self.bus_index, self.labels, self.slack, self.pv, self.pq, self.vset,
-                        self.v_limits, self.table, self.jacobian, self.memo, self.out + (k,))
+        return self._replace(out=self.out + (k,))
 
     def branches(self) -> BranchTable:
         """The in-service rows of ``table``. Dropping rows, rather than
@@ -266,7 +264,7 @@ class Topology:
             value = self.memo[key] = make()
             return value
 
-    @cached_property
+    @property
     def cuts(self) -> MappingProxyType:
         """Read-only: position of each in-service branch whose outage islands
         buses -> the positions of those buses, from one walk from the slack
@@ -325,19 +323,10 @@ def _bus_sums(n, base_mva, gen_bus, p_gen, load_bus, p_load, q_load):
 
 
 def bus_injections(case) -> Injections:
-    """``case``'s per-bus injection sums, on its topology's bus positions;
-    ``_bus_sums`` does the net injection, for ``powerflow.trace_pv_curve``'s
-    load steps too."""
-    index, n, base_mva = case.topology.bus_index, len(case.buses), case.base_mva
-    gens = [g for g in case.generators if g.in_service]
-    gen_bus = np.array([index[g.bus] for g in gens], dtype=int)
-    load_bus = np.array([index[l.bus] for l in case.loads], dtype=int)
-    qmin, qmax = np.zeros((2, n))
-    np.add.at(qmin, gen_bus, [g.q_min for g in gens])
-    np.add.at(qmax, gen_bus, [g.q_max for g in gens])
-    has_gen = np.zeros(n, dtype=bool)
-    has_gen[gen_bus] = True
-    s_spec, q_load = _bus_sums(n, base_mva, gen_bus, [g.p_mw for g in gens], load_bus,
-                               [l.p_mw for l in case.loads], [l.q_mvar for l in case.loads])
-    return Injections(*(_read_only(a) for a in (
-        s_spec, qmin / base_mva, qmax / base_mva, q_load, has_gen)))
+    """``case``'s net injection and load Q, summed on its topology's
+    generator and load bus positions by ``_bus_sums``, which
+    ``powerflow.trace_pv_curve``'s load steps call too."""
+    topo, gens = case.topology, [g for g in case.generators if g.in_service]
+    sums = _bus_sums(len(case.buses), case.base_mva, topo.gen_bus, [g.p_mw for g in gens],
+                     topo.load_bus, [l.p_mw for l in case.loads], [l.q_mvar for l in case.loads])
+    return Injections(*map(_read_only, sums))

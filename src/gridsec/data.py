@@ -100,6 +100,11 @@ def extract_features(solution: PowerFlowSolution, base_case: NetworkCase) -> np.
                            for _, field, by_bus in MEASUREMENTS])
 
 
+def _integer(value):
+    """Whether ``value`` is an int or a numpy int, as counts and seeds must be."""
+    return hasattr(type(value), "__index__")
+
+
 def generate_oc(
     case: NetworkCase,
     rng_seed,
@@ -119,7 +124,7 @@ def generate_oc(
     lo, hi = scale_range
     if not 0.0 <= lo <= hi < np.inf:
         raise DatasetError(f"bad scale range [{lo}, {hi}]")
-    if not (hasattr(type(max_rejects), "__index__") and max_rejects >= 0):  # an int or numpy int
+    if not (_integer(max_rejects) and max_rejects >= 0):
         raise DatasetError(f"max_rejects must be a non-negative integer, not {max_rejects!r}")
     base_p, _ = case.total_load()
     for attempt in range(max_rejects + 1):
@@ -145,6 +150,9 @@ def build_dataset(case: NetworkCase, config: GenerationConfig) -> Dataset:
     (up to 3 times) and generation reruns (heavier loads cannot help an
     all-Insecure set); the returned dataset reports the widened bound.
     """
+    for field in ("n_samples", "seed"):
+        if not _integer(getattr(config, field)):
+            raise DatasetError(f"{field} must be an integer, not {getattr(config, field)!r}")
     if config.n_samples < 1:
         raise DatasetError("n_samples must be >= 1")
     if not 0.0 <= config.tc_mix <= 1.0:

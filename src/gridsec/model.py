@@ -6,9 +6,10 @@ values: every edit returns a new ``NetworkCase``. Each case caches the
 read-only arrays that the solver reads (``topology``, ``branch_table`` and
 ``injections``, see ``arrays``) and its ``feature_layout``; an edit hands
 the new case those of the first three that it leaves unchanged, and every
-edit shares the parsed case's memo (``Topology.recall``). Connectivity has
-one source, a walk from the slack (``arrays.islands``): validation reads
-the buses it misses, and an outage the buses it cuts off.
+edit shares the parsed case's generator layout (no edit moves a unit) and
+memo (``Topology.recall``). Connectivity has one source, a walk from the
+slack (``arrays.islands``): validation reads the buses it misses, and an
+outage the buses it cuts off.
 """
 
 from __future__ import annotations
@@ -280,6 +281,8 @@ def reschedule_generation(case: NetworkCase, delta_p: float) -> NetworkCase:
     unit can absorb, inside the power flow. ``_dispatch`` does the
     arithmetic, for ``powerflow.trace_pv_curve`` too.
     """
+    if not math.isfinite(delta_p):
+        raise CaseValidationError(f"delta_p must be finite, not {delta_p!r}")
     if delta_p == 0.0:
         return case
     outputs = _dispatch(case.generators, case.buses[case.topology.slack].id, delta_p)

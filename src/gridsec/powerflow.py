@@ -1,13 +1,14 @@
 """Newton-Raphson AC power flow and a stepwise load-scaling PV-curve tracer.
 
 The solver works in polar coordinates on the full complex bus-admittance
-matrix. It reads the case through its cached arrays (``NetworkCase.topology``,
-``branch_table`` and ``injections``), the one source of its layout: one
-branch table feeds both the admittance matrix, which one ``np.add.at`` sums
-from the table's flat ``cells`` and ``stamps``, and the branch flows, and the
-bus spec is read from the topology: the slack position and the ``pv``/``pq``
-masks. A solve copies only the three arrays a Q-limit pin rewrites,
-``s_spec``, ``pv`` and ``pq``.
+matrix. It reads the case through its cached arrays, the one source of its
+layout: one branch table (``NetworkCase.branch_table``) feeds both the
+admittance matrix, which one ``np.add.at`` sums from the table's flat
+``cells`` and ``stamps``, and the branch flows; the topology gives the slack
+position, the ``pv``/``pq`` masks and the generators' summed Q bounds
+(``q_limits``, ``has_gen``), and ``injections`` the net injection and load
+Q. A solve copies only the three arrays a Q-limit pin rewrites, ``s_spec``,
+``pv`` and ``pq``.
 Each NR iteration evaluates the Jacobian only at the parsed case's Ybus
 cells (its branches' and the diagonal) and scatters the values into the
 reduced ``pvpq``/``pq`` matrix. The cells and their scatter map are one
@@ -182,8 +183,9 @@ def _newton(topo, inj: Injections, ybus, maps, start, tolerance):
     vm, va = _first_iterate(topo, start)
     layout = topo.jacobian
     y = ybus.ravel()[layout.flat]
-    watch = is_pv & inj.has_gen  # the PV buses whose Q limits are checked
-    q_hi, q_lo = inj.qg_max + 1e-9, inj.qg_min - 1e-9
+    q_min, q_max = topo.q_limits
+    watch = is_pv & topo.has_gen  # the PV buses whose Q limits are checked
+    q_hi, q_lo = q_max + 1e-9, q_min - 1e-9
     q_limited = []
     converged = False
     diagnostic = ""
@@ -201,7 +203,7 @@ def _newton(topo, inj: Injections, ybus, maps, start, tolerance):
             hits = np.flatnonzero(watch & (over | under))
             for i in hits:
                 # bus i turns PQ, its generators supplying the pinned Q
-                pinned = inj.qg_max[i] if over[i] else inj.qg_min[i]
+                pinned = q_max[i] if over[i] else q_min[i]
                 is_pv[i], is_pq[i] = False, True
                 s_spec[i] = s_spec[i].real + 1j * (pinned - inj.q_load[i])
                 q_limited.append((int(i), pinned))
@@ -212,7 +214,7 @@ def _newton(topo, inj: Injections, ybus, maps, start, tolerance):
                 if key not in maps:
                     maps[key] = jacobian_map(layout.flat, layout.rows, layout.cols, is_pv, is_pq)
                 layout = maps[key]
-                watch = is_pv & inj.has_gen
+                watch = is_pv & topo.has_gen
 
         f = mismatch_vector(s_bus, s_spec, layout.mismatch)
         max_mis = float(np.abs(f).max()) if f.size else 0.0
@@ -335,8 +337,8 @@ def chord_screen(case: NetworkCase, start, outages) -> list:
     except np.linalg.LinAlgError:
         return ["non-finite"] * k
     vm, va = np.tile(vm, (k, 1)), np.tile(va, (k, 1))
-    watch = topo.pv & inj.has_gen
-    q_lo, q_hi = inj.qg_min[watch] + Q_BAND, inj.qg_max[watch] - Q_BAND
+    watch = topo.pv & topo.has_gen
+    q_lo, q_hi = topo.q_limits[0, watch] + Q_BAND, topo.q_limits[1, watch] - Q_BAND
     out = np.zeros(k, dtype=int)  # an index into _CHORD_OUTCOMES; 0 while open
     with np.errstate(all="ignore"):
         for iteration in range(CHORD_MAX_ITER + 1):
@@ -387,8 +389,8 @@ def trace_pv_curve(case: NetworkCase, monitored_bus: int, step: float) -> PvCurv
 
     A curve builds its branch table and Ybus once, and keeps them off
     ``case`` (a study stores many outaged cases), and maps each PV mask its
-    steps pin only once; a step makes only its ``Injections`` for
-    ``_newton``: no case, no branch flows.
+    steps pin only once; a step sums only its ``Injections`` for
+    ``_newton``, on the topology's bus positions: no case, no branch flows.
     """
     if not 0.0 < step < np.inf:
         raise SettingError("step must be positive and finite")
@@ -397,12 +399,10 @@ def trace_pv_curve(case: NetworkCase, monitored_bus: int, step: float) -> PvCurv
     pos = case.bus_index().get(monitored_bus)
     if pos is None:
         raise CaseValidationError(f"no bus {monitored_bus} in case")
-    inj, topo, n = case.injections, case.topology, len(case.buses)
+    topo, n = case.topology, len(case.buses)
     ybus = _ybus(topo.branches(), n)
     maps = {}  # every step's pinned maps, by PV mask
     gens = [(i, g) for i, g in enumerate(case.generators) if g.in_service]
-    gen_bus = np.array([topo.bus_index[g.bus] for _, g in gens], dtype=int)
-    load_bus = np.array([topo.bus_index[l.bus] for l in case.loads], dtype=int)
     p_load, q_load = np.array([(l.p_mw, l.q_mvar) for l in case.loads], dtype=float).reshape(-1, 2).T
     slack_id = case.buses[topo.slack].id
     base_p, _ = case.total_load()
@@ -411,10 +411,10 @@ def trace_pv_curve(case: NetworkCase, monitored_bus: int, step: float) -> PvCurv
     scale = 1.0
     while scale <= 50.0 + 1e-12:
         p_gen = _dispatch(case.generators, slack_id, (scale - 1.0) * base_p)
-        s_spec, q_pu = _bus_sums(n, case.base_mva, gen_bus, [p_gen.get(i, g.p_mw) for i, g in gens],
-                                 load_bus, p_load * scale, q_load * scale)
-        v, converged, *_ = _newton(topo, Injections(s_spec, inj.qg_min, inj.qg_max, q_pu, inj.has_gen),
-                                   ybus, maps, warm, TOLERANCE)
+        inj = Injections(*_bus_sums(n, case.base_mva, topo.gen_bus,
+                                    [p_gen.get(i, g.p_mw) for i, g in gens],
+                                    topo.load_bus, p_load * scale, q_load * scale))
+        v, converged, *_ = _newton(topo, inj, ybus, maps, warm, TOLERANCE)
         if not converged:
             break
         v_mag = np.abs(v)

@@ -216,15 +216,15 @@ def run_contingency_screen(case: NetworkCase, solution: PowerFlowSolution,
 
     ``solution`` is the OC's converged power flow. Secure iff every
     contingency converges with no limit violations. A listed branch that is
-    already out of service in this OC's topology is skipped; a screen left
-    with no contingency raises ``GridSecError``. Islanding outages come
-    first and are Insecure without a solve attempt. The rest are screened by
-    descending ``predicted_loading`` from the solution's flows, ties in list
-    order, each solve warm-started from the solution's voltages. When the
-    first passes, ``chord_screen`` checks the rest in one batch; each one it
-    does not accept gets the exact solve and limit check, in ranked order.
-    The screen stops at the first contingency that fails: it decides the
-    Insecure label and is ``first_failure``.
+    already out of service in this OC's topology is skipped; a branch listed
+    twice or a screen left with no contingency raises ``GridSecError``.
+    Islanding outages come first and are Insecure without a solve attempt.
+    The rest are screened by descending ``predicted_loading`` from the
+    solution's flows, ties in list order, each solve warm-started from the
+    solution's voltages. When the first passes, ``chord_screen`` checks the
+    rest in one batch; each one it does not accept gets the exact solve and
+    limit check, in ranked order. The screen stops at the first contingency
+    that fails: it decides the Insecure label and is ``first_failure``.
     """
     csc_list = list(csc_list)
     if not csc_list:
@@ -265,8 +265,14 @@ def run_contingency_screen(case: NetworkCase, solution: PowerFlowSolution,
 
 
 def _in_service(case: NetworkCase, names) -> tuple:
-    """(name, branch position) of each listed branch in service in ``case``."""
+    """(name, branch position) of each listed branch in service in ``case``.
+    A branch listed twice, under either orientation, is a ``GridSecError``."""
     found = [(name, case.find_branch(name)) for name in names]
+    first = {}
+    for name, k in found:
+        if k in first:
+            raise GridSecError(f"contingency {name} repeats {first[k]} in the list")
+        first[k] = name
     live = case.branch_table.in_service([k for _, k in found])
     return tuple(pair for pair, ok in zip(found, live) if ok)
 

@@ -159,6 +159,15 @@ def test_generate_oc_bad_max_rejects(case9, max_rejects):
         build_dataset(case9, cfg)
 
 
+@pytest.mark.parametrize("field, value", [("n_samples", 2.5), ("seed", 1.5), ("seed", "3")])
+def test_build_dataset_rejects_a_non_integer_count_or_seed(case9, field, value):
+    """A float sample count or seed is an error that names it, not a bare
+    TypeError from deep inside the sampling."""
+    cfg = dataclasses.replace(GenerationConfig(n_samples=1, csc_list=("4-5",)), **{field: value})
+    with pytest.raises(DatasetError, match=f"^{field} must be an integer, not {re.escape(repr(value))}$"):
+        build_dataset(case9, cfg)
+
+
 def test_generate_oc_takes_a_numpy_max_rejects(case9):
     assert generate_oc(case9, 0, max_rejects=np.int64(0))[3] == 0
 

@@ -235,6 +235,14 @@ def test_reschedule_zero_is_identity(case9):
     assert reschedule_generation(case9, 0.0) == case9
 
 
+@pytest.mark.parametrize("delta_p", [float("nan"), float("inf"), -float("inf")])
+def test_reschedule_rejects_a_non_finite_change(case9, delta_p):
+    """NaN would leave every unit where it was and an infinite change would
+    drive every unit to a bound; both are errors that name ``delta_p``."""
+    with pytest.raises(CaseValidationError, match=f"^delta_p must be finite, not {delta_p!r}$"):
+        reschedule_generation(case9, delta_p)
+
+
 def test_reschedule_capacity_proportional():
     case = parse_case("""\
 format_version: 1
@@ -373,6 +381,10 @@ def _cold(case):
     return NetworkCase(case.base_mva, case.buses, case.branches, case.generators, case.loads)
 
 
+# the bus arrays of a topology that every edit of its case shares
+SHARED = ("pv", "pq", "v_limits", "gen_bus", "load_bus", "q_limits", "has_gen")
+
+
 def _assert_same_as_cold(case):
     cold = _cold(case)
     assert "topology" not in cold.__dict__
@@ -381,6 +393,8 @@ def _assert_same_as_cold(case):
     for mask, kind in ((topo.pv, BusKind.PV), (topo.pq, BusKind.PQ)):
         assert mask.dtype == bool and mask.tolist() == [k is kind for k in kinds]
     assert topo.v_limits.tolist() == [[b.v_min for b in case.buses], [b.v_max for b in case.buses]]
+    for field in SHARED:
+        assert np.array_equal(getattr(topo, field), getattr(cold.topology, field)), field
     assert np.array_equal(build_ybus(case), build_ybus(cold))
     warm, ref = solve_powerflow(case), solve_powerflow(cold)
     for field in ("v_mag", "v_ang", "p_from", "q_from", "p_to", "q_to", "i_from"):
@@ -404,21 +418,19 @@ def test_views_equal_cold_rebuilds(case9, case68):
         _assert_same_as_cold(case)
         for outaged in _outages(case):
             _assert_same_as_cold(outaged)
-            # every edit hands its parent's bus masks down instead of rebuilding them
-            assert outaged.topology.pv is case.topology.pv
-            assert outaged.topology.pq is case.topology.pq
-            assert outaged.topology.v_limits is case.topology.v_limits
+            # every edit hands its parent's bus arrays down instead of rebuilding them
+            for field in SHARED:
+                assert getattr(outaged.topology, field) is getattr(case.topology, field), field
     for child in (scaled, oc):
-        assert child.topology.pv is case68.topology.pv
-        assert child.topology.pq is case68.topology.pq
-        assert child.topology.v_limits is case68.topology.v_limits
+        for field in SHARED:
+            assert getattr(child.topology, field) is getattr(case68.topology, field), field
 
 
 def test_view_arrays_are_read_only(case9):
     outaged = apply_outage(case9, case9.find_branch("4-5"))
     for case in (case9, outaged, scale_loads(outaged, 1.1)):
         topo, jmap = case.topology, case.topology.jacobian
-        arrays = [topo.pv, topo.pq, topo.vset, topo.v_limits, *case.branch_table,
+        arrays = [*(getattr(topo, field) for field in SHARED), topo.vset, *case.branch_table,
                   *case.injections, *jmap[:7], jmap.mismatch]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):

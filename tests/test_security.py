@@ -539,6 +539,14 @@ def test_screen_with_no_contingency_left_raises(case9):
         run_contingency_screen(oc, solve_powerflow(oc), ["4-5"])
 
 
+def test_screen_rejects_a_branch_listed_twice(case9):
+    """Either orientation names the same branch, which would otherwise be
+    screened, and reported, twice."""
+    oc = scale_loads(case9, 0.6)
+    with pytest.raises(GridSecError, match="^contingency 8-7 repeats 7-8 in the list$"):
+        run_contingency_screen(oc, solve_powerflow(oc), ["7-8", "8-7"])
+
+
 def test_parse_contingency_list():
     text = "# comment\n17-43\n\n54-55  # trailing note\n"
     assert parse_contingency_list(text) == ["17-43", "54-55"]
