@@ -30,6 +30,9 @@ class MlpArchitecture:
     def __post_init__(self):
         if len(self.layer_sizes) < 3:
             raise ValueError("need at least one hidden layer")
+        # an int or a numpy int, as data._integer asks of counts
+        if not all(hasattr(type(s), "__index__") for s in self.layer_sizes):
+            raise ValueError("all layer sizes must be integers")
         if any(s < 1 for s in self.layer_sizes):
             raise ValueError("all layer sizes must be >= 1")
         if self.activation not in ("relu", "tanh"):

@@ -235,6 +235,9 @@ def scale_loads(case: NetworkCase, factors) -> NetworkCase:
         factors = [float(f) for f in factors]
     if len(factors) != len(case.loads):
         raise CaseValidationError("one scale factor per load required")
+    for f in factors:
+        if not math.isfinite(f):
+            raise CaseValidationError(f"scale factors must be finite, not {f!r}")
     loads = tuple(
         Load(l.bus, l.p_mw * f, l.q_mvar * f) for l, f in zip(case.loads, factors)
     )

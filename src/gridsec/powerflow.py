@@ -247,10 +247,18 @@ def solve_powerflow(case: NetworkCase, start=None, tolerance: float = TOLERANCE)
     solve starts flat. It stops when the largest per-unit mismatch is at or
     below ``tolerance``, or after ``MAX_ITER`` iterations. Returns a solution
     object in all cases; check ``converged``. The slack bus keeps angle 0 and
-    its setpoint magnitude throughout.
+    its setpoint magnitude throughout. A tolerance that is not positive and
+    finite is a ``SettingError``, and so is a start whose ``v_ang``, or
+    ``v_mag`` unless it is a scalar, does not hold one value per bus.
     """
-    if tolerance <= 0:
-        raise SettingError("tolerance must be positive")
+    if not 0.0 < tolerance < math.inf:
+        raise SettingError(f"tolerance must be positive and finite, not {tolerance!r}")
+    if start is not None:
+        n = len(case.buses)
+        shapes = np.shape(start[0]) or (n,), np.shape(start[1])  # a scalar v_mag broadcasts
+        for name, shape in zip(("v_mag", "v_ang"), shapes):
+            if shape != (n,):
+                raise SettingError(f"start {name} has shape {shape}, not one value per bus ({n},)")
     inj, topo = case.injections, case.topology
     ybus = build_ybus(case)
     v, *outcome = _newton(topo, inj, ybus, {}, start, tolerance)

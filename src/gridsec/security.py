@@ -264,15 +264,22 @@ def run_contingency_screen(case: NetworkCase, solution: PowerFlowSolution,
     return ScreenResult(label=Label.SECURE, details=details)
 
 
-def _in_service(case: NetworkCase, names) -> tuple:
-    """(name, branch position) of each listed branch in service in ``case``.
-    A branch listed twice, under either orientation, is a ``GridSecError``."""
+def _listed(case: NetworkCase, names, what) -> list:
+    """(name, branch position) of each listed branch. A branch listed twice,
+    under either orientation, is a ``GridSecError`` naming both ``what``s."""
     found = [(name, case.find_branch(name)) for name in names]
     first = {}
     for name, k in found:
         if k in first:
-            raise GridSecError(f"contingency {name} repeats {first[k]} in the list")
+            raise GridSecError(f"{what} {name} repeats {first[k]} in the list")
         first[k] = name
+    return found
+
+
+def _in_service(case: NetworkCase, names) -> tuple:
+    """(name, branch position) of each listed branch in service in ``case``,
+    checked for repeats by ``_listed``."""
+    found = _listed(case, names, "contingency")
     live = case.branch_table.in_service([k for _, k in found])
     return tuple(pair for pair, ok in zip(found, live) if ok)
 
@@ -291,14 +298,15 @@ def screen_configurations(case: NetworkCase, config_specs) -> list:
     """Assess and categorize a list of candidate branch outages at the base
     operating point; results sorted by descending PI_V, ties in list order.
     Every solve starts flat. An islanding outage (no solve) or a diverging
-    one reads PI_V and flow change ``inf``, which ``categorize`` calls CSC."""
+    one reads PI_V and flow change ``inf``, which ``categorize`` calls CSC.
+    A branch listed twice, under either orientation, is a ``GridSecError``."""
+    listed = _listed(case, config_specs, "configuration")
     base = solve_powerflow(case)
     if not base.converged:
         raise GridSecError("base case did not converge")
     cuts = case.topology.cuts
     assessments = []
-    for spec in config_specs:
-        index = case.find_branch(spec)
+    for spec, index in listed:
         pi_v = delta = float("inf")
         if index not in cuts:
             outaged = apply_outage(case, index)

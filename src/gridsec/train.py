@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mlp
-from .data import Dataset, load_dataset
+from .data import Dataset, _integer, load_dataset
 from .errors import DatasetError, ExperimentError, OptimizerError, open_text
 from .mlp import MlpArchitecture
 from .optim import ALGORITHMS, SETTINGS, Optimizer, OptimizerConfig, default_config
@@ -111,9 +111,13 @@ class ExperimentConfig:
         """Reject a phase length, checkpoint cadence, split, seed list,
         algorithm list, network shape, activation or optimizer setting, a
         setting its algorithm does not read (``optim.SETTINGS``), or settings
-        for an unused algorithm, before any dataset loads."""
+        for an unused algorithm, before any dataset loads. Counts and seeds
+        must be integers (``data._integer``)."""
         for key in ("init_epochs", "update_epochs", "eval_every"):
-            if getattr(self, key) < 1:
+            value = getattr(self, key)
+            if not _integer(value):
+                raise ExperimentError(f"{key} must be an integer, not {value!r}")
+            if value < 1:
                 raise ExperimentError(f"{key} must be >= 1")
         # a shorter phase has a checkpoint at epoch 0, which no run logs
         for key, least in (("init_epochs", 2), ("update_epochs", 4)):
@@ -134,6 +138,9 @@ class ExperimentConfig:
             raise ExperimentError("train_fraction must lie in (0, 1)")
         if not self.seeds:
             raise ExperimentError("seeds must not be empty")
+        for seed in self.seeds:
+            if not _integer(seed):
+                raise ExperimentError(f"seeds must be integers, not {seed!r}")
         if min(self.seeds) < 0:
             raise ExperimentError(f"seeds must be non-negative, not {min(self.seeds)}")
         if not self.algorithms:

@@ -69,14 +69,20 @@ def numpy_build():
             "machine": platform.machine()}
 
 
+def fail_golden(what):
+    """Fail because ``what`` differs from its golden, naming the numpy build
+    the goldens were recorded on and the one running."""
+    recorded = json.loads(GOLDEN_BUILD.read_text(encoding="utf-8"))
+    pytest.fail(f"{what} differs; goldens recorded on {recorded}, running on "
+                f"{numpy_build()}", pytrace=False)
+
+
 def assert_golden(got: bytes, path: Path):
     """``got`` is the golden file ``path`` byte for byte; a failure names the
     numpy build the goldens were recorded on and the one running, without
     diffing the bytes."""
     if got != path.read_bytes():
-        recorded = json.loads(GOLDEN_BUILD.read_text(encoding="utf-8"))
-        pytest.fail(f"{path.name} differs; goldens recorded on {recorded}, running on "
-                    f"{numpy_build()}", pytrace=False)
+        fail_golden(path.name)
 
 
 def unpinned_env(**extra):

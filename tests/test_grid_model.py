@@ -243,6 +243,17 @@ def test_reschedule_rejects_a_non_finite_change(case9, delta_p):
         reschedule_generation(case9, delta_p)
 
 
+@pytest.mark.parametrize("factor", [float("nan"), float("inf"), -float("inf")])
+def test_scale_loads_rejects_a_non_finite_factor(case9, factor):
+    """A NaN or infinite factor would give loads no solve can meet, scalar or
+    one per load; both are errors that name the factor."""
+    message = f"^scale factors must be finite, not {factor!r}$"
+    with pytest.raises(CaseValidationError, match=message):
+        scale_loads(case9, factor)
+    with pytest.raises(CaseValidationError, match=message):
+        scale_loads(case9, [1.0, factor, 1.0])
+
+
 def test_reschedule_capacity_proportional():
     case = parse_case("""\
 format_version: 1

@@ -6,7 +6,13 @@ import pytest
 
 from gridsec import powerflow
 from gridsec.arrays import jacobian_map
-from gridsec.errors import CaseValidationError, GridSecError, IslandingError
+from gridsec.errors import (
+    CaseValidationError,
+    GridSecError,
+    InfeasibleError,
+    IslandingError,
+    SettingError,
+)
 from gridsec.model import (
     BusKind,
     apply_outage,
@@ -208,6 +214,30 @@ def test_every_entry_rejects_a_case_without_slack(case9, call):
     every solve, edit and trace reaches it first."""
     with pytest.raises(CaseValidationError, match="no slack bus"):
         call(slackless_case9(case9))
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1e-8, float("nan"), float("inf")])
+def test_solve_rejects_a_tolerance_not_positive_and_finite(case9, tolerance):
+    """NaN would run every iteration and report no convergence, and inf would
+    accept the flat start's mismatch."""
+    with pytest.raises(SettingError, match="^tolerance must be positive and finite"):
+        solve_powerflow(case9, tolerance=tolerance)
+
+
+def test_solve_rejects_a_start_without_one_value_per_bus(case9):
+    """A warm start holds one magnitude, or a scalar, and one angle per bus;
+    the error names both lengths."""
+    sol = solve_powerflow(case9)
+    with pytest.raises(SettingError, match=r"^start v_mag has shape \(3,\), not one value "
+                                           r"per bus \(9,\)$"):
+        solve_powerflow(case9, (np.ones(3), np.zeros(3)))
+    with pytest.raises(SettingError, match=r"^start v_ang has shape \(8,\)"):
+        solve_powerflow(case9, (sol.v_mag, sol.v_ang[1:]))
+    with pytest.raises(SettingError, match=r"^start v_ang has shape \(\)"):
+        solve_powerflow(case9, (sol.v_mag, 0.0))
+    assert solve_powerflow(case9, (1.0, np.zeros(9))).converged  # a scalar v_mag broadcasts
+    warm = solve_powerflow(case9, (sol.v_mag, sol.v_ang))
+    assert warm.converged and warm.iterations <= 1
 
 
 def test_mismatch_oracle(case9):
@@ -643,8 +673,6 @@ def test_trace_pv_curve_nose_scales_with_impedance(case2):
 
 def test_trace_infeasible_base(case2):
     hopeless = scale_loads(case2, 10.0)
-    from gridsec.errors import InfeasibleError
-
     with pytest.raises(InfeasibleError, match="base case infeasible"):
         trace_pv_curve(hopeless, 2, 0.05)
 
@@ -744,6 +772,32 @@ def test_a_curve_maps_each_pinned_mask_once(case9, monkeypatch):
     assert pinned == [(2,), (1,), (1, 2)]  # bus positions
     monkeypatch.undo()
     assert_trace_is_composed(case, 5, 0.05)
+
+
+def test_case68_curves_map_each_pinned_mask_once(case68, monkeypatch):
+    """The study's 74 case68 curves at bus 8, the base case and every
+    non-islanding outage (some infeasible): each curve builds one pinned map
+    per distinct PV mask its steps meet, however many steps pin it."""
+    masks = []  # the PV mask of each map the current curve builds
+
+    def recording(flat, rows, cols, is_pv, is_pq):
+        masks.append(is_pv.tobytes())
+        return jacobian_map(flat, rows, cols, is_pv, is_pq)
+
+    monkeypatch.setattr(powerflow, "jacobian_map", recording)
+    bases = [case68] + [apply_outage(case68, k) for k in case68.branch_table.pos.tolist()
+                        if k not in case68.topology.cuts]
+    assert len(bases) == 74
+    most = 0
+    for base in bases:
+        masks.clear()
+        try:
+            trace_pv_curve(base, 8, 0.01)
+        except InfeasibleError:
+            pass
+        assert len(masks) == len(set(masks))
+        most = max(most, len(masks))
+    assert most > 1  # some curve pins more than one mask
 
 
 @pytest.mark.parametrize("outage", ["4-6", "8-9"])

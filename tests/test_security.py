@@ -547,6 +547,16 @@ def test_screen_rejects_a_branch_listed_twice(case9):
         run_contingency_screen(oc, solve_powerflow(oc), ["7-8", "8-7"])
 
 
+def test_screen_configurations_rejects_a_branch_listed_twice(case9):
+    """As in the contingency screen: a branch listed twice, under either
+    orientation, would be assessed and written twice; a list without repeats
+    gives the rows of each branch alone."""
+    with pytest.raises(GridSecError, match="^configuration 5-4 repeats 4-5 in the list$"):
+        screen_configurations(case9, ["4-5", "7-8", "5-4"])
+    alone = screen_configurations(case9, ["4-5"]) + screen_configurations(case9, ["7-8"])
+    assert screen_configurations(case9, ["4-5", "7-8"]) == sorted(alone, key=lambda a: -a.pi_v)
+
+
 def test_parse_contingency_list():
     text = "# comment\n17-43\n\n54-55  # trailing note\n"
     assert parse_contingency_list(text) == ["17-43", "54-55"]

@@ -410,6 +410,25 @@ def test_run_experiment_checks_code_built_config(tmp_path):
     assert "div" not in rows[0]
 
 
+NON_INTEGER = {
+    "init_epochs": (2.5, "init_epochs must be an integer, not 2.5"),
+    "update_epochs": (40.0, "update_epochs must be an integer, not 40.0"),
+    "eval_every": (2.5, "eval_every must be an integer, not 2.5"),
+    "seeds": ((0, 1.5), "seeds must be integers, not 1.5"),
+    "hidden": ((2.5,), "hidden = 2.5, activation = tanh: all layer sizes must be integers"),
+}
+
+
+@pytest.mark.parametrize("field", NON_INTEGER)
+def test_a_code_built_config_rejects_non_integer_counts(field):
+    """Counts, seeds and layer sizes that are not integers fail when the
+    config is built, naming the field, before any dataset loads (the paths
+    here do not exist)."""
+    value, message = NON_INTEGER[field]
+    with pytest.raises(ExperimentError, match=f"^{re.escape(message)}$"):
+        small_config("no-init.csv", "no-update.csv", **{field: value})
+
+
 # the OptimizerConfig fields each algorithm's update rule reads
 READS = {"sgd": ("learning_rate",), "sgd-m": ("learning_rate", "momentum"),
          "nag": ("learning_rate", "momentum"), "nag-m": ("learning_rate", "momentum"),
